@@ -13,14 +13,13 @@ from .errors import (CalibrationError, DegenerateDesignError,
 from .pattern import (DerivedPattern, RateSchedule, Segment, SpecIssue,
                       StimulusSpec, compile_schedule, derive_pattern,
                       validate_spec)
-from .plant import (LedLayout, PlantParams, PlantState, SensorReading,
-                    SkinPlant, Trace, led_positions, load_plant_config,
-                    read_sensor, save_plant_config, step)
+from .plant import (PlantParams, PlantState, SensorReading, SkinPlant, Trace,
+                    load_plant_config, read_sensor, save_plant_config, step)
 from .control import (ActuatorTimeline, CalibrationPoint, CalibrationProtocol,
-                      CalibrationResult, DutyModel, PwmWaveform,
-                      apply_drift_correction, calibrate, exact_models,
-                      fit_duty_model, invert_duty, load_models, mean_rate,
-                      pwm_waveform, run_control, schedule_to_timeline)
+                      CalibrationResult, DutyModel, apply_drift_correction,
+                      calibrate, exact_models, fit_duty_model, invert_duty,
+                      load_models, mean_rate, run_control,
+                      schedule_to_timeline)
 from .stats import (TestResult, benjamini_hochberg, chi_square_sf,
                     kruskal_wallis, wilcoxon_rank_sum)
 from .experiment import (ExperimentPlan, ParticipantModel, SliderTrace,

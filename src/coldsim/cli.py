@@ -138,8 +138,9 @@ def cmd_simulate(args) -> None:
 
 def cmd_experiment_run(args) -> None:
     started = time.perf_counter()
-    if os.path.exists(args.out) and os.listdir(args.out):
-        raise ValidationError(f"output directory {args.out} exists and is not empty")
+    if os.path.exists(args.out) and (not os.path.isdir(args.out)
+                                     or os.listdir(args.out)):
+        raise ValidationError(f"output {args.out} exists and is not an empty directory")
     if args.exp == 2:
         plan = experiment.build_exp2_plan(participants=args.participants,
                                           repetitions=args.repetitions,

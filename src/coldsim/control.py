@@ -19,16 +19,11 @@ import numpy as np
 
 from .errors import (CalibrationError, DegenerateDesignError,
                      UnreachableRateError, ValidationError)
-from .pattern import RateSchedule, StimulusSpec, compile_schedule
+from .pattern import RateSchedule, StimulusSpec, compile_schedule, stimulus_id
 from .plant import SkinPlant, Trace
 
 VALVE_DUTY_RANGE = (0.490, 0.601)
 LED_DUTY_RANGE = (0.118, 0.902)
-
-# PWM carriers; the device datasheets do not pin these, they just need to
-# beat the duty resolution the models care about.
-VALVE_PWM_HZ = 100.0
-LED_PWM_HZ = 1000.0
 
 
 @dataclass(frozen=True)
@@ -316,7 +311,7 @@ def calibrate(plant: SkinPlant,
             net = after - before
             nets.append(net)
             checks.append(VerificationCheck(
-                _spec_label(spec), net, abs(net) <= protocol.drift_threshold))
+                stimulus_id(spec), net, abs(net) <= protocol.drift_threshold))
         history.append(checks)
         if all(c.passed for c in checks):
             return CalibrationResult(valve_model, led_model, iteration,
@@ -337,12 +332,6 @@ def calibrate(plant: SkinPlant,
     raise CalibrationError(
         f"verification drift still above {protocol.drift_threshold} degC "
         f"after {protocol.max_iters} iterations", report=history)
-
-
-def _spec_label(spec: StimulusSpec) -> str:
-    if spec.kind == "S1":
-        return f"S1_vc{spec.cooling_rate}_r{spec.cooling_ratio}"
-    return f"{spec.kind}_vc{spec.cooling_rate}"
 
 
 @dataclass(frozen=True)
@@ -371,16 +360,6 @@ class ActuatorTimeline:
                                      str(span.active).lower()])
 
 
-def _merge_spans(spans: list[ChannelSpan]) -> tuple[ChannelSpan, ...]:
-    merged: list[ChannelSpan] = []
-    for span in spans:
-        if merged and merged[-1].duty == span.duty and merged[-1].active == span.active:
-            merged[-1] = ChannelSpan(merged[-1].start, span.end, span.duty, span.active)
-        else:
-            merged.append(span)
-    return tuple(merged)
-
-
 def schedule_to_timeline(schedule: RateSchedule, valve_model: DutyModel,
                          led_model: DutyModel) -> ActuatorTimeline:
     """Translate a rate schedule into actuator duty spans.
@@ -406,124 +385,61 @@ def schedule_to_timeline(schedule: RateSchedule, valve_model: DutyModel,
             led_spans.append(ChannelSpan(seg.start_s, seg.end_s, led_duty, True))
         else:
             led_spans.append(ChannelSpan(seg.start_s, seg.end_s, 0.0, False))
-    return ActuatorTimeline(_merge_spans(valve_spans), _merge_spans(led_spans),
+    return ActuatorTimeline(tuple(valve_spans), tuple(led_spans),
                             schedule.duration_s)
-
-
-@dataclass(frozen=True)
-class PwmEdge:
-    time: float
-    on: bool
-
-
-@dataclass(frozen=True)
-class PwmWaveform:
-    frequency: float
-    duty: float
-    duration: float
-    edges: tuple[PwmEdge, ...]
-
-    def on_fraction(self) -> float:
-        """Fraction of the waveform duration spent on."""
-        on_time = 0.0
-        for i, edge in enumerate(self.edges):
-            if edge.on:
-                end = (self.edges[i + 1].time if i + 1 < len(self.edges)
-                       else self.duration)
-                on_time += end - edge.time
-        return on_time / self.duration
-
-
-def pwm_waveform(duty: float, frequency: float, duration: float) -> PwmWaveform:
-    """Edge list for a PWM carrier: on for duty/frequency at each period start."""
-    if not 0.0 <= duty <= 1.0:
-        raise ValidationError("duty must lie in [0, 1]")
-    if not frequency > 0 or not duration > 0:
-        raise ValidationError("frequency and duration must be positive")
-    if duty == 0.0:
-        return PwmWaveform(frequency, duty, duration, (PwmEdge(0.0, False),))
-    if duty == 1.0:
-        return PwmWaveform(frequency, duty, duration, (PwmEdge(0.0, True),))
-    edges = []
-    period = 0
-    while True:
-        start = period / frequency
-        if start >= duration:
-            break
-        edges.append(PwmEdge(start, True))
-        off = start + duty / frequency
-        if off < duration:
-            edges.append(PwmEdge(off, False))
-        period += 1
-    return PwmWaveform(frequency, duty, duration, tuple(edges))
-
-
-def _span_lookup(spans: Sequence[ChannelSpan], time: float) -> ChannelSpan:
-    for span in spans:
-        if span.start <= time < span.end:
-            return span
-    return ChannelSpan(time, time, 0.0, False)
 
 
 def run_control(timeline: ActuatorTimeline, plant: SkinPlant, dt: float = 0.001,
                 log_rate: float = 100.0) -> Trace:
     """Step the plant under a timeline and log at the given rate.
 
-    Segment boundaries are snapped to the nearest step; an active span
-    that would vanish entirely in the snapping is an error.  The
-    returned trace covers t = 0 through the end of the timeline
-    inclusive.
+    Each channel's spans must be ordered and disjoint; a step outside
+    every active span has that channel off.  Span boundaries are snapped
+    to the nearest step; an active span that would vanish entirely in
+    the snapping is an error.  The plant runs the whole presentation in
+    one call, and the returned trace covers t = 0 through the end of the
+    timeline inclusive.
     """
     if not dt > 0 or not log_rate > 0:
         raise ValidationError("dt and log_rate must be positive")
     total_ticks = int(round(timeline.duration / dt))
 
-    # Boundaries snap to the nearest step (that is always within half a
-    # step); a nonempty active span must still survive the snapping.
-    boundaries = {0, total_ticks}
-    for spans in (timeline.valve, timeline.led):
-        for span in spans:
-            span_ticks = []
-            for t in (span.start, span.end):
-                tick = min(int(round(t / dt)), total_ticks)
-                span_ticks.append(tick)
-                boundaries.add(tick)
-            if span.active and span.end > span.start and span_ticks[0] == span_ticks[1]:
-                raise ValidationError(
-                    f"active span [{span.start}, {span.end}) collapses to zero steps "
-                    f"at dt={dt}")
-    ticks = sorted(boundaries)
-
     n_log = total_ticks + 1
-    temp = np.empty(n_log)
     duty_valve = np.zeros(n_log)
     duty_led = np.zeros(n_log)
     valve_on = np.zeros(n_log, dtype=bool)
     led_on = np.zeros(n_log, dtype=bool)
-    temp[0] = plant.t_skin
-
-    for t0, t1 in zip(ticks[:-1], ticks[1:]):
-        n = t1 - t0
-        if n == 0:
-            continue
-        mid = (t0 + 0.5) * dt
-        vspan = _span_lookup(timeline.valve, mid)
-        lspan = _span_lookup(timeline.led, mid)
-        temps = plant.run_span(
-            duty_valve=vspan.duty if vspan.active else 0.0,
-            duty_led=lspan.duty if lspan.active else 0.0,
-            valve_on=vspan.active, led_on=lspan.active, dt=dt, n_steps=n)
-        temp[t0 + 1:t1 + 1] = temps
-        duty_valve[t0:t1] = vspan.duty if vspan.active else 0.0
-        duty_led[t0:t1] = lspan.duty if lspan.active else 0.0
-        valve_on[t0:t1] = vspan.active
-        led_on[t0:t1] = lspan.active
+    for spans, duty, on in ((timeline.valve, duty_valve, valve_on),
+                            (timeline.led, duty_led, led_on)):
+        prev_end = 0.0
+        for span in spans:
+            if span.start < prev_end or span.end < span.start:
+                raise ValidationError(
+                    f"span [{span.start}, {span.end}) is out of order: spans on "
+                    f"one channel must be ordered and disjoint from t = 0")
+            prev_end = span.end
+            if not span.active:
+                continue
+            # Boundaries snap to the nearest step (that is always within
+            # half a step); a nonempty active span must still survive.
+            t0, t1 = (min(int(round(t / dt)), total_ticks)
+                      for t in (span.start, span.end))
+            if t0 == t1 and span.end > span.start:
+                raise ValidationError(
+                    f"active span [{span.start}, {span.end}) collapses to "
+                    f"zero steps at dt={dt}")
+            duty[t0:t1] = span.duty
+            on[t0:t1] = True
     # Hold the last actuator state on the final logged sample.
     if total_ticks > 0:
-        duty_valve[-1] = duty_valve[-2]
-        duty_led[-1] = duty_led[-2]
-        valve_on[-1] = valve_on[-2]
-        led_on[-1] = led_on[-2]
+        for column in (duty_valve, duty_led, valve_on, led_on):
+            column[-1] = column[-2]
+
+    temp = np.empty(n_log)
+    temp[0] = plant.t_skin
+    temp[1:] = plant.run_span(duty_valve=duty_valve[:-1], duty_led=duty_led[:-1],
+                              valve_on=valve_on[:-1], led_on=led_on[:-1],
+                              dt=dt, n_steps=total_ticks)
 
     log_every = max(1, int(round(1.0 / (log_rate * dt))))
     idx = np.arange(0, n_log, log_every)

@@ -30,7 +30,7 @@ import numpy as np
 from .control import (CalibrationProtocol, CalibrationResult, DutyModel,
                       calibrate, run_control, schedule_to_timeline)
 from .errors import UnreachableRateError, ValidationError
-from .pattern import StimulusSpec, compile_schedule
+from .pattern import StimulusSpec, compile_schedule, stimulus_id
 from .plant import PlantParams, SkinPlant, Trace
 from .stats import TestResult, benjamini_hochberg, kruskal_wallis, wilcoxon_rank_sum
 
@@ -192,12 +192,6 @@ class ExperimentPlan:
         return len(self.stimuli) * self.repetitions
 
 
-def _stimulus_id(spec: StimulusSpec) -> str:
-    if spec.kind == "S1":
-        return f"S1_vc{spec.cooling_rate}_r{spec.cooling_ratio}"
-    return f"{spec.kind}_vc{spec.cooling_rate}"
-
-
 def build_exp2_plan(rates=EXP2_RATES, ratios=EXP2_RATIOS, swing=0.06,
                     duration=15.0, drop_duration=5.0, repetitions=3,
                     participants=15, seed=0) -> ExperimentPlan:
@@ -207,14 +201,14 @@ def build_exp2_plan(rates=EXP2_RATES, ratios=EXP2_RATIOS, swing=0.06,
     for rate in rates:
         for ratio in ratios:
             spec = StimulusSpec("S1", rate, ratio, swing, duration)
-            stimuli.append(PlannedStimulus(_stimulus_id(spec), spec))
+            stimuli.append(PlannedStimulus(stimulus_id(spec), spec))
     for rate in rates:
         spec = StimulusSpec("S2", rate, duration=duration,
                             drop_duration=drop_duration)
-        stimuli.append(PlannedStimulus(_stimulus_id(spec), spec))
+        stimuli.append(PlannedStimulus(stimulus_id(spec), spec))
     for rate in rates:
         spec = StimulusSpec("S3", rate, duration=duration)
-        stimuli.append(PlannedStimulus(_stimulus_id(spec), spec))
+        stimuli.append(PlannedStimulus(stimulus_id(spec), spec))
     return ExperimentPlan("exp2", tuple(stimuli), repetitions, participants, seed)
 
 
@@ -226,11 +220,11 @@ def build_exp3_plan(base_rate=-0.16, ratio=0.5, rates=(-0.08, -0.16, -0.24),
     stimuli = []
     for rate in rates:
         spec = StimulusSpec("S1", rate, ratio, swing, duration)
-        stimuli.append(PlannedStimulus(_stimulus_id(spec), spec))
+        stimuli.append(PlannedStimulus(stimulus_id(spec), spec))
     s2 = StimulusSpec("S2", base_rate, duration=duration, drop_duration=drop_duration)
-    stimuli.append(PlannedStimulus(_stimulus_id(s2), s2))
+    stimuli.append(PlannedStimulus(stimulus_id(s2), s2))
     s3 = StimulusSpec("S3", base_rate, duration=duration)
-    stimuli.append(PlannedStimulus(_stimulus_id(s3), s3))
+    stimuli.append(PlannedStimulus(stimulus_id(s3), s3))
     return ExperimentPlan("exp3", tuple(stimuli), repetitions, participants, seed)
 
 

@@ -68,6 +68,13 @@ class StimulusSpec:
     drop_duration: float = 5.0
 
 
+def stimulus_id(spec: StimulusSpec) -> str:
+    """Stable label for a spec, used in study plans and calibration reports."""
+    if spec.kind == "S1":
+        return f"S1_vc{spec.cooling_rate}_r{spec.cooling_ratio}"
+    return f"{spec.kind}_vc{spec.cooling_rate}"
+
+
 @dataclass(frozen=True)
 class SpecIssue:
     severity: str  # "error" | "warning"

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 from typing import Optional
@@ -96,22 +95,24 @@ class SensorReading:
     resolution: float
 
 
-def _drive_rate(params: PlantParams, duty_valve, duty_led, valve_on, led_on) -> float:
-    rate = 0.0
-    if valve_on:
-        rate += params.valve_gain * duty_valve + params.valve_bias
-    if led_on:
-        rate += params.led_gain * duty_led + params.led_bias
-    if valve_on and led_on:
-        rate += params.interaction_bias
-    return rate
+def _drive_rate(params: PlantParams, duty_valve, duty_led, valve_on, led_on):
+    """Actuator rate for scalar inputs, or per step for array inputs.
+
+    The on flags are bools (or bool arrays).  An off channel contributes
+    an exact zero, so a step's rate is the same whether its inputs are
+    given as scalars or as elements of arrays.
+    """
+    return (valve_on * (params.valve_gain * duty_valve + params.valve_bias)
+            + led_on * (params.led_gain * duty_led + params.led_bias)
+            + (valve_on & led_on) * params.interaction_bias)
 
 
 def _check_step_inputs(duty_valve, duty_led, dt):
     if not 0.0 < dt <= MAX_STEP:
         raise ValidationError(f"dt must lie in (0, {MAX_STEP}] s, got {dt}")
-    if not 0.0 <= duty_valve <= 1.0 or not 0.0 <= duty_led <= 1.0:
-        raise ValidationError("duty fractions must lie in [0, 1]")
+    for duty in (duty_valve, duty_led):
+        if not np.all((0.0 <= duty) & (duty <= 1.0)):
+            raise ValidationError("duty fractions must lie in [0, 1]")
 
 
 def step(state: PlantState, params: PlantParams, duty_valve=0.0, duty_led=0.0,
@@ -154,11 +155,12 @@ class SkinPlant:
 
     def run_span(self, duty_valve=0.0, duty_led=0.0, valve_on=False,
                  led_on=False, dt=0.001, n_steps=1) -> np.ndarray:
-        """Run n_steps with constant inputs; returns the temperature after
-        each step.
+        """Run n_steps and return the temperature after each step.
 
-        Implements the same recurrence as step() as one linear filter,
-        which keeps long simulations fast without changing the dynamics.
+        Each input is either a constant or an array holding its value
+        for every step.  Implements the same recurrence as step() as one
+        linear filter, which keeps long simulations fast without
+        changing the dynamics.
         """
         _check_step_inputs(duty_valve, duty_led, dt)
         if n_steps <= 0:
@@ -199,49 +201,6 @@ def read_sensor(state: PlantState, resolution: float = DEFAULT_SENSOR_RESOLUTION
         ticks = -ticks
     value = float(ticks * Fraction(str(resolution)))
     return SensorReading(value, resolution)
-
-
-@dataclass(frozen=True)
-class LedEntry:
-    ring: str  # "inner" | "outer"
-    angle_deg: float
-    x: float  # mm, in the section plane
-    y: float  # mm
-
-
-@dataclass(frozen=True)
-class LedLayout:
-    """Section-plane geometry of the hemispherical LED arrangement."""
-
-    radius: float
-    entries: tuple[LedEntry, ...]
-    nozzle_diameter: float
-    nozzle_distance: float  # always 7x the nozzle diameter
-
-
-def led_positions(radius: float = 60.0, inner_count: int = 6,
-                  inner_angle_deg: float = 20.5, outer_count: int = 12,
-                  outer_angle_deg: float = 45.0,
-                  nozzle_diameter: float = 6.0) -> LedLayout:
-    """Place every LED on the hemisphere section plane.
-
-    Each ring sits at one rotation angle; an LED's in-plane position is
-    (radius*cos(angle), radius*sin(angle)).  The cold-air nozzle distance
-    is fixed at seven nozzle diameters, the jet's sweet spot.
-    """
-    if not radius > 0:
-        raise ValidationError("radius must be positive")
-    for angle in (inner_angle_deg, outer_angle_deg):
-        if not 0.0 <= angle <= 90.0:
-            raise ValidationError("ring angles must lie in [0, 90] degrees")
-    entries = []
-    for ring, count, angle in (("inner", inner_count, inner_angle_deg),
-                               ("outer", outer_count, outer_angle_deg)):
-        theta = math.radians(angle)
-        x = radius * math.cos(theta)
-        y = radius * math.sin(theta)
-        entries.extend(LedEntry(ring, angle, x, y) for _ in range(count))
-    return LedLayout(radius, tuple(entries), nozzle_diameter, 7.0 * nozzle_diameter)
 
 
 @dataclass

@@ -104,10 +104,14 @@ def test_experiment_run_refuses_nonempty_out(tmp_path):
     run_dir = tmp_path / "runs"
     run_dir.mkdir()
     (run_dir / "junk.txt").write_text("hello")
-    proc = run_cli("experiment-run", "--exp", "3", "--participants", "1",
-                   "--seed", "7", "--out", str(run_dir))
-    assert proc.returncode == 1
-    assert (run_dir / "junk.txt").exists()
+    out_file = tmp_path / "out.txt"
+    out_file.write_text("keep")
+    for out, kept, text in ((run_dir, run_dir / "junk.txt", "hello"),
+                            (out_file, out_file, "keep")):
+        proc = run_cli("experiment-run", "--exp", "3", "--participants", "1",
+                       "--seed", "7", "--out", str(out))
+        assert proc.returncode == 1, proc.stderr
+        assert kept.read_text() == text
 
 
 def test_cli_determinism_byte_identical(tmp_path):

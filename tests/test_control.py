@@ -1,14 +1,15 @@
-"""Duty models, calibration loop, timelines, PWM, and the control runner."""
+"""Duty models, calibration loop, timelines, and the control runner."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coldsim import (CalibrationError, CalibrationPoint, CalibrationProtocol,
                      DegenerateDesignError, DutyModel, PlantParams, SkinPlant,
                      StimulusSpec, UnreachableRateError, ValidationError,
                      apply_drift_correction, calibrate, compile_schedule,
                      exact_models, fit_duty_model, invert_duty, load_models,
-                     mean_rate, pwm_waveform, run_control, schedule_to_timeline)
+                     mean_rate, run_control, schedule_to_timeline)
 from coldsim.control import ActuatorTimeline, ChannelSpan
 
 
@@ -238,26 +239,6 @@ def test_timeline_unreachable_carries_segment_index():
     assert info.value.segment_index == 1
 
 
-def test_pwm_examples():
-    wave = pwm_waveform(0.5, 100.0, 0.02)
-    assert [(e.time, e.on) for e in wave.edges] == [
-        (0.0, True), (0.005, False), (0.01, True), (0.015, False)]
-    assert pwm_waveform(0.0, 100.0, 0.02).edges == (
-        pwm_waveform(0.0, 100.0, 0.02).edges[0],)
-    assert [e.on for e in pwm_waveform(0.0, 100.0, 0.02).edges] == [False]
-    assert [e.on for e in pwm_waveform(1.0, 100.0, 0.02).edges] == [True]
-
-
-def test_pwm_on_fraction_property():
-    rng = np.random.default_rng(9)
-    for _ in range(100):
-        duty = float(rng.uniform(0, 1))
-        freq = float(rng.uniform(10, 2000))
-        periods = int(rng.integers(1, 20))
-        wave = pwm_waveform(duty, freq, periods / freq)
-        assert wave.on_fraction() == pytest.approx(duty, abs=1e-9)
-
-
 def test_run_control_s3_matches_analytic_integral():
     params = PlantParams(relax_coeff=0.0)
     plant = SkinPlant(params)
@@ -309,6 +290,88 @@ def test_run_control_vanishing_active_span_rejected():
     timeline = ActuatorTimeline(spans, (), 2.0)
     with pytest.raises(ValidationError):
         run_control(timeline, plant, dt=0.01)
+
+
+@pytest.mark.parametrize("spans", [
+    (ChannelSpan(0.0, 1.0, 0.55, True), ChannelSpan(0.5, 2.0, 0.49, True)),
+    (ChannelSpan(1.0, 2.0, 0.49, True), ChannelSpan(0.0, 1.0, 0.55, True)),
+    (ChannelSpan(1.0, 0.5, 0.55, True),),
+    (ChannelSpan(-0.5, 1.0, 0.55, True),),
+])
+def test_run_control_rejects_unordered_spans(spans):
+    # overlapping, out-of-order, reversed or negative-time spans have no
+    # single actuator state per step
+    for timeline in (ActuatorTimeline(spans, (), 2.0),
+                     ActuatorTimeline((), spans, 2.0)):
+        with pytest.raises(ValidationError, match="ordered and disjoint"):
+            run_control(timeline, SkinPlant(PlantParams()), dt=0.01)
+
+
+@st.composite
+def random_timelines(draw):
+    """A timeline with off-grid boundaries and gaps, plus its step size.
+
+    Every boundary sits within 0.4 of a step from its grid tick, so it
+    snaps to that tick and the span holding a step's midpoint is the one
+    that covers the step.
+    """
+    dt = draw(st.sampled_from((0.001, 0.005, 0.01)))
+    n = draw(st.integers(1, int(round(2.0 / dt))))
+    off = st.floats(-0.4, 0.4)
+    duration = (n + draw(off)) * dt
+
+    channels = []
+    for _ in range(2):
+        ticks = sorted(draw(st.sets(st.integers(0, n), max_size=12)))
+        at = {t: 0.0 if t == 0 else duration if t == n else (t + draw(off)) * dt
+              for t in ticks}
+        spans = []
+        for t0, t1 in zip(ticks, ticks[1:]):
+            state = draw(st.sampled_from(("gap", "off", "on")))
+            if state != "gap":
+                duty = draw(st.floats(0.0, 1.0)) if state == "on" else 0.0
+                spans.append(ChannelSpan(at[t0], at[t1], duty, state == "on"))
+        channels.append(tuple(spans))
+    return ActuatorTimeline(channels[0], channels[1], duration), dt, n
+
+
+def scalar_reference(timeline, params, dt, n):
+    """Temperatures and actuator states from a loop of scalar steps."""
+    plant = SkinPlant(params)
+    temps = [plant.t_skin]
+    states = []
+    for k in range(n):
+        mid = (k + 0.5) * dt
+        state = []
+        for spans in (timeline.valve, timeline.led):
+            span = next((s for s in spans if s.start <= mid < s.end), None)
+            active = span is not None and span.active
+            state.append((span.duty if active else 0.0, active))
+        (duty_valve, valve_on), (duty_led, led_on) = state
+        temps.append(plant.step(duty_valve, duty_led, valve_on, led_on, dt))
+        states.append((duty_valve, duty_led, valve_on, led_on))
+    states.append(states[-1])  # the last state holds on the final sample
+    return np.array(temps), states
+
+
+@settings(max_examples=60)
+@given(random_timelines())
+def test_property_run_control_matches_scalar_steps(case):
+    timeline, dt, n = case
+    params = PlantParams(interaction_bias=0.013)  # relaxation on, noise off
+    trace = run_control(timeline, SkinPlant(params), dt=dt)
+    temps, states = scalar_reference(timeline, params, dt, n)
+    every = int(round(0.01 / dt))
+    idx = list(range(0, n + 1, every))
+    times = [k / 100.0 for k in range(len(idx))]
+    if idx[-1] != n:
+        idx.append(n)
+        times.append(n * dt)
+    assert trace.time.tolist() == times
+    assert np.max(np.abs(trace.temp - temps[idx])) <= 1e-9
+    logged = list(zip(trace.duty_valve.tolist(), trace.duty_led.tolist(),
+                      trace.valve_on.tolist(), trace.led_on.tolist()))
+    assert logged == [states[i] for i in idx]
 
 
 def test_timeline_csv_export(tmp_path):

@@ -8,8 +8,9 @@ from coldsim import (ParticipantModel, PlantParams, SkinPlant, SliderTrace,
                      analyze_exp3, build_exp2_plan, build_exp3_plan,
                      confidence_of_cold, default_participants, exact_models,
                      persistence, run_experiment, simulate_participant)
-from coldsim.experiment import (_stimulus_id, perturb_params, read_records,
-                                run_pipeline, write_records)
+from coldsim.experiment import (perturb_params, read_records, run_pipeline,
+                                write_records)
+from coldsim.pattern import stimulus_id
 from coldsim.plant import Trace
 
 
@@ -124,7 +125,7 @@ def test_run_experiment_counts_and_fields():
     for rec in result.records:
         assert rec.likert is not None and 1 <= rec.likert <= 7
         assert rec.slider is None
-        assert rec.stimulus_id == _stimulus_id(
+        assert rec.stimulus_id == stimulus_id(
             next(s.spec for s in plan.stimuli if s.stimulus_id == rec.stimulus_id))
 
 

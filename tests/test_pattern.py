@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from coldsim import (StimulusSpec, ValidationError, WrongKindError,
                      compile_schedule, derive_pattern, validate_spec)
@@ -168,6 +169,39 @@ def test_partition_s2_s3():
             assert seg.start == pos
             pos = seg.end
         assert pos == schedule.duration
+
+
+@st.composite
+def specs(draw):
+    """Any valid spec, with decimal inputs as a user would type them."""
+    kind = draw(st.sampled_from(("S1", "S2", "S3")))
+    rate = -draw(st.integers(1, 300)) / 1000
+    duration = draw(st.integers(1, 2000)) / 100
+    if kind == "S1":
+        return StimulusSpec("S1", rate, draw(st.integers(1, 99)) / 100,
+                            draw(st.integers(10, 200)) / 1000, duration)
+    if kind == "S2":
+        return StimulusSpec("S2", rate, duration=duration,
+                            drop_duration=duration * draw(st.integers(1, 99)) / 100)
+    return StimulusSpec("S3", rate, duration=duration)
+
+
+@given(specs())
+def test_property_segments_tile_and_alternate(spec):
+    schedule = compile_schedule(spec)
+    segments = schedule.segments
+    assert segments[0].start == 0 and segments[-1].end == schedule.duration
+    for seg in segments:
+        assert seg.end > seg.start and seg.cold_active
+    for prev, seg in zip(segments, segments[1:]):
+        assert seg.start == prev.end
+        assert seg.warm_active != prev.warm_active
+    assert not segments[0].warm_active
+    if spec.kind == "S1":
+        cycle = _derive_exact(spec)[1]
+        whole = int(schedule.duration / cycle)
+        for k in {min(1, whole), whole} - {0}:
+            assert schedule.rate_integral(0, k * cycle) == 0
 
 
 def test_schedule_csv_export(tmp_path):

@@ -1,12 +1,11 @@
-"""Skin-node plant: stepping, sensor quantization, geometry, configs."""
+"""Skin-node plant: stepping, sensor quantization, configs."""
 
-import math
 
 import numpy as np
 import pytest
 
-from coldsim import (PlantParams, SkinPlant, ValidationError, led_positions,
-                     load_plant_config, read_sensor, save_plant_config, step)
+from coldsim import (PlantParams, SkinPlant, ValidationError, load_plant_config,
+                     read_sensor, save_plant_config, step)
 from coldsim.plant import PlantState
 
 
@@ -70,29 +69,6 @@ def test_sensor_quantization_property():
 
 def test_sensor_negative_tie_rounds_away():
     assert read_sensor(make_state(-30.0125), 0.025).value == -30.025
-
-
-def test_led_positions_examples():
-    layout = led_positions(radius=60.0, inner_angle_deg=0.0)
-    inner = [e for e in layout.entries if e.ring == "inner"][0]
-    assert (inner.x, inner.y) == pytest.approx((60.0, 0.0), abs=1e-9)
-
-    layout = led_positions()
-    inner = [e for e in layout.entries if e.ring == "inner"]
-    outer = [e for e in layout.entries if e.ring == "outer"]
-    assert (len(inner), len(outer)) == (6, 12)
-    assert inner[0].x == pytest.approx(60 * math.cos(math.radians(20.5)), abs=1e-9)
-    assert inner[0].x == pytest.approx(56.20, abs=5e-3)
-    assert inner[0].y == pytest.approx(21.01, abs=5e-3)
-    assert outer[0].x == pytest.approx(60 / math.sqrt(2), abs=1e-9)
-    assert layout.nozzle_distance == 7.0 * layout.nozzle_diameter == 42.0
-
-
-def test_led_positions_validation():
-    with pytest.raises(ValidationError):
-        led_positions(radius=-1.0)
-    with pytest.raises(ValidationError):
-        led_positions(inner_angle_deg=120.0)
 
 
 def test_deterministic_with_equal_seeds():
