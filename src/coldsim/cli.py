@@ -174,6 +174,9 @@ def cmd_experiment_run(args) -> None:
 def cmd_experiment_analyze(args) -> None:
     started = time.perf_counter()
     records, manifest = experiment.read_records(args.runs)
+    if manifest["experiment"] != f"exp{args.exp}":
+        raise ValidationError(f"--exp {args.exp} asks for exp{args.exp}, but "
+                              f"{args.runs} holds a {manifest['experiment']} run")
     if args.exp == 2:
         report = experiment.analyze_exp2(records, pooling=args.pooling)
     else:

@@ -175,14 +175,12 @@ class CalibrationProtocol:
     led_grid: tuple = (0.118, 0.275, 0.431, 0.588, 0.745, 0.902)
     endpoint_repeats: int = 3      # lowest/highest duty measured this often
     measure_time: float = 6.0      # s per single-stimulus measurement
-    settle_time: float = 0.0       # dead time after each re-initialization
     verify_specs: tuple = field(default_factory=default_verification_specs)
     drift_threshold: float = 0.1   # degC net change allowed per pattern
     max_iters: int = 10
     sensor_resolution: float = 0.025  # degC; 0 means an ideal sensor
     measurement_noise: float = 0.0    # degC/s sigma added to measured rates
     noise_seed: Optional[int] = None
-    warm_only_correction: bool = True
     dt: float = 0.001
 
 
@@ -238,14 +236,11 @@ def _measure_channel(plant: SkinPlant, protocol: CalibrationProtocol,
     repeated to firm up the band limits.
     """
     n_steps = int(round(protocol.measure_time / protocol.dt))
-    settle_steps = int(round(protocol.settle_time / protocol.dt))
     points = []
     for i, duty in enumerate(grid):
         repeats = protocol.endpoint_repeats if i in (0, len(grid) - 1) else 1
         for _ in range(repeats):
             plant.reset()
-            if settle_steps:
-                plant.run_span(dt=protocol.dt, n_steps=settle_steps)
             before = plant.read_sensor(protocol.sensor_resolution).value
             if channel == "valve":
                 plant.run_span(duty_valve=duty, valve_on=True,
@@ -318,14 +313,7 @@ def calibrate(plant: SkinPlant,
                                      history, protocol)
         drift = sum(nets) / len(nets)
         duration = protocol.verify_specs[0].duration
-        if protocol.warm_only_correction:
-            led_points = apply_drift_correction(led_points, drift, duration)
-        else:
-            led_points = apply_drift_correction(led_points, drift / 2.0, duration)
-            valve_points = apply_drift_correction(valve_points, drift / 2.0, duration)
-            valve_model = fit_duty_model(
-                valve_points, "valve",
-                (protocol.valve_grid[0], protocol.valve_grid[-1]))
+        led_points = apply_drift_correction(led_points, drift, duration)
         led_model = fit_duty_model(led_points, "led",
                                    (protocol.led_grid[0], protocol.led_grid[-1]))
 

@@ -80,9 +80,6 @@ class SliderTrace:
     time: np.ndarray
     values: np.ndarray
 
-    def confidence_pct(self) -> np.ndarray:
-        return 100.0 * self.values
-
 
 def confidence_of_cold(u: float) -> float:
     """Slider position mapped to percent confidence of feeling cold."""
@@ -166,8 +163,7 @@ def default_likert_rating(mean_confidence: float, peak_cool_rate: float) -> int:
     """Map trial percepts onto the 1..7 coldness scale.
 
     Monotone in both the time-averaged confidence (as a fraction) and the
-    peak perceived cooling rate; invented plumbing, swappable through
-    run_experiment's rating_fn.
+    peak perceived cooling rate; invented plumbing.
     """
     strength = 0.5 * mean_confidence + 0.5 * min(1.0, peak_cool_rate / RATING_PEAK_SCALE)
     return int(min(7, max(1, round(1 + 6 * strength))))
@@ -251,7 +247,6 @@ def run_experiment(plan: ExperimentPlan,
                    participants: Sequence[ParticipantModel],
                    models: Sequence[tuple[DutyModel, DutyModel]],
                    dt: float = 0.001, log_rate: float = 100.0,
-                   rating_fn: Callable[[float, float], int] = default_likert_rating,
                    ) -> list[TrialRecord]:
     """Run every trial of a plan and return the records in run order.
 
@@ -297,7 +292,7 @@ def run_experiment(plan: ExperimentPlan,
             if plan.experiment == "exp2":
                 record.slider = slider
             else:
-                record.likert = rating_fn(
+                record.likert = default_likert_rating(
                     float(np.mean(slider.values)),
                     peak_cooling_rate(trace, participants[pidx]))
             records.append(record)
@@ -629,9 +624,15 @@ def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
         raise ValidationError(f"{run_dir} has no manifest.json; incomplete run?")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    if manifest.get("format_version") != 1:
+        raise ValidationError(
+            f"{manifest_path}: format_version {manifest.get('format_version')!r} "
+            "is not supported; this coldsim reads format_version 1")
     records = []
     for pidx in range(manifest["participants"]):
         path = os.path.join(run_dir, f"participant_{pidx:02d}.csv")
+        if not os.path.exists(path):
+            raise ValidationError(f"{path} is missing; incomplete run?")
         with open(path, newline="") as fh:
             for row in csv.DictReader(fh):
                 rec = TrialRecord(

@@ -1,22 +1,24 @@
 """Nonparametric tests used by the experiment analyses.
 
-Kruskal-Wallis and Wilcoxon rank-sum with average-rank tie handling and
-tie-corrected denominators, Benjamini-Hochberg FDR adjustment, and the
-chi-square survival function needed to report Kruskal-Wallis p-values.
-All p-values are two-sided.
+Thin wrappers over `scipy.stats` with the method choices fixed here:
+tie-corrected Kruskal-Wallis, Wilcoxon rank-sum (exact only for
+tie-free samples of combined size <= EXACT_RANKSUM_LIMIT, otherwise the
+normal approximation with tie and continuity corrections),
+Benjamini-Hochberg FDR adjustment, and the chi-square survival
+function.  All p-values are two-sided.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import scipy.stats
+
 from .errors import ValidationError
 
-# Combined sample size up to which the rank-sum test enumerates the exact
-# null distribution (tie-free data only); enumeration is effectively free
-# at this scale.
+# Combined sample size up to which the rank-sum test uses the exact null
+# distribution (tie-free data only); it is effectively free at this scale.
 EXACT_RANKSUM_LIMIT = 20
 
 
@@ -26,30 +28,6 @@ class TestResult:
     df: Optional[int]
     p_value: float
     method: str
-
-
-def _average_ranks(values: Sequence[float]) -> list[float]:
-    """Ranks 1..n with ties sharing the average of their rank block."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j + 2) / 2.0  # ranks are 1-based
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-    return ranks
-
-
-def _tie_term(values: Sequence[float]) -> float:
-    """Sum of t^3 - t over tie blocks."""
-    counts = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    return float(sum(t ** 3 - t for t in counts.values()))
 
 
 def kruskal_wallis(groups: Sequence[Sequence[float]]) -> TestResult:
@@ -62,46 +40,12 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> TestResult:
         raise ValidationError("kruskal_wallis needs at least 2 groups")
     if any(len(g) == 0 for g in groups):
         raise ValidationError("kruskal_wallis groups must be non-empty")
-    pooled = [float(v) for g in groups for v in g]
-    n_total = len(pooled)
-    ranks = _average_ranks(pooled)
     df = len(groups) - 1
-
-    h = 0.0
-    offset = 0
-    for g in groups:
-        rank_sum = sum(ranks[offset:offset + len(g)])
-        h += rank_sum * rank_sum / len(g)
-        offset += len(g)
-    h = 12.0 / (n_total * (n_total + 1)) * h - 3.0 * (n_total + 1)
-
-    correction = 1.0 - _tie_term(pooled) / (n_total ** 3 - n_total)
-    if correction <= 0.0:
+    if len({float(v) for g in groups for v in g}) == 1:
+        # scipy returns NaN with a RuntimeWarning here.
         return TestResult(0.0, df, 1.0, "kruskal_wallis")
-    h /= correction
-    return TestResult(h, df, chi_square_sf(max(h, 0.0), df), "kruskal_wallis")
-
-
-def _ranksum_counts(n_total: int, n_first: int) -> list[int]:
-    """Number of n_first-subsets of ranks 1..n_total per rank-sum.
-
-    counts[s] is indexed by the rank-sum s; classic subset-sum dynamic
-    program, exact in integers.
-    """
-    max_sum = n_total * (n_total + 1) // 2
-    counts = [[0] * (max_sum + 1) for _ in range(n_first + 1)]
-    counts[0][0] = 1
-    for rank in range(1, n_total + 1):
-        for k in range(min(rank, n_first), 0, -1):
-            row, prev = counts[k], counts[k - 1]
-            for s in range(max_sum, rank - 1, -1):
-                if prev[s - rank]:
-                    row[s] += prev[s - rank]
-    return counts[n_first]
-
-
-def _normal_sf(z: float) -> float:
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
+    res = scipy.stats.kruskal(*groups)
+    return TestResult(float(res.statistic), df, float(res.pvalue), "kruskal_wallis")
 
 
 def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float]) -> TestResult:
@@ -114,30 +58,13 @@ def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float]) -> TestResult:
     """
     if len(a) == 0 or len(b) == 0:
         raise ValidationError("wilcoxon_rank_sum samples must be non-empty")
-    n1, n2 = len(a), len(b)
     pooled = [float(v) for v in a] + [float(v) for v in b]
-    ranks = _average_ranks(pooled)
-    u1 = sum(ranks[:n1]) - n1 * (n1 + 1) / 2.0
-
-    tie_free = len(set(pooled)) == len(pooled)
-    if tie_free and n1 + n2 <= EXACT_RANKSUM_LIMIT:
-        counts = _ranksum_counts(n1 + n2, n1)
-        shift = n1 * (n1 + 1) // 2
-        total = sum(counts)
-        u_obs = int(round(u1))
-        low = sum(c for s, c in enumerate(counts) if s - shift <= u_obs)
-        high = sum(c for s, c in enumerate(counts) if s - shift >= u_obs)
-        p = min(1.0, 2.0 * min(low, high) / total)
-        return TestResult(float(u_obs), None, p, "wilcoxon_exact")
-
-    correction = 1.0 - _tie_term(pooled) / ((n1 + n2) ** 3 - (n1 + n2))
-    if correction <= 0.0:
-        # Every observation identical: no evidence either way.
-        return TestResult(u1, None, 1.0, "wilcoxon_normal")
-    sd = math.sqrt(correction * n1 * n2 * (n1 + n2 + 1) / 12.0)
-    mean = n1 * n2 / 2.0
-    z = max(0.0, abs(u1 - mean) - 0.5) / sd
-    return TestResult(u1, None, min(1.0, 2.0 * _normal_sf(z)), "wilcoxon_normal")
+    exact = len(set(pooled)) == len(pooled) and len(pooled) <= EXACT_RANKSUM_LIMIT
+    res = scipy.stats.mannwhitneyu(a, b, alternative="two-sided",
+                                   use_continuity=True,
+                                   method="exact" if exact else "asymptotic")
+    return TestResult(float(res.statistic), None, float(res.pvalue),
+                      "wilcoxon_exact" if exact else "wilcoxon_normal")
 
 
 def benjamini_hochberg(p_values: Sequence[float]) -> list[float]:
@@ -149,72 +76,13 @@ def benjamini_hochberg(p_values: Sequence[float]) -> list[float]:
     for p in p_values:
         if not 0.0 <= p <= 1.0:
             raise ValidationError(f"p-values must lie in [0, 1], got {p}")
-    m = len(p_values)
-    order = sorted(range(m), key=lambda i: p_values[i])
-    adjusted = [0.0] * m
-    running = 1.0
-    for pos in range(m - 1, -1, -1):
-        idx = order[pos]
-        running = min(running, m * p_values[idx] / (pos + 1))
-        adjusted[idx] = running
-    return adjusted
+    return [float(p) for p in scipy.stats.false_discovery_control(p_values)]
 
 
 def chi_square_sf(x: float, df: int) -> float:
-    """Upper-tail probability of the chi-square distribution.
-
-    Computed through the regularized upper incomplete gamma function
-    Q(df/2, x/2); absolute error stays below 1e-10 over df <= 50 and
-    x <= 200.
-    """
+    """Upper-tail probability of the chi-square distribution."""
     if x < 0:
         raise ValidationError("chi_square_sf requires x >= 0")
     if df < 1:
         raise ValidationError("chi_square_sf requires df >= 1")
-    return _gammaincc(df / 2.0, x / 2.0)
-
-
-def _gammaincc(a: float, y: float) -> float:
-    """Regularized upper incomplete gamma Q(a, y) for a > 0, y >= 0.
-
-    Series for the lower function when y < a + 1, Lentz continued
-    fraction for the upper function otherwise; both iterate to double
-    precision.
-    """
-    if y == 0.0:
-        return 1.0
-    log_gamma_a = math.lgamma(a)
-    if y < a + 1.0:
-        # P(a, y) as a power series, Q = 1 - P.
-        term = 1.0 / a
-        total = term
-        n = a
-        for _ in range(500):
-            n += 1.0
-            term *= y / n
-            total += term
-            if abs(term) < abs(total) * 1e-16:
-                break
-        p_lower = total * math.exp(-y + a * math.log(y) - log_gamma_a)
-        return 1.0 - p_lower
-    # Continued fraction for Q(a, y), modified Lentz.
-    tiny = 1e-300
-    b = y + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    f = d
-    for i in range(1, 500):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return f * math.exp(-y + a * math.log(y) - log_gamma_a)
+    return float(scipy.stats.chi2.sf(x, df))

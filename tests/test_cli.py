@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 import subprocess
 import sys
 
@@ -78,6 +79,31 @@ def test_experiment_run_and_analyze(tmp_path):
     report = json.loads(report_path.read_text())
     assert report["kruskal_wallis"]["df"] == 4
     assert "pairwise_adjusted" in report
+
+    # Run directories read_records cannot interpret are rejected with exit 1.
+    proc = run_cli("experiment-analyze", "--exp", "2", "--runs", str(run_dir),
+                   "--out", str(tmp_path / "wrong_exp.json"))
+    assert proc.returncode == 1, proc.stderr
+    assert "exp2" in proc.stderr and "exp3" in proc.stderr
+
+    future = tmp_path / "future"
+    shutil.copytree(run_dir, future)
+    manifest = json.loads((future / "manifest.json").read_text())
+    manifest["format_version"] = 7
+    (future / "manifest.json").write_text(json.dumps(manifest))
+    proc = run_cli("experiment-analyze", "--exp", "3", "--runs", str(future),
+                   "--out", str(tmp_path / "future.json"))
+    assert proc.returncode == 1, proc.stderr
+    assert "format_version" in proc.stderr
+
+    partial = tmp_path / "partial"
+    shutil.copytree(run_dir, partial)
+    (partial / "participant_01.csv").unlink()
+    proc = run_cli("experiment-analyze", "--exp", "3", "--runs", str(partial),
+                   "--out", str(tmp_path / "partial.json"))
+    assert proc.returncode == 1, proc.stderr
+    assert "participant_01.csv" in proc.stderr
+    assert not (tmp_path / "partial.json").exists()
 
 
 def test_experiment_run_exp2_analyzable_without_temp_traces(tmp_path):

@@ -50,6 +50,10 @@ def test_kw_hand_computed_examples():
     res = kruskal_wallis([[1, 2], [3, 4]])
     assert res.statistic == pytest.approx(2.4, abs=1e-12)
     assert res.df == 1
+    # tie-corrected: ranks 1.5,1.5,3.5 | 3.5,5.5,5.5 give H = 3.0476 / (1 - 18/210)
+    res = kruskal_wallis([[1, 1, 2], [2, 3, 3]])
+    assert res.statistic == pytest.approx(10 / 3, abs=1e-12)
+    assert res.p_value == pytest.approx(math.erfc(math.sqrt(5 / 3)), abs=1e-12)
 
 
 def test_kw_identical_groups():
@@ -118,6 +122,20 @@ def test_ranksum_exact_equals_brute_force_enumeration():
                                                     abs=1e-12)
 
 
+def test_ranksum_exact_normal_boundary():
+    """Exact only when tie-free and the combined n is at most 20."""
+    ranks = [float(r) for r in range(1, 22)]
+    assert wilcoxon_rank_sum(ranks[:8], ranks[8:20]).method == "wilcoxon_exact"
+    assert wilcoxon_rank_sum(ranks[:8], ranks[8:21]).method == "wilcoxon_normal"
+    tied = ranks[:19] + [ranks[18]]
+    assert wilcoxon_rank_sum(tied[:8], tied[8:]).method == "wilcoxon_normal"
+    a = [1.0, 4.0, 9.0]
+    b = [r for r in ranks[:20] if r not in a]
+    res = wilcoxon_rank_sum(a, b)
+    assert res.method == "wilcoxon_exact"
+    assert res.p_value == pytest.approx(brute_ranksum_p(a, b), abs=1e-12)
+
+
 def test_ranksum_normal_path_with_ties():
     rng = np.random.default_rng(2)
     a = list(rng.integers(0, 4, size=25).astype(float))
@@ -139,6 +157,7 @@ def test_bh_examples():
     assert benjamini_hochberg([0.01, 0.02, 0.03, 0.04, 0.05]) == pytest.approx(
         [0.05, 0.05, 0.05, 0.05, 0.05], abs=1e-12)
     assert benjamini_hochberg([0.5]) == [0.5]
+    assert benjamini_hochberg([]) == []
     assert benjamini_hochberg([0.04, 0.9]) == pytest.approx([0.08, 0.9], abs=1e-12)
 
 
