@@ -141,14 +141,9 @@ def cmd_experiment_run(args) -> None:
     if os.path.exists(args.out) and (not os.path.isdir(args.out)
                                      or os.listdir(args.out)):
         raise ValidationError(f"output {args.out} exists and is not an empty directory")
-    if args.exp == 2:
-        plan = experiment.build_exp2_plan(participants=args.participants,
-                                          repetitions=args.repetitions,
-                                          seed=args.seed)
-    else:
-        plan = experiment.build_exp3_plan(participants=args.participants,
-                                          repetitions=args.repetitions,
-                                          seed=args.seed)
+    build = experiment.build_exp2_plan if args.exp == 2 else experiment.build_exp3_plan
+    plan = build(participants=args.participants, repetitions=args.repetitions,
+                 seed=args.seed)
     result = experiment.run_pipeline(plan, base_params=_load_params(args),
                                      jitter=args.jitter)
     # Build the whole run next to the target, then rename into place.
@@ -174,13 +169,11 @@ def cmd_experiment_run(args) -> None:
 def cmd_experiment_analyze(args) -> None:
     started = time.perf_counter()
     records, manifest = experiment.read_records(args.runs)
-    if manifest["experiment"] != f"exp{args.exp}":
+    if manifest.get("experiment") != f"exp{args.exp}":
         raise ValidationError(f"--exp {args.exp} asks for exp{args.exp}, but "
-                              f"{args.runs} holds a {manifest['experiment']} run")
-    if args.exp == 2:
-        report = experiment.analyze_exp2(records, pooling=args.pooling)
-    else:
-        report = experiment.analyze_exp3(records, pooling=args.pooling)
+                              f"{args.runs} holds a {manifest.get('experiment')} run")
+    analyze = experiment.analyze_exp2 if args.exp == 2 else experiment.analyze_exp3
+    report = analyze(records, pooling=args.pooling)
 
     def write(path):
         with open(path, "w") as fh:
@@ -257,6 +250,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        parent = os.path.dirname(os.path.abspath(args.out))
+        if not os.path.isdir(parent):
+            raise ValidationError(
+                f"--out: {parent} is not an existing directory")
         args.func(args)
         return 0
     except (UsageError, ValidationError) as exc:

@@ -25,6 +25,9 @@ from .plant import SkinPlant, Trace
 VALVE_DUTY_RANGE = (0.490, 0.601)
 LED_DUTY_RANGE = (0.118, 0.902)
 
+# Samples per second in the traces run_control returns.
+LOG_RATE = 100.0
+
 
 @dataclass(frozen=True)
 class DutyModel:
@@ -118,16 +121,16 @@ def fit_duty_model(points: Sequence[CalibrationPoint], channel: str,
     return DutyModel(channel, slope, intercept, lo, hi, r_squared)
 
 
-def invert_duty(model: DutyModel, target_rate: float, tol: float = 1e-9) -> float:
+def invert_duty(model: DutyModel, target_rate: float) -> float:
     """Duty ratio that the model predicts will produce target_rate.
 
     Raises UnreachableRateError when the duty falls outside the model's
-    valid band (beyond a small tolerance for boundary round-off).
+    valid band by more than 1e-9 (boundary round-off is clamped).
     """
     if model.slope == 0.0:
         raise ValidationError("cannot invert a zero-slope duty model")
     duty = (target_rate - model.intercept) / model.slope
-    if duty < model.duty_min - tol or duty > model.duty_max + tol:
+    if duty < model.duty_min - 1e-9 or duty > model.duty_max + 1e-9:
         lo, hi = model.rate_range()
         raise UnreachableRateError(model.channel, target_rate, lo, hi)
     return min(max(duty, model.duty_min), model.duty_max)
@@ -377,9 +380,9 @@ def schedule_to_timeline(schedule: RateSchedule, valve_model: DutyModel,
                             schedule.duration_s)
 
 
-def run_control(timeline: ActuatorTimeline, plant: SkinPlant, dt: float = 0.001,
-                log_rate: float = 100.0) -> Trace:
-    """Step the plant under a timeline and log at the given rate.
+def run_control(timeline: ActuatorTimeline, plant: SkinPlant,
+                dt: float = 0.001) -> Trace:
+    """Step the plant under a timeline and log at LOG_RATE.
 
     Each channel's spans must be ordered and disjoint; a step outside
     every active span has that channel off.  Span boundaries are snapped
@@ -388,8 +391,8 @@ def run_control(timeline: ActuatorTimeline, plant: SkinPlant, dt: float = 0.001,
     one call, and the returned trace covers t = 0 through the end of the
     timeline inclusive.
     """
-    if not dt > 0 or not log_rate > 0:
-        raise ValidationError("dt and log_rate must be positive")
+    if not dt > 0:
+        raise ValidationError("dt must be positive")
     total_ticks = int(round(timeline.duration / dt))
 
     n_log = total_ticks + 1
@@ -429,13 +432,13 @@ def run_control(timeline: ActuatorTimeline, plant: SkinPlant, dt: float = 0.001,
                               valve_on=valve_on[:-1], led_on=led_on[:-1],
                               dt=dt, n_steps=total_ticks)
 
-    log_every = max(1, int(round(1.0 / (log_rate * dt))))
+    log_every = max(1, int(round(1.0 / (LOG_RATE * dt))))
     idx = np.arange(0, n_log, log_every)
     if idx[-1] != n_log - 1:
         idx = np.append(idx, n_log - 1)
-    if abs(log_every * dt - 1.0 / log_rate) < 1e-12:
+    if abs(log_every * dt - 1.0 / LOG_RATE) < 1e-12:
         # Aligned subsampling: emit exact log-grid timestamps.
-        time = (idx // log_every) / log_rate
+        time = (idx // log_every) / LOG_RATE
         if idx[-1] % log_every:
             time[-1] = idx[-1] * dt
     else:

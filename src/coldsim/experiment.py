@@ -22,13 +22,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass, asdict, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .control import (CalibrationProtocol, CalibrationResult, DutyModel,
-                      calibrate, run_control, schedule_to_timeline)
+from .control import (CalibrationResult, DutyModel, calibrate, run_control,
+                      schedule_to_timeline)
 from .errors import UnreachableRateError, ValidationError
 from .pattern import StimulusSpec, compile_schedule, stimulus_id
 from .plant import PlantParams, SkinPlant, Trace
@@ -43,6 +44,9 @@ PERSISTENCE_WINDOW = (5.0, 15.0)
 
 # Perceived-peak normalization for ratings, degC/s.
 RATING_PEAK_SCALE = 0.3
+
+# Run directory layout that write_records writes and read_records reads.
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -79,13 +83,6 @@ class SliderTrace:
 
     time: np.ndarray
     values: np.ndarray
-
-
-def confidence_of_cold(u: float) -> float:
-    """Slider position mapped to percent confidence of feeling cold."""
-    if not 0.0 <= u <= 1.0:
-        raise ValidationError("slider samples must lie in [0, 1]")
-    return 100.0 * u
 
 
 def perceived_rate(trace: Trace, model: ParticipantModel) -> np.ndarray:
@@ -246,7 +243,6 @@ def run_experiment(plan: ExperimentPlan,
                    plant_factory: Callable[[int], SkinPlant],
                    participants: Sequence[ParticipantModel],
                    models: Sequence[tuple[DutyModel, DutyModel]],
-                   dt: float = 0.001, log_rate: float = 100.0,
                    ) -> list[TrialRecord]:
     """Run every trial of a plan and return the records in run order.
 
@@ -279,8 +275,7 @@ def run_experiment(plan: ExperimentPlan,
             planned = trial_list[which]
             seed = _trial_seed(plan.seed, pidx, tidx)
             plant.reset()
-            trace = run_control(timelines[planned.stimulus_id], plant,
-                                dt=dt, log_rate=log_rate)
+            trace = run_control(timelines[planned.stimulus_id], plant)
             rng = np.random.default_rng(seed)
             slider = simulate_participant(trace, participants[pidx], rng)
             record = TrialRecord(
@@ -332,11 +327,9 @@ def perturb_params(base: PlantParams, rng: np.random.Generator,
                    led_gain=led_gain, led_bias=led_bias)
 
 
-def default_participants(n: int, base: Optional[ParticipantModel] = None,
-                         seed: int = 0) -> list[ParticipantModel]:
+def default_participants(n: int, seed: int = 0) -> list[ParticipantModel]:
     """n copies of the default perceiver, distinguished only by noise seed."""
-    base = base if base is not None else ParticipantModel()
-    return [replace(base, seed=seed * 10_000 + i) for i in range(n)]
+    return [ParticipantModel(seed=seed * 10_000 + i) for i in range(n)]
 
 
 @dataclass
@@ -344,32 +337,25 @@ class PipelineResult:
     plan: ExperimentPlan
     records: list[TrialRecord]
     calibrations: list[CalibrationResult]
-    plant_params: list[PlantParams]
 
 
 def run_pipeline(plan: ExperimentPlan, base_params: Optional[PlantParams] = None,
-                 protocol: Optional[CalibrationProtocol] = None,
-                 participants: Optional[Sequence[ParticipantModel]] = None,
-                 jitter: float = 0.1, dt: float = 0.001) -> PipelineResult:
+                 jitter: float = 0.1) -> PipelineResult:
     """Plants, calibration, and trials for every participant in one call."""
     base = base_params if base_params is not None else PlantParams()
-    protocol = protocol if protocol is not None else CalibrationProtocol(dt=dt)
-    if participants is None:
-        participants = default_participants(plan.participants, seed=plan.seed)
     plants = []
-    params_list = []
     calibrations = []
     for pidx in range(plan.participants):
         rng = np.random.default_rng((plan.seed, pidx, 0x71A))
         params = perturb_params(base, rng, rel=jitter) if jitter > 0 else base
         plant = SkinPlant(params, seed=(plan.seed, pidx, 0x5EED))
-        calibrations.append(calibrate(plant, protocol))
+        calibrations.append(calibrate(plant))
         plants.append(plant)
-        params_list.append(params)
     records = run_experiment(
-        plan, lambda i: plants[i], participants,
-        [(c.valve, c.led) for c in calibrations], dt=dt)
-    return PipelineResult(plan, records, calibrations, params_list)
+        plan, lambda i: plants[i],
+        default_participants(plan.participants, seed=plan.seed),
+        [(c.valve, c.led) for c in calibrations])
+    return PipelineResult(plan, records, calibrations)
 
 
 # ---------------------------------------------------------------------------
@@ -561,13 +547,13 @@ def analyze_exp3(records: Sequence[TrialRecord], pooling: str = "trials") -> Exp
 
 def write_records(records: Sequence[TrialRecord], plan: ExperimentPlan,
                   out_dir, traces: bool = True) -> None:
-    """One CSV per participant plus per-trial trace files and a manifest.
+    """One CSV and one slider array per participant, a temperature trace
+    CSV per trial, and a manifest.
 
-    Slider traces are always written when present (they are the study's
-    data); `traces=False` skips only the temperature trace files.
+    Row k of `pXX_slider.npy` (float64, shape (trials, 2, samples)) holds
+    the time grid and slider values of row k of `participant_XX.csv`;
+    `traces=False` skips only the temperature trace files.
     """
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     trace_dir = os.path.join(out_dir, "traces")
     if any(rec.trace is not None and traces or rec.slider is not None
@@ -577,30 +563,27 @@ def write_records(records: Sequence[TrialRecord], plan: ExperimentPlan,
     for rec in records:
         by_participant.setdefault(rec.participant, []).append(rec)
     for pidx, recs in sorted(by_participant.items()):
+        recs = sorted(recs, key=lambda r: r.trial)
         path = os.path.join(out_dir, f"participant_{pidx:02d}.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["trial", "stimulus_id", "kind", "vc", "lambda",
                              "seed", "likert"])
-            for rec in sorted(recs, key=lambda r: r.trial):
+            for rec in recs:
                 writer.writerow([
                     rec.trial, rec.stimulus_id, rec.kind, rec.cooling_rate,
                     "" if rec.cooling_ratio is None else rec.cooling_ratio,
                     rec.seed, "" if rec.likert is None else rec.likert])
         for rec in recs:
-            stem = f"p{pidx:02d}_t{rec.trial:03d}"
             if traces and rec.trace is not None:
-                rec.trace.to_csv(os.path.join(trace_dir, stem + "_temp.csv"))
-            if rec.slider is not None:
-                with open(os.path.join(trace_dir, stem + "_slider.csv"),
-                          "w", newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["time_s", "slider"])
-                    for i in range(len(rec.slider.time)):
-                        writer.writerow([float(rec.slider.time[i]),
-                                         float(rec.slider.values[i])])
+                rec.trace.to_csv(os.path.join(
+                    trace_dir, f"p{pidx:02d}_t{rec.trial:03d}_temp.csv"))
+        if any(rec.slider is not None for rec in recs):
+            np.save(os.path.join(trace_dir, f"p{pidx:02d}_slider.npy"),
+                    np.stack([(rec.slider.time, rec.slider.values)
+                              for rec in recs], dtype=np.float64))
     manifest = {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "experiment": plan.experiment,
         "participants": plan.participants,
         "repetitions": plan.repetitions,
@@ -616,40 +599,55 @@ def write_records(records: Sequence[TrialRecord], plan: ExperimentPlan,
 
 
 def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
-    """Load records written by write_records; sliders load when present."""
-    import os
+    """Load records written by write_records; sliders load when present.
 
+    A directory that is not a complete format-2 run raises
+    ValidationError naming the file at fault.
+    """
     manifest_path = os.path.join(run_dir, "manifest.json")
-    if not os.path.exists(manifest_path):
-        raise ValidationError(f"{run_dir} has no manifest.json; incomplete run?")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    if manifest.get("format_version") != 1:
+    try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        version = manifest["format_version"]
+        participants = range(manifest["participants"])
+    except (KeyError, OSError, TypeError, ValueError) as exc:
         raise ValidationError(
-            f"{manifest_path}: format_version {manifest.get('format_version')!r} "
-            "is not supported; this coldsim reads format_version 1")
+            f"cannot read {manifest_path} as a run manifest: {exc!r}") from exc
+    if version != FORMAT_VERSION:
+        raise ValidationError(
+            f"{manifest_path}: format_version {version!r} is not read here; "
+            f"re-run experiment-run to write format_version {FORMAT_VERSION}")
     records = []
-    for pidx in range(manifest["participants"]):
+    for pidx in participants:
         path = os.path.join(run_dir, f"participant_{pidx:02d}.csv")
-        if not os.path.exists(path):
-            raise ValidationError(f"{path} is missing; incomplete run?")
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                rec = TrialRecord(
+        try:
+            with open(path, newline="") as fh:
+                table = [TrialRecord(
                     participant=pidx, trial=int(row["trial"]),
                     stimulus_id=row["stimulus_id"], kind=row["kind"],
                     cooling_rate=float(row["vc"]),
                     cooling_ratio=float(row["lambda"]) if row["lambda"] else None,
                     seed=int(row["seed"]),
                     likert=int(row["likert"]) if row["likert"] else None)
-                slider_path = os.path.join(
-                    run_dir, "traces", f"p{pidx:02d}_t{rec.trial:03d}_slider.csv")
-                if os.path.exists(slider_path):
-                    times, values = [], []
-                    with open(slider_path, newline="") as sfh:
-                        for srow in csv.DictReader(sfh):
-                            times.append(float(srow["time_s"]))
-                            values.append(float(srow["slider"]))
-                    rec.slider = SliderTrace(np.asarray(times), np.asarray(values))
-                records.append(rec)
+                    for row in csv.DictReader(fh)]
+        except (KeyError, OSError, TypeError, ValueError) as exc:
+            raise ValidationError(f"cannot read {path}: {exc!r}") from exc
+        path = os.path.join(run_dir, "traces", f"p{pidx:02d}_slider.npy")
+        if os.path.exists(path):
+            try:
+                sliders = np.load(path, allow_pickle=False)
+            except (EOFError, OSError, ValueError) as exc:
+                raise ValidationError(
+                    f"{path} is not a readable .npy file: {exc}") from exc
+            if not isinstance(sliders, np.ndarray):  # np.load also opens .npz
+                sliders.close()
+                raise ValidationError(f"{path} is an .npz archive, not an .npy file")
+            if (sliders.dtype != np.float64 or sliders.ndim != 3
+                    or sliders.shape[:2] != (len(table), 2)):
+                raise ValidationError(
+                    f"{path} holds {sliders.dtype} of shape {sliders.shape}, not "
+                    f"float64 of shape ({len(table)}, 2, samples)")
+            for rec, (time, values) in zip(table, sliders):
+                rec.slider = SliderTrace(time, values)
+        records.extend(table)
     return records, manifest

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 
@@ -29,11 +30,14 @@ def test_design_worked_example(tmp_path):
 
 
 def test_design_validation_exit_code(tmp_path):
-    proc = run_cli("design", "--kind", "S1", "--vc", "0.1", "--ratio", "0.5",
-                   "--out", str(tmp_path / "x.csv"))
-    assert proc.returncode == 1
-    assert "negative" in proc.stderr
-    assert not (tmp_path / "x.csv").exists()
+    for vc, out, named in (("0.1", tmp_path / "x.csv", "negative"),
+                           ("-0.1", tmp_path / "nodir" / "x.csv", "nodir")):
+        proc = run_cli("design", "--kind", "S1", "--vc", vc, "--ratio", "0.5",
+                       "--out", str(out))
+        assert proc.returncode == 1
+        assert named in proc.stderr and ".tmp-coldsim-" not in proc.stderr
+        assert not out.exists()
+    assert not (tmp_path / "nodir").exists()
 
 
 def test_unknown_flag_exit_code(tmp_path):
@@ -86,24 +90,55 @@ def test_experiment_run_and_analyze(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert "exp2" in proc.stderr and "exp3" in proc.stderr
 
-    future = tmp_path / "future"
-    shutil.copytree(run_dir, future)
-    manifest = json.loads((future / "manifest.json").read_text())
-    manifest["format_version"] = 7
-    (future / "manifest.json").write_text(json.dumps(manifest))
-    proc = run_cli("experiment-analyze", "--exp", "3", "--runs", str(future),
-                   "--out", str(tmp_path / "future.json"))
-    assert proc.returncode == 1, proc.stderr
-    assert "format_version" in proc.stderr
+    def edit_manifest(**changes):
+        def edit(copy):
+            manifest = json.loads((copy / "manifest.json").read_text())
+            manifest.update(changes)
+            for key in [k for k, v in changes.items() if v is None]:
+                del manifest[key]
+            (copy / "manifest.json").write_text(json.dumps(manifest))
+        return edit
 
-    partial = tmp_path / "partial"
-    shutil.copytree(run_dir, partial)
-    (partial / "participant_01.csv").unlink()
-    proc = run_cli("experiment-analyze", "--exp", "3", "--runs", str(partial),
-                   "--out", str(tmp_path / "partial.json"))
-    assert proc.returncode == 1, proc.stderr
-    assert "participant_01.csv" in proc.stderr
-    assert not (tmp_path / "partial.json").exists()
+    def edit_trial(copy):
+        table = copy / "participant_00.csv"
+        lines = table.read_text().splitlines(keepends=True)
+        lines[1] = "x" + lines[1][lines[1].index(","):]
+        table.write_text("".join(lines))
+
+    def write_sliders(shape):
+        def edit(copy):
+            (copy / "traces").mkdir(exist_ok=True)
+            np.save(copy / "traces" / "p01_slider.npy", np.zeros(shape))
+        return edit
+
+    corruptions = {
+        "future": (edit_manifest(format_version=7), "format_version"),
+        "v1": (edit_manifest(format_version=1), "re-run experiment-run"),
+        "partial": (lambda copy: (copy / "participant_01.csv").unlink(),
+                    "participant_01.csv"),
+        "not_json": (lambda copy: (copy / "manifest.json").write_text("{oops"),
+                     "manifest.json"),
+        "no_participants": (edit_manifest(participants=None), "manifest.json"),
+        "bad_trial": (edit_trial, "participant_00.csv"),
+        "slider_rows": (write_sliders((14, 2, 1501)), "p01_slider.npy"),
+        "slider_shape": (write_sliders((15, 1501)), "p01_slider.npy"),
+    }
+    for name, (edit, named) in corruptions.items():
+        assert_analyze_rejects(tmp_path, run_dir, "3", name, edit, named)
+
+
+def assert_analyze_rejects(tmp_path, run_dir, exp, name, edit, named):
+    """A copy of run_dir changed by edit fails analysis with exit 1, an
+    error naming `named`, and no report."""
+    copy = tmp_path / name
+    shutil.copytree(run_dir, copy)
+    edit(copy)
+    report = tmp_path / f"{name}.json"
+    proc = run_cli("experiment-analyze", "--exp", exp, "--runs", str(copy),
+                   "--out", str(report))
+    assert proc.returncode == 1, (name, proc.stderr)
+    assert named in proc.stderr and "Traceback" not in proc.stderr, (name, proc.stderr)
+    assert not report.exists()
 
 
 def test_experiment_run_exp2_analyzable_without_temp_traces(tmp_path):
@@ -113,7 +148,8 @@ def test_experiment_run_exp2_analyzable_without_temp_traces(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["trials"] == 2 * 105
     assert not list((run_dir / "traces").glob("*_temp.csv"))
-    assert len(list((run_dir / "traces").glob("*_slider.csv"))) == 210
+    assert not list((run_dir / "traces").glob("*_slider.csv"))
+    assert len(list((run_dir / "traces").glob("p*_slider.npy"))) == 2
 
     report_path = tmp_path / "report2.json"
     proc = run_cli("experiment-analyze", "--exp", "2", "--runs", str(run_dir),
@@ -125,6 +161,13 @@ def test_experiment_run_exp2_analyzable_without_temp_traces(tmp_path):
     assert len(report["pairwise_by_rate"]) == 15
     assert all(0 <= v <= 100 for v in report["persistence_trial_pct"].values())
 
+    def truncate(copy):
+        sliders = copy / "traces" / "p01_slider.npy"
+        sliders.write_bytes(sliders.read_bytes()[:-8])
+
+    assert_analyze_rejects(tmp_path, run_dir, "2", "truncated", truncate,
+                           "p01_slider.npy")
+
 
 def test_experiment_run_refuses_nonempty_out(tmp_path):
     run_dir = tmp_path / "runs"
@@ -133,11 +176,16 @@ def test_experiment_run_refuses_nonempty_out(tmp_path):
     out_file = tmp_path / "out.txt"
     out_file.write_text("keep")
     for out, kept, text in ((run_dir, run_dir / "junk.txt", "hello"),
-                            (out_file, out_file, "keep")):
+                            (out_file, out_file, "keep"),
+                            (tmp_path / "nodir" / "run", None, None)):
         proc = run_cli("experiment-run", "--exp", "3", "--participants", "1",
                        "--seed", "7", "--out", str(out))
         assert proc.returncode == 1, proc.stderr
-        assert kept.read_text() == text
+        if kept is None:
+            assert "nodir" in proc.stderr and ".tmp-" not in proc.stderr
+        else:
+            assert kept.read_text() == text
+    assert not (tmp_path / "nodir").exists()
 
 
 def test_cli_determinism_byte_identical(tmp_path):
@@ -157,12 +205,17 @@ def test_cli_determinism_byte_identical(tmp_path):
         run_dir = base / "runs"
         run_cli("experiment-run", "--exp", "3", "--participants", "2",
                 "--seed", "11", "--out", str(run_dir))
+        run2_dir = base / "runs2"
+        run_cli("experiment-run", "--exp", "2", "--participants", "1",
+                "--repetitions", "1", "--seed", "11", "--out", str(run2_dir))
         files = {"sched": sched.read_bytes(), "models": models.read_bytes(),
                  "trace": trace.read_bytes()}
-        for path in sorted(run_dir.rglob("*")):
-            if path.is_file():
-                files[str(path.relative_to(base))] = path.read_bytes()
+        for directory in (run_dir, run2_dir):
+            for path in sorted(directory.rglob("*")):
+                if path.is_file():
+                    files[str(path.relative_to(base))] = path.read_bytes()
         art[label] = files
+    assert any("_slider." in name for name in art["a"])
     assert art["a"].keys() == art["b"].keys()
     for name in art["a"]:
         assert art["a"][name] == art["b"][name], f"{name} differs between runs"

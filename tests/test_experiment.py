@@ -1,15 +1,18 @@
 """Plans, the synthetic participant, the runner, and the analyses."""
 
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coldsim import (ParticipantModel, PlantParams, SkinPlant, SliderTrace,
                      UnreachableRateError, ValidationError, analyze_exp2,
                      analyze_exp3, build_exp2_plan, build_exp3_plan,
-                     confidence_of_cold, default_participants, exact_models,
-                     persistence, run_experiment, simulate_participant)
-from coldsim.experiment import (perturb_params, read_records, run_pipeline,
-                                write_records)
+                     default_participants, exact_models, persistence,
+                     run_experiment, simulate_participant)
+from coldsim.experiment import (TrialRecord, perturb_params, read_records,
+                                run_pipeline, write_records)
 from coldsim.pattern import stimulus_id
 from coldsim.plant import Trace
 
@@ -86,14 +89,6 @@ def test_participant_rejects_slow_sampling():
                   np.zeros_like(t, dtype=bool), np.zeros_like(t, dtype=bool))
     with pytest.raises(ValidationError):
         simulate_participant(trace, ParticipantModel())
-
-
-def test_confidence_mapping():
-    assert confidence_of_cold(1.0) == 100.0
-    assert confidence_of_cold(0.5) == 50.0
-    assert confidence_of_cold(0.0) == 0.0
-    with pytest.raises(ValidationError):
-        confidence_of_cold(1.2)
 
 
 def test_persistence_window():
@@ -239,7 +234,56 @@ def test_record_round_trip(tmp_path):
         assert twin.stimulus_id == rec.stimulus_id
         assert twin.cooling_rate == rec.cooling_rate
         assert twin.seed == rec.seed
-        assert np.allclose(twin.slider.values, rec.slider.values)
+        assert twin.kind == rec.kind
+        assert twin.cooling_ratio == rec.cooling_ratio
+        assert twin.likert == rec.likert
+        assert np.array_equal(twin.slider.time, rec.slider.time)
+        assert np.array_equal(twin.slider.values, rec.slider.values)
+    assert any(rec.cooling_ratio is None for rec in loaded)
     # analysis on reloaded records matches the in-memory one
     assert (analyze_exp2(loaded).persistence_trial_pct
             == analyze_exp2(result.records).persistence_trial_pct)
+
+
+# Slider samples at and next to the edges of [0, 1], including subnormals.
+EDGE_SAMPLES = (0.0, 5e-324, np.nextafter(5e-324, 1.0), 2.2250738585072014e-308,
+                np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0),
+                np.nextafter(1.0, 0.0), 1.0)
+
+
+@st.composite
+def slider_runs(draw):
+    """(participants, samples, one slider value array per trial)."""
+    participants = draw(st.integers(1, 2))
+    samples = draw(st.integers(2, 40))
+    trials = draw(st.integers(1, 4))
+    sample = st.one_of(st.floats(0.0, 1.0, allow_subnormal=True),
+                       st.sampled_from(EDGE_SAMPLES))
+    values = [[np.array(draw(st.lists(sample, min_size=samples, max_size=samples)))
+               for _ in range(trials)] for _ in range(participants)]
+    return participants, samples, values
+
+
+@settings(max_examples=40)
+@given(slider_runs())
+def test_property_slider_round_trip_bit_identical(run):
+    participants, samples, values = run
+    plan = build_exp2_plan(participants=participants, repetitions=1)
+    time = np.arange(samples) / 100.0
+    records = []
+    for pidx, trials in enumerate(values):
+        for tidx, vals in enumerate(trials):
+            spec = plan.stimuli[tidx].spec
+            records.append(TrialRecord(
+                participant=pidx, trial=tidx,
+                stimulus_id=plan.stimuli[tidx].stimulus_id, kind=spec.kind,
+                cooling_rate=spec.cooling_rate, cooling_ratio=spec.cooling_ratio,
+                seed=tidx, slider=SliderTrace(time, vals)))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_records(records, plan, tmp)
+        loaded, _ = read_records(tmp)
+    assert [(r.participant, r.trial) for r in loaded] == [
+        (r.participant, r.trial) for r in records]
+    for rec, twin in zip(records, loaded):
+        assert twin.slider.time.tobytes() == rec.slider.time.tobytes()
+        assert twin.slider.values.tobytes() == rec.slider.values.tobytes()
