@@ -36,13 +36,25 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _umask_mode(mode: int) -> int:
+    """The mode a plain open or mkdir asking for `mode` would create."""
+    umask = os.umask(0)
+    os.umask(umask)
+    return mode & ~umask
+
+
 def _atomic_write(path: str, producer) -> None:
-    """Write through a sibling temp file plus rename; no partial artifacts."""
+    """Write through a sibling temp file plus rename; no partial artifacts.
+
+    mkstemp creates the temp file owner-only; the artifact gets the mode a
+    plain open would give it.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-coldsim-")
     try:
         os.close(fd)
         producer(tmp)
+        os.chmod(tmp, _umask_mode(0o666))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -80,8 +92,10 @@ def _add_stimulus_flags(parser) -> None:
     parser.add_argument("--delta-t", dest="delta_t", type=float,
                         default=pattern.DEFAULT_SWING,
                         help="per-cycle temperature swing, degC; S1 only")
-    parser.add_argument("--duration", type=float, default=15.0)
-    parser.add_argument("--drop", type=float, default=5.0,
+    parser.add_argument("--duration", type=float,
+                        default=pattern.StimulusSpec.duration)
+    parser.add_argument("--drop", type=float,
+                        default=pattern.StimulusSpec.drop_duration,
                         help="initial drop length, s; S2 only")
 
 
@@ -150,6 +164,7 @@ def cmd_experiment_run(args) -> None:
     parent = os.path.dirname(os.path.abspath(args.out)) or "."
     staging = tempfile.mkdtemp(dir=parent, prefix=".tmp-run-")
     try:
+        os.chmod(staging, _umask_mode(0o777))
         experiment.write_records(result.records, plan, staging,
                                  traces=not args.no_traces)
         for idx, calibration in enumerate(result.calibrations):
@@ -210,7 +225,8 @@ def build_parser() -> Parser:
                    default=plant.DEFAULT_SENSOR_RESOLUTION)
     p.add_argument("--measurement-noise", type=float, default=0.0,
                    help="sigma of rate measurement noise, degC/s")
-    p.add_argument("--max-iters", type=int, default=10)
+    p.add_argument("--max-iters", type=int,
+                   default=control.CalibrationProtocol.max_iters)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("simulate", parents=[common],
@@ -218,7 +234,7 @@ def build_parser() -> Parser:
     _add_stimulus_flags(p)
     p.add_argument("--models", default=None,
                    help="models JSON from calibrate (exact models if omitted)")
-    p.add_argument("--dt", type=float, default=0.001)
+    p.add_argument("--dt", type=float, default=plant.DT)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 

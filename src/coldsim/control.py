@@ -18,12 +18,19 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (CalibrationError, DegenerateDesignError,
-                     UnreachableRateError, ValidationError)
+                     UnreachableRateError, ValidationError, check_numbers)
 from .pattern import RateSchedule, StimulusSpec, compile_schedule, stimulus_id
-from .plant import SkinPlant, Trace
+from .plant import DEFAULT_SENSOR_RESOLUTION, DT, SkinPlant, Trace
 
 VALVE_DUTY_RANGE = (0.490, 0.601)
 LED_DUTY_RANGE = (0.118, 0.902)
+
+# Calibration duty grids; each spans its channel's duty band.
+VALVE_GRID = (VALVE_DUTY_RANGE[0], 0.514, 0.538, 0.561, 0.584, VALVE_DUTY_RANGE[1])
+LED_GRID = (LED_DUTY_RANGE[0], 0.275, 0.431, 0.588, 0.745, LED_DUTY_RANGE[1])
+ENDPOINT_REPEATS = 3   # lowest/highest grid duty measured this often
+MEASURE_TIME = 6.0     # s per single-stimulus measurement
+DRIFT_THRESHOLD = 0.1  # degC net change allowed per verification pattern
 
 # Samples per second in the traces run_control returns.
 LOG_RATE = 100.0
@@ -41,6 +48,8 @@ class DutyModel:
     r_squared: float = 1.0
 
     def __post_init__(self):
+        check_numbers(self, ("slope", "intercept", "duty_min", "duty_max",
+                             "r_squared"))
         if not (0.0 <= self.duty_min < self.duty_max <= 1.0):
             raise ValidationError("duty range must satisfy 0 <= min < max <= 1")
 
@@ -79,7 +88,7 @@ class CalibrationPoint:
 
     duty: float
     delta_temp: float   # degC over the measurement window
-    delta_time: float = 6.0  # s
+    delta_time: float = MEASURE_TIME  # s
 
     @property
     def rate(self) -> float:
@@ -98,9 +107,8 @@ def mean_rate(points: Sequence[CalibrationPoint]) -> float:
     return sum(p.rate for p in points) / len(points)
 
 
-def fit_duty_model(points: Sequence[CalibrationPoint], channel: str,
-                   duty_range: Optional[tuple[float, float]] = None) -> DutyModel:
-    """Least-squares affine fit of rate against duty for one channel."""
+def fit_duty_model(points: Sequence[CalibrationPoint], channel: str) -> DutyModel:
+    """Least-squares affine fit of rate against duty over the channel's band."""
     if len(points) < 2:
         raise ValidationError("fit_duty_model needs at least 2 points")
     duties = [p.duty for p in points]
@@ -117,8 +125,8 @@ def fit_duty_model(points: Sequence[CalibrationPoint], channel: str,
     ss_res = sum((v - (slope * d + intercept)) ** 2 for d, v in zip(duties, rates))
     ss_tot = sum((v - mean_v) ** 2 for v in rates)
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    lo, hi = duty_range if duty_range is not None else default_duty_range(channel)
-    return DutyModel(channel, slope, intercept, lo, hi, r_squared)
+    return DutyModel(channel, slope, intercept, *default_duty_range(channel),
+                     r_squared)
 
 
 def invert_duty(model: DutyModel, target_rate: float) -> float:
@@ -172,19 +180,14 @@ def default_verification_specs() -> tuple[StimulusSpec, ...]:
 
 @dataclass(frozen=True)
 class CalibrationProtocol:
-    """Measurement grids and gates for the calibration procedure."""
+    """Calibration settings that callers vary; the duty grids, repeats,
+    measurement time and drift gate are this module's constants."""
 
-    valve_grid: tuple = (0.490, 0.514, 0.538, 0.561, 0.584, 0.601)
-    led_grid: tuple = (0.118, 0.275, 0.431, 0.588, 0.745, 0.902)
-    endpoint_repeats: int = 3      # lowest/highest duty measured this often
-    measure_time: float = 6.0      # s per single-stimulus measurement
     verify_specs: tuple = field(default_factory=default_verification_specs)
-    drift_threshold: float = 0.1   # degC net change allowed per pattern
     max_iters: int = 10
-    sensor_resolution: float = 0.025  # degC; 0 means an ideal sensor
+    sensor_resolution: float = DEFAULT_SENSOR_RESOLUTION  # degC; 0 = ideal
     measurement_noise: float = 0.0    # degC/s sigma added to measured rates
     noise_seed: Optional[int] = None
-    dt: float = 0.001
 
 
 @dataclass(frozen=True)
@@ -200,7 +203,6 @@ class CalibrationResult:
     led: DutyModel
     iterations: int
     verification: list[list[VerificationCheck]]
-    protocol: CalibrationProtocol
 
     def to_json(self, path) -> None:
         doc = {
@@ -208,10 +210,10 @@ class CalibrationResult:
             "led": self.led.to_dict(),
             "meta": {
                 "iterations": self.iterations,
-                "valve_grid": list(self.protocol.valve_grid),
-                "led_grid": list(self.protocol.led_grid),
-                "measure_time_s": self.protocol.measure_time,
-                "drift_threshold_c": self.protocol.drift_threshold,
+                "valve_grid": list(VALVE_GRID),
+                "led_grid": list(LED_GRID),
+                "measure_time_s": MEASURE_TIME,
+                "drift_threshold_c": DRIFT_THRESHOLD,
                 "verification": [
                     [asdict(check) for check in round_]
                     for round_ in self.verification
@@ -224,9 +226,16 @@ class CalibrationResult:
 
 
 def load_models(path) -> tuple[DutyModel, DutyModel]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return DutyModel(**doc["valve"]), DutyModel(**doc["led"])
+    """Read the duty models that CalibrationResult.to_json wrote.
+
+    A file that does not hold them raises ValidationError naming it.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        return DutyModel(**doc["valve"]), DutyModel(**doc["led"])
+    except (KeyError, OSError, TypeError, ValueError) as exc:
+        raise ValidationError(f"cannot read {path} as duty models: {exc!r}") from exc
 
 
 def _measure_channel(plant: SkinPlant, protocol: CalibrationProtocol,
@@ -238,24 +247,22 @@ def _measure_channel(plant: SkinPlant, protocol: CalibrationProtocol,
     read through the (optionally quantized) sensor.  Endpoint duties are
     repeated to firm up the band limits.
     """
-    n_steps = int(round(protocol.measure_time / protocol.dt))
+    n_steps = int(round(MEASURE_TIME / DT))
     points = []
     for i, duty in enumerate(grid):
-        repeats = protocol.endpoint_repeats if i in (0, len(grid) - 1) else 1
+        repeats = ENDPOINT_REPEATS if i in (0, len(grid) - 1) else 1
         for _ in range(repeats):
             plant.reset()
             before = plant.read_sensor(protocol.sensor_resolution).value
             if channel == "valve":
-                plant.run_span(duty_valve=duty, valve_on=True,
-                               dt=protocol.dt, n_steps=n_steps)
+                plant.run_span(duty_valve=duty, valve_on=True, n_steps=n_steps)
             else:
-                plant.run_span(duty_led=duty, led_on=True,
-                               dt=protocol.dt, n_steps=n_steps)
+                plant.run_span(duty_led=duty, led_on=True, n_steps=n_steps)
             after = plant.read_sensor(protocol.sensor_resolution).value
             delta = after - before
             if protocol.measurement_noise > 0.0:
-                delta += rng.normal(0.0, protocol.measurement_noise) * protocol.measure_time
-            points.append(CalibrationPoint(duty, delta, protocol.measure_time))
+                delta += rng.normal(0.0, protocol.measurement_noise) * MEASURE_TIME
+            points.append(CalibrationPoint(duty, delta))
     return points
 
 
@@ -286,14 +293,12 @@ def calibrate(plant: SkinPlant,
         raise ValidationError("verification patterns must share one duration")
     rng = np.random.default_rng(protocol.noise_seed)
 
-    raw_valve = _measure_channel(plant, protocol, protocol.valve_grid, "valve", rng)
-    raw_led = _measure_channel(plant, protocol, protocol.led_grid, "led", rng)
+    raw_valve = _measure_channel(plant, protocol, VALVE_GRID, "valve", rng)
+    raw_led = _measure_channel(plant, protocol, LED_GRID, "led", rng)
     valve_points = _mean_points(raw_valve)
     led_points = _mean_points(raw_led)
-    valve_model = fit_duty_model(valve_points, "valve",
-                                 (protocol.valve_grid[0], protocol.valve_grid[-1]))
-    led_model = fit_duty_model(led_points, "led",
-                               (protocol.led_grid[0], protocol.led_grid[-1]))
+    valve_model = fit_duty_model(valve_points, "valve")
+    led_model = fit_duty_model(led_points, "led")
 
     schedules = [compile_schedule(spec) for spec in protocol.verify_specs]
     history: list[list[VerificationCheck]] = []
@@ -304,24 +309,22 @@ def calibrate(plant: SkinPlant,
             timeline = schedule_to_timeline(schedule, valve_model, led_model)
             plant.reset()
             before = plant.read_sensor(protocol.sensor_resolution).value
-            run_control(timeline, plant, dt=protocol.dt)
+            run_control(timeline, plant)
             after = plant.read_sensor(protocol.sensor_resolution).value
             net = after - before
             nets.append(net)
             checks.append(VerificationCheck(
-                stimulus_id(spec), net, abs(net) <= protocol.drift_threshold))
+                stimulus_id(spec), net, abs(net) <= DRIFT_THRESHOLD))
         history.append(checks)
         if all(c.passed for c in checks):
-            return CalibrationResult(valve_model, led_model, iteration,
-                                     history, protocol)
+            return CalibrationResult(valve_model, led_model, iteration, history)
         drift = sum(nets) / len(nets)
         duration = protocol.verify_specs[0].duration
         led_points = apply_drift_correction(led_points, drift, duration)
-        led_model = fit_duty_model(led_points, "led",
-                                   (protocol.led_grid[0], protocol.led_grid[-1]))
+        led_model = fit_duty_model(led_points, "led")
 
     raise CalibrationError(
-        f"verification drift still above {protocol.drift_threshold} degC "
+        f"verification drift still above {DRIFT_THRESHOLD} degC "
         f"after {protocol.max_iters} iterations", report=history)
 
 
@@ -381,7 +384,7 @@ def schedule_to_timeline(schedule: RateSchedule, valve_model: DutyModel,
 
 
 def run_control(timeline: ActuatorTimeline, plant: SkinPlant,
-                dt: float = 0.001) -> Trace:
+                dt: float = DT) -> Trace:
     """Step the plant under a timeline and log at LOG_RATE.
 
     Each channel's spans must be ordered and disjoint; a step outside

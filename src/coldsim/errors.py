@@ -1,8 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types and the input check shared across the package."""
+
+import math
+import numbers
 
 
 class ValidationError(ValueError):
     """Raised when an input value violates a documented precondition."""
+
+
+def check_numbers(obj, names) -> None:
+    """Raise ValidationError unless each named attribute of obj is a finite
+    real number."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise ValidationError(f"{name} must be a finite number, got {value!r}")
 
 
 class WrongKindError(ValidationError):

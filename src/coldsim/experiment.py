@@ -28,8 +28,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .control import (CalibrationResult, DutyModel, calibrate, run_control,
-                      schedule_to_timeline)
+from .control import (LED_DUTY_RANGE, VALVE_DUTY_RANGE, CalibrationResult,
+                      DutyModel, calibrate, run_control, schedule_to_timeline)
 from .errors import UnreachableRateError, ValidationError
 from .pattern import StimulusSpec, compile_schedule, stimulus_id
 from .plant import PlantParams, SkinPlant, Trace
@@ -37,6 +37,9 @@ from .stats import TestResult, benjamini_hochberg, kruskal_wallis, wilcoxon_rank
 
 EXP2_RATES = (-0.08, -0.12, -0.16, -0.20, -0.24)
 EXP2_RATIOS = (0.1, 0.2, 0.3, 0.4, 0.5)
+EXP3_RATES = (-0.08, -0.16, -0.24)
+EXP3_RATIO = 0.5
+EXP3_BASE_RATE = -0.16  # S2 and S3 comparisons in exp3
 
 # Persistence is judged on this window of the 15 s presentation; early
 # samples are still transient.
@@ -85,15 +88,22 @@ class SliderTrace:
     values: np.ndarray
 
 
-def perceived_rate(trace: Trace, model: ParticipantModel) -> np.ndarray:
-    """Low-passed skin-temperature rate as the participant senses it."""
-    t = np.asarray(trace.time, dtype=float)
-    temp = np.asarray(trace.temp, dtype=float)
-    if len(t) < 2:
+def _sample_dt(trace: Trace) -> float:
+    """The trace's sampling step, checked against what the perceiver needs."""
+    if len(trace.time) < 2:
         raise ValidationError("trace too short to differentiate")
-    sample_dt = float(t[1] - t[0])
+    sample_dt = float(trace.time[1] - trace.time[0])
+    if not sample_dt > 0:
+        raise ValidationError(f"trace time must increase, got a step of {sample_dt} s")
     if sample_dt > 0.01 + 1e-9:
         raise ValidationError("participant model needs a trace sampled at >= 100 Hz")
+    return sample_dt
+
+
+def perceived_rate(trace: Trace, model: ParticipantModel) -> np.ndarray:
+    """Low-passed skin-temperature rate as the participant senses it."""
+    sample_dt = _sample_dt(trace)
+    temp = np.asarray(trace.temp, dtype=float)
     rate = np.empty_like(temp)
     rate[1:] = np.diff(temp) / sample_dt
     rate[0] = rate[1]
@@ -117,7 +127,7 @@ def simulate_participant(trace: Trace, model: ParticipantModel,
     if rng is None:
         rng = np.random.default_rng(model.seed)
     t = np.asarray(trace.time, dtype=float)
-    sample_dt = float(t[1] - t[0])
+    sample_dt = _sample_dt(trace)
     p = perceived_rate(trace, model)
 
     felt = np.where(p > 0.0, p * model.warm_attenuation, p)
@@ -185,40 +195,26 @@ class ExperimentPlan:
         return len(self.stimuli) * self.repetitions
 
 
-def build_exp2_plan(rates=EXP2_RATES, ratios=EXP2_RATIOS, swing=0.06,
-                    duration=15.0, drop_duration=5.0, repetitions=3,
-                    participants=15, seed=0) -> ExperimentPlan:
-    """Persistence-study plan: a rate x ratio grid of alternating patterns
-    plus drop-and-hold and continuous-cooling rows at each rate."""
-    stimuli = []
-    for rate in rates:
-        for ratio in ratios:
-            spec = StimulusSpec("S1", rate, ratio, swing, duration)
-            stimuli.append(PlannedStimulus(stimulus_id(spec), spec))
-    for rate in rates:
-        spec = StimulusSpec("S2", rate, duration=duration,
-                            drop_duration=drop_duration)
-        stimuli.append(PlannedStimulus(stimulus_id(spec), spec))
-    for rate in rates:
-        spec = StimulusSpec("S3", rate, duration=duration)
-        stimuli.append(PlannedStimulus(stimulus_id(spec), spec))
-    return ExperimentPlan("exp2", tuple(stimuli), repetitions, participants, seed)
+def build_exp2_plan(repetitions=3, participants=15, seed=0) -> ExperimentPlan:
+    """Persistence-study plan: the EXP2_RATES x EXP2_RATIOS grid of
+    alternating patterns plus drop-and-hold and continuous-cooling rows at
+    each rate, all with StimulusSpec's swing, duration and drop."""
+    specs = [StimulusSpec("S1", rate, ratio)
+             for rate in EXP2_RATES for ratio in EXP2_RATIOS]
+    specs += [StimulusSpec("S2", rate) for rate in EXP2_RATES]
+    specs += [StimulusSpec("S3", rate) for rate in EXP2_RATES]
+    stimuli = tuple(PlannedStimulus(stimulus_id(spec), spec) for spec in specs)
+    return ExperimentPlan("exp2", stimuli, repetitions, participants, seed)
 
 
-def build_exp3_plan(base_rate=-0.16, ratio=0.5, rates=(-0.08, -0.16, -0.24),
-                    swing=0.06, duration=15.0, drop_duration=5.0,
-                    repetitions=3, participants=15, seed=0) -> ExperimentPlan:
-    """Intensity-study plan: three alternating patterns at a fixed cooling
-    ratio plus drop-and-hold and continuous comparisons at the base rate."""
-    stimuli = []
-    for rate in rates:
-        spec = StimulusSpec("S1", rate, ratio, swing, duration)
-        stimuli.append(PlannedStimulus(stimulus_id(spec), spec))
-    s2 = StimulusSpec("S2", base_rate, duration=duration, drop_duration=drop_duration)
-    stimuli.append(PlannedStimulus(stimulus_id(s2), s2))
-    s3 = StimulusSpec("S3", base_rate, duration=duration)
-    stimuli.append(PlannedStimulus(stimulus_id(s3), s3))
-    return ExperimentPlan("exp3", tuple(stimuli), repetitions, participants, seed)
+def build_exp3_plan(repetitions=3, participants=15, seed=0) -> ExperimentPlan:
+    """Intensity-study plan: alternating patterns at EXP3_RATES and
+    EXP3_RATIO plus drop-and-hold and continuous comparisons at
+    EXP3_BASE_RATE, all with StimulusSpec's swing, duration and drop."""
+    specs = [StimulusSpec("S1", rate, EXP3_RATIO) for rate in EXP3_RATES]
+    specs += [StimulusSpec("S2", EXP3_BASE_RATE), StimulusSpec("S3", EXP3_BASE_RATE)]
+    stimuli = tuple(PlannedStimulus(stimulus_id(spec), spec) for spec in specs)
+    return ExperimentPlan("exp3", stimuli, repetitions, participants, seed)
 
 
 @dataclass
@@ -308,8 +304,10 @@ def perturb_params(base: PlantParams, rng: np.random.Generator,
     def anchors(gain, bias, lo, hi):
         return gain * lo + bias, gain * hi + bias
 
-    v_lo, v_hi = anchors(base.valve_gain, base.valve_bias, 0.490, 0.601)
-    l_lo, l_hi = anchors(base.led_gain, base.led_bias, 0.118, 0.902)
+    v_min, v_max = VALVE_DUTY_RANGE
+    l_min, l_max = LED_DUTY_RANGE
+    v_lo, v_hi = anchors(base.valve_gain, base.valve_bias, v_min, v_max)
+    l_lo, l_hi = anchors(base.led_gain, base.led_bias, l_min, l_max)
     v_lo *= 1.0 + rng.uniform(-rel, rel)
     v_hi *= 1.0 + rng.uniform(-rel, rel)
     l_lo *= 1.0 + rng.uniform(-rel, rel)
@@ -319,10 +317,10 @@ def perturb_params(base: PlantParams, rng: np.random.Generator,
     l_hi_j = l_hi * (1.0 + rng.uniform(-rel, rel))
     while l_hi_j < 0.495:
         l_hi_j = l_hi * (1.0 + rng.uniform(-rel, rel))
-    valve_gain = (v_hi - v_lo) / (0.601 - 0.490)
-    valve_bias = v_lo - valve_gain * 0.490
-    led_gain = (l_hi_j - l_lo) / (0.902 - 0.118)
-    led_bias = l_lo - led_gain * 0.118
+    valve_gain = (v_hi - v_lo) / (v_max - v_min)
+    valve_bias = v_lo - valve_gain * v_min
+    led_gain = (l_hi_j - l_lo) / (l_max - l_min)
+    led_bias = l_lo - led_gain * l_min
     return replace(base, valve_gain=valve_gain, valve_bias=valve_bias,
                    led_gain=led_gain, led_bias=led_bias)
 

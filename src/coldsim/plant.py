@@ -29,10 +29,13 @@ from typing import Optional
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import ValidationError
+from .errors import ValidationError, check_numbers
 
 # Maximum explicit-Euler step, seconds.
 MAX_STEP = 0.01
+
+# Integration step of every simulation and calibration, seconds.
+DT = 0.001
 
 DEFAULT_SENSOR_RESOLUTION = 0.025  # degC per quantization step
 
@@ -70,6 +73,7 @@ class PlantParams:
     interaction_bias: float = 0.0  # degC/s extra while both channels on
 
     def __post_init__(self):
+        check_numbers(self, self.__dataclass_fields__)
         if not self.valve_gain < 0:
             raise ValidationError("valve_gain must be negative")
         if not self.led_gain > 0:
@@ -116,7 +120,7 @@ def _check_step_inputs(duty_valve, duty_led, dt):
 
 
 def step(state: PlantState, params: PlantParams, duty_valve=0.0, duty_led=0.0,
-         valve_on=False, led_on=False, dt=0.001) -> PlantState:
+         valve_on=False, led_on=False, dt=DT) -> PlantState:
     """Advance the skin node by one explicit first-order step."""
     _check_step_inputs(duty_valve, duty_led, dt)
     rate = _drive_rate(params, duty_valve, duty_led, valve_on, led_on)
@@ -148,13 +152,13 @@ class SkinPlant:
             self.params.t_init if t_skin is None else t_skin, 0.0, self.state.rng)
 
     def step(self, duty_valve=0.0, duty_led=0.0, valve_on=False, led_on=False,
-             dt=0.001) -> float:
+             dt=DT) -> float:
         self.state = step(self.state, self.params, duty_valve, duty_led,
                           valve_on, led_on, dt)
         return self.state.t_skin
 
     def run_span(self, duty_valve=0.0, duty_led=0.0, valve_on=False,
-                 led_on=False, dt=0.001, n_steps=1) -> np.ndarray:
+                 led_on=False, dt=DT, n_steps=1) -> np.ndarray:
         """Run n_steps and return the temperature after each step.
 
         Each input is either a constant or an array holding its value
@@ -242,8 +246,17 @@ def save_plant_config(params: PlantParams, path) -> None:
 
 
 def load_plant_config(path) -> PlantParams:
-    """Read PlantParams from a config document, ignoring descriptive keys."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    fields = {f for f in PlantParams.__dataclass_fields__}
-    return PlantParams(**{k: v for k, v in doc.items() if k in fields})
+    """Read PlantParams from a config document, ignoring descriptive keys.
+
+    A file that is not a JSON object of valid parameters raises
+    ValidationError naming it.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValidationError(f"a JSON object is needed, not {type(doc).__name__}")
+        fields = PlantParams.__dataclass_fields__
+        return PlantParams(**{k: v for k, v in doc.items() if k in fields})
+    except (OSError, TypeError, ValueError) as exc:
+        raise ValidationError(f"cannot read {path} as a plant config: {exc!r}") from exc

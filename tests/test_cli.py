@@ -10,16 +10,18 @@ import numpy as np
 import pytest
 
 
-def run_cli(*argv, cwd=None):
+def run_cli(*argv, cwd=None, umask=-1):
     return subprocess.run([sys.executable, "-m", "coldsim.cli", *argv],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, umask=umask)
 
 
 def test_design_worked_example(tmp_path):
     out = tmp_path / "sched.csv"
     proc = run_cli("design", "--kind", "S1", "--vc", "-0.1", "--ratio", "0.5",
-                   "--delta-t", "0.06", "--duration", "15", "--out", str(out))
+                   "--delta-t", "0.06", "--duration", "15", "--out", str(out),
+                   umask=0o022)
     assert proc.returncode == 0, proc.stderr
+    assert out.stat().st_mode & 0o777 == 0o644
     status = json.loads(proc.stdout)
     assert status["status"] == "ok" and status["command"] == "design"
     rows = list(csv.DictReader(out.open()))
@@ -62,6 +64,27 @@ def test_calibrate_and_simulate(tmp_path):
     assert status["net_delta_t"] == pytest.approx(-2.4, abs=0.1)
     rows = list(csv.DictReader(trace.open()))
     assert len(rows) == 1501
+
+    # Unreadable plant configs and model files exit 1 naming the file.
+    bad_slope = json.loads(models.read_text())
+    bad_slope["valve"]["slope"] = "x"
+    bad = {"not_json.json": "{", "wrong_type.json": '{"valve_gain": "x"}',
+           "array.json": "[1, 2]", "bad_slope.json": json.dumps(bad_slope),
+           "missing.json": None}
+    for name, text in bad.items():
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        for flag in ("--config", "--models"):
+            if flag == "--config" and name == "bad_slope.json":
+                continue  # a plant config ignores the models' keys
+            out = tmp_path / "bad.csv"
+            proc = run_cli("simulate", "--kind", "S3", "--vc", "-0.16",
+                           flag, str(path), "--out", str(out))
+            assert proc.returncode == 1, (name, flag, proc.stderr)
+            assert name in proc.stderr and "Traceback" not in proc.stderr, \
+                (name, flag, proc.stderr)
+            assert not out.exists()
 
 
 def test_experiment_run_and_analyze(tmp_path):
@@ -144,9 +167,11 @@ def assert_analyze_rejects(tmp_path, run_dir, exp, name, edit, named):
 def test_experiment_run_exp2_analyzable_without_temp_traces(tmp_path):
     run_dir = tmp_path / "runs2"
     proc = run_cli("experiment-run", "--exp", "2", "--participants", "2",
-                   "--seed", "3", "--no-traces", "--out", str(run_dir))
+                   "--seed", "3", "--no-traces", "--out", str(run_dir),
+                   umask=0o022)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["trials"] == 2 * 105
+    assert run_dir.stat().st_mode & 0o777 == 0o755
     assert not list((run_dir / "traces").glob("*_temp.csv"))
     assert not list((run_dir / "traces").glob("*_slider.csv"))
     assert len(list((run_dir / "traces").glob("p*_slider.npy"))) == 2

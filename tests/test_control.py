@@ -1,5 +1,7 @@
 """Duty models, calibration loop, timelines, and the control runner."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,8 @@ from coldsim import (CalibrationError, CalibrationPoint, CalibrationProtocol,
                      apply_drift_correction, calibrate, compile_schedule,
                      exact_models, fit_duty_model, invert_duty, load_models,
                      mean_rate, run_control, schedule_to_timeline)
-from coldsim.control import ActuatorTimeline, ChannelSpan
+from coldsim.control import (DRIFT_THRESHOLD, LED_GRID, MEASURE_TIME, VALVE_GRID,
+                             ActuatorTimeline, ChannelSpan)
 
 
 def normal_equations_oracle(duties, rates):
@@ -183,6 +186,13 @@ def test_models_json_round_trip(tmp_path):
     valve, led = load_models(path)
     assert valve == result.valve
     assert led == result.led
+    meta = json.loads(path.read_text())["meta"]
+    assert meta["valve_grid"] == list(VALVE_GRID) == [
+        0.490, 0.514, 0.538, 0.561, 0.584, 0.601]
+    assert meta["led_grid"] == list(LED_GRID) == [
+        0.118, 0.275, 0.431, 0.588, 0.745, 0.902]
+    assert meta["measure_time_s"] == MEASURE_TIME == 6.0
+    assert meta["drift_threshold_c"] == DRIFT_THRESHOLD == 0.1
 
 
 def test_timeline_worked_example():

@@ -11,7 +11,8 @@ from coldsim import (ParticipantModel, PlantParams, SkinPlant, SliderTrace,
                      analyze_exp3, build_exp2_plan, build_exp3_plan,
                      default_participants, exact_models, persistence,
                      run_experiment, simulate_participant)
-from coldsim.experiment import (TrialRecord, perturb_params, read_records,
+from coldsim.experiment import (EXP2_RATIOS, EXP3_BASE_RATE, EXP3_RATES,
+                                TrialRecord, perturb_params, read_records,
                                 run_pipeline, write_records)
 from coldsim.pattern import stimulus_id
 from coldsim.plant import Trace
@@ -35,6 +36,12 @@ def test_exp2_plan_shape():
                        if s.spec.kind == "S1"})
     assert s1_rates == [-0.24, -0.2, -0.16, -0.12, -0.08]
     assert len(s1_rates) - 1 == 4  # five levels, df = 4 in the rate test
+    assert sorted({s.spec.cooling_ratio for s in plan.stimuli
+                   if s.spec.kind == "S1"}) == list(EXP2_RATIOS)
+    assert all(s.spec.swing == 0.06 and s.spec.duration == 15.0
+               for s in plan.stimuli)
+    assert all(s.spec.drop_duration == 5.0 for s in plan.stimuli
+               if s.spec.kind == "S2")
 
 
 def test_exp3_plan_shape():
@@ -43,6 +50,10 @@ def test_exp3_plan_shape():
     assert plan.trials_per_participant == 15
     s1 = [s.spec for s in plan.stimuli if s.spec.kind == "S1"]
     assert all(spec.cooling_ratio == 0.5 for spec in s1)
+    assert [spec.cooling_rate for spec in s1] == list(EXP3_RATES) == [
+        -0.08, -0.16, -0.24]
+    assert [s.spec.cooling_rate for s in plan.stimuli
+            if s.spec.kind in ("S2", "S3")] == [EXP3_BASE_RATE] * 2 == [-0.16] * 2
 
 
 def test_plan_ids_unique():
@@ -84,11 +95,13 @@ def test_participant_sample_count_and_range():
 
 
 def test_participant_rejects_slow_sampling():
-    t = np.arange(0.0, 15.1, 0.1)
-    trace = Trace(t, np.full_like(t, 33.0), t * 0, t * 0,
-                  np.zeros_like(t, dtype=bool), np.zeros_like(t, dtype=bool))
-    with pytest.raises(ValidationError):
-        simulate_participant(trace, ParticipantModel())
+    for t in (np.arange(0.0, 15.1, 0.1),   # 10 Hz
+              np.array([0.0]),             # one sample
+              np.zeros(1501)):             # time does not increase
+        trace = Trace(t, np.full_like(t, 33.0), t * 0, t * 0,
+                      np.zeros_like(t, dtype=bool), np.zeros_like(t, dtype=bool))
+        with pytest.raises(ValidationError):
+            simulate_participant(trace, ParticipantModel())
 
 
 def test_persistence_window():

@@ -139,6 +139,9 @@ def test_params_validation():
         PlantParams(led_gain=-1.0)
     with pytest.raises(ValidationError):
         PlantParams(noise_sigma=-0.1)
+    for t_init in ("33", float("nan")):
+        with pytest.raises(ValidationError):
+            PlantParams(t_init=t_init)
 
 
 def test_config_round_trip(tmp_path):
