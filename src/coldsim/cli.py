@@ -15,6 +15,7 @@ convergence error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -192,7 +193,7 @@ def cmd_experiment_analyze(args) -> None:
 
     def write(path):
         with open(path, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(dataclasses.asdict(report), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     _atomic_write(args.out, write)
@@ -266,6 +267,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed < 0:  # numpy seeds are non-negative
+            raise ValidationError(f"--seed must be non-negative, got {args.seed}")
         parent = os.path.dirname(os.path.abspath(args.out))
         if not os.path.isdir(parent):
             raise ValidationError(

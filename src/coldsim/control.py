@@ -10,7 +10,6 @@ model and the verification repeats until the drift gate passes.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field, asdict
 from typing import Optional, Sequence
@@ -189,6 +188,15 @@ class CalibrationProtocol:
     measurement_noise: float = 0.0    # degC/s sigma added to measured rates
     noise_seed: Optional[int] = None
 
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValidationError(f"max_iters must be at least 1, got {self.max_iters}")
+        check_numbers(self, ("sensor_resolution", "measurement_noise"))
+        for name in ("sensor_resolution", "measurement_noise"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be non-negative, "
+                                      f"got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class VerificationCheck:
@@ -343,15 +351,6 @@ class ActuatorTimeline:
     valve: tuple[ChannelSpan, ...]
     led: tuple[ChannelSpan, ...]
     duration: float
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["channel", "start_s", "end_s", "duty", "active"])
-            for channel, spans in (("valve", self.valve), ("led", self.led)):
-                for span in spans:
-                    writer.writerow([channel, span.start, span.end, span.duty,
-                                     str(span.active).lower()])
 
 
 def schedule_to_timeline(schedule: RateSchedule, valve_model: DutyModel,

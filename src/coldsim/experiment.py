@@ -24,6 +24,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, asdict, replace
+from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,7 +32,7 @@ import numpy as np
 from .control import (LED_DUTY_RANGE, VALVE_DUTY_RANGE, CalibrationResult,
                       DutyModel, calibrate, run_control, schedule_to_timeline)
 from .errors import UnreachableRateError, ValidationError
-from .pattern import StimulusSpec, compile_schedule, stimulus_id
+from .pattern import KINDS, StimulusSpec, compile_schedule, stimulus_id
 from .plant import PlantParams, SkinPlant, Trace
 from .stats import TestResult, benjamini_hochberg, kruskal_wallis, wilcoxon_rank_sum
 
@@ -190,6 +191,12 @@ class ExperimentPlan:
     participants: int
     seed: int
 
+    def __post_init__(self):
+        for name, least in (("participants", 1), ("repetitions", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValidationError(f"{name} must be at least {least}, "
+                                      f"got {getattr(self, name)}")
+
     @property
     def trials_per_participant(self) -> int:
         return len(self.stimuli) * self.repetitions
@@ -340,6 +347,8 @@ class PipelineResult:
 def run_pipeline(plan: ExperimentPlan, base_params: Optional[PlantParams] = None,
                  jitter: float = 0.1) -> PipelineResult:
     """Plants, calibration, and trials for every participant in one call."""
+    if not 0 <= jitter < 1:
+        raise ValidationError(f"jitter must lie in [0, 1), got {jitter}")
     base = base_params if base_params is not None else PlantParams()
     plants = []
     calibrations = []
@@ -360,20 +369,30 @@ def run_pipeline(plan: ExperimentPlan, base_params: Optional[PlantParams] = None
 # Analyses
 
 
-def _mean_confidence(record: TrialRecord) -> float:
-    """Per-trial mean confidence of cold over the presentation, percent."""
-    return float(np.mean(record.slider.values)) * 100.0
+def _check_input(records: Sequence[TrialRecord], pooling: str, needs: str) -> None:
+    """Reject an unknown pooling, no records, or a record without the
+    field the analysis reads."""
+    if pooling not in ("trials", "participants"):
+        raise ValidationError("pooling must be 'trials' or 'participants'")
+    if not records:
+        raise ValidationError("no records to analyze")
+    if any(getattr(rec, needs) is None for rec in records):
+        raise ValidationError(f"every record needs a {needs} for this analysis")
 
 
-def _group_values(records, key, value, pooling: str) -> dict:
-    """Group per-trial values, optionally collapsing to participant means."""
+def _group(records: Sequence[TrialRecord], values: Sequence, pooling: str,
+           *fields: str) -> dict:
+    """values[i] grouped by the named fields of records[i] (a tuple key for
+    more than one field), in record order; with "participants" pooling
+    each group becomes its participants' means, in participant order."""
+    key = attrgetter(*fields)
     groups: dict = {}
-    for rec in records:
-        groups.setdefault(key(rec), []).append((rec.participant, value(rec)))
+    for rec, value in zip(records, values):
+        groups.setdefault(key(rec), []).append((rec.participant, value))
     out = {}
     for name, pairs in groups.items():
         if pooling == "participants":
-            by_p: dict[int, list[float]] = {}
+            by_p: dict[int, list] = {}
             for pidx, v in pairs:
                 by_p.setdefault(pidx, []).append(v)
             out[name] = [sum(vs) / len(vs) for _, vs in sorted(by_p.items())]
@@ -382,8 +401,18 @@ def _group_values(records, key, value, pooling: str) -> dict:
     return out
 
 
-def _kw_over(groups: dict) -> TestResult:
-    return kruskal_wallis([groups[k] for k in sorted(groups)])
+def _pairwise(groups: dict, pairs) -> tuple[list[float], list[float]]:
+    """Rank-sum p-value of each pair of group keys, and the same p-values
+    Benjamini-Hochberg adjusted as one family."""
+    raw = [wilcoxon_rank_sum(groups[a], groups[b]).p_value for a, b in pairs]
+    return raw, benjamini_hochberg(raw)
+
+
+def _kw_over(groups: dict, kind: str) -> TestResult:
+    """Kruskal-Wallis across one pattern kind's (kind, level) groups, in
+    level order."""
+    levels = sorted(level for k, level in groups if k == kind)
+    return kruskal_wallis([groups[kind, level] for level in levels])
 
 
 @dataclass
@@ -391,35 +420,19 @@ class PairwiseComparison:
     group_a: str
     group_b: str
     p_value: float
-    p_adjusted: float = math.nan
+    p_adjusted: float
 
 
 @dataclass
 class Exp2Report:
+    """Persistence-study report; dataclasses.asdict of it is the report JSON."""
+
     pooling: str
     persistence_trial_pct: dict
     persistence_participant_pct: dict
     mean_confidence: dict
-    kw_ratio_s1: TestResult
-    kw_rate_s1: TestResult
-    kw_rate_s2: TestResult
-    kw_rate_s3: TestResult
+    kruskal_wallis: dict  # s1_by_ratio, s1_by_rate, s2_by_rate, s3_by_rate
     pairwise_by_rate: list[PairwiseComparison]
-
-    def to_dict(self) -> dict:
-        return {
-            "pooling": self.pooling,
-            "persistence_trial_pct": self.persistence_trial_pct,
-            "persistence_participant_pct": self.persistence_participant_pct,
-            "mean_confidence": self.mean_confidence,
-            "kruskal_wallis": {
-                "s1_by_ratio": asdict(self.kw_ratio_s1),
-                "s1_by_rate": asdict(self.kw_rate_s1),
-                "s2_by_rate": asdict(self.kw_rate_s2),
-                "s3_by_rate": asdict(self.kw_rate_s3),
-            },
-            "pairwise_by_rate": [asdict(c) for c in self.pairwise_by_rate],
-        }
 
 
 def analyze_exp2(records: Sequence[TrialRecord], pooling: str = "trials") -> Exp2Report:
@@ -430,107 +443,67 @@ def analyze_exp2(records: Sequence[TrialRecord], pooling: str = "trials") -> Exp
     comparisons at each cooling rate are Benjamini-Hochberg adjusted as
     one family.
     """
-    if pooling not in ("trials", "participants"):
-        raise ValidationError("pooling must be 'trials' or 'participants'")
-    if not records:
-        raise ValidationError("no records to analyze")
-    if any(rec.slider is None for rec in records):
-        raise ValidationError("analyze_exp2 needs slider traces on every record")
+    _check_input(records, pooling, "slider")
+    flags = [persistence(rec.slider) for rec in records]
+    # Per-trial mean confidence of cold over the presentation, percent.
+    confidence = [float(np.mean(rec.slider.values)) * 100.0 for rec in records]
 
-    persist_trials: dict[str, list[bool]] = {}
-    persist_parts: dict[str, dict[int, list[bool]]] = {}
-    for rec in records:
-        flag = persistence(rec.slider)
-        persist_trials.setdefault(rec.stimulus_id, []).append(flag)
-        persist_parts.setdefault(rec.stimulus_id, {}).setdefault(
-            rec.participant, []).append(flag)
+    persist_trials = _group(records, flags, "trials", "stimulus_id")
     persistence_trial_pct = {
-        sid: 100.0 * sum(flags) / len(flags)
-        for sid, flags in sorted(persist_trials.items())}
+        sid: 100.0 * sum(trial_flags) / len(trial_flags)
+        for sid, trial_flags in sorted(persist_trials.items())}
     # A participant counts as persistent on a pattern when most of their
-    # trials of it are persistent.
+    # trials of it are persistent: their mean flag is above one half.
+    persist_parts = _group(records, flags, "participants", "stimulus_id")
     persistence_participant_pct = {
-        sid: 100.0 * sum(
-            1 for flags in by_p.values() if sum(flags) * 2 > len(flags)
-        ) / len(by_p)
-        for sid, by_p in sorted(persist_parts.items())}
+        sid: 100.0 * sum(1 for share in shares if share > 0.5) / len(shares)
+        for sid, shares in sorted(persist_parts.items())}
+    conf_trials = _group(records, confidence, "trials", "stimulus_id")
+    mean_conf = {sid: float(np.mean(values))
+                 for sid, values in sorted(conf_trials.items())}
 
-    mean_conf = {
-        sid: float(np.mean([_mean_confidence(r) for r in records
-                            if r.stimulus_id == sid]))
-        for sid in persistence_trial_pct}
+    by_ratio = _group(records, confidence, pooling, "kind", "cooling_ratio")
+    by_rate = _group(records, confidence, pooling, "kind", "cooling_rate")
+    kw = {"s1_by_ratio": _kw_over(by_ratio, "S1"),
+          "s1_by_rate": _kw_over(by_rate, "S1"),
+          "s2_by_rate": _kw_over(by_rate, "S2"),
+          "s3_by_rate": _kw_over(by_rate, "S3")}
 
-    s1 = [r for r in records if r.kind == "S1"]
-    s2 = [r for r in records if r.kind == "S2"]
-    s3 = [r for r in records if r.kind == "S3"]
-    kw_ratio_s1 = _kw_over(_group_values(
-        s1, lambda r: r.cooling_ratio, _mean_confidence, pooling))
-    kw_rate_s1 = _kw_over(_group_values(
-        s1, lambda r: r.cooling_rate, _mean_confidence, pooling))
-    kw_rate_s2 = _kw_over(_group_values(
-        s2, lambda r: r.cooling_rate, _mean_confidence, pooling))
-    kw_rate_s3 = _kw_over(_group_values(
-        s3, lambda r: r.cooling_rate, _mean_confidence, pooling))
-
-    by_kind_rate = _group_values(
-        records, lambda r: (r.kind, r.cooling_rate), _mean_confidence, pooling)
-    comparisons = []
-    rates = sorted({r.cooling_rate for r in records})
-    for rate in rates:
-        for kind_a, kind_b in (("S1", "S2"), ("S1", "S3"), ("S2", "S3")):
-            a = by_kind_rate.get((kind_a, rate))
-            b = by_kind_rate.get((kind_b, rate))
-            if a and b:
-                result = wilcoxon_rank_sum(a, b)
-                comparisons.append(PairwiseComparison(
-                    f"{kind_a}@{rate}", f"{kind_b}@{rate}", result.p_value))
-    adjusted = benjamini_hochberg([c.p_value for c in comparisons])
-    for comp, adj in zip(comparisons, adjusted):
-        comp.p_adjusted = adj
+    pairs = [((kind_a, rate), (kind_b, rate))
+             for rate in sorted({rate for _, rate in by_rate})
+             for kind_a, kind_b in (("S1", "S2"), ("S1", "S3"), ("S2", "S3"))
+             if (kind_a, rate) in by_rate and (kind_b, rate) in by_rate]
+    raw, adjusted = _pairwise(by_rate, pairs)
+    comparisons = [PairwiseComparison(f"{a[0]}@{a[1]}", f"{b[0]}@{b[1]}", p, padj)
+                   for (a, b), p, padj in zip(pairs, raw, adjusted)]
 
     return Exp2Report(pooling, persistence_trial_pct,
-                      persistence_participant_pct, mean_conf,
-                      kw_ratio_s1, kw_rate_s1, kw_rate_s2, kw_rate_s3,
-                      comparisons)
+                      persistence_participant_pct, mean_conf, kw, comparisons)
 
 
 @dataclass
 class Exp3Report:
+    """Intensity-study report; dataclasses.asdict of it is the report JSON."""
+
     pooling: str
     mean_rating: dict
-    kw_stimulus: TestResult
+    kruskal_wallis: TestResult
     pairwise_raw: dict
     pairwise_adjusted: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "pooling": self.pooling,
-            "mean_rating": self.mean_rating,
-            "kruskal_wallis": asdict(self.kw_stimulus),
-            "pairwise_raw": {a: dict(row) for a, row in self.pairwise_raw.items()},
-            "pairwise_adjusted": {a: dict(row)
-                                  for a, row in self.pairwise_adjusted.items()},
-        }
 
 
 def analyze_exp3(records: Sequence[TrialRecord], pooling: str = "trials") -> Exp3Report:
     """Coldness-rating summary, the 5-group test, and the adjusted pairwise matrix."""
-    if pooling not in ("trials", "participants"):
-        raise ValidationError("pooling must be 'trials' or 'participants'")
-    if not records:
-        raise ValidationError("no records to analyze")
-    if any(rec.likert is None for rec in records):
-        raise ValidationError("analyze_exp3 needs a rating on every record")
+    _check_input(records, pooling, "likert")
+    ratings = [float(rec.likert) for rec in records]
 
-    groups = _group_values(records, lambda r: r.stimulus_id,
-                           lambda r: float(r.likert), pooling)
+    groups = _group(records, ratings, pooling, "stimulus_id")
     mean_rating = {sid: float(np.mean(vals)) for sid, vals in sorted(groups.items())}
-    kw = _kw_over(groups)
-
     ids = sorted(groups)
+    kw = kruskal_wallis([groups[sid] for sid in ids])
+
     pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
-    raw = [wilcoxon_rank_sum(groups[a], groups[b]).p_value for a, b in pairs]
-    adjusted = benjamini_hochberg(raw)
+    raw, adjusted = _pairwise(groups, pairs)
     raw_matrix = {a: {} for a in ids}
     adj_matrix = {a: {} for a in ids}
     for (a, b), p, padj in zip(pairs, raw, adjusted):
@@ -630,6 +603,13 @@ def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
                     for row in csv.DictReader(fh)]
         except (KeyError, OSError, TypeError, ValueError) as exc:
             raise ValidationError(f"cannot read {path}: {exc!r}") from exc
+        for rec in table:
+            has_lambda = rec.cooling_ratio is not None
+            if rec.kind not in KINDS or (rec.kind == "S1") != has_lambda:
+                raise ValidationError(
+                    f"{path}: trial {rec.trial} has kind {rec.kind!r} and lambda "
+                    f"{rec.cooling_ratio!r}; the kind must be one of {KINDS}, "
+                    f"with a lambda for S1 only")
         path = os.path.join(run_dir, "traces", f"p{pidx:02d}_slider.npy")
         if os.path.exists(path):
             try:

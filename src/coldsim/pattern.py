@@ -18,6 +18,7 @@ accumulate no floating-point drift and whole cycles balance exactly.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -95,6 +96,12 @@ def validate_spec(spec: StimulusSpec) -> list[SpecIssue]:
 
     if spec.kind not in KINDS:
         err(f"kind must be one of {KINDS}, got {spec.kind!r}")
+        return issues
+    for name in ("cooling_rate", "cooling_ratio", "swing", "duration", "drop_duration"):
+        value = getattr(spec, name)
+        if value is not None and not math.isfinite(value):
+            err(f"{name} must be a finite number, got {value!r}")
+    if issues:  # the checks below compare numbers, which inf and NaN defeat
         return issues
     if not spec.duration > 0:
         err("duration must be positive")

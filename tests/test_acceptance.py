@@ -203,8 +203,8 @@ def test_criterion_4_statistics_oracles():
 def test_criterion_5_pipeline_shape(exp2_result):
     result, report_obj, elapsed = exp2_result
     assert len(result.records) == 1575
-    assert report_obj.kw_ratio_s1.df == 4
-    assert report_obj.kw_rate_s1.df == 4
+    assert report_obj.kruskal_wallis["s1_by_ratio"].df == 4
+    assert report_obj.kruskal_wallis["s1_by_rate"].df == 4
     assert len(report_obj.pairwise_by_rate) == 15
     assert all(np.isfinite(c.p_adjusted) and c.p_adjusted >= c.p_value - 1e-15
                for c in report_obj.pairwise_by_rate)

@@ -32,9 +32,11 @@ def test_design_worked_example(tmp_path):
 
 
 def test_design_validation_exit_code(tmp_path):
-    for vc, out, named in (("0.1", tmp_path / "x.csv", "negative"),
-                           ("-0.1", tmp_path / "nodir" / "x.csv", "nodir")):
-        proc = run_cli("design", "--kind", "S1", "--vc", vc, "--ratio", "0.5",
+    for flags, out, named in ((["--vc", "0.1"], tmp_path / "x.csv", "negative"),
+                              (["--vc", "-0.1"], tmp_path / "nodir" / "x.csv", "nodir"),
+                              (["--vc", "-0.1", "--delta-t", "inf"],
+                               tmp_path / "x.csv", "swing must be a finite number")):
+        proc = run_cli("design", "--kind", "S1", *flags, "--ratio", "0.5",
                        "--out", str(out))
         assert proc.returncode == 1
         assert named in proc.stderr and ".tmp-coldsim-" not in proc.stderr
@@ -128,6 +130,17 @@ def test_experiment_run_and_analyze(tmp_path):
         lines[1] = "x" + lines[1][lines[1].index(","):]
         table.write_text("".join(lines))
 
+    def edit_s1_row(column, value):
+        def edit(copy):
+            table = copy / "participant_00.csv"
+            rows = list(csv.DictReader(table.read_text().splitlines()))
+            next(row for row in rows if row["kind"] == "S1")[column] = value
+            with table.open("w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows(rows)
+        return edit
+
     def write_sliders(shape):
         def edit(copy):
             (copy / "traces").mkdir(exist_ok=True)
@@ -143,6 +156,8 @@ def test_experiment_run_and_analyze(tmp_path):
                      "manifest.json"),
         "no_participants": (edit_manifest(participants=None), "manifest.json"),
         "bad_trial": (edit_trial, "participant_00.csv"),
+        "s1_without_lambda": (edit_s1_row("lambda", ""), "participant_00.csv"),
+        "unknown_kind": (edit_s1_row("kind", "S9"), "participant_00.csv"),
         "slider_rows": (write_sliders((14, 2, 1501)), "p01_slider.npy"),
         "slider_shape": (write_sliders((15, 1501)), "p01_slider.npy"),
     }
@@ -200,17 +215,25 @@ def test_experiment_run_refuses_nonempty_out(tmp_path):
     (run_dir / "junk.txt").write_text("hello")
     out_file = tmp_path / "out.txt"
     out_file.write_text("keep")
-    for out, kept, text in ((run_dir, run_dir / "junk.txt", "hello"),
-                            (out_file, out_file, "keep"),
-                            (tmp_path / "nodir" / "run", None, None)):
+    # Flags after the defaults override them; argparse keeps the last value.
+    for out, kept, text, flags in (
+            (run_dir, run_dir / "junk.txt", "hello", ()),
+            (out_file, out_file, "keep", ()),
+            (tmp_path / "nodir" / "run", None, "nodir", ()),
+            (tmp_path / "empty", None, "participants must be at least 1",
+             ("--participants", "0")),
+            (tmp_path / "seed", None, "--seed must be non-negative", ("--seed", "-1"))):
         proc = run_cli("experiment-run", "--exp", "3", "--participants", "1",
-                       "--seed", "7", "--out", str(out))
+                       "--seed", "7", *flags, "--out", str(out))
         assert proc.returncode == 1, proc.stderr
         if kept is None:
-            assert "nodir" in proc.stderr and ".tmp-" not in proc.stderr
+            assert text in proc.stderr and ".tmp-" not in proc.stderr
+            assert proc.stderr.count("error:") == 1 and "Traceback" not in proc.stderr
+            assert not out.exists()
         else:
             assert kept.read_text() == text
     assert not (tmp_path / "nodir").exists()
+    assert not list(tmp_path.glob(".tmp-*"))
 
 
 def test_cli_determinism_byte_identical(tmp_path):

@@ -382,14 +382,3 @@ def test_property_run_control_matches_scalar_steps(case):
     logged = list(zip(trace.duty_valve.tolist(), trace.duty_led.tolist(),
                       trace.valve_on.tolist(), trace.led_on.tolist()))
     assert logged == [states[i] for i in idx]
-
-
-def test_timeline_csv_export(tmp_path):
-    valve_model, led_model = exact_models(PlantParams())
-    timeline = schedule_to_timeline(
-        compile_schedule(StimulusSpec("S2", -0.16)), valve_model, led_model)
-    path = tmp_path / "timeline.csv"
-    timeline.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "channel,start_s,end_s,duty,active"
-    assert len(lines) == 1 + len(timeline.valve) + len(timeline.led)

@@ -1,16 +1,22 @@
 """Plans, the synthetic participant, the runner, and the analyses."""
 
+import importlib.util
+import math
 import tempfile
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coldsim import (ParticipantModel, PlantParams, SkinPlant, SliderTrace,
-                     UnreachableRateError, ValidationError, analyze_exp2,
-                     analyze_exp3, build_exp2_plan, build_exp3_plan,
-                     default_participants, exact_models, persistence,
-                     run_experiment, simulate_participant)
+import coldsim.experiment
+from coldsim import (CalibrationProtocol, ParticipantModel, PlantParams,
+                     SkinPlant, SliderTrace, UnreachableRateError,
+                     ValidationError, analyze_exp2, analyze_exp3,
+                     build_exp2_plan, build_exp3_plan, default_participants,
+                     exact_models, persistence, run_experiment,
+                     simulate_participant)
 from coldsim.experiment import (EXP2_RATIOS, EXP3_BASE_RATE, EXP3_RATES,
                                 TrialRecord, perturb_params, read_records,
                                 run_pipeline, write_records)
@@ -54,6 +60,24 @@ def test_exp3_plan_shape():
         -0.08, -0.16, -0.24]
     assert [s.spec.cooling_rate for s in plan.stimuli
             if s.spec.kind in ("S2", "S3")] == [EXP3_BASE_RATE] * 2 == [-0.16] * 2
+
+
+@pytest.mark.parametrize("make, named", [
+    (lambda: build_exp2_plan(participants=0), "participants"),
+    (lambda: build_exp3_plan(repetitions=-1), "repetitions"),
+    (lambda: build_exp2_plan(seed=-1), "seed"),
+    (lambda: run_pipeline(build_exp3_plan(participants=1), jitter=-0.5), "jitter"),
+    (lambda: run_pipeline(build_exp3_plan(participants=1), jitter=math.nan), "jitter"),
+    (lambda: run_pipeline(build_exp3_plan(participants=1), jitter=1.0), "jitter"),
+    (lambda: CalibrationProtocol(max_iters=0), "max_iters"),
+    (lambda: CalibrationProtocol(sensor_resolution=math.nan), "sensor_resolution"),
+    (lambda: CalibrationProtocol(sensor_resolution=-0.01), "sensor_resolution"),
+    (lambda: CalibrationProtocol(measurement_noise=-1.0), "measurement_noise"),
+    (lambda: CalibrationProtocol(measurement_noise=math.nan), "measurement_noise"),
+])
+def test_out_of_range_settings_rejected(make, named):
+    with pytest.raises(ValidationError, match=named):
+        make()
 
 
 def test_plan_ids_unique():
@@ -176,12 +200,28 @@ def test_perturb_params_keeps_grid_reachable():
         assert params.valve_gain * 0.601 + params.valve_bias <= -0.24
 
 
-def test_analyze_exp2_shapes_and_recount():
+def count_stats_calls(monkeypatch) -> Counter:
+    """Count calls to the stats functions the analyses look up on
+    coldsim.experiment, the attributes the benchmark's tracing replaces."""
+    calls = Counter()
+    for name in ("kruskal_wallis", "wilcoxon_rank_sum", "benjamini_hochberg"):
+        def counted(*args, _name=name, _fn=getattr(coldsim.experiment, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(coldsim.experiment, name, counted)
+    return calls
+
+
+def test_analyze_exp2_shapes_and_recount(monkeypatch):
     plan, result = small_pipeline(2)
+    calls = count_stats_calls(monkeypatch)
     report = analyze_exp2(result.records)
-    assert report.kw_ratio_s1.df == 4
-    assert report.kw_rate_s1.df == 4
-    assert report.kw_rate_s2.df == 4 and report.kw_rate_s3.df == 4
+    assert calls == {"kruskal_wallis": 4, "wilcoxon_rank_sum": 15,
+                     "benjamini_hochberg": 1}
+    assert report.kruskal_wallis["s1_by_ratio"].df == 4
+    assert report.kruskal_wallis["s1_by_rate"].df == 4
+    assert (report.kruskal_wallis["s2_by_rate"].df == 4
+            and report.kruskal_wallis["s3_by_rate"].df == 4)
     assert len(report.pairwise_by_rate) == 15
     assert all(c.p_adjusted >= c.p_value - 1e-15 for c in report.pairwise_by_rate)
     # persistence percentages equal a brute-force recount
@@ -195,7 +235,7 @@ def test_analyze_exp2_shapes_and_recount():
 def test_analyze_exp2_participant_pooling():
     plan, result = small_pipeline(2)
     report = analyze_exp2(result.records, pooling="participants")
-    assert report.kw_rate_s1.df == 4
+    assert report.kruskal_wallis["s1_by_rate"].df == 4
     with pytest.raises(ValidationError):
         analyze_exp2(result.records, pooling="bananas")
 
@@ -206,15 +246,18 @@ def test_analyze_exp2_identical_traces_degenerate():
     for rec in result.records:
         rec.slider = SliderTrace(t, np.full_like(t, 0.75))
     report = analyze_exp2(result.records)
-    assert report.kw_ratio_s1.statistic == 0.0
-    assert report.kw_rate_s1.statistic == 0.0
-    assert report.kw_rate_s1.p_value == 1.0
+    assert report.kruskal_wallis["s1_by_ratio"].statistic == 0.0
+    assert report.kruskal_wallis["s1_by_rate"].statistic == 0.0
+    assert report.kruskal_wallis["s1_by_rate"].p_value == 1.0
 
 
-def test_analyze_exp3_shapes():
+def test_analyze_exp3_shapes(monkeypatch):
     plan, result = small_pipeline(3)
+    calls = count_stats_calls(monkeypatch)
     report = analyze_exp3(result.records)
-    assert report.kw_stimulus.df == 4
+    assert calls == {"kruskal_wallis": 1, "wilcoxon_rank_sum": 10,
+                     "benjamini_hochberg": 1}
+    assert report.kruskal_wallis.df == 4
     ids = sorted(report.mean_rating)
     for a in ids:
         for b in ids:
@@ -224,12 +267,22 @@ def test_analyze_exp3_shapes():
             assert report.pairwise_adjusted[a][b] >= report.pairwise_raw[a][b] - 1e-15
 
 
+def test_benchmark_patch_targets_exist():
+    path = Path(__file__).resolve().parents[1] / "coldbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("coldbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, names in spans.PATCHED.items():
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+
+
 def test_analyze_exp3_identical_ratings():
     plan, result = small_pipeline(3)
     for rec in result.records:
         rec.likert = 4
     report = analyze_exp3(result.records)
-    assert report.kw_stimulus.p_value == 1.0
+    assert report.kruskal_wallis.p_value == 1.0
     for a, row in report.pairwise_raw.items():
         assert all(p == 1.0 for p in row.values())
 

@@ -1,6 +1,8 @@
 """Pattern algebra: derivation, compilation, validation, and invariants."""
 
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -95,6 +97,12 @@ def test_validate_messages():
     assert any("swing" in i.message for i in issues if i.severity == "error")
     issues = validate_spec(StimulusSpec("S1", -0.1, 0.0, 0.06))
     assert any("cooling_ratio" in i.message for i in issues if i.severity == "error")
+    for name in ("cooling_rate", "cooling_ratio", "swing", "duration", "drop_duration"):
+        for value in (math.inf, -math.inf, math.nan):
+            spec = replace(StimulusSpec("S1", -0.1, 0.5), **{name: value})
+            issues = validate_spec(spec)
+            assert [(i.severity, i.message) for i in issues] == [
+                ("error", f"{name} must be a finite number, got {value!r}")]
 
 
 def test_validate_cycle_floor_boundary():
