@@ -103,12 +103,9 @@ def _add_stimulus_flags(parser) -> None:
 def cmd_design(args) -> None:
     started = time.perf_counter()
     spec = _spec_from_args(args)
-    issues = pattern.validate_spec(spec)
-    for issue in issues:
-        print(f"{issue.severity}: {issue.message}", file=sys.stderr)
-    if any(i.severity == "error" for i in issues):
-        raise ValidationError("; ".join(
-            i.message for i in issues if i.severity == "error"))
+    for issue in pattern.validate_spec(spec):
+        if issue.severity != "error":  # compile_schedule raises the errors
+            print(f"{issue.severity}: {issue.message}", file=sys.stderr)
     schedule = pattern.compile_schedule(spec)
     _atomic_write(args.out, schedule.to_csv)
     _status(args, "design", started, out=args.out,

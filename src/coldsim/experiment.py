@@ -28,10 +28,11 @@ from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.signal import lfilter
 
 from .control import (LED_DUTY_RANGE, VALVE_DUTY_RANGE, CalibrationResult,
                       DutyModel, calibrate, run_control, schedule_to_timeline)
-from .errors import UnreachableRateError, ValidationError
+from .errors import UnreachableRateError, ValidationError, check_numbers
 from .pattern import KINDS, StimulusSpec, compile_schedule, stimulus_id
 from .plant import PlantParams, SkinPlant, Trace
 from .stats import TestResult, benjamini_hochberg, kruskal_wallis, wilcoxon_rank_sum
@@ -73,10 +74,13 @@ class ParticipantModel:
     hold_time: float = 3.0           # s release time of a held percept
 
     def __post_init__(self):
-        numeric = (self.detect_threshold, self.slider_lag, self.response_noise,
-                   self.warm_attenuation, self.gain, self.hold_time)
-        if any(v < 0 for v in numeric):
-            raise ValidationError("participant parameters must be non-negative")
+        nonnegative = ("detect_threshold", "slider_lag", "response_noise",
+                       "warm_attenuation", "gain", "hold_time")
+        check_numbers(self, nonnegative + ("time_constant",))
+        for name in nonnegative:
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be non-negative, "
+                                      f"got {getattr(self, name)!r}")
         if not self.time_constant > 0:
             raise ValidationError("time_constant must be positive")
 
@@ -109,12 +113,7 @@ def perceived_rate(trace: Trace, model: ParticipantModel) -> np.ndarray:
     rate[1:] = np.diff(temp) / sample_dt
     rate[0] = rate[1]
     alpha = 1.0 - math.exp(-sample_dt / model.time_constant)
-    smoothed = np.empty_like(rate)
-    level = 0.0
-    for i in range(len(rate)):
-        level += alpha * (rate[i] - level)
-        smoothed[i] = level
-    return smoothed
+    return lfilter([alpha], [1.0, alpha - 1.0], rate)
 
 
 def simulate_participant(trace: Trace, model: ParticipantModel,
@@ -136,12 +135,15 @@ def simulate_participant(trace: Trace, model: ParticipantModel,
     raw = 0.5 - 0.5 * np.tanh(model.gain * felt)
 
     release = math.exp(-sample_dt / model.hold_time) if model.hold_time > 0 else 0.0
-    held = np.empty_like(raw)
-    prev = 0.5
-    for i in range(len(raw)):
-        decayed = 0.5 + (prev - 0.5) * release
-        prev = raw[i] if abs(raw[i] - 0.5) >= abs(decayed - 0.5) else decayed
-        held[i] = prev
+    held = raw
+    if release > 0:
+        # Sample i holds the j <= i with the largest |raw[j] - 0.5| / release**j
+        # (the latest on ties), decayed by release**(i - j).
+        log_r, i = math.log(release), np.arange(len(raw))
+        with np.errstate(divide="ignore"):  # a neutral sample's key is -inf
+            key = np.log(np.abs(raw - 0.5)) - i * log_r
+        src = np.maximum.accumulate(np.where(key == np.maximum.accumulate(key), i, 0))
+        held = 0.5 + (raw[src] - 0.5) * np.exp(log_r * (i - src))
 
     lag_samples = int(round(model.slider_lag / sample_dt))
     lagged = np.full_like(held, 0.5)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, asdict
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -185,26 +184,35 @@ class SkinPlant:
         return read_sensor(self.state, resolution)
 
 
+def _decimal(x) -> tuple[int, int]:
+    """The decimal string of x as the exact fraction num / 10**q, q >= 0."""
+    mantissa, _, exponent = str(x).partition("e")
+    whole, _, digits = mantissa.partition(".")
+    num, q = int(whole + digits), len(digits) - int(exponent or 0)
+    return (num, q) if q >= 0 else (num * 10**-q, 0)
+
+
 def read_sensor(state: PlantState, resolution: float = DEFAULT_SENSOR_RESOLUTION) -> SensorReading:
     """Quantize the skin temperature to the sensor grid.
 
     The reading is the nearest integer multiple of the resolution, with
     exact halves rounded away from zero.  Quantization happens in exact
-    decimal arithmetic so grid and tie behavior do not depend on binary
-    float representation.  A resolution of 0 returns the raw value
-    (ideal sensor).
+    integer arithmetic on the decimal strings of both values, so grid
+    and tie behavior do not depend on binary float representation; the
+    final int / int division is correctly rounded.  A resolution of 0
+    returns the raw value (ideal sensor).
     """
     if resolution < 0:
         raise ValidationError("resolution must be non-negative")
     if resolution == 0:
         return SensorReading(state.t_skin, 0.0)
-    ratio = Fraction(str(state.t_skin)) / Fraction(str(resolution))
-    magnitude = abs(ratio)
-    ticks = int(magnitude + Fraction(1, 2))  # int() truncates: half rounds up
-    if ratio < 0:
+    t_num, t_q = _decimal(state.t_skin)
+    r_num, r_q = _decimal(resolution)
+    num, den = t_num * 10**r_q, r_num * 10**t_q  # t_skin / resolution
+    ticks = (2 * abs(num) + den) // (2 * den)  # floor(|ratio| + 1/2)
+    if num < 0:
         ticks = -ticks
-    value = float(ticks * Fraction(str(resolution)))
-    return SensorReading(value, resolution)
+    return SensorReading(ticks * r_num / 10**r_q, resolution)
 
 
 @dataclass

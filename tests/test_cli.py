@@ -40,6 +40,7 @@ def test_design_validation_exit_code(tmp_path):
                        "--out", str(out))
         assert proc.returncode == 1
         assert named in proc.stderr and ".tmp-coldsim-" not in proc.stderr
+        assert [line.startswith("error:") for line in proc.stderr.splitlines()] == [True]
         assert not out.exists()
     assert not (tmp_path / "nodir").exists()
 

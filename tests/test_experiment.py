@@ -18,8 +18,9 @@ from coldsim import (CalibrationProtocol, ParticipantModel, PlantParams,
                      exact_models, persistence, run_experiment,
                      simulate_participant)
 from coldsim.experiment import (EXP2_RATIOS, EXP3_BASE_RATE, EXP3_RATES,
-                                TrialRecord, perturb_params, read_records,
-                                run_pipeline, write_records)
+                                TrialRecord, peak_cooling_rate, perceived_rate,
+                                perturb_params, read_records, run_pipeline,
+                                write_records)
 from coldsim.pattern import stimulus_id
 from coldsim.plant import Trace
 
@@ -74,6 +75,14 @@ def test_exp3_plan_shape():
     (lambda: CalibrationProtocol(sensor_resolution=-0.01), "sensor_resolution"),
     (lambda: CalibrationProtocol(measurement_noise=-1.0), "measurement_noise"),
     (lambda: CalibrationProtocol(measurement_noise=math.nan), "measurement_noise"),
+    (lambda: ParticipantModel(gain=-1.0), "gain"),
+    (lambda: ParticipantModel(gain=math.nan), "gain"),
+    (lambda: ParticipantModel(hold_time=math.inf), "hold_time"),
+    (lambda: ParticipantModel(detect_threshold=-math.inf), "detect_threshold"),
+    (lambda: ParticipantModel(slider_lag=math.nan), "slider_lag"),
+    (lambda: ParticipantModel(time_constant=0.0), "time_constant"),
+    (lambda: ParticipantModel(time_constant=math.nan), "time_constant"),
+    (lambda: ParticipantModel(time_constant=math.inf), "time_constant"),
 ])
 def test_out_of_range_settings_rejected(make, named):
     with pytest.raises(ValidationError, match=named):
@@ -126,6 +135,109 @@ def test_participant_rejects_slow_sampling():
                       np.zeros_like(t, dtype=bool), np.zeros_like(t, dtype=bool))
         with pytest.raises(ValidationError):
             simulate_participant(trace, ParticipantModel())
+
+
+def loop_perceived_rate(trace, model):
+    """The scalar low-pass that perceived_rate's lfilter replaced, kept as
+    its oracle."""
+    sample_dt = float(trace.time[1] - trace.time[0])
+    temp = np.asarray(trace.temp, dtype=float)
+    rate = np.empty_like(temp)
+    rate[1:] = np.diff(temp) / sample_dt
+    rate[0] = rate[1]
+    alpha = 1.0 - math.exp(-sample_dt / model.time_constant)
+    smoothed = np.empty_like(rate)
+    level = 0.0
+    for i in range(len(rate)):
+        level += alpha * (rate[i] - level)
+        smoothed[i] = level
+    return smoothed
+
+
+def loop_slider(trace, model):
+    """The noise-free slider with the scalar hold-and-release loop that
+    simulate_participant's running maximum replaced, kept as its oracle."""
+    sample_dt = float(trace.time[1] - trace.time[0])
+    p = loop_perceived_rate(trace, model)
+    felt = np.where(p > 0.0, p * model.warm_attenuation, p)
+    felt = np.where(np.abs(felt) >= model.detect_threshold, felt, 0.0)
+    raw = 0.5 - 0.5 * np.tanh(model.gain * felt)
+    release = math.exp(-sample_dt / model.hold_time) if model.hold_time > 0 else 0.0
+    held = np.empty_like(raw)
+    prev = 0.5
+    for i in range(len(raw)):
+        decayed = 0.5 + (prev - 0.5) * release
+        prev = raw[i] if abs(raw[i] - 0.5) >= abs(decayed - 0.5) else decayed
+        held[i] = prev
+    lag_samples = int(round(model.slider_lag / sample_dt))
+    lagged = np.full_like(held, 0.5)
+    if lag_samples < len(held):
+        lagged[lag_samples:] = held[:len(held) - lag_samples]
+    return np.clip(lagged, 0.0, 1.0)
+
+
+# One trace segment: (rate in degC/s, samples, noise in degC/s, noise seed).
+# Rate 0 without noise is a flat run, which leaves the perceived rate
+# decaying toward 0 and, once in the dead zone, a neutral raw percept;
+# equal and opposite rates give raws of equal size and opposite sign
+# (exactly 0 and 1 once the gain saturates tanh).
+SEGMENT = st.tuples(st.sampled_from([0.0, 0.0, -0.24, 0.24, -0.08, 0.08, -1.0, 1.0])
+                    | st.floats(-1.0, 1.0),
+                    st.integers(1, 400), st.sampled_from([0.0, 0.0, 0.05, 1.0]),
+                    st.integers(0, 2**32 - 1))
+
+
+def decades(default):
+    return st.sampled_from([default / 10, default, 10 * default]) | st.floats(
+        default / 10, 10 * default)
+
+
+# hold_time is bounded above: with a real decay, a later percept of the
+# held size wins by k * |log r| after k samples, far above rounding.  Once
+# sample_dt / hold_time is below about 1e-16, exp rounds r to 1.0 and
+# nothing decays, so a later percept of about the held size and opposite
+# sign is decided by rounding alone (rounded held values in the loop,
+# logs in the vectorized keys), and the two forms may hold opposite signs.
+# 1e-6 s makes r underflow to 0, which must behave as hold_time = 0.
+@settings(max_examples=150, deadline=None)
+@given(segments=st.lists(SEGMENT, min_size=1, max_size=8),
+       hold_time=st.sampled_from([0.0, 1e-6, 0.01, 3.0, 30.0]) | st.floats(0.01, 30.0),
+       time_constant=st.sampled_from([0.05, 1.0, 10.0]) | st.floats(0.05, 10.0),
+       gain=decades(60.0), warm_attenuation=decades(0.3),
+       detect_threshold=decades(0.02), slider_lag=st.sampled_from([0.0, 0.5]))
+def test_property_participant_matches_scalar_loops(segments, hold_time, time_constant,
+                                                   gain, warm_attenuation,
+                                                   detect_threshold, slider_lag):
+    steps = [np.full(n, rate * 0.01)
+             + noise * 0.01 * np.random.default_rng(seed).standard_normal(n)
+             for rate, n, noise, seed in segments]
+    temp = 33.0 + np.cumsum(np.concatenate([[0.0], *steps]))
+    t = np.arange(len(temp)) * 0.01
+    zeros, off = np.zeros_like(t), np.zeros_like(t, dtype=bool)
+    trace = Trace(t, temp, zeros, zeros, off, off)
+    model = ParticipantModel(detect_threshold=detect_threshold,
+                             time_constant=time_constant, slider_lag=slider_lag,
+                             response_noise=0.0, warm_attenuation=warm_attenuation,
+                             gain=gain, hold_time=hold_time)
+    oracle_rate = loop_perceived_rate(trace, model)
+    assert np.max(np.abs(perceived_rate(trace, model) - oracle_rate)) <= 1e-12
+    assert peak_cooling_rate(trace, model) == pytest.approx(
+        max(0.0, -np.min(oracle_rate)), rel=0, abs=1e-12)
+    slider = simulate_participant(trace, model)
+    assert np.array_equal(slider.time, t)
+    assert np.max(np.abs(slider.values - loop_slider(trace, model))) <= 1e-12
+
+
+def test_participant_zero_hold_time_holds_nothing():
+    trace = flat_trace(-0.24, duration=4.0)
+    trace.temp[200:] = trace.temp[199] + 0.0024 * np.arange(1, len(trace.temp) - 199)
+    model = ParticipantModel(hold_time=0.0, slider_lag=0.0, response_noise=0.0)
+    p = perceived_rate(trace, model)
+    felt = np.where(p > 0.0, p * model.warm_attenuation, p)
+    felt = np.where(np.abs(felt) >= model.detect_threshold, felt, 0.0)
+    raw = 0.5 - 0.5 * np.tanh(model.gain * felt)
+    assert np.array_equal(simulate_participant(trace, model).values, raw)
+    assert np.any(raw == 0.5)  # the dead zone while the rate turns over
 
 
 def test_persistence_window():

@@ -1,8 +1,11 @@
 """Skin-node plant: stepping, sensor quantization, configs."""
 
+import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from coldsim import (PlantParams, SkinPlant, ValidationError, load_plant_config,
                      read_sensor, save_plant_config, step)
@@ -69,6 +72,34 @@ def test_sensor_quantization_property():
 
 def test_sensor_negative_tie_rounds_away():
     assert read_sensor(make_state(-30.0125), 0.025).value == -30.025
+
+
+def fraction_read(temp, resolution):
+    """The exact-Fraction quantizer that read_sensor's integer arithmetic
+    replaced, kept as its oracle."""
+    ratio = Fraction(str(temp)) / Fraction(str(resolution))
+    ticks = int(abs(ratio) + Fraction(1, 2))  # int() truncates: half rounds up
+    if ratio < 0:
+        ticks = -ticks
+    return float(ticks * Fraction(str(resolution)))
+
+
+@given(data=st.data(),
+       resolution=st.sampled_from([0.025, 0.01, 0.1, 0.0625, 0.3, 1.0, 2.5e-7]))
+def test_property_sensor_matches_fraction_oracle(data, resolution):
+    half_tick = st.integers(-10**7, 10**7).map(  # e.g. +-30.0125 at 0.025
+        lambda k: float((k + Fraction(1, 2)) * Fraction(str(resolution))))
+    temp = data.draw(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False), st.floats(-100.0, 100.0),
+        half_tick, st.sampled_from([30.0125, -30.0125, -0.0, 5e-324, -1e-300])))
+    try:
+        expected = fraction_read(temp, resolution)
+    except OverflowError:  # the nearest multiple is beyond the float range
+        with pytest.raises(OverflowError):
+            read_sensor(make_state(temp), resolution)
+        return
+    value = read_sensor(make_state(temp), resolution).value
+    assert struct.pack("<d", value) == struct.pack("<d", expected)
 
 
 def test_deterministic_with_equal_seeds():
