@@ -142,7 +142,7 @@ def cmd_simulate(args) -> None:
               file=sys.stderr)
     timeline = control.schedule_to_timeline(schedule, valve_model, led_model)
     sim = plant.SkinPlant(params, seed=args.seed)
-    trace = control.run_control(timeline, sim, dt=args.dt)
+    trace = control.run_control(timeline, sim)
     _atomic_write(args.out, trace.to_csv)
     _status(args, "simulate", started, out=args.out,
             net_delta_t=trace.net_delta_t, samples=len(trace.time))
@@ -232,7 +232,6 @@ def build_parser() -> Parser:
     _add_stimulus_flags(p)
     p.add_argument("--models", default=None,
                    help="models JSON from calibrate (exact models if omitted)")
-    p.add_argument("--dt", type=float, default=plant.DT)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 

@@ -341,12 +341,11 @@ class ChannelSpan:
     start: float
     end: float
     duty: float
-    active: bool
 
 
 @dataclass(frozen=True)
 class ActuatorTimeline:
-    """Per-channel duty spans covering [0, duration]."""
+    """Per-channel duty spans over [0, duration]; off outside them."""
 
     valve: tuple[ChannelSpan, ...]
     led: tuple[ChannelSpan, ...]
@@ -364,7 +363,7 @@ def schedule_to_timeline(schedule: RateSchedule, valve_model: DutyModel,
     """
     base_rate = schedule.base_cooling_rate
     valve_duty = invert_duty(valve_model, base_rate)
-    valve_spans = [ChannelSpan(0.0, schedule.duration_s, valve_duty, True)]
+    valve_spans = [ChannelSpan(0.0, schedule.duration_s, valve_duty)]
     led_spans = []
     for index, seg in enumerate(schedule.segments):
         if seg.warm_active:
@@ -375,33 +374,27 @@ def schedule_to_timeline(schedule: RateSchedule, valve_model: DutyModel,
                 raise UnreachableRateError(
                     exc.channel, exc.target_rate, exc.rate_min, exc.rate_max,
                     segment_index=index) from exc
-            led_spans.append(ChannelSpan(seg.start_s, seg.end_s, led_duty, True))
-        else:
-            led_spans.append(ChannelSpan(seg.start_s, seg.end_s, 0.0, False))
+            led_spans.append(ChannelSpan(seg.start_s, seg.end_s, led_duty))
     return ActuatorTimeline(tuple(valve_spans), tuple(led_spans),
                             schedule.duration_s)
 
 
-def run_control(timeline: ActuatorTimeline, plant: SkinPlant,
-                dt: float = DT) -> Trace:
-    """Step the plant under a timeline and log at LOG_RATE.
+def run_control(timeline: ActuatorTimeline, plant: SkinPlant) -> Trace:
+    """Step the plant under a timeline at DT and log at LOG_RATE.
 
     Each channel's spans must be ordered and disjoint; a step outside
-    every active span has that channel off.  Span boundaries are snapped
-    to the nearest step; an active span that would vanish entirely in
-    the snapping is an error.  The plant runs the whole presentation in
-    one call, and the returned trace covers t = 0 through the end of the
-    timeline inclusive.
+    every span has that channel off.  Span boundaries are snapped to the
+    nearest step; a span that would vanish entirely in the snapping is
+    an error.  The plant runs the whole presentation in one call, and
+    the returned trace covers t = 0 through the end of the timeline
+    inclusive: the grid k / LOG_RATE, plus the end itself when it is off
+    that grid.
     """
-    if not dt > 0:
-        raise ValidationError("dt must be positive")
-    total_ticks = int(round(timeline.duration / dt))
-
-    n_log = total_ticks + 1
-    duty_valve = np.zeros(n_log)
-    duty_led = np.zeros(n_log)
-    valve_on = np.zeros(n_log, dtype=bool)
-    led_on = np.zeros(n_log, dtype=bool)
+    n = int(round(timeline.duration / DT))
+    duty_valve = np.zeros(n)
+    duty_led = np.zeros(n)
+    valve_on = np.zeros(n, dtype=bool)
+    led_on = np.zeros(n, dtype=bool)
     for spans, duty, on in ((timeline.valve, duty_valve, valve_on),
                             (timeline.led, duty_led, led_on)):
         prev_end = 0.0
@@ -411,39 +404,24 @@ def run_control(timeline: ActuatorTimeline, plant: SkinPlant,
                     f"span [{span.start}, {span.end}) is out of order: spans on "
                     f"one channel must be ordered and disjoint from t = 0")
             prev_end = span.end
-            if not span.active:
-                continue
             # Boundaries snap to the nearest step (that is always within
-            # half a step); a nonempty active span must still survive.
-            t0, t1 = (min(int(round(t / dt)), total_ticks)
-                      for t in (span.start, span.end))
+            # half a step); a nonempty span must still survive.
+            t0, t1 = (min(int(round(t / DT)), n) for t in (span.start, span.end))
             if t0 == t1 and span.end > span.start:
                 raise ValidationError(
-                    f"active span [{span.start}, {span.end}) collapses to "
-                    f"zero steps at dt={dt}")
+                    f"span [{span.start}, {span.end}) collapses to zero "
+                    f"steps of {DT} s")
             duty[t0:t1] = span.duty
             on[t0:t1] = True
-    # Hold the last actuator state on the final logged sample.
-    if total_ticks > 0:
-        for column in (duty_valve, duty_led, valve_on, led_on):
-            column[-1] = column[-2]
 
-    temp = np.empty(n_log)
+    temp = np.empty(n + 1)
     temp[0] = plant.t_skin
-    temp[1:] = plant.run_span(duty_valve=duty_valve[:-1], duty_led=duty_led[:-1],
-                              valve_on=valve_on[:-1], led_on=led_on[:-1],
-                              dt=dt, n_steps=total_ticks)
+    temp[1:] = plant.run_span(duty_valve=duty_valve, duty_led=duty_led,
+                              valve_on=valve_on, led_on=led_on, n_steps=n)
 
-    log_every = max(1, int(round(1.0 / (LOG_RATE * dt))))
-    idx = np.arange(0, n_log, log_every)
-    if idx[-1] != n_log - 1:
-        idx = np.append(idx, n_log - 1)
-    if abs(log_every * dt - 1.0 / LOG_RATE) < 1e-12:
-        # Aligned subsampling: emit exact log-grid timestamps.
-        time = (idx // log_every) / LOG_RATE
-        if idx[-1] % log_every:
-            time[-1] = idx[-1] * dt
-    else:
-        time = idx * dt
-    return Trace(np.asarray(time, dtype=float), temp[idx], duty_valve[idx],
-                 duty_led[idx], valve_on[idx], led_on[idx])
+    log_every = int(round(1.0 / (LOG_RATE * DT)))  # steps per logged sample
+    idx = np.arange(0, n + 1, log_every)
+    time = np.arange(len(idx)) / LOG_RATE
+    if n % log_every:
+        idx, time = np.append(idx, n), np.append(time, n * DT)
+    return Trace(time, temp[idx])

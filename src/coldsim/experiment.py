@@ -30,8 +30,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.signal import lfilter
 
-from .control import (LED_DUTY_RANGE, VALVE_DUTY_RANGE, CalibrationResult,
-                      DutyModel, calibrate, run_control, schedule_to_timeline)
+from .control import (LED_DUTY_RANGE, LOG_RATE, VALVE_DUTY_RANGE,
+                      CalibrationResult, DutyModel, calibrate, run_control,
+                      schedule_to_timeline)
 from .errors import UnreachableRateError, ValidationError, check_numbers
 from .pattern import KINDS, StimulusSpec, compile_schedule, stimulus_id
 from .plant import PlantParams, SkinPlant, Trace
@@ -51,7 +52,7 @@ PERSISTENCE_WINDOW = (5.0, 15.0)
 RATING_PEAK_SCALE = 0.3
 
 # Run directory layout that write_records writes and read_records reads.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -523,9 +524,11 @@ def write_records(records: Sequence[TrialRecord], plan: ExperimentPlan,
     """One CSV and one slider array per participant, a temperature trace
     CSV per trial, and a manifest.
 
-    Row k of `pXX_slider.npy` (float64, shape (trials, 2, samples)) holds
-    the time grid and slider values of row k of `participant_XX.csv`;
-    `traces=False` skips only the temperature trace files.
+    Row k of `pXX_slider.npy` (float64, shape (trials, samples)) holds the
+    slider values of row k of `participant_XX.csv`; their time is the
+    grid k / LOG_RATE, which is not stored, and a slider sampled on any
+    other grid raises ValidationError.  `traces=False` skips only the
+    temperature trace files.
     """
     os.makedirs(out_dir, exist_ok=True)
     trace_dir = os.path.join(out_dir, "traces")
@@ -552,9 +555,15 @@ def write_records(records: Sequence[TrialRecord], plan: ExperimentPlan,
                 rec.trace.to_csv(os.path.join(
                     trace_dir, f"p{pidx:02d}_t{rec.trial:03d}_temp.csv"))
         if any(rec.slider is not None for rec in recs):
+            grid = np.arange(len(recs[0].slider.time)) / LOG_RATE
+            for rec in recs:
+                if not np.array_equal(rec.slider.time, grid):
+                    raise ValidationError(
+                        f"participant {pidx} trial {rec.trial}: slider time is "
+                        f"not the grid k / {LOG_RATE:g} s that read_records rebuilds")
             np.save(os.path.join(trace_dir, f"p{pidx:02d}_slider.npy"),
-                    np.stack([(rec.slider.time, rec.slider.values)
-                              for rec in recs], dtype=np.float64))
+                    np.stack([rec.slider.values for rec in recs],
+                             dtype=np.float64))
     manifest = {
         "format_version": FORMAT_VERSION,
         "experiment": plan.experiment,
@@ -574,8 +583,9 @@ def write_records(records: Sequence[TrialRecord], plan: ExperimentPlan,
 def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
     """Load records written by write_records; sliders load when present.
 
-    A directory that is not a complete format-2 run raises
-    ValidationError naming the file at fault.
+    A directory that is not a complete format-3 run raises
+    ValidationError naming the file at fault.  The sliders of one
+    participant share one time array, the grid k / LOG_RATE.
     """
     manifest_path = os.path.join(run_dir, "manifest.json")
     try:
@@ -622,12 +632,13 @@ def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
             if not isinstance(sliders, np.ndarray):  # np.load also opens .npz
                 sliders.close()
                 raise ValidationError(f"{path} is an .npz archive, not an .npy file")
-            if (sliders.dtype != np.float64 or sliders.ndim != 3
-                    or sliders.shape[:2] != (len(table), 2)):
+            if (sliders.dtype != np.float64 or sliders.ndim != 2
+                    or sliders.shape[0] != len(table)):
                 raise ValidationError(
                     f"{path} holds {sliders.dtype} of shape {sliders.shape}, not "
-                    f"float64 of shape ({len(table)}, 2, samples)")
-            for rec, (time, values) in zip(table, sliders):
+                    f"float64 of shape ({len(table)}, samples)")
+            time = np.arange(sliders.shape[1]) / LOG_RATE
+            for rec, values in zip(table, sliders):
                 rec.slider = SliderTrace(time, values)
         records.extend(table)
     return records, manifest

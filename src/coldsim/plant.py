@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, asdict
 from typing import Optional
 
@@ -202,8 +203,9 @@ def read_sensor(state: PlantState, resolution: float = DEFAULT_SENSOR_RESOLUTION
     final int / int division is correctly rounded.  A resolution of 0
     returns the raw value (ideal sensor).
     """
-    if resolution < 0:
-        raise ValidationError("resolution must be non-negative")
+    if not 0 <= resolution < math.inf:
+        raise ValidationError(
+            f"resolution must be finite and non-negative, got {resolution!r}")
     if resolution == 0:
         return SensorReading(state.t_skin, 0.0)
     t_num, t_q = _decimal(state.t_skin)
@@ -217,14 +219,10 @@ def read_sensor(state: PlantState, resolution: float = DEFAULT_SENSOR_RESOLUTION
 
 @dataclass
 class Trace:
-    """Logged simulation trace sampled on the logging grid."""
+    """Skin temperature sampled on the logging grid."""
 
     time: np.ndarray
     temp: np.ndarray
-    duty_valve: np.ndarray
-    duty_led: np.ndarray
-    valve_on: np.ndarray
-    led_on: np.ndarray
 
     @property
     def net_delta_t(self) -> float:
@@ -233,15 +231,8 @@ class Trace:
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["time_s", "temp_c", "duty_valve", "duty_led",
-                             "valve_on", "led_on"])
-            for i in range(len(self.time)):
-                writer.writerow([
-                    float(self.time[i]), float(self.temp[i]),
-                    float(self.duty_valve[i]), float(self.duty_led[i]),
-                    str(bool(self.valve_on[i])).lower(),
-                    str(bool(self.led_on[i])).lower(),
-                ])
+            writer.writerow(["time_s", "temp_c"])
+            writer.writerows(zip(self.time.tolist(), self.temp.tolist()))
 
 
 def save_plant_config(params: PlantParams, path) -> None:

@@ -67,6 +67,7 @@ def test_calibrate_and_simulate(tmp_path):
     assert status["net_delta_t"] == pytest.approx(-2.4, abs=0.1)
     rows = list(csv.DictReader(trace.open()))
     assert len(rows) == 1501
+    assert list(rows[0]) == ["time_s", "temp_c"]
 
     # Unreadable plant configs and model files exit 1 naming the file.
     bad_slope = json.loads(models.read_text())
@@ -151,6 +152,7 @@ def test_experiment_run_and_analyze(tmp_path):
     corruptions = {
         "future": (edit_manifest(format_version=7), "format_version"),
         "v1": (edit_manifest(format_version=1), "re-run experiment-run"),
+        "v2": (edit_manifest(format_version=2), "re-run experiment-run"),
         "partial": (lambda copy: (copy / "participant_01.csv").unlink(),
                     "participant_01.csv"),
         "not_json": (lambda copy: (copy / "manifest.json").write_text("{oops"),
@@ -159,8 +161,8 @@ def test_experiment_run_and_analyze(tmp_path):
         "bad_trial": (edit_trial, "participant_00.csv"),
         "s1_without_lambda": (edit_s1_row("lambda", ""), "participant_00.csv"),
         "unknown_kind": (edit_s1_row("kind", "S9"), "participant_00.csv"),
-        "slider_rows": (write_sliders((14, 2, 1501)), "p01_slider.npy"),
-        "slider_shape": (write_sliders((15, 1501)), "p01_slider.npy"),
+        "slider_rows": (write_sliders((14, 1501)), "p01_slider.npy"),
+        "slider_shape": (write_sliders((15, 2, 1501)), "p01_slider.npy"),
     }
     for name, (edit, named) in corruptions.items():
         assert_analyze_rejects(tmp_path, run_dir, "3", name, edit, named)

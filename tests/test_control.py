@@ -14,6 +14,7 @@ from coldsim import (CalibrationError, CalibrationPoint, CalibrationProtocol,
                      mean_rate, run_control, schedule_to_timeline)
 from coldsim.control import (DRIFT_THRESHOLD, LED_GRID, MEASURE_TIME, VALVE_GRID,
                              ActuatorTimeline, ChannelSpan)
+from coldsim.plant import DT
 
 
 def normal_equations_oracle(duties, rates):
@@ -203,11 +204,9 @@ def test_timeline_worked_example():
     assert len(timeline.valve) == 1
     assert timeline.valve[0].duty == pytest.approx(
         invert_duty(valve_model, -0.1), abs=1e-12)
-    led_on = [s for s in timeline.led if s.active]
-    led_off = [s for s in timeline.led if not s.active]
+    led_on = timeline.led
     assert all(s.duty == pytest.approx(invert_duty(led_model, 0.2), abs=1e-9)
                for s in led_on)
-    assert all(s.duty == 0.0 for s in led_off)
     # cadence: warm stretches of 0.6 s, one per 1.2 s cycle
     assert led_on[0].start == pytest.approx(0.6, abs=1e-12)
     assert led_on[0].end == pytest.approx(1.2, abs=1e-12)
@@ -219,14 +218,14 @@ def test_timeline_s3_led_inactive():
     valve_model, led_model = exact_models(PlantParams())
     schedule = compile_schedule(StimulusSpec("S3", -0.16))
     timeline = schedule_to_timeline(schedule, valve_model, led_model)
-    assert all(not s.active for s in timeline.led)
+    assert timeline.led == ()
 
 
 def test_timeline_strong_warm_duty_inversion():
     valve_model, led_model = exact_models(PlantParams())
     schedule = compile_schedule(StimulusSpec("S1", -0.24, 0.5, 0.06))
     timeline = schedule_to_timeline(schedule, valve_model, led_model)
-    led_on = [s for s in timeline.led if s.active]
+    led_on = timeline.led
     assert led_on[0].duty == pytest.approx((0.48 + 0.0522) / 0.6122, abs=1e-9)
     assert led_on[0].duty == pytest.approx(0.869, abs=1e-3)
 
@@ -235,8 +234,8 @@ def test_timeline_s2_hold_balances_cooling():
     valve_model, led_model = exact_models(PlantParams())
     schedule = compile_schedule(StimulusSpec("S2", -0.16))
     timeline = schedule_to_timeline(schedule, valve_model, led_model)
-    hold = timeline.led[-1]
-    assert hold.active
+    (hold,) = timeline.led
+    assert (hold.start, hold.end) == (5.0, 15.0)
     assert hold.duty == pytest.approx(invert_duty(led_model, 0.16), abs=1e-12)
 
 
@@ -278,35 +277,34 @@ def test_run_control_empty_timeline_constant():
     trace = run_control(timeline, plant)
     assert len(trace.time) == 201
     assert np.all(trace.temp == 33.0)
-    assert not trace.valve_on.any() and not trace.led_on.any()
 
 
 def test_run_control_snaps_off_grid_boundary():
     # an off-grid boundary lands on the nearest step without distortion
     params = PlantParams(relax_coeff=0.0)
     plant = SkinPlant(params)
-    spans = (ChannelSpan(0.0, 1.0049, 0.55, True),
-             ChannelSpan(1.0049, 2.0, 0.49, True))
+    spans = (ChannelSpan(0.0, 1.0049, 0.55), ChannelSpan(1.0049, 2.0, 0.49))
     timeline = ActuatorTimeline(spans, (), 2.0)
-    trace = run_control(timeline, plant, dt=0.01)
+    trace = run_control(timeline, plant)
     rate_a = -2.252 * 0.55 + 1.0535
     rate_b = -2.252 * 0.49 + 1.0535
-    assert trace.net_delta_t == pytest.approx(rate_a * 1.0 + rate_b * 1.0, abs=1e-9)
+    assert trace.net_delta_t == pytest.approx(rate_a * 1.005 + rate_b * 0.995,
+                                              abs=1e-9)
 
 
 def test_run_control_vanishing_active_span_rejected():
     plant = SkinPlant(PlantParams())
-    spans = (ChannelSpan(0.0, 0.003, 0.55, True),)
+    spans = (ChannelSpan(0.0, 0.0004, 0.55),)
     timeline = ActuatorTimeline(spans, (), 2.0)
-    with pytest.raises(ValidationError):
-        run_control(timeline, plant, dt=0.01)
+    with pytest.raises(ValidationError, match="collapses to zero steps"):
+        run_control(timeline, plant)
 
 
 @pytest.mark.parametrize("spans", [
-    (ChannelSpan(0.0, 1.0, 0.55, True), ChannelSpan(0.5, 2.0, 0.49, True)),
-    (ChannelSpan(1.0, 2.0, 0.49, True), ChannelSpan(0.0, 1.0, 0.55, True)),
-    (ChannelSpan(1.0, 0.5, 0.55, True),),
-    (ChannelSpan(-0.5, 1.0, 0.55, True),),
+    (ChannelSpan(0.0, 1.0, 0.55), ChannelSpan(0.5, 2.0, 0.49)),
+    (ChannelSpan(1.0, 2.0, 0.49), ChannelSpan(0.0, 1.0, 0.55)),
+    (ChannelSpan(1.0, 0.5, 0.55),),
+    (ChannelSpan(-0.5, 1.0, 0.55),),
 ])
 def test_run_control_rejects_unordered_spans(spans):
     # overlapping, out-of-order, reversed or negative-time spans have no
@@ -314,71 +312,60 @@ def test_run_control_rejects_unordered_spans(spans):
     for timeline in (ActuatorTimeline(spans, (), 2.0),
                      ActuatorTimeline((), spans, 2.0)):
         with pytest.raises(ValidationError, match="ordered and disjoint"):
-            run_control(timeline, SkinPlant(PlantParams()), dt=0.01)
+            run_control(timeline, SkinPlant(PlantParams()))
 
 
 @st.composite
 def random_timelines(draw):
-    """A timeline with off-grid boundaries and gaps, plus its step size.
+    """A timeline with off-grid boundaries and gaps, plus its step count.
 
     Every boundary sits within 0.4 of a step from its grid tick, so it
     snaps to that tick and the span holding a step's midpoint is the one
     that covers the step.
     """
-    dt = draw(st.sampled_from((0.001, 0.005, 0.01)))
-    n = draw(st.integers(1, int(round(2.0 / dt))))
+    n = draw(st.integers(1, int(round(2.0 / DT))))
     off = st.floats(-0.4, 0.4)
-    duration = (n + draw(off)) * dt
+    duration = (n + draw(off)) * DT
 
     channels = []
     for _ in range(2):
         ticks = sorted(draw(st.sets(st.integers(0, n), max_size=12)))
-        at = {t: 0.0 if t == 0 else duration if t == n else (t + draw(off)) * dt
+        at = {t: 0.0 if t == 0 else duration if t == n else (t + draw(off)) * DT
               for t in ticks}
         spans = []
         for t0, t1 in zip(ticks, ticks[1:]):
-            state = draw(st.sampled_from(("gap", "off", "on")))
-            if state != "gap":
-                duty = draw(st.floats(0.0, 1.0)) if state == "on" else 0.0
-                spans.append(ChannelSpan(at[t0], at[t1], duty, state == "on"))
+            if draw(st.booleans()):  # else a gap: the channel is off
+                spans.append(ChannelSpan(at[t0], at[t1], draw(st.floats(0.0, 1.0))))
         channels.append(tuple(spans))
-    return ActuatorTimeline(channels[0], channels[1], duration), dt, n
+    return ActuatorTimeline(channels[0], channels[1], duration), n
 
 
-def scalar_reference(timeline, params, dt, n):
-    """Temperatures and actuator states from a loop of scalar steps."""
+def scalar_reference(timeline, params, n):
+    """Temperatures from a loop of scalar steps."""
     plant = SkinPlant(params)
     temps = [plant.t_skin]
-    states = []
     for k in range(n):
-        mid = (k + 0.5) * dt
+        mid = (k + 0.5) * DT
         state = []
         for spans in (timeline.valve, timeline.led):
             span = next((s for s in spans if s.start <= mid < s.end), None)
-            active = span is not None and span.active
-            state.append((span.duty if active else 0.0, active))
+            state.append((0.0, False) if span is None else (span.duty, True))
         (duty_valve, valve_on), (duty_led, led_on) = state
-        temps.append(plant.step(duty_valve, duty_led, valve_on, led_on, dt))
-        states.append((duty_valve, duty_led, valve_on, led_on))
-    states.append(states[-1])  # the last state holds on the final sample
-    return np.array(temps), states
+        temps.append(plant.step(duty_valve, duty_led, valve_on, led_on, DT))
+    return np.array(temps)
 
 
 @settings(max_examples=60)
 @given(random_timelines())
 def test_property_run_control_matches_scalar_steps(case):
-    timeline, dt, n = case
+    timeline, n = case
     params = PlantParams(interaction_bias=0.013)  # relaxation on, noise off
-    trace = run_control(timeline, SkinPlant(params), dt=dt)
-    temps, states = scalar_reference(timeline, params, dt, n)
-    every = int(round(0.01 / dt))
-    idx = list(range(0, n + 1, every))
+    trace = run_control(timeline, SkinPlant(params))
+    temps = scalar_reference(timeline, params, n)
+    idx = list(range(0, n + 1, 10))
     times = [k / 100.0 for k in range(len(idx))]
     if idx[-1] != n:
         idx.append(n)
-        times.append(n * dt)
+        times.append(n * DT)
     assert trace.time.tolist() == times
     assert np.max(np.abs(trace.temp - temps[idx])) <= 1e-9
-    logged = list(zip(trace.duty_valve.tolist(), trace.duty_led.tolist(),
-                      trace.valve_on.tolist(), trace.led_on.tolist()))
-    assert logged == [states[i] for i in idx]

@@ -18,19 +18,17 @@ from coldsim import (CalibrationProtocol, ParticipantModel, PlantParams,
                      exact_models, persistence, run_experiment,
                      simulate_participant)
 from coldsim.experiment import (EXP2_RATIOS, EXP3_BASE_RATE, EXP3_RATES,
-                                TrialRecord, peak_cooling_rate, perceived_rate,
+                                ExperimentPlan, PlannedStimulus, TrialRecord,
+                                peak_cooling_rate, perceived_rate,
                                 perturb_params, read_records, run_pipeline,
                                 write_records)
-from coldsim.pattern import stimulus_id
+from coldsim.pattern import StimulusSpec, stimulus_id
 from coldsim.plant import Trace
 
 
 def flat_trace(rate=0.0, duration=15.0, start=33.0):
     t = np.round(np.arange(0.0, duration + 0.005, 0.01), 10)
-    temp = start + rate * t
-    zeros = np.zeros_like(t)
-    off = np.zeros_like(t, dtype=bool)
-    return Trace(t, temp, zeros, zeros, off, off)
+    return Trace(t, start + rate * t)
 
 
 def test_exp2_plan_shape():
@@ -131,8 +129,7 @@ def test_participant_rejects_slow_sampling():
     for t in (np.arange(0.0, 15.1, 0.1),   # 10 Hz
               np.array([0.0]),             # one sample
               np.zeros(1501)):             # time does not increase
-        trace = Trace(t, np.full_like(t, 33.0), t * 0, t * 0,
-                      np.zeros_like(t, dtype=bool), np.zeros_like(t, dtype=bool))
+        trace = Trace(t, np.full_like(t, 33.0))
         with pytest.raises(ValidationError):
             simulate_participant(trace, ParticipantModel())
 
@@ -213,8 +210,7 @@ def test_property_participant_matches_scalar_loops(segments, hold_time, time_con
              for rate, n, noise, seed in segments]
     temp = 33.0 + np.cumsum(np.concatenate([[0.0], *steps]))
     t = np.arange(len(temp)) * 0.01
-    zeros, off = np.zeros_like(t), np.zeros_like(t, dtype=bool)
-    trace = Trace(t, temp, zeros, zeros, off, off)
+    trace = Trace(t, temp)
     model = ParticipantModel(detect_threshold=detect_threshold,
                              time_constant=time_constant, slider_lag=slider_lag,
                              response_noise=0.0, warm_attenuation=warm_attenuation,
@@ -421,6 +417,18 @@ def test_record_round_trip(tmp_path):
     # analysis on reloaded records matches the in-memory one
     assert (analyze_exp2(loaded).persistence_trial_pct
             == analyze_exp2(result.records).persistence_trial_pct)
+
+
+def test_write_records_rejects_off_grid_slider(tmp_path):
+    # A 2.005 s presentation ends off the 100 Hz grid; read_records could
+    # not rebuild that slider's time, so write_records refuses it.
+    spec = StimulusSpec("S3", -0.16, duration=2.005)
+    plan = ExperimentPlan("exp2", (PlannedStimulus(stimulus_id(spec), spec),),
+                          repetitions=1, participants=1, seed=0)
+    records = run_pipeline(plan).records
+    assert records[0].slider.time[-1] == 2.005
+    with pytest.raises(ValidationError, match="participant 0 trial 0"):
+        write_records(records, plan, tmp_path / "run")
 
 
 # Slider samples at and next to the edges of [0, 1], including subnormals.

@@ -74,6 +74,13 @@ def test_sensor_negative_tie_rounds_away():
     assert read_sensor(make_state(-30.0125), 0.025).value == -30.025
 
 
+@pytest.mark.parametrize("resolution", [-0.025, float("nan"), float("inf"),
+                                        float("-inf")])
+def test_sensor_rejects_bad_resolution(resolution):
+    with pytest.raises(ValidationError, match=f"got {resolution!r}"):
+        read_sensor(make_state(30.0), resolution)
+
+
 def fraction_read(temp, resolution):
     """The exact-Fraction quantizer that read_sensor's integer arithmetic
     replaced, kept as its oracle."""
@@ -190,10 +197,9 @@ def test_config_round_trip(tmp_path):
 def test_trace_csv_schema(tmp_path):
     from coldsim.plant import Trace
     n = 3
-    trace = Trace(np.arange(n) * 0.01, np.full(n, 33.0), np.zeros(n),
-                  np.zeros(n), np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
+    trace = Trace(np.arange(n) * 0.01, np.full(n, 33.0))
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "time_s,temp_c,duty_valve,duty_led,valve_on,led_on"
-    assert len(lines) == 1 + n
+    assert lines[0] == "time_s,temp_c"
+    assert lines[1:] == ["0.0,33.0", "0.01,33.0", "0.02,33.0"]
