@@ -15,10 +15,9 @@ from .pattern import (DerivedPattern, RateSchedule, Segment, SpecIssue,
                       validate_spec)
 from .plant import (PlantParams, PlantState, SensorReading, SkinPlant, Trace,
                     load_plant_config, read_sensor, save_plant_config, step)
-from .control import (ActuatorTimeline, CalibrationPoint, CalibrationProtocol,
-                      CalibrationResult, DutyModel, apply_drift_correction,
-                      calibrate, exact_models, fit_duty_model, invert_duty,
-                      load_models, mean_rate, run_control,
+from .control import (ActuatorTimeline, CalibrationProtocol, CalibrationResult,
+                      DutyModel, calibrate, exact_models, fit_duty_model,
+                      invert_duty, load_models, run_control,
                       schedule_to_timeline)
 from .stats import (TestResult, benjamini_hochberg, chi_square_sf,
                     kruskal_wallis, wilcoxon_rank_sum)

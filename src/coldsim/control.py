@@ -1,11 +1,12 @@
 """Duty models, calibration, and the control-loop runner.
 
 Each actuator channel is modeled as an affine map from PWM duty ratio to
-skin-temperature rate over a valid duty band.  Calibration measures
-single-stimulus rates on a duty grid, fits both channels by least
-squares, then verifies that full stimulus patterns leave the skin
-temperature unchanged; a residual net drift is folded back into the warm
-model and the verification repeats until the drift gate passes.
+skin-temperature rate over a valid duty band.  Calibration drives each
+channel alone at every duty of its grid for MEASURE_TIME, fits rate =
+temperature change / MEASURE_TIME against duty by least squares, then
+verifies that full stimulus patterns leave the skin temperature
+unchanged; a residual net drift is folded back into the warm channel's
+measurements and the verification repeats until the drift gate passes.
 """
 
 from __future__ import annotations
@@ -81,40 +82,17 @@ def exact_models(params) -> tuple[DutyModel, DutyModel]:
     return valve, led
 
 
-@dataclass(frozen=True)
-class CalibrationPoint:
-    """One single-stimulus measurement: duty, temperature change, duration."""
-
-    duty: float
-    delta_temp: float   # degC over the measurement window
-    delta_time: float = MEASURE_TIME  # s
-
-    @property
-    def rate(self) -> float:
-        return self.delta_temp / self.delta_time
-
-
-def mean_rate(points: Sequence[CalibrationPoint]) -> float:
-    """Average measured rate over repeats of one duty setting."""
-    if not points:
-        raise ValidationError("mean_rate needs at least one measurement")
-    duty = points[0].duty
-    delta_time = points[0].delta_time
-    for p in points:
-        if p.duty != duty or p.delta_time != delta_time:
-            raise ValidationError("mean_rate expects a common duty and delta_time")
-    return sum(p.rate for p in points) / len(points)
-
-
-def fit_duty_model(points: Sequence[CalibrationPoint], channel: str) -> DutyModel:
+def fit_duty_model(duties: Sequence[float], rates: Sequence[float],
+                   channel: str) -> DutyModel:
     """Least-squares affine fit of rate against duty over the channel's band."""
-    if len(points) < 2:
+    if len(duties) != len(rates):
+        raise ValidationError(f"fit_duty_model needs one rate per duty, got "
+                              f"{len(duties)} duties and {len(rates)} rates")
+    if len(duties) < 2:
         raise ValidationError("fit_duty_model needs at least 2 points")
-    duties = [p.duty for p in points]
-    rates = [p.rate for p in points]
     if len(set(duties)) < 2:
         raise DegenerateDesignError("all duty values identical; cannot fit a line")
-    n = len(points)
+    n = len(duties)
     mean_d = sum(duties) / n
     mean_v = sum(rates) / n
     sxx = sum((d - mean_d) ** 2 for d in duties)
@@ -141,22 +119,6 @@ def invert_duty(model: DutyModel, target_rate: float) -> float:
         lo, hi = model.rate_range()
         raise UnreachableRateError(model.channel, target_rate, lo, hi)
     return min(max(duty, model.duty_min), model.duty_max)
-
-
-def apply_drift_correction(points: Sequence[CalibrationPoint], net_drift: float,
-                           duration: float) -> list[CalibrationPoint]:
-    """Shift measured rates by the residual drift rate net_drift/duration.
-
-    A pattern that should have been heat-balanced but left the skin
-    net_drift warmer means the channel delivered that much extra rate;
-    folding it into the measured rates and refitting cancels it.
-    """
-    if not duration > 0:
-        raise ValidationError("duration must be positive")
-    correction = net_drift / duration
-    return [CalibrationPoint(p.duty, p.delta_temp + correction * p.delta_time,
-                             p.delta_time)
-            for p in points]
 
 
 def default_verification_specs() -> tuple[StimulusSpec, ...]:
@@ -236,64 +198,64 @@ class CalibrationResult:
 def load_models(path) -> tuple[DutyModel, DutyModel]:
     """Read the duty models that CalibrationResult.to_json wrote.
 
-    A file that does not hold them raises ValidationError naming it.
+    A file that does not hold them, or whose "valve" or "led" entry is
+    the model of another channel, raises ValidationError naming it.
     """
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        return DutyModel(**doc["valve"]), DutyModel(**doc["led"])
+        valve, led = DutyModel(**doc["valve"]), DutyModel(**doc["led"])
+        for key, model in (("valve", valve), ("led", led)):
+            if model.channel != key:
+                raise ValidationError(
+                    f"the {key!r} entry has channel {model.channel!r}")
+        return valve, led
     except (KeyError, OSError, TypeError, ValueError) as exc:
         raise ValidationError(f"cannot read {path} as duty models: {exc!r}") from exc
 
 
-def _measure_channel(plant: SkinPlant, protocol: CalibrationProtocol,
-                     grid: Sequence[float], channel: str,
-                     rng: np.random.Generator) -> list[CalibrationPoint]:
-    """Single-stimulus rate measurements over one duty grid.
+def _sensor_delta(plant: SkinPlant, protocol: CalibrationProtocol, drive) -> float:
+    """Skin-temperature change, read through the sensor, while drive() runs
+    on a freshly reset skin."""
+    plant.reset()
+    before = plant.read_sensor(protocol.sensor_resolution).value
+    drive()
+    return plant.read_sensor(protocol.sensor_resolution).value - before
 
-    The skin is re-initialized before every measurement; the change is
-    read through the (optionally quantized) sensor.  Endpoint duties are
-    repeated to firm up the band limits.
+
+def _measure_grid(plant: SkinPlant, protocol: CalibrationProtocol,
+                  grid: Sequence[float], channel: str,
+                  rng: np.random.Generator) -> list[float]:
+    """Mean temperature change over MEASURE_TIME at each duty of one grid.
+
+    The channel runs alone at the duty.  Endpoint duties are repeated to
+    firm up the band limits; repeats are averaged as rates.
     """
     n_steps = int(round(MEASURE_TIME / DT))
-    points = []
+    deltas = []
     for i, duty in enumerate(grid):
         repeats = ENDPOINT_REPEATS if i in (0, len(grid) - 1) else 1
+        rates = []
         for _ in range(repeats):
-            plant.reset()
-            before = plant.read_sensor(protocol.sensor_resolution).value
-            if channel == "valve":
-                plant.run_span(duty_valve=duty, valve_on=True, n_steps=n_steps)
-            else:
-                plant.run_span(duty_led=duty, led_on=True, n_steps=n_steps)
-            after = plant.read_sensor(protocol.sensor_resolution).value
-            delta = after - before
+            delta = _sensor_delta(plant, protocol, lambda: plant.run_span(
+                n_steps=n_steps, **{f"duty_{channel}": duty, f"{channel}_on": True}))
             if protocol.measurement_noise > 0.0:
                 delta += rng.normal(0.0, protocol.measurement_noise) * MEASURE_TIME
-            points.append(CalibrationPoint(duty, delta))
-    return points
-
-
-def _mean_points(points: Sequence[CalibrationPoint]) -> list[CalibrationPoint]:
-    """Collapse repeated measurements into one averaged point per duty."""
-    by_duty: dict[float, list[CalibrationPoint]] = {}
-    for p in points:
-        by_duty.setdefault(p.duty, []).append(p)
-    collapsed = []
-    for duty, group in by_duty.items():
-        rate = mean_rate(group)
-        dt_meas = group[0].delta_time
-        collapsed.append(CalibrationPoint(duty, rate * dt_meas, dt_meas))
-    collapsed.sort(key=lambda p: p.duty)
-    return collapsed
+            rates.append(delta / MEASURE_TIME)
+        deltas.append(sum(rates) / repeats * MEASURE_TIME)
+    return deltas
 
 
 def calibrate(plant: SkinPlant,
               protocol: Optional[CalibrationProtocol] = None) -> CalibrationResult:
     """Run the full measurement-fit-verify-correct loop against a plant.
 
-    Raises CalibrationError when the drift gate still fails after
-    max_iters correction rounds; unreachable verification rates
+    A round fits the warm model to the warm channel's temperature
+    changes and runs every verification pattern; when one leaves the
+    skin more than DRIFT_THRESHOLD from where it started, the mean
+    drift rate over the patterns is added to every warm measurement and
+    the next round refits.  Raises CalibrationError when the drift gate
+    still fails after max_iters rounds; unreachable verification rates
     propagate as UnreachableRateError.
     """
     protocol = protocol if protocol is not None else CalibrationProtocol()
@@ -301,35 +263,30 @@ def calibrate(plant: SkinPlant,
         raise ValidationError("verification patterns must share one duration")
     rng = np.random.default_rng(protocol.noise_seed)
 
-    raw_valve = _measure_channel(plant, protocol, VALVE_GRID, "valve", rng)
-    raw_led = _measure_channel(plant, protocol, LED_GRID, "led", rng)
-    valve_points = _mean_points(raw_valve)
-    led_points = _mean_points(raw_led)
-    valve_model = fit_duty_model(valve_points, "valve")
-    led_model = fit_duty_model(led_points, "led")
+    valve_deltas = _measure_grid(plant, protocol, VALVE_GRID, "valve", rng)
+    led_deltas = _measure_grid(plant, protocol, LED_GRID, "led", rng)
+    valve_model = fit_duty_model(
+        VALVE_GRID, [d / MEASURE_TIME for d in valve_deltas], "valve")
 
     schedules = [compile_schedule(spec) for spec in protocol.verify_specs]
     history: list[list[VerificationCheck]] = []
     for iteration in range(1, protocol.max_iters + 1):
-        checks = []
+        led_model = fit_duty_model(
+            LED_GRID, [d / MEASURE_TIME for d in led_deltas], "led")
         nets = []
-        for spec, schedule in zip(protocol.verify_specs, schedules):
+        for schedule in schedules:
             timeline = schedule_to_timeline(schedule, valve_model, led_model)
-            plant.reset()
-            before = plant.read_sensor(protocol.sensor_resolution).value
-            run_control(timeline, plant)
-            after = plant.read_sensor(protocol.sensor_resolution).value
-            net = after - before
-            nets.append(net)
-            checks.append(VerificationCheck(
-                stimulus_id(spec), net, abs(net) <= DRIFT_THRESHOLD))
+            nets.append(_sensor_delta(plant, protocol,
+                                      lambda: run_control(timeline, plant)))
+        checks = [VerificationCheck(stimulus_id(spec), net, abs(net) <= DRIFT_THRESHOLD)
+                  for spec, net in zip(protocol.verify_specs, nets)]
         history.append(checks)
         if all(c.passed for c in checks):
             return CalibrationResult(valve_model, led_model, iteration, history)
-        drift = sum(nets) / len(nets)
-        duration = protocol.verify_specs[0].duration
-        led_points = apply_drift_correction(led_points, drift, duration)
-        led_model = fit_duty_model(led_points, "led")
+        # A balanced pattern that ends warmer means the warm channel
+        # delivers that much more rate than its measurements say.
+        drift_rate = sum(nets) / len(nets) / protocol.verify_specs[0].duration
+        led_deltas = [d + drift_rate * MEASURE_TIME for d in led_deltas]
 
     raise CalibrationError(
         f"verification drift still above {DRIFT_THRESHOLD} degC "

@@ -637,6 +637,10 @@ def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
                 raise ValidationError(
                     f"{path} holds {sliders.dtype} of shape {sliders.shape}, not "
                     f"float64 of shape ({len(table)}, samples)")
+            # NaN fails both comparisons, so it is rejected too.
+            if sliders.size and not (sliders.min() >= 0.0 and sliders.max() <= 1.0):
+                raise ValidationError(
+                    f"{path} holds slider values outside [0, 1] or NaN")
             time = np.arange(sliders.shape[1]) / LOG_RATE
             for rec, values in zip(table, sliders):
                 rec.slider = SliderTrace(time, values)

@@ -247,7 +247,8 @@ def save_plant_config(params: PlantParams, path) -> None:
 def load_plant_config(path) -> PlantParams:
     """Read PlantParams from a config document, ignoring descriptive keys.
 
-    A file that is not a JSON object of valid parameters raises
+    A file that is not a JSON object of valid parameters, or that holds
+    a key that is neither a parameter nor a descriptive constant, raises
     ValidationError naming it.
     """
     try:
@@ -256,6 +257,10 @@ def load_plant_config(path) -> PlantParams:
         if not isinstance(doc, dict):
             raise ValidationError(f"a JSON object is needed, not {type(doc).__name__}")
         fields = PlantParams.__dataclass_fields__
+        unknown = sorted(k for k in doc if k not in fields
+                         and k not in DESCRIPTIVE_CONSTANTS)
+        if unknown:
+            raise ValidationError(f"unknown keys {unknown}")
         return PlantParams(**{k: v for k, v in doc.items() if k in fields})
     except (OSError, TypeError, ValueError) as exc:
         raise ValidationError(f"cannot read {path} as a plant config: {exc!r}") from exc

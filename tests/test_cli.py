@@ -70,18 +70,19 @@ def test_calibrate_and_simulate(tmp_path):
     assert list(rows[0]) == ["time_s", "temp_c"]
 
     # Unreadable plant configs and model files exit 1 naming the file.
-    bad_slope = json.loads(models.read_text())
-    bad_slope["valve"]["slope"] = "x"
+    doc = json.loads(models.read_text())
+    bad_slope = {**doc, "valve": {**doc["valve"], "slope": "x"}}
+    banana = {**doc, "valve": {**doc["valve"], "channel": "banana"}}
+    swapped = {**doc, "valve": doc["led"], "led": doc["valve"]}
     bad = {"not_json.json": "{", "wrong_type.json": '{"valve_gain": "x"}',
            "array.json": "[1, 2]", "bad_slope.json": json.dumps(bad_slope),
-           "missing.json": None}
+           "banana.json": json.dumps(banana), "swapped.json": json.dumps(swapped),
+           "typo.json": '{"valve_gian": -3.0}', "missing.json": None}
     for name, text in bad.items():
         path = tmp_path / name
         if text is not None:
             path.write_text(text)
         for flag in ("--config", "--models"):
-            if flag == "--config" and name == "bad_slope.json":
-                continue  # a plant config ignores the models' keys
             out = tmp_path / "bad.csv"
             proc = run_cli("simulate", "--kind", "S3", "--vc", "-0.16",
                            flag, str(path), "--out", str(out))
@@ -208,8 +209,20 @@ def test_experiment_run_exp2_analyzable_without_temp_traces(tmp_path):
         sliders = copy / "traces" / "p01_slider.npy"
         sliders.write_bytes(sliders.read_bytes()[:-8])
 
+    def set_slider(value):
+        def edit(copy):
+            path = copy / "traces" / "p00_slider.npy"
+            sliders = np.load(path)
+            sliders[3, 100] = value
+            np.save(path, sliders)
+        return edit
+
     assert_analyze_rejects(tmp_path, run_dir, "2", "truncated", truncate,
                            "p01_slider.npy")
+    for name, value in (("slider_above_1", 7.0), ("slider_below_0", -0.5),
+                        ("slider_nan", np.nan)):
+        assert_analyze_rejects(tmp_path, run_dir, "2", name, set_slider(value),
+                               "p00_slider.npy")
 
 
 def test_experiment_run_refuses_nonempty_out(tmp_path):

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coldsim import (CalibrationError, CalibrationPoint, CalibrationProtocol,
+from coldsim import (CalibrationError, CalibrationProtocol,
                      DegenerateDesignError, DutyModel, PlantParams, SkinPlant,
                      StimulusSpec, UnreachableRateError, ValidationError,
-                     apply_drift_correction, calibrate, compile_schedule,
-                     exact_models, fit_duty_model, invert_duty, load_models,
-                     mean_rate, run_control, schedule_to_timeline)
+                     calibrate, compile_schedule, exact_models, fit_duty_model,
+                     invert_duty, load_models, run_control, schedule_to_timeline)
 from coldsim.control import (DRIFT_THRESHOLD, LED_GRID, MEASURE_TIME, VALVE_GRID,
                              ActuatorTimeline, ChannelSpan)
 from coldsim.plant import DT
@@ -24,30 +23,17 @@ def normal_equations_oracle(duties, rates):
     return float(slope), float(intercept)
 
 
-def test_mean_rate_examples():
-    assert mean_rate([CalibrationPoint(0.55, -1.2, 6.0)]) == pytest.approx(-0.2)
-    pre_divided = [CalibrationPoint(0.55, r, 1.0) for r in (-0.18, -0.20, -0.22)]
-    assert mean_rate(pre_divided) == pytest.approx(-0.20)
-    assert mean_rate([CalibrationPoint(0.3, 0.9, 6.0)]) == pytest.approx(0.15)
-    with pytest.raises(ValidationError):
-        mean_rate([])
-    with pytest.raises(ValidationError):
-        mean_rate([CalibrationPoint(0.5, 1.0), CalibrationPoint(0.6, 1.0)])
-
-
 def test_fit_recovers_generating_line():
     slope, intercept = -2.252, 1.0535
-    points = [CalibrationPoint(d, (slope * d + intercept) * 6.0, 6.0)
-              for d in (0.490, 0.550, 0.601)]
-    model = fit_duty_model(points, "valve")
+    duties = (0.490, 0.550, 0.601)
+    model = fit_duty_model(duties, [slope * d + intercept for d in duties], "valve")
     assert model.slope == pytest.approx(slope, abs=1e-6)
     assert model.intercept == pytest.approx(intercept, abs=1e-6)
     assert model.r_squared == pytest.approx(1.0, abs=1e-6)
 
 
 def test_fit_two_points_interpolates():
-    points = [CalibrationPoint(0.2, 0.1 * 6, 6.0), CalibrationPoint(0.8, 0.4 * 6, 6.0)]
-    model = fit_duty_model(points, "led")
+    model = fit_duty_model((0.2, 0.8), (0.1, 0.4), "led")
     assert model.predicted_rate(0.2) == pytest.approx(0.1, abs=1e-12)
     assert model.predicted_rate(0.8) == pytest.approx(0.4, abs=1e-12)
     assert model.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -58,8 +44,7 @@ def test_fit_noisy_slope_and_oracle_equivalence():
     slope, intercept = 0.6122, -0.0522
     duties = list(np.linspace(0.1, 0.9, 10))
     rates = [slope * d + intercept + rng.normal(0, 0.01) for d in duties]
-    points = [CalibrationPoint(d, r * 6.0, 6.0) for d, r in zip(duties, rates)]
-    model = fit_duty_model(points, "led")
+    model = fit_duty_model(duties, rates, "led")
     oracle = normal_equations_oracle(duties, rates)
     assert model.slope == pytest.approx(oracle[0], abs=1e-9)
     assert model.intercept == pytest.approx(oracle[1], abs=1e-9)
@@ -74,18 +59,22 @@ def test_fit_oracle_equivalence_random():
         if len(set(np.round(duties, 12))) < 2:
             continue
         rates = rng.normal(size=n)
-        points = [CalibrationPoint(float(d), float(r), 1.0)
-                  for d, r in zip(duties, rates)]
-        model = fit_duty_model(points, "led")
+        model = fit_duty_model(duties.tolist(), rates.tolist(), "led")
         slope, intercept = normal_equations_oracle(duties, rates)
         assert model.slope == pytest.approx(slope, abs=1e-9)
         assert model.intercept == pytest.approx(intercept, abs=1e-9)
 
 
 def test_fit_degenerate_design():
-    points = [CalibrationPoint(0.5, 1.0), CalibrationPoint(0.5, 2.0)]
     with pytest.raises(DegenerateDesignError):
-        fit_duty_model(points, "valve")
+        fit_duty_model((0.5, 0.5), (1.0, 2.0), "valve")
+
+
+def test_fit_rejects_bad_designs():
+    with pytest.raises(ValidationError, match="one rate per duty"):
+        fit_duty_model((0.2, 0.5, 0.8), (0.1, 0.2), "led")
+    with pytest.raises(ValidationError, match="at least 2 points"):
+        fit_duty_model((0.5,), (0.1,), "led")
 
 
 def test_invert_examples():
@@ -111,19 +100,6 @@ def test_invert_round_trip_property():
         rate = float(rng.uniform(lo, hi))
         assert model.predicted_rate(invert_duty(model, rate)) == pytest.approx(
             rate, abs=1e-12)
-
-
-def test_drift_correction_examples():
-    points = [CalibrationPoint(d, r * 6.0, 6.0)
-              for d, r in ((0.2, 0.1), (0.5, 0.3), (0.9, 0.5))]
-    shifted = apply_drift_correction(points, 0.2, 15.0)
-    for old, new in zip(points, shifted):
-        assert new.rate - old.rate == pytest.approx(0.2 / 15.0, abs=1e-12)
-        assert new.rate - old.rate == pytest.approx(0.013333, abs=1e-6)
-    assert apply_drift_correction(points, 0.0, 15.0) == points
-    down = apply_drift_correction(points, -0.15, 15.0)
-    for old, new in zip(points, down):
-        assert new.rate - old.rate == pytest.approx(-0.010, abs=1e-12)
 
 
 def ideal_protocol(**kw):
@@ -177,6 +153,23 @@ def test_calibrate_nonconvergence_reports():
     with pytest.raises(CalibrationError) as info:
         calibrate(plant, ideal_protocol(max_iters=2))
     assert len(info.value.report) == 2
+
+
+def test_calibrate_golden_models():
+    # Pinned bit for bit: three rounds exercise the averaging of repeated
+    # endpoint readings, the fit, and two warm-channel drift corrections.
+    plant = SkinPlant(PlantParams(noise_sigma=0.01), seed=0)
+    result = calibrate(plant, CalibrationProtocol(measurement_noise=0.002,
+                                                  noise_seed=0))
+    assert result.iterations == 3
+    assert [(m.slope.hex(), m.intercept.hex()) for m in (result.valve, result.led)] == [
+        ("-0x1.1fa6146a6a3ccp+1", "0x1.08de545a149d8p+0"),
+        ("0x1.3981df476a1b8p-1", "-0x1.e39665f8bc938p-5")]
+    assert [[c.net_delta_t.hex() for c in round_]
+            for round_ in result.verification] == [
+        ["0x1.0000000000000p-3", "0x1.0000000000000p-3", "0x1.9999999999a00p-3"],
+        ["0x1.9999999999800p-5", "0x1.9999999999800p-5", "0x1.9999999999a00p-4"],
+        ["0x1.9999999999800p-6", "0x1.9999999999800p-6", "0x1.9999999999800p-5"]]
 
 
 def test_models_json_round_trip(tmp_path):

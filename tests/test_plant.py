@@ -1,5 +1,6 @@
 """Skin-node plant: stepping, sensor quantization, configs."""
 
+import json
 import struct
 from fractions import Fraction
 
@@ -192,6 +193,13 @@ def test_config_round_trip(tmp_path):
     for key in ("air_pressure_mpa", "cold_air_ratio", "cold_air_temp_c",
                 "ambient_c"):
         assert key in text
+
+
+def test_config_rejects_unknown_key(tmp_path):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({"valve_gian": -3.0, "ambient_c": 24.0}))
+    with pytest.raises(ValidationError, match=r"typo\.json.*'valve_gian'"):
+        load_plant_config(path)
 
 
 def test_trace_csv_schema(tmp_path):
