@@ -35,7 +35,7 @@ from .control import (LED_DUTY_RANGE, LOG_RATE, VALVE_DUTY_RANGE,
                       schedule_to_timeline)
 from .errors import UnreachableRateError, ValidationError, check_numbers
 from .pattern import KINDS, StimulusSpec, compile_schedule, stimulus_id
-from .plant import PlantParams, SkinPlant, Trace
+from .plant import PlantParams, SkinPlant, Trace, write_trace_csvs
 from .stats import TestResult, benjamini_hochberg, kruskal_wallis, wilcoxon_rank_sum
 
 EXP2_RATES = (-0.08, -0.12, -0.16, -0.20, -0.24)
@@ -526,9 +526,10 @@ def write_records(records: Sequence[TrialRecord], plan: ExperimentPlan,
 
     Row k of `pXX_slider.npy` (float64, shape (trials, samples)) holds the
     slider values of row k of `participant_XX.csv`; their time is the
-    grid k / LOG_RATE, which is not stored, and a slider sampled on any
-    other grid raises ValidationError.  `traces=False` skips only the
-    temperature trace files.
+    grid k / LOG_RATE, which is not stored; a slider sampled on any other
+    grid, or a participant with sliders on only some trials, raises
+    ValidationError.  `traces=False` skips only the temperature trace
+    files, which `write_trace_csvs` writes.
     """
     os.makedirs(out_dir, exist_ok=True)
     trace_dir = os.path.join(out_dir, "traces")
@@ -550,11 +551,18 @@ def write_records(records: Sequence[TrialRecord], plan: ExperimentPlan,
                     rec.trial, rec.stimulus_id, rec.kind, rec.cooling_rate,
                     "" if rec.cooling_ratio is None else rec.cooling_ratio,
                     rec.seed, "" if rec.likert is None else rec.likert])
-        for rec in recs:
-            if traces and rec.trace is not None:
-                rec.trace.to_csv(os.path.join(
-                    trace_dir, f"p{pidx:02d}_t{rec.trial:03d}_temp.csv"))
+        if traces:
+            kept = [rec for rec in recs if rec.trace is not None]
+            write_trace_csvs([rec.trace for rec in kept], [
+                os.path.join(trace_dir, f"p{pidx:02d}_t{rec.trial:03d}_temp.csv")
+                for rec in kept])
         if any(rec.slider is not None for rec in recs):
+            bare = next((rec for rec in recs if rec.slider is None), None)
+            if bare is not None:
+                raise ValidationError(
+                    f"participant {pidx} trial {bare.trial}: no slider while other "
+                    f"trials of this participant have one, so p{pidx:02d}_slider.npy "
+                    f"could not hold a row for it that read_records rebuilds")
             grid = np.arange(len(recs[0].slider.time)) / LOG_RATE
             for rec in recs:
                 if not np.array_equal(rec.slider.time, grid):

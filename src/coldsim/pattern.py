@@ -25,6 +25,7 @@ from functools import lru_cache
 from typing import Optional, Union
 
 from .errors import ValidationError, WrongKindError
+from .plant import _decimal
 
 KINDS = ("S1", "S2", "S3")
 
@@ -37,7 +38,8 @@ DEFAULT_SWING = 0.06
 
 @lru_cache(maxsize=4096)
 def _decimal_fraction(x) -> Fraction:
-    return Fraction(str(x))
+    num, q = _decimal(x)
+    return Fraction(num, 10**q)
 
 
 def _exact(x: Union[float, int, Fraction]) -> Fraction:

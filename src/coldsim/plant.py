@@ -20,7 +20,6 @@ not physiological constants.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, asdict
@@ -229,10 +228,25 @@ class Trace:
         return float(self.temp[-1] - self.temp[0])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time_s", "temp_c"])
-            writer.writerows(zip(self.time.tolist(), self.temp.tolist()))
+        write_trace_csvs([self], [path])
+
+
+def write_trace_csvs(traces, paths) -> None:
+    """Write each trace to its path as a `time_s,temp_c` CSV.
+
+    Each value is its shortest round-trip `repr` and each line ends in
+    `\\r\\n`, the bytes `csv.writer` gives.  The time column's strings are
+    reused while consecutive traces hold bit-identical time arrays
+    (compared as bytes, since `repr` tells -0.0 from 0.0).
+    """
+    time_key = time_strs = None
+    for trace, path in zip(traces, paths, strict=True):
+        key = trace.time.tobytes()
+        if key != time_key:
+            time_key, time_strs = key, list(map(repr, trace.time.tolist()))
+        rows = map(",".join, zip(time_strs, map(repr, trace.temp.tolist())))
+        with open(path, "wb") as fh:
+            fh.write("\r\n".join(["time_s,temp_c", *rows, ""]).encode())
 
 
 def save_plant_config(params: PlantParams, path) -> None:

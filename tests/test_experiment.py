@@ -24,6 +24,7 @@ from coldsim.experiment import (EXP2_RATIOS, EXP3_BASE_RATE, EXP3_RATES,
                                 write_records)
 from coldsim.pattern import StimulusSpec, stimulus_id
 from coldsim.plant import Trace
+from test_plant import oracle_trace_csv
 
 
 def flat_trace(rate=0.0, duration=15.0, start=33.0):
@@ -417,6 +418,37 @@ def test_record_round_trip(tmp_path):
     # analysis on reloaded records matches the in-memory one
     assert (analyze_exp2(loaded).persistence_trial_pct
             == analyze_exp2(result.records).persistence_trial_pct)
+
+
+def test_temperature_csvs_round_trip(tmp_path):
+    # Nothing in coldsim reads these files back; check the contract here:
+    # csv.writer's bytes, and fields that parse back to the same floats.
+    plan, result = small_pipeline(2)
+    out = tmp_path / "run"
+    write_records(result.records, plan, out)
+    for rec in result.records:
+        path = out / "traces" / f"p{rec.participant:02d}_t{rec.trial:03d}_temp.csv"
+        oracle_trace_csv(rec.trace, tmp_path / "oracle.csv")
+        data = path.read_bytes()
+        assert data == (tmp_path / "oracle.csv").read_bytes()
+        header, *rows = data.decode().split("\r\n")[:-1]
+        assert header == "time_s,temp_c"
+        time, temp = np.array([[float(f) for f in row.split(",")] for row in rows]).T
+        assert time.tobytes() == rec.trace.time.tobytes()
+        assert temp.tobytes() == rec.trace.temp.tobytes()
+
+
+def test_write_records_rejects_partial_sliders(tmp_path):
+    # read_records rebuilds a participant's sliders from one array with a
+    # row per trial, so a trial without a slider among ones with a slider
+    # cannot be stored.
+    specs = [StimulusSpec("S3", rate) for rate in (-0.08, -0.16)]
+    plan = ExperimentPlan("exp2", tuple(PlannedStimulus(stimulus_id(s), s) for s in specs),
+                          repetitions=1, participants=1, seed=0)
+    records = run_pipeline(plan).records
+    records[0].slider = None
+    with pytest.raises(ValidationError, match="participant 0 trial 0: no slider"):
+        write_records(records, plan, tmp_path / "run")
 
 
 def test_write_records_rejects_off_grid_slider(tmp_path):

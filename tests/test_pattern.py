@@ -220,3 +220,18 @@ def test_schedule_csv_export(tmp_path):
     assert lines[0] == "start_s,end_s,rate_c_per_s,cold_active,warm_active"
     assert lines[1] == "0.0,0.6,-0.1,true,false"
     assert len(lines) == 1 + len(schedule.segments)
+
+
+@given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                 st.integers(-10**30, 10**30),
+                 st.sampled_from([0.0, -0.0, 5e-324, 1e-05, 1e16, 0.06, -0.16,
+                                  1.7976931348623157e308])))
+def test_property_exact_is_decimal_reading(x):
+    # The oracle reads the same shortest decimal string with Fraction's parser.
+    assert _exact(x) == Fraction(str(x))
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_exact_rejects_non_finite(x):
+    with pytest.raises(ValueError):
+        _exact(x)

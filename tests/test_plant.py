@@ -1,16 +1,20 @@
 """Skin-node plant: stepping, sensor quantization, configs."""
 
+import csv
 import json
+import math
+import os
 import struct
+import tempfile
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from coldsim import (PlantParams, SkinPlant, ValidationError, load_plant_config,
                      read_sensor, save_plant_config, step)
-from coldsim.plant import PlantState
+from coldsim.plant import PlantState, Trace, write_trace_csvs
 
 
 def make_state(temp, seed=0):
@@ -203,7 +207,6 @@ def test_config_rejects_unknown_key(tmp_path):
 
 
 def test_trace_csv_schema(tmp_path):
-    from coldsim.plant import Trace
     n = 3
     trace = Trace(np.arange(n) * 0.01, np.full(n, 33.0))
     path = tmp_path / "trace.csv"
@@ -211,3 +214,57 @@ def test_trace_csv_schema(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "time_s,temp_c"
     assert lines[1:] == ["0.0,33.0", "0.01,33.0", "0.02,33.0"]
+
+
+def oracle_trace_csv(trace, path):
+    """The csv.writer export that write_trace_csvs must match byte for byte."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time_s", "temp_c"])
+        writer.writerows(zip(trace.time.tolist(), trace.temp.tolist()))
+
+
+# Values whose repr is easy to get wrong: signed zeros, non-finite values,
+# subnormals and the switch points to exponent notation.
+EDGE_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1e-05, 0.0001, 1e16, 1e15, 0.01)
+
+
+def float_arrays(n):
+    sample = st.one_of(st.floats(allow_subnormal=True), st.sampled_from(EDGE_FLOATS))
+    return st.lists(sample, min_size=n, max_size=n).map(
+        lambda xs: np.array(xs, dtype=np.float64))
+
+
+@st.composite
+def trace_runs(draw):
+    """Traces whose time array is the previous one, a copy of it, a new
+    array, or the previous one with its zeros' signs flipped (equal under
+    == but not bit for bit)."""
+    n = draw(st.integers(0, 6))
+    time = draw(float_arrays(n))
+    traces = []
+    for _ in range(draw(st.integers(1, 5))):
+        how = draw(st.sampled_from(["shared", "copy", "new", "zero_sign"]))
+        if how == "copy":
+            time = time.copy()
+        elif how == "new":
+            n = draw(st.integers(0, 6))
+            time = draw(float_arrays(n))
+        elif how == "zero_sign":
+            time = np.where(time == 0.0, -time, time)
+        traces.append(Trace(time, draw(float_arrays(n))))
+    return traces
+
+
+@given(trace_runs())
+@example([Trace(np.array([0.0, 0.01]), np.array([33.0, -0.0])),
+          Trace(np.array([-0.0, 0.01]), np.array([33.0, -0.0]))])
+def test_property_trace_csvs_match_csv_writer(traces):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"{k}.csv") for k in range(len(traces))]
+        write_trace_csvs(traces, paths)
+        for trace, path in zip(traces, paths):
+            oracle_trace_csv(trace, path + ".oracle")
+            with open(path, "rb") as got, open(path + ".oracle", "rb") as want:
+                assert got.read() == want.read()
