@@ -12,6 +12,7 @@ measurements and the verification repeats until the drift gate passes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from typing import Optional, Sequence
 
@@ -316,21 +317,26 @@ def schedule_to_timeline(schedule: RateSchedule, valve_model: DutyModel,
     The cold channel runs for the whole presentation at the duty that
     realizes the cooling rate.  On warming/hold segments the warm channel
     supplies the difference between the segment's target rate and the
-    still-running cooling rate.
+    still-running cooling rate; each distinct warm rate is inverted once,
+    and an unreachable one names the first segment that asks for it.
     """
     base_rate = schedule.base_cooling_rate
     valve_duty = invert_duty(valve_model, base_rate)
     valve_spans = [ChannelSpan(0.0, schedule.duration_s, valve_duty)]
     led_spans = []
+    led_duties: dict[float, float] = {}  # warm rate -> duty
     for index, seg in enumerate(schedule.segments):
         if seg.warm_active:
             warm_rate = seg.rate_c_per_s - base_rate
-            try:
-                led_duty = invert_duty(led_model, warm_rate)
-            except UnreachableRateError as exc:
-                raise UnreachableRateError(
-                    exc.channel, exc.target_rate, exc.rate_min, exc.rate_max,
-                    segment_index=index) from exc
+            led_duty = led_duties.get(warm_rate)
+            if led_duty is None:
+                try:
+                    led_duty = led_duties[warm_rate] = invert_duty(led_model,
+                                                                   warm_rate)
+                except UnreachableRateError as exc:
+                    raise UnreachableRateError(
+                        exc.channel, exc.target_rate, exc.rate_min,
+                        exc.rate_max, segment_index=index) from exc
             led_spans.append(ChannelSpan(seg.start_s, seg.end_s, led_duty))
     return ActuatorTimeline(tuple(valve_spans), tuple(led_spans),
                             schedule.duration_s)
@@ -342,39 +348,59 @@ def run_control(timeline: ActuatorTimeline, plant: SkinPlant) -> Trace:
     Each channel's spans must be ordered and disjoint; a step outside
     every span has that channel off.  Span boundaries are snapped to the
     nearest step; a span that would vanish entirely in the snapping is
-    an error.  The plant runs the whole presentation in one call, and
-    the returned trace covers t = 0 through the end of the timeline
-    inclusive: the grid k / LOG_RATE, plus the end itself when it is off
-    that grid.
+    an error, and so is a non-finite boundary or duration.  The
+    presentation is cut at every snapped boundary into pieces on which
+    both channels hold one state, and the plant runs all of them in one
+    call.  The returned trace covers t = 0 through the end of the
+    timeline inclusive: the grid k / LOG_RATE, plus the end itself when
+    it is off that grid.
     """
+    if not 0.0 <= timeline.duration < math.inf:
+        raise ValidationError(f"timeline duration must be finite and "
+                              f"non-negative, got {timeline.duration!r}")
     n = int(round(timeline.duration / DT))
-    duty_valve = np.zeros(n)
-    duty_led = np.zeros(n)
-    valve_on = np.zeros(n, dtype=bool)
-    led_on = np.zeros(n, dtype=bool)
-    for spans, duty, on in ((timeline.valve, duty_valve, valve_on),
-                            (timeline.led, duty_led, led_on)):
+    # Per channel, the (duty, on) state that holds from each snapped
+    # boundary on; a later span starting where an earlier one ends wins.
+    changes = ({}, {})
+    for spans, change in zip((timeline.valve, timeline.led), changes):
         prev_end = 0.0
         for span in spans:
-            if span.start < prev_end or span.end < span.start:
+            start, end = span.start, span.end
+            if not prev_end <= start <= end < math.inf:  # False for NaN
+                if math.isfinite(start) and math.isfinite(end):
+                    raise ValidationError(
+                        f"span [{start}, {end}) is out of order: spans on one "
+                        f"channel must be ordered and disjoint from t = 0")
                 raise ValidationError(
-                    f"span [{span.start}, {span.end}) is out of order: spans on "
-                    f"one channel must be ordered and disjoint from t = 0")
-            prev_end = span.end
+                    f"span [{start}, {end}) has a non-finite boundary")
+            prev_end = end
             # Boundaries snap to the nearest step (that is always within
             # half a step); a nonempty span must still survive.
-            t0, t1 = (min(int(round(t / DT)), n) for t in (span.start, span.end))
-            if t0 == t1 and span.end > span.start:
+            t0 = min(int(round(start / DT)), n)
+            t1 = min(int(round(end / DT)), n)
+            if t0 == t1 and end > start:
                 raise ValidationError(
-                    f"span [{span.start}, {span.end}) collapses to zero "
-                    f"steps of {DT} s")
-            duty[t0:t1] = span.duty
-            on[t0:t1] = True
+                    f"span [{start}, {end}) collapses to zero steps of {DT} s")
+            change[t0] = (span.duty, True)
+            change[t1] = (0.0, False)
+
+    cuts = sorted({0, n, *changes[0], *changes[1]})
+    duty_valve, valve_on, duty_led, led_on = [], [], [], []  # per piece
+    valve = led = (0.0, False)
+    for cut in cuts[:-1]:
+        valve = changes[0].get(cut, valve)
+        led = changes[1].get(cut, led)
+        duty_valve.append(valve[0])
+        valve_on.append(valve[1])
+        duty_led.append(led[0])
+        led_on.append(led[1])
 
     temp = np.empty(n + 1)
     temp[0] = plant.t_skin
-    temp[1:] = plant.run_span(duty_valve=duty_valve, duty_led=duty_led,
-                              valve_on=valve_on, led_on=led_on, n_steps=n)
+    temp[1:] = plant.run_span(
+        duty_valve=np.array(duty_valve), duty_led=np.array(duty_led),
+        valve_on=np.array(valve_on, dtype=bool), led_on=np.array(led_on, dtype=bool),
+        n_steps=np.diff(cuts))
 
     log_every = int(round(1.0 / (LOG_RATE * DT)))  # steps per logged sample
     idx = np.arange(0, n + 1, log_every)

@@ -91,20 +91,27 @@ def validate_spec(spec: StimulusSpec) -> list[SpecIssue]:
     A cycle shorter than MIN_CYCLE_TIME is reported as a warning only,
     since the actuators can still be driven, just less cleanly.
     """
+    return _validate(spec)[0]
+
+
+def _validate(spec: StimulusSpec):
+    """validate_spec's issues, plus the exact S1 cycle quantities when
+    the spec is a valid S1 (None otherwise)."""
     issues: list[SpecIssue] = []
+    exact = None
 
     def err(msg):
         issues.append(SpecIssue("error", msg))
 
     if spec.kind not in KINDS:
         err(f"kind must be one of {KINDS}, got {spec.kind!r}")
-        return issues
+        return issues, None
     for name in ("cooling_rate", "cooling_ratio", "swing", "duration", "drop_duration"):
         value = getattr(spec, name)
         if value is not None and not math.isfinite(value):
             err(f"{name} must be a finite number, got {value!r}")
     if issues:  # the checks below compare numbers, which inf and NaN defeat
-        return issues
+        return issues, None
     if not spec.duration > 0:
         err("duration must be positive")
     if not spec.cooling_rate < 0:
@@ -115,7 +122,8 @@ def validate_spec(spec: StimulusSpec) -> list[SpecIssue]:
         if not spec.swing > 0:
             err("swing must be positive")
         if not issues:
-            _, cycle, _, _ = _derive_exact(spec)
+            exact = _derive_exact(spec)
+            cycle = exact[1]
             if cycle < _exact(MIN_CYCLE_TIME):
                 issues.append(SpecIssue(
                     "warning",
@@ -127,13 +135,17 @@ def validate_spec(spec: StimulusSpec) -> list[SpecIssue]:
             err("drop_duration must be positive")
         elif spec.duration > 0 and not spec.drop_duration < spec.duration:
             err("drop_duration must be shorter than duration")
-    return issues
+    return issues, exact
 
 
-def _require_valid(spec: StimulusSpec) -> None:
-    errors = [i.message for i in validate_spec(spec) if i.severity == "error"]
+def _require_valid(spec: StimulusSpec):
+    """Raise ValidationError on a spec's errors; else return the exact S1
+    cycle quantities of _derive_exact (None for S2 and S3)."""
+    issues, exact = _validate(spec)
+    errors = [i.message for i in issues if i.severity == "error"]
     if errors:
         raise ValidationError("; ".join(errors))
+    return exact
 
 
 def _derive_exact(spec: StimulusSpec):
@@ -144,14 +156,19 @@ def _derive_exact(spec: StimulusSpec):
     the cycle; warm_rate is what the warm channel must supply on top of
     the still-running cold channel.
     """
-    rate = _exact(spec.cooling_rate)
-    ratio = _exact(spec.cooling_ratio)
-    swing = _exact(spec.swing)
-    cooling_time = swing / -rate
-    cycle_time = cooling_time / ratio
-    recovery_rate = swing / (cycle_time - cooling_time)
-    warm_rate = recovery_rate - rate
-    return cooling_time, cycle_time, recovery_rate, warm_rate
+    # With rate = -a/b, ratio = c/d and swing = e/f (a, b, c, d, e, f > 0):
+    #   cooling_time  = swing / -rate                        = e*b / (f*a)
+    #   cycle_time    = cooling_time / ratio                 = e*b*d / (f*a*c)
+    #   recovery_rate = swing / (cycle_time - cooling_time)  = a*c / (b*(d-c))
+    #   warm_rate     = recovery_rate - rate                 = a*d / (b*(d-c))
+    # Each is computed on the integers and made one Fraction.
+    rate, ratio, swing = (_exact(x) for x in
+                          (spec.cooling_rate, spec.cooling_ratio, spec.swing))
+    a, b = -rate.numerator, rate.denominator
+    c, d = ratio.numerator, ratio.denominator
+    e, f = swing.numerator, swing.denominator
+    return (Fraction(e * b, f * a), Fraction(e * b * d, f * a * c),
+            Fraction(a * c, b * (d - c)), Fraction(a * d, b * (d - c)))
 
 
 @dataclass(frozen=True)
@@ -172,8 +189,7 @@ def derive_pattern(spec: StimulusSpec) -> DerivedPattern:
     """
     if spec.kind != "S1":
         raise WrongKindError(f"derive_pattern requires an S1 spec, got {spec.kind}")
-    _require_valid(spec)
-    cooling_time, cycle_time, recovery_rate, warm_rate = _derive_exact(spec)
+    cooling_time, cycle_time, recovery_rate, warm_rate = _require_valid(spec)
     return DerivedPattern(
         cooling_time=float(cooling_time),
         cycle_time=float(cycle_time),
@@ -256,26 +272,29 @@ def compile_schedule(spec: StimulusSpec) -> RateSchedule:
     segment; the warm channel is active exactly where the target rate
     sits above the cooling rate.
     """
-    _require_valid(spec)
+    exact = _require_valid(spec)
     duration = _exact(spec.duration)
     rate = _exact(spec.cooling_rate)
     segments: list[Segment] = []
 
     if spec.kind == "S1":
-        cooling_time, cycle_time, recovery_rate, _ = _derive_exact(spec)
-        cycle = 0
-        pos = Fraction(0)
-        while pos < duration:
-            cool_end = min(pos + cooling_time, duration)
-            segments.append(Segment(pos, cool_end, rate, True, False))
-            if cool_end == duration:
+        cooling_time, cycle_time, recovery_rate, _ = exact
+        # Every boundary is a whole number of ticks of 1/den, so it is
+        # computed on integers, from whole-cycle multiples, and becomes
+        # one Fraction shared by the two segments it separates.
+        den = math.lcm(cooling_time.denominator, cycle_time.denominator,
+                       duration.denominator)
+        cool, cycle, end = (x.numerator * (den // x.denominator)
+                            for x in (cooling_time, cycle_time, duration))
+        start = Fraction(0)
+        for pos in range(0, end, cycle):
+            cool_ticks = min(pos + cool, end)
+            cool_end = Fraction(cool_ticks, den)
+            segments.append(Segment(start, cool_end, rate, True, False))
+            if cool_ticks == end:
                 break
-            # Boundaries come from whole-cycle multiples, never from
-            # accumulating previous segment ends.
-            warm_end = min((cycle + 1) * cycle_time, duration)
-            segments.append(Segment(cool_end, warm_end, recovery_rate, True, True))
-            cycle += 1
-            pos = cycle * cycle_time
+            start = Fraction(min(pos + cycle, end), den)
+            segments.append(Segment(cool_end, start, recovery_rate, True, True))
     elif spec.kind == "S2":
         drop_end = _exact(spec.drop_duration)
         segments.append(Segment(Fraction(0), drop_end, rate, True, False))

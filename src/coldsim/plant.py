@@ -99,11 +99,11 @@ class SensorReading:
 
 
 def _drive_rate(params: PlantParams, duty_valve, duty_led, valve_on, led_on):
-    """Actuator rate for scalar inputs, or per step for array inputs.
+    """Actuator rate for scalar inputs, or per piece for array inputs.
 
     The on flags are bools (or bool arrays).  An off channel contributes
-    an exact zero, so a step's rate is the same whether its inputs are
-    given as scalars or as elements of arrays.
+    an exact zero, so a rate is the same whether its inputs are given as
+    scalars or as elements of arrays.
     """
     return (valve_on * (params.valve_gain * duty_valve + params.valve_bias)
             + led_on * (params.led_gain * duty_led + params.led_bias)
@@ -158,25 +158,35 @@ class SkinPlant:
 
     def run_span(self, duty_valve=0.0, duty_led=0.0, valve_on=False,
                  led_on=False, dt=DT, n_steps=1) -> np.ndarray:
-        """Run n_steps and return the temperature after each step.
+        """Run consecutive pieces of steps and return the temperature
+        after each step.
 
-        Each input is either a constant or an array holding its value
-        for every step.  Implements the same recurrence as step() as one
-        linear filter, which keeps long simulations fast without
-        changing the dynamics.
+        n_steps is the step count of one piece, or an array of the step
+        counts of several; each input is either one value for every
+        piece or an array holding one value per piece.  The actuator
+        rate is evaluated once per piece, and the same recurrence as
+        step() runs over all the steps as one linear filter, which keeps
+        long simulations fast without changing the dynamics.
         """
         _check_step_inputs(duty_valve, duty_led, dt)
-        if n_steps <= 0:
+        counts = np.atleast_1d(n_steps)
+        if np.any(counts < 0):
+            raise ValidationError(f"step counts must be non-negative, got {n_steps}")
+        total = int(counts.sum())
+        if total == 0:
             return np.empty(0)
         params = self.params
         rate = _drive_rate(params, duty_valve, duty_led, valve_on, led_on)
+        if np.shape(rate) not in ((), counts.shape):
+            raise ValidationError(f"the inputs give {np.size(rate)} pieces but "
+                                  f"n_steps gives {counts.size}")
         decay = 1.0 - params.relax_coeff * dt
-        drive = np.full(n_steps, dt * (rate + params.relax_coeff * params.t_neutral))
+        drive = np.repeat(dt * (rate + params.relax_coeff * params.t_neutral), counts)
         if params.noise_sigma > 0.0:
-            drive += dt * self.state.rng.normal(0.0, params.noise_sigma, n_steps)
+            drive += dt * self.state.rng.normal(0.0, params.noise_sigma, total)
         temps, _ = lfilter([1.0], [1.0, -decay], drive,
                            zi=[decay * self.state.t_skin])
-        self.state = PlantState(float(temps[-1]), self.state.time + n_steps * dt,
+        self.state = PlantState(float(temps[-1]), self.state.time + total * dt,
                                 self.state.rng)
         return temps
 

@@ -1,10 +1,13 @@
 """Duty models, calibration loop, timelines, and the control runner."""
 
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.signal import lfilter
 
 from coldsim import (CalibrationError, CalibrationProtocol,
                      DegenerateDesignError, DutyModel, PlantParams, SkinPlant,
@@ -13,7 +16,8 @@ from coldsim import (CalibrationError, CalibrationProtocol,
                      invert_duty, load_models, run_control, schedule_to_timeline)
 from coldsim.control import (DRIFT_THRESHOLD, LED_GRID, MEASURE_TIME, VALVE_GRID,
                              ActuatorTimeline, ChannelSpan)
-from coldsim.plant import DT
+from coldsim.pattern import RateSchedule, Segment
+from coldsim.plant import DT, PlantState, Trace
 
 
 def normal_equations_oracle(duties, rates):
@@ -241,6 +245,23 @@ def test_timeline_unreachable_carries_segment_index():
     assert info.value.segment_index == 1
 
 
+def test_timeline_duty_per_distinct_warm_rate():
+    # warm rates 0.2, 0.15, 0.2 on top of -0.1 cooling, then 0.4
+    valve_model, led_model = exact_models(PlantParams())
+    rates = [Fraction(r, 100) for r in (-10, 10, -10, 5, -10, 10, -10, 30)]
+    segments = tuple(Segment(Fraction(k), Fraction(k + 1), rate, True, rate > 0)
+                     for k, rate in enumerate(rates))
+    schedule = RateSchedule("S1", segments, Fraction(len(rates)), -0.1)
+    timeline = schedule_to_timeline(schedule, valve_model, led_model)
+    assert [(s.start, s.duty) for s in timeline.led] == [
+        (k, invert_duty(led_model, float(rate) + 0.1))
+        for k, rate in enumerate(rates) if rate > 0]
+    squeezed = DutyModel("led", led_model.slope, led_model.intercept, 0.118, 0.5)
+    with pytest.raises(UnreachableRateError) as info:
+        schedule_to_timeline(schedule, valve_model, squeezed)
+    assert info.value.segment_index == 7
+
+
 def test_run_control_s3_matches_analytic_integral():
     params = PlantParams(relax_coeff=0.0)
     plant = SkinPlant(params)
@@ -308,6 +329,21 @@ def test_run_control_rejects_unordered_spans(spans):
             run_control(timeline, SkinPlant(PlantParams()))
 
 
+@pytest.mark.parametrize("valve,duration,bad", [
+    ((ChannelSpan(0.0, math.nan, 0.55),), 2.0, "nan"),
+    ((ChannelSpan(math.nan, 1.0, 0.55),), 2.0, "nan"),
+    ((ChannelSpan(0.0, math.inf, 0.55),), 2.0, "inf"),
+    ((), math.nan, "nan"),
+    ((), math.inf, "inf"),
+    ((), -1.0, "-1.0"),
+])
+def test_run_control_rejects_non_finite_or_negative_timeline(valve, duration, bad):
+    for timeline in (ActuatorTimeline(valve, (), duration),
+                     ActuatorTimeline((), valve, duration)):
+        with pytest.raises(ValidationError, match=bad):
+            run_control(timeline, SkinPlant(PlantParams()))
+
+
 @st.composite
 def random_timelines(draw):
     """A timeline with off-grid boundaries and gaps, plus its step count.
@@ -362,3 +398,64 @@ def test_property_run_control_matches_scalar_steps(case):
         times.append(n * DT)
     assert trace.time.tolist() == times
     assert np.max(np.abs(trace.temp - temps[idx])) <= 1e-9
+
+
+def per_step_run_span(plant, duty_valve, duty_led, valve_on, led_on, n_steps,
+                      dt=DT):
+    """SkinPlant.run_span on per-step input arrays: the drive rate of
+    every step from that step's inputs, then one noise draw and one
+    linear filter over all of them."""
+    if n_steps <= 0:
+        return np.empty(0)
+    p = plant.params
+    rate = (valve_on * (p.valve_gain * duty_valve + p.valve_bias)
+            + led_on * (p.led_gain * duty_led + p.led_bias)
+            + (valve_on & led_on) * p.interaction_bias)
+    decay = 1.0 - p.relax_coeff * dt
+    drive = np.full(n_steps, dt * (rate + p.relax_coeff * p.t_neutral))
+    if p.noise_sigma > 0.0:
+        drive += dt * plant.state.rng.normal(0.0, p.noise_sigma, n_steps)
+    temps, _ = lfilter([1.0], [1.0, -decay], drive, zi=[decay * plant.t_skin])
+    plant.state = PlantState(float(temps[-1]), plant.time + n_steps * dt,
+                             plant.state.rng)
+    return temps
+
+
+def per_step_run_control(timeline, plant):
+    """run_control with each channel's spans written into per-step duty
+    and on-flag arrays, later spans over earlier ones."""
+    n = int(round(timeline.duration / DT))
+    duty_valve, duty_led = np.zeros(n), np.zeros(n)
+    valve_on, led_on = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    for spans, duty, on in ((timeline.valve, duty_valve, valve_on),
+                            (timeline.led, duty_led, led_on)):
+        for span in spans:
+            t0, t1 = (min(int(round(t / DT)), n) for t in (span.start, span.end))
+            duty[t0:t1] = span.duty
+            on[t0:t1] = True
+    temp = np.empty(n + 1)
+    temp[0] = plant.t_skin
+    temp[1:] = per_step_run_span(plant, duty_valve, duty_led, valve_on, led_on, n)
+    idx = np.arange(0, n + 1, 10)
+    time = np.arange(len(idx)) / 100.0
+    if n % 10:
+        idx, time = np.append(idx, n), np.append(time, n * DT)
+    return Trace(time, temp[idx])
+
+
+@settings(max_examples=60)
+@given(random_timelines(), st.integers(0, 2**32 - 1))
+@example((ActuatorTimeline(  # zero-length spans: between spans, before one, alone
+    (ChannelSpan(0.0, 1.0, 0.5), ChannelSpan(1.0, 1.0, 0.7),
+     ChannelSpan(1.0, 1.5, 0.6), ChannelSpan(1.8, 1.8, 0.4)),
+    (ChannelSpan(0.5, 0.5, 0.9), ChannelSpan(0.5, 1.5, 0.3)), 2.0), 2000), 7)
+def test_property_run_control_matches_per_step_arrays(case, seed):
+    timeline, _ = case
+    params = PlantParams(noise_sigma=0.01, interaction_bias=0.013)
+    plant, oracle = SkinPlant(params, seed=seed), SkinPlant(params, seed=seed)
+    trace = run_control(timeline, plant)
+    expected = per_step_run_control(timeline, oracle)
+    assert trace.time.tobytes() == expected.time.tobytes()
+    assert trace.temp.tobytes() == expected.temp.tobytes()
+    assert (plant.t_skin, plant.time) == (oracle.t_skin, oracle.time)
+    assert plant.state.rng.random() == oracle.state.rng.random()

@@ -6,11 +6,11 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coldsim import (StimulusSpec, ValidationError, WrongKindError,
                      compile_schedule, derive_pattern, validate_spec)
-from coldsim.pattern import _derive_exact, _exact
+from coldsim.pattern import Segment, _derive_exact, _exact
 
 
 def substitution_oracle(vc, lam, swing):
@@ -210,6 +210,49 @@ def test_property_segments_tile_and_alternate(spec):
         whole = int(schedule.duration / cycle)
         for k in {min(1, whole), whole} - {0}:
             assert schedule.rate_integral(0, k * cycle) == 0
+
+
+def fraction_loop_s1(spec):
+    """S1 cycle quantities and segments by Fraction arithmetic: each
+    quantity from the previous ones, each boundary a whole-cycle multiple
+    of cycle_time, the loop compile_schedule is checked against."""
+    rate = _exact(spec.cooling_rate)
+    ratio = _exact(spec.cooling_ratio)
+    swing = _exact(spec.swing)
+    cooling_time = swing / -rate
+    cycle_time = cooling_time / ratio
+    recovery_rate = swing / (cycle_time - cooling_time)
+    warm_rate = recovery_rate - rate
+    duration = _exact(spec.duration)
+    segments = []
+    cycle = 0
+    pos = Fraction(0)
+    while pos < duration:
+        cool_end = min(pos + cooling_time, duration)
+        segments.append(Segment(pos, cool_end, rate, True, False))
+        if cool_end == duration:
+            break
+        warm_end = min((cycle + 1) * cycle_time, duration)
+        segments.append(Segment(cool_end, warm_end, recovery_rate, True, True))
+        cycle += 1
+        pos = cycle * cycle_time
+    return (cooling_time, cycle_time, recovery_rate, warm_rate), segments
+
+
+@settings(max_examples=200)
+@given(specs().filter(lambda spec: spec.kind == "S1"),
+       st.one_of(st.none(), st.floats(0.001, 20.0)))
+def test_property_s1_schedule_matches_fraction_loop(spec, off_grid_duration):
+    if off_grid_duration is not None:
+        spec = replace(spec, duration=off_grid_duration)
+    derived, expected = fraction_loop_s1(spec)
+    assert _derive_exact(spec) == derived
+    segments = compile_schedule(spec).segments
+    assert list(segments) == expected
+    assert all(type(x) is Fraction
+               for seg in segments for x in (seg.start, seg.end, seg.rate))
+    # one Fraction per boundary, shared by the segments it separates
+    assert all(seg.start is prev.end for prev, seg in zip(segments, segments[1:]))
 
 
 def test_schedule_csv_export(tmp_path):

@@ -164,6 +164,30 @@ def test_run_span_matches_scalar_loop():
     assert fast.time == pytest.approx(slow.time, abs=1e-12)
 
 
+def test_run_span_pieces_match_consecutive_spans():
+    # one call over three pieces steps like three one-piece calls
+    params = PlantParams(interaction_bias=0.013)  # relaxation on, noise off
+    pieces = SkinPlant(params)
+    temps = pieces.run_span(duty_valve=np.array([0.55, 0.0, 0.49]),
+                            duty_led=0.3, valve_on=np.array([True, False, True]),
+                            led_on=np.array([False, True, True]),
+                            n_steps=np.array([7, 0, 12]))
+    spans = SkinPlant(params)
+    expected = np.concatenate([
+        spans.run_span(duty_valve=0.55, duty_led=0.3, valve_on=True, n_steps=7),
+        spans.run_span(duty_led=0.3, led_on=True, n_steps=0),
+        spans.run_span(duty_valve=0.49, duty_led=0.3, valve_on=True,
+                       led_on=True, n_steps=12)])
+    assert temps.tobytes() == expected.tobytes()
+    assert (pieces.t_skin, pieces.time) == (spans.t_skin, spans.time)
+    with pytest.raises(ValidationError, match="non-negative"):
+        pieces.run_span(duty_valve=np.array([0.5, 0.5]), n_steps=np.array([3, -1]))
+    with pytest.raises(ValidationError, match="3 pieces but n_steps gives 1"):
+        pieces.run_span(duty_valve=np.array([0.5, 0.5, 0.5]), valve_on=True,
+                        n_steps=3)
+    assert (pieces.t_skin, pieces.time) == (spans.t_skin, spans.time)  # untouched
+
+
 def test_interaction_bias_only_when_both_on():
     params = PlantParams(relax_coeff=0.0, interaction_bias=0.013)
     single = step(make_state(33.0), params, duty_led=0.5, led_on=True)
