@@ -239,7 +239,8 @@ def _measure_grid(plant: SkinPlant, protocol: CalibrationProtocol,
         rates = []
         for _ in range(repeats):
             delta = _sensor_delta(plant, protocol, lambda: plant.run_span(
-                n_steps=n_steps, **{f"duty_{channel}": duty, f"{channel}_on": True}))
+                n_steps=n_steps, log_every=n_steps,
+                **{f"duty_{channel}": duty, f"{channel}_on": True}))
             if protocol.measurement_noise > 0.0:
                 delta += rng.normal(0.0, protocol.measurement_noise) * MEASURE_TIME
             rates.append(delta / MEASURE_TIME)
@@ -351,7 +352,7 @@ def run_control(timeline: ActuatorTimeline, plant: SkinPlant) -> Trace:
     an error, and so is a non-finite boundary or duration.  The
     presentation is cut at every snapped boundary into pieces on which
     both channels hold one state, and the plant runs all of them in one
-    call.  The returned trace covers t = 0 through the end of the
+    call that returns only the logged samples.  The returned trace covers t = 0 through the end of the
     timeline inclusive: the grid k / LOG_RATE, plus the end itself when
     it is off that grid.
     """
@@ -395,16 +396,13 @@ def run_control(timeline: ActuatorTimeline, plant: SkinPlant) -> Trace:
         duty_led.append(led[0])
         led_on.append(led[1])
 
-    temp = np.empty(n + 1)
-    temp[0] = plant.t_skin
-    temp[1:] = plant.run_span(
+    log_every = int(round(1.0 / (LOG_RATE * DT)))  # steps per logged sample
+    start = plant.t_skin
+    temps = plant.run_span(
         duty_valve=np.array(duty_valve), duty_led=np.array(duty_led),
         valve_on=np.array(valve_on, dtype=bool), led_on=np.array(led_on, dtype=bool),
-        n_steps=np.diff(cuts))
-
-    log_every = int(round(1.0 / (LOG_RATE * DT)))  # steps per logged sample
-    idx = np.arange(0, n + 1, log_every)
-    time = np.arange(len(idx)) / LOG_RATE
+        n_steps=np.diff(cuts), log_every=log_every)
+    time = np.arange(n // log_every + 1) / LOG_RATE
     if n % log_every:
-        idx, time = np.append(idx, n), np.append(time, n * DT)
-    return Trace(time, temp[idx])
+        time = np.append(time, n * DT)
+    return Trace(time, np.concatenate(([start], temps)))

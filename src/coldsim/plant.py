@@ -110,18 +110,52 @@ def _drive_rate(params: PlantParams, duty_valve, duty_led, valve_on, led_on):
             + (valve_on & led_on) * params.interaction_bias)
 
 
-def _check_step_inputs(duty_valve, duty_led, dt):
-    if not 0.0 < dt <= MAX_STEP:
-        raise ValidationError(f"dt must lie in (0, {MAX_STEP}] s, got {dt}")
+def _check_duties(duty_valve, duty_led):
     for duty in (duty_valve, duty_led):
-        if not np.all((0.0 <= duty) & (duty <= 1.0)):
+        if not np.asarray((0.0 <= duty) & (duty <= 1.0)).all():
             raise ValidationError("duty fractions must lie in [0, 1]")
+
+
+def _geometric(ratio: float, n: int) -> tuple[float, float]:
+    """ratio**n and the sum of ratio**k over 0 <= k < n, by binary powering.
+
+    Only float multiplications and additions, so the results are the
+    same on every IEEE machine; the sum has no 1 - ratio cancellation as
+    ratio nears 1, and at ratio == 1 it is n exactly.
+    """
+    power, total = 1.0, 0.0
+    for bit in bin(n)[2:]:
+        total += power * total  # S(2m) = (1 + r**m) S(m)
+        power *= power
+        if bit == "1":
+            total = 1.0 + ratio * total  # S(m + 1) = 1 + r S(m)
+            power *= ratio
+    return power, total
+
+
+def _block_sums(drive: np.ndarray, length: int, decay: float) -> np.ndarray:
+    """sum(decay**(length - 1 - j) * d_j) over each consecutive block of
+    length per-step drives d_j: what the step recurrence adds over a block.
+
+    Horner's rule, s = s * decay + d_j, across the blocks at once; few
+    long blocks run the same recurrence along each block in lfilter.
+    """
+    blocks = drive.reshape(-1, length)
+    if len(blocks) < length:
+        return lfilter([1.0], [1.0, -decay], blocks, axis=1)[:, -1]
+    sums = blocks[:, 0].copy()
+    for j in range(1, length):
+        sums *= decay
+        sums += blocks[:, j]
+    return sums
 
 
 def step(state: PlantState, params: PlantParams, duty_valve=0.0, duty_led=0.0,
          valve_on=False, led_on=False, dt=DT) -> PlantState:
     """Advance the skin node by one explicit first-order step."""
-    _check_step_inputs(duty_valve, duty_led, dt)
+    if not 0.0 < dt <= MAX_STEP:
+        raise ValidationError(f"dt must lie in (0, {MAX_STEP}] s, got {dt}")
+    _check_duties(duty_valve, duty_led)
     rate = _drive_rate(params, duty_valve, duty_led, valve_on, led_on)
     rate += params.relax_coeff * (params.t_neutral - state.t_skin)
     if params.noise_sigma > 0.0:
@@ -157,21 +191,28 @@ class SkinPlant:
         return self.state.t_skin
 
     def run_span(self, duty_valve=0.0, duty_led=0.0, valve_on=False,
-                 led_on=False, dt=DT, n_steps=1) -> np.ndarray:
-        """Run consecutive pieces of steps and return the temperature
-        after each step.
+                 led_on=False, n_steps=1, log_every=1) -> np.ndarray:
+        """Run consecutive pieces of DT steps and return the temperature
+        after every log_every steps, plus the end when the steps are not
+        a whole number of log intervals.
 
         n_steps is the step count of one piece, or an array of the step
         counts of several; each input is either one value for every
         piece or an array holding one value per piece.  The actuator
-        rate is evaluated once per piece, and the same recurrence as
-        step() runs over all the steps as one linear filter, which keeps
-        long simulations fast without changing the dynamics.
+        rate is evaluated once per piece.  Over a block of L steps
+        between samples, step()'s recurrence T <- decay * T + d_j is
+        applied as one update, T <- decay**L * T + sum(decay**(L-1-j) * d_j),
+        and one linear filter runs over the blocks: the dynamics are
+        those of step(), only the order of the float operations differs.
+        A single noiseless piece needs no per-step drive at all.
         """
-        _check_step_inputs(duty_valve, duty_led, dt)
+        _check_duties(duty_valve, duty_led)
         counts = np.atleast_1d(n_steps)
-        if np.any(counts < 0):
+        if (counts < 0).any():
             raise ValidationError(f"step counts must be non-negative, got {n_steps}")
+        if not (isinstance(log_every, (int, np.integer)) and log_every >= 1):
+            raise ValidationError(
+                f"log_every must be a positive integer, got {log_every!r}")
         total = int(counts.sum())
         if total == 0:
             return np.empty(0)
@@ -180,14 +221,31 @@ class SkinPlant:
         if np.shape(rate) not in ((), counts.shape):
             raise ValidationError(f"the inputs give {np.size(rate)} pieces but "
                                   f"n_steps gives {counts.size}")
-        decay = 1.0 - params.relax_coeff * dt
-        drive = np.repeat(dt * (rate + params.relax_coeff * params.t_neutral), counts)
-        if params.noise_sigma > 0.0:
-            drive += dt * self.state.rng.normal(0.0, params.noise_sigma, total)
-        temps, _ = lfilter([1.0], [1.0, -decay], drive,
-                           zi=[decay * self.state.t_skin])
-        self.state = PlantState(float(temps[-1]), self.state.time + total * dt,
-                                self.state.rng)
+        decay = 1.0 - params.relax_coeff * DT
+        drive = DT * (rate + params.relax_coeff * params.t_neutral)
+        blocks, rem = divmod(total, log_every)
+        power, gain = _geometric(decay, log_every)
+        tail_power, tail_gain = _geometric(decay, rem)
+        if np.ndim(drive) == 0 and params.noise_sigma == 0.0:
+            sums, tail = np.full(blocks, drive * gain), drive * tail_gain
+        else:
+            steps = np.repeat(drive, counts)
+            if params.noise_sigma > 0.0:
+                steps += DT * self.state.rng.normal(0.0, params.noise_sigma, total)
+            cut = blocks * log_every
+            sums = _block_sums(steps[:cut], log_every, decay)
+            tail = _block_sums(steps[cut:], rem, decay)[0] if rem else 0.0
+        t_skin = self.state.t_skin
+        if blocks > 1:
+            temps, _ = lfilter([1.0], [1.0, -power], sums, zi=[power * t_skin])
+        else:  # lfilter's own arithmetic on zero or one block
+            temps = power * t_skin + sums
+        if blocks:
+            t_skin = float(temps[-1])
+        if rem:
+            t_skin = float(tail_power * t_skin + tail)
+            temps = np.append(temps, t_skin)
+        self.state = PlantState(t_skin, self.state.time + total * DT, self.state.rng)
         return temps
 
     def read_sensor(self, resolution: float = DEFAULT_SENSOR_RESOLUTION) -> SensorReading:

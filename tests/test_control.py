@@ -444,18 +444,24 @@ def per_step_run_control(timeline, plant):
 
 
 @settings(max_examples=60)
-@given(random_timelines(), st.integers(0, 2**32 - 1))
+@given(random_timelines(), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.002]), st.sampled_from([0.0, 0.01]))
 @example((ActuatorTimeline(  # zero-length spans: between spans, before one, alone
     (ChannelSpan(0.0, 1.0, 0.5), ChannelSpan(1.0, 1.0, 0.7),
      ChannelSpan(1.0, 1.5, 0.6), ChannelSpan(1.8, 1.8, 0.4)),
-    (ChannelSpan(0.5, 0.5, 0.9), ChannelSpan(0.5, 1.5, 0.3)), 2.0), 2000), 7)
-def test_property_run_control_matches_per_step_arrays(case, seed):
+    (ChannelSpan(0.5, 0.5, 0.9), ChannelSpan(0.5, 1.5, 0.3)), 2.0), 2000), 7,
+    0.002, 0.01)
+def test_property_run_control_matches_per_step_arrays(case, seed, relax, noise):
+    # The block update reorders the float operations of the per-step
+    # filter, so temperatures agree to rounding, on the same noise draws.
     timeline, _ = case
-    params = PlantParams(noise_sigma=0.01, interaction_bias=0.013)
+    params = PlantParams(relax_coeff=relax, noise_sigma=noise,
+                         interaction_bias=0.013)
     plant, oracle = SkinPlant(params, seed=seed), SkinPlant(params, seed=seed)
     trace = run_control(timeline, plant)
     expected = per_step_run_control(timeline, oracle)
     assert trace.time.tobytes() == expected.time.tobytes()
-    assert trace.temp.tobytes() == expected.temp.tobytes()
-    assert (plant.t_skin, plant.time) == (oracle.t_skin, oracle.time)
+    assert np.max(np.abs(trace.temp - expected.temp)) <= 1e-9
+    assert abs(plant.t_skin - oracle.t_skin) <= 1e-9
+    assert plant.time == oracle.time
     assert plant.state.rng.random() == oracle.state.rng.random()

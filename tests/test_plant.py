@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coldsim import (PlantParams, SkinPlant, ValidationError, load_plant_config,
                      read_sensor, save_plant_config, step)
@@ -34,7 +34,7 @@ def test_valve_rate_and_six_second_drop():
     assert rate == pytest.approx(-0.04998, abs=1e-9)
     params = PlantParams(relax_coeff=0.0)
     plant = SkinPlant(params)
-    plant.run_span(duty_valve=0.49, valve_on=True, dt=0.001, n_steps=6000)
+    plant.run_span(duty_valve=0.49, valve_on=True, n_steps=6000)
     assert plant.t_skin - 33.0 == pytest.approx(rate * 6.0, abs=1e-9)
     assert plant.t_skin - 33.0 == pytest.approx(-0.2999, abs=2e-4)
 
@@ -118,8 +118,8 @@ def test_deterministic_with_equal_seeds():
     params = PlantParams(noise_sigma=0.05)
     a = SkinPlant(params, seed=42)
     b = SkinPlant(params, seed=42)
-    ta = a.run_span(duty_valve=0.55, valve_on=True, dt=0.001, n_steps=2000)
-    tb = b.run_span(duty_valve=0.55, valve_on=True, dt=0.001, n_steps=2000)
+    ta = a.run_span(duty_valve=0.55, valve_on=True, n_steps=2000)
+    tb = b.run_span(duty_valve=0.55, valve_on=True, n_steps=2000)
     assert np.array_equal(ta, tb)
 
 
@@ -139,29 +139,38 @@ def test_relaxation_monotone_convergence():
 
 
 def test_step_refinement_endpoint():
-    """Halving dt moves the 15 s endpoint by far less than 1e-4 degC."""
+    """The 15 s endpoint at DT is far less than 1e-4 degC from the exact
+    solution of the ODE, the limit of halving the step forever."""
+    params = PlantParams()
+    k = params.relax_coeff
     for duty_valve, duty_led in ((0.49, 0.0), (0.601, 0.902), (0.55, 0.5)):
-        ends = []
-        for dt in (0.001, 0.0005):
-            plant = SkinPlant(PlantParams())
-            n = int(round(15.0 / dt))
-            plant.run_span(duty_valve=duty_valve, duty_led=duty_led,
-                           valve_on=True, led_on=duty_led > 0, dt=dt, n_steps=n)
-            ends.append(plant.t_skin)
-        assert abs(ends[0] - ends[1]) < 1e-4
+        plant = SkinPlant(params)
+        plant.run_span(duty_valve=duty_valve, duty_led=duty_led, valve_on=True,
+                       led_on=duty_led > 0, n_steps=15000, log_every=15000)
+        rate = (params.valve_gain * duty_valve + params.valve_bias
+                + (duty_led > 0) * (params.led_gain * duty_led + params.led_bias))
+        t_eq = params.t_neutral + rate / k
+        exact = t_eq + (params.t_init - t_eq) * math.exp(-k * 15.0)
+        assert abs(plant.t_skin - exact) < 1e-4
 
 
 def test_run_span_matches_scalar_loop():
+    # samples after every log_every steps, plus the end off that grid
     params = PlantParams()  # relaxation on, noise off
-    fast = SkinPlant(params)
     slow = SkinPlant(params)
-    temps = fast.run_span(duty_valve=0.55, duty_led=0.3, valve_on=True,
-                          led_on=True, dt=0.005, n_steps=400)
-    for _ in range(400):
-        slow.step(duty_valve=0.55, duty_led=0.3, valve_on=True, led_on=True,
-                  dt=0.005)
-    assert temps[-1] == pytest.approx(slow.t_skin, abs=1e-9)
-    assert fast.time == pytest.approx(slow.time, abs=1e-12)
+    steps = [slow.step(duty_valve=0.55, duty_led=0.3, valve_on=True,
+                       led_on=True) for _ in range(400)]
+    for log_every in (1, 7, 10, 400, 1000):
+        fast = SkinPlant(params)
+        temps = fast.run_span(duty_valve=0.55, duty_led=0.3, valve_on=True,
+                              led_on=True, n_steps=400, log_every=log_every)
+        expected = steps[log_every - 1::log_every]
+        if 400 % log_every:
+            expected.append(steps[-1])
+        assert len(temps) == len(expected)
+        assert np.max(np.abs(temps - expected)) <= 1e-9
+        assert fast.t_skin == temps[-1]
+        assert fast.time == pytest.approx(slow.time, abs=1e-12)
 
 
 def test_run_span_pieces_match_consecutive_spans():
@@ -292,3 +301,41 @@ def test_property_trace_csvs_match_csv_writer(traces):
             oracle_trace_csv(trace, path + ".oracle")
             with open(path, "rb") as got, open(path + ".oracle", "rb") as want:
                 assert got.read() == want.read()
+
+
+@st.composite
+def piece_runs(draw):
+    """Per-piece inputs, step counts and a log interval for run_span."""
+    k = draw(st.integers(1, 5))
+    duty = st.floats(0.0, 1.0)
+    pieces = [(draw(duty), draw(duty), draw(st.booleans()), draw(st.booleans()),
+               draw(st.integers(0, 300))) for _ in range(k)]
+    return pieces, draw(st.integers(1, 400))
+
+
+@settings(max_examples=60)
+@given(piece_runs(), st.sampled_from([0.0, 0.002, 50.0]))
+def test_property_run_span_matches_scalar_steps(case, relax):
+    # logged samples of any interval, over one piece or several, match a
+    # loop of step() calls to rounding
+    pieces, log_every = case
+    params = PlantParams(relax_coeff=relax, interaction_bias=0.013)
+    duty_valve, duty_led, valve_on, led_on, counts = map(np.array, zip(*pieces))
+    fast = SkinPlant(params)
+    if len(pieces) == 1:
+        temps = fast.run_span(*(x[0] for x in (duty_valve, duty_led, valve_on, led_on)),
+                              n_steps=int(counts[0]), log_every=log_every)
+    else:
+        temps = fast.run_span(duty_valve, duty_led, valve_on, led_on,
+                              n_steps=counts, log_every=log_every)
+    slow = SkinPlant(params)
+    steps = [slow.step(dv, dl, bool(vo), bool(lo))
+             for dv, dl, vo, lo, count in pieces for _ in range(count)]
+    expected = steps[log_every - 1::log_every]
+    if len(steps) % log_every:
+        expected.append(steps[-1])
+    assert len(temps) == len(expected)
+    if expected:
+        assert np.max(np.abs(temps - expected)) <= 1e-9
+    assert fast.t_skin == (temps[-1] if expected else params.t_init)
+    assert fast.time == pytest.approx(slow.time, abs=1e-12)
