@@ -352,9 +352,9 @@ def run_control(timeline: ActuatorTimeline, plant: SkinPlant) -> Trace:
     an error, and so is a non-finite boundary or duration.  The
     presentation is cut at every snapped boundary into pieces on which
     both channels hold one state, and the plant runs all of them in one
-    call that returns only the logged samples.  The returned trace covers t = 0 through the end of the
-    timeline inclusive: the grid k / LOG_RATE, plus the end itself when
-    it is off that grid.
+    call that returns only the logged samples.  The returned trace
+    covers t = 0 through the end of the timeline inclusive: the grid
+    k / LOG_RATE, plus the end itself when it is off that grid.
     """
     if not 0.0 <= timeline.duration < math.inf:
         raise ValidationError(f"timeline duration must be finite and "

@@ -204,7 +204,9 @@ class SkinPlant:
         applied as one update, T <- decay**L * T + sum(decay**(L-1-j) * d_j),
         and one linear filter runs over the blocks: the dynamics are
         those of step(), only the order of the float operations differs.
-        A single noiseless piece needs no per-step drive at all.
+        A single piece needs no per-step drive at all.  Process noise is
+        one normal draw per sample, with the exact law of the per-step
+        noise summed over its block.
         """
         _check_duties(duty_valve, duty_led)
         counts = np.atleast_1d(n_steps)
@@ -226,15 +228,24 @@ class SkinPlant:
         blocks, rem = divmod(total, log_every)
         power, gain = _geometric(decay, log_every)
         tail_power, tail_gain = _geometric(decay, rem)
-        if np.ndim(drive) == 0 and params.noise_sigma == 0.0:
+        if np.ndim(drive) == 0:
             sums, tail = np.full(blocks, drive * gain), drive * tail_gain
         else:
             steps = np.repeat(drive, counts)
-            if params.noise_sigma > 0.0:
-                steps += DT * self.state.rng.normal(0.0, params.noise_sigma, total)
             cut = blocks * log_every
             sums = _block_sums(steps[:cut], log_every, decay)
             tail = _block_sums(steps[cut:], rem, decay)[0] if rem else 0.0
+        if params.noise_sigma > 0.0:
+            # Over L steps the rate noise adds DT * sum(decay**(L-1-j) * n_j)
+            # with independent n_j ~ N(0, sigma**2): a normal of variance
+            # (sigma * DT)**2 * sum(decay**(2 i), i < L), independent between
+            # blocks.  One draw per sample gives each sample that law.
+            draws = self.state.rng.normal(0.0, params.noise_sigma * DT,
+                                          blocks + (rem > 0))
+            squared = decay * decay
+            sums = sums + draws[:blocks] * math.sqrt(_geometric(squared, log_every)[1])
+            if rem:
+                tail += draws[-1] * math.sqrt(_geometric(squared, rem)[1])
         t_skin = self.state.t_skin
         if blocks > 1:
             temps, _ = lfilter([1.0], [1.0, -power], sums, zi=[power * t_skin])

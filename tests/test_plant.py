@@ -6,15 +6,17 @@ import math
 import os
 import struct
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.stats import chi2
 
 from coldsim import (PlantParams, SkinPlant, ValidationError, load_plant_config,
                      read_sensor, save_plant_config, step)
-from coldsim.plant import PlantState, Trace, write_trace_csvs
+from coldsim.plant import DT, PlantState, Trace, write_trace_csvs
 
 
 def make_state(temp, seed=0):
@@ -339,3 +341,43 @@ def test_property_run_span_matches_scalar_steps(case, relax):
         assert np.max(np.abs(temps - expected)) <= 1e-9
     assert fast.t_skin == (temps[-1] if expected else params.t_init)
     assert fast.time == pytest.approx(slow.time, abs=1e-12)
+
+
+@pytest.mark.parametrize("relax", [0.0, 0.002, 50.0])
+def test_run_span_noise_per_logged_sample(relax):
+    """Each logged sample takes one normal draw with the law of the
+    per-step noise summed over its block of L steps: against a noiseless
+    twin, the residual r_k = decay**L * r_(k-1) + e_k has independent
+    innovations e_k ~ N(0, (sigma * DT)**2 * sum(decay**(2 i), i < L)).
+    Over 200 seeds, the sum of e_k**2 / var_k is chi-square with one
+    degree of freedom per sample; it must lie between the 1e-6 and
+    1 - 1e-6 quantiles, for presentation-like pieces logged every 10 steps
+    (with a 5-step tail) and for whole 6 s calibration readings."""
+    sigma = 0.05
+    quiet = PlantParams(relax_coeff=relax, interaction_bias=0.013)
+    noisy = replace(quiet, noise_sigma=sigma)
+    decay = 1.0 - relax * DT
+    cases = (
+        (dict(duty_valve=np.array([0.55, 0.5]), duty_led=0.3, valve_on=True,
+              led_on=np.array([False, True]), n_steps=np.array([400, 605]),
+              log_every=10), [10] * 100 + [5]),
+        (dict(duty_valve=0.5, valve_on=True, n_steps=6000, log_every=6000), [6000]),
+    )
+    for inputs, lengths in cases:
+        powers = [decay ** n for n in lengths]
+        variances = [(sigma * DT) ** 2 * sum(decay ** (2 * i) for i in range(n))
+                     for n in lengths]
+        expected = SkinPlant(quiet).run_span(**inputs)
+        stat = 0.0
+        for seed in range(200):
+            plant = SkinPlant(noisy, seed=seed)
+            residual = plant.run_span(**inputs) - expected
+            shadow = np.random.default_rng(seed)
+            shadow.standard_normal(len(lengths))  # one draw per sample
+            assert plant.state.rng.random() == shadow.random()
+            prev = 0.0
+            for r, power, var in zip(residual.tolist(), powers, variances):
+                stat += (r - power * prev) ** 2 / var
+                prev = r
+        df = 200 * len(lengths)
+        assert chi2.ppf(1e-6, df) < stat < chi2.ppf(1 - 1e-6, df)
