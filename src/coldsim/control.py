@@ -326,18 +326,22 @@ def schedule_to_timeline(schedule: RateSchedule, valve_model: DutyModel,
     valve_spans = [ChannelSpan(0.0, schedule.duration_s, valve_duty)]
     led_spans = []
     led_duties: dict[float, float] = {}  # warm rate -> duty
+    rate = None  # the segment rate that led_duty was found for
     for index, seg in enumerate(schedule.segments):
         if seg.warm_active:
-            warm_rate = seg.rate_c_per_s - base_rate
-            led_duty = led_duties.get(warm_rate)
-            if led_duty is None:
-                try:
-                    led_duty = led_duties[warm_rate] = invert_duty(led_model,
-                                                                   warm_rate)
-                except UnreachableRateError as exc:
-                    raise UnreachableRateError(
-                        exc.channel, exc.target_rate, exc.rate_min,
-                        exc.rate_max, segment_index=index) from exc
+            # S1 warm segments share one rate object: convert it once.
+            if seg.rate is not rate:
+                rate = seg.rate
+                warm_rate = float(rate) - base_rate
+                led_duty = led_duties.get(warm_rate)
+                if led_duty is None:
+                    try:
+                        led_duty = led_duties[warm_rate] = invert_duty(
+                            led_model, warm_rate)
+                    except UnreachableRateError as exc:
+                        raise UnreachableRateError(
+                            exc.channel, exc.target_rate, exc.rate_min,
+                            exc.rate_max, segment_index=index) from exc
             led_spans.append(ChannelSpan(seg.start_s, seg.end_s, led_duty))
     return ActuatorTimeline(tuple(valve_spans), tuple(led_spans),
                             schedule.duration_s)

@@ -15,6 +15,9 @@ cold-dominant asymmetry, a detection dead zone, a saturating mapping
 onto the slider, a peak-hold with slow release (reported percepts decay,
 they do not vanish the instant stimulation pauses), motor lag, and
 clipped response noise.
+
+scipy is imported where it is first used, as in plant and stats:
+importing it takes about 0.6 s, which every CLI start would pay.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .control import (LED_DUTY_RANGE, LOG_RATE, VALVE_DUTY_RANGE,
                       CalibrationResult, DutyModel, calibrate, run_control,
@@ -114,6 +116,7 @@ def perceived_rate(trace: Trace, model: ParticipantModel) -> np.ndarray:
     rate[1:] = np.diff(temp) / sample_dt
     rate[0] = rate[1]
     alpha = 1.0 - math.exp(-sample_dt / model.time_constant)
+    from scipy.signal import lfilter
     return lfilter([alpha], [1.0, alpha - 1.0], rate)
 
 

@@ -16,6 +16,9 @@ simulator inventions solved from the usable rate anchors of the real
 device (valve duty 49.0-60.1 % spanning roughly -0.05 to -0.30 degC/s,
 LED duty 11.8-90.2 % spanning roughly +0.02 to +0.50 degC/s); they are
 not physiological constants.
+
+scipy is imported where it is first used, as in experiment and stats:
+importing it takes about 0.6 s, which every CLI start would pay.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from dataclasses import dataclass, asdict
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ValidationError, check_numbers
 
@@ -135,14 +137,10 @@ def _geometric(ratio: float, n: int) -> tuple[float, float]:
 
 def _block_sums(drive: np.ndarray, length: int, decay: float) -> np.ndarray:
     """sum(decay**(length - 1 - j) * d_j) over each consecutive block of
-    length per-step drives d_j: what the step recurrence adds over a block.
-
-    Horner's rule, s = s * decay + d_j, across the blocks at once; few
-    long blocks run the same recurrence along each block in lfilter.
+    length per-step drives d_j: what the step recurrence adds over a
+    block, by Horner's rule, s = s * decay + d_j, across the blocks at once.
     """
     blocks = drive.reshape(-1, length)
-    if len(blocks) < length:
-        return lfilter([1.0], [1.0, -decay], blocks, axis=1)[:, -1]
     sums = blocks[:, 0].copy()
     for j in range(1, length):
         sums *= decay
@@ -248,6 +246,7 @@ class SkinPlant:
                 tail += draws[-1] * math.sqrt(_geometric(squared, rem)[1])
         t_skin = self.state.t_skin
         if blocks > 1:
+            from scipy.signal import lfilter
             temps, _ = lfilter([1.0], [1.0, -power], sums, zi=[power * t_skin])
         else:  # lfilter's own arithmetic on zero or one block
             temps = power * t_skin + sums
