@@ -215,12 +215,13 @@ def load_models(path) -> tuple[DutyModel, DutyModel]:
         raise ValidationError(f"cannot read {path} as duty models: {exc!r}") from exc
 
 
-def _sensor_delta(plant: SkinPlant, protocol: CalibrationProtocol, drive) -> float:
-    """Skin-temperature change, read through the sensor, while drive() runs
-    on a freshly reset skin."""
+def _sensor_delta(plant: SkinPlant, protocol: CalibrationProtocol, **span) -> float:
+    """Skin-temperature change, read through the sensor, over one
+    plant.run_span(**span) on a freshly reset skin.  Both callers ask for
+    one sample over the whole span, so the plant computes only its end."""
     plant.reset()
     before = plant.read_sensor(protocol.sensor_resolution).value
-    drive()
+    plant.run_span(**span)
     return plant.read_sensor(protocol.sensor_resolution).value - before
 
 
@@ -238,9 +239,8 @@ def _measure_grid(plant: SkinPlant, protocol: CalibrationProtocol,
         repeats = ENDPOINT_REPEATS if i in (0, len(grid) - 1) else 1
         rates = []
         for _ in range(repeats):
-            delta = _sensor_delta(plant, protocol, lambda: plant.run_span(
-                n_steps=n_steps, log_every=n_steps,
-                **{f"duty_{channel}": duty, f"{channel}_on": True}))
+            delta = _sensor_delta(plant, protocol, n_steps=n_steps, log_every=n_steps,
+                                  **{f"duty_{channel}": duty, f"{channel}_on": True})
             if protocol.measurement_noise > 0.0:
                 delta += rng.normal(0.0, protocol.measurement_noise) * MEASURE_TIME
             rates.append(delta / MEASURE_TIME)
@@ -256,9 +256,12 @@ def calibrate(plant: SkinPlant,
     changes and runs every verification pattern; when one leaves the
     skin more than DRIFT_THRESHOLD from where it started, the mean
     drift rate over the patterns is added to every warm measurement and
-    the next round refits.  Raises CalibrationError when the drift gate
-    still fails after max_iters rounds; unreachable verification rates
-    propagate as UnreachableRateError.
+    the next round refits.  Like each single-channel reading, each
+    verification pattern is one run_span call that computes only the
+    end temperature the sensor reads, not a logged trace.  Raises
+    CalibrationError when the drift gate still fails after max_iters
+    rounds; unreachable verification rates propagate as
+    UnreachableRateError.
     """
     protocol = protocol if protocol is not None else CalibrationProtocol()
     if len({spec.duration for spec in protocol.verify_specs}) > 1:
@@ -277,9 +280,9 @@ def calibrate(plant: SkinPlant,
             LED_GRID, [d / MEASURE_TIME for d in led_deltas], "led")
         nets = []
         for schedule in schedules:
-            timeline = schedule_to_timeline(schedule, valve_model, led_model)
-            nets.append(_sensor_delta(plant, protocol,
-                                      lambda: run_control(timeline, plant)))
+            span, n = _timeline_pieces(
+                schedule_to_timeline(schedule, valve_model, led_model))
+            nets.append(_sensor_delta(plant, protocol, log_every=max(n, 1), **span))
         checks = [VerificationCheck(stimulus_id(spec), net, abs(net) <= DRIFT_THRESHOLD)
                   for spec, net in zip(protocol.verify_specs, nets)]
         history.append(checks)
@@ -347,18 +350,16 @@ def schedule_to_timeline(schedule: RateSchedule, valve_model: DutyModel,
                             schedule.duration_s)
 
 
-def run_control(timeline: ActuatorTimeline, plant: SkinPlant) -> Trace:
-    """Step the plant under a timeline at DT and log at LOG_RATE.
+def _timeline_pieces(timeline: ActuatorTimeline) -> tuple[dict, int]:
+    """The run_span inputs that play a timeline at DT, one value per
+    piece, and the timeline's length in steps.
 
     Each channel's spans must be ordered and disjoint; a step outside
     every span has that channel off.  Span boundaries are snapped to the
     nearest step; a span that would vanish entirely in the snapping is
     an error, and so is a non-finite boundary or duration.  The
     presentation is cut at every snapped boundary into pieces on which
-    both channels hold one state, and the plant runs all of them in one
-    call that returns only the logged samples.  The returned trace
-    covers t = 0 through the end of the timeline inclusive: the grid
-    k / LOG_RATE, plus the end itself when it is off that grid.
+    both channels hold one state.
     """
     if not 0.0 <= timeline.duration < math.inf:
         raise ValidationError(f"timeline duration must be finite and "
@@ -400,12 +401,25 @@ def run_control(timeline: ActuatorTimeline, plant: SkinPlant) -> Trace:
         duty_led.append(led[0])
         led_on.append(led[1])
 
+    span = dict(duty_valve=np.array(duty_valve), duty_led=np.array(duty_led),
+                valve_on=np.array(valve_on, dtype=bool),
+                led_on=np.array(led_on, dtype=bool), n_steps=np.diff(cuts))
+    return span, n
+
+
+def run_control(timeline: ActuatorTimeline, plant: SkinPlant) -> Trace:
+    """Step the plant under a timeline at DT and log at LOG_RATE.
+
+    The timeline is checked, snapped to steps and cut into pieces as
+    _timeline_pieces says, and the plant runs all of them in one call
+    that returns only the logged samples.  The returned trace covers
+    t = 0 through the end of the timeline inclusive: the grid
+    k / LOG_RATE, plus the end itself when it is off that grid.
+    """
+    span, n = _timeline_pieces(timeline)
     log_every = int(round(1.0 / (LOG_RATE * DT)))  # steps per logged sample
     start = plant.t_skin
-    temps = plant.run_span(
-        duty_valve=np.array(duty_valve), duty_led=np.array(duty_led),
-        valve_on=np.array(valve_on, dtype=bool), led_on=np.array(led_on, dtype=bool),
-        n_steps=np.diff(cuts), log_every=log_every)
+    temps = plant.run_span(**span, log_every=log_every)
     time = np.arange(n // log_every + 1) / LOG_RATE
     if n % log_every:
         time = np.append(time, n * DT)

@@ -114,8 +114,24 @@ def _drive_rate(params: PlantParams, duty_valve, duty_led, valve_on, led_on):
 
 def _check_duties(duty_valve, duty_led):
     for duty in (duty_valve, duty_led):
-        if not np.asarray((0.0 <= duty) & (duty <= 1.0)).all():
+        inside = (0.0 <= duty) & (duty <= 1.0)  # a bool for Python numbers
+        if not (inside if type(inside) is bool else inside.all()):
             raise ValidationError("duty fractions must lie in [0, 1]")
+
+
+def _step_counts(n_steps) -> tuple:
+    """The per-piece step counts of run_span's n_steps and their total.
+
+    Each count must be a non-negative integer.  A plain int is one piece
+    and makes no array.
+    """
+    if type(n_steps) is int and n_steps >= 0:
+        return (n_steps,), n_steps
+    counts = np.atleast_1d(n_steps)
+    if counts.dtype.kind not in "iu" or (counts < 0).any():
+        raise ValidationError(
+            f"step counts must be non-negative integers, got {n_steps!r}")
+    return counts, int(counts.sum())
 
 
 def _geometric(ratio: float, n: int) -> tuple[float, float]:
@@ -205,28 +221,34 @@ class SkinPlant:
         A single piece needs no per-step drive at all.  Process noise is
         one normal draw per sample, with the exact law of the per-step
         noise summed over its block.
+
+        A call that returns one sample (log_every at least the total
+        step count, as every calibration reading and verification asks)
+        computes only the end, on Python floats: each piece of c steps
+        is one update S <- S * decay**c + d * sum(decay**i, i < c), and
+        the end is decay**N * T + S plus one noise draw for all N steps.
         """
         _check_duties(duty_valve, duty_led)
-        counts = np.atleast_1d(n_steps)
-        if (counts < 0).any():
-            raise ValidationError(f"step counts must be non-negative, got {n_steps}")
+        counts, total = _step_counts(n_steps)
         if not (isinstance(log_every, (int, np.integer)) and log_every >= 1):
             raise ValidationError(
                 f"log_every must be a positive integer, got {log_every!r}")
-        total = int(counts.sum())
         if total == 0:
             return np.empty(0)
         params = self.params
         rate = _drive_rate(params, duty_valve, duty_led, valve_on, led_on)
-        if np.shape(rate) not in ((), counts.shape):
-            raise ValidationError(f"the inputs give {np.size(rate)} pieces but "
-                                  f"n_steps gives {counts.size}")
+        # An array rate has one value per piece; scalar inputs give a float.
+        if isinstance(rate, np.ndarray) and rate.shape != np.shape(counts):
+            raise ValidationError(f"the inputs give {rate.size} pieces but "
+                                  f"n_steps gives {np.size(counts)}")
         decay = 1.0 - params.relax_coeff * DT
         drive = DT * (rate + params.relax_coeff * params.t_neutral)
+        if total <= log_every:
+            return np.array([self._run_to_end(drive, counts, total, decay)])
         blocks, rem = divmod(total, log_every)
         power, gain = _geometric(decay, log_every)
         tail_power, tail_gain = _geometric(decay, rem)
-        if np.ndim(drive) == 0:
+        if not isinstance(drive, np.ndarray):
             sums, tail = np.full(blocks, drive * gain), drive * tail_gain
         else:
             steps = np.repeat(drive, counts)
@@ -248,15 +270,39 @@ class SkinPlant:
         if blocks > 1:
             from scipy.signal import lfilter
             temps, _ = lfilter([1.0], [1.0, -power], sums, zi=[power * t_skin])
-        else:  # lfilter's own arithmetic on zero or one block
+        else:  # lfilter's own arithmetic on one block
             temps = power * t_skin + sums
-        if blocks:
-            t_skin = float(temps[-1])
+        t_skin = float(temps[-1])
         if rem:
             t_skin = float(tail_power * t_skin + tail)
             temps = np.append(temps, t_skin)
         self.state = PlantState(t_skin, self.state.time + total * DT, self.state.rng)
         return temps
+
+    def _run_to_end(self, drive, counts, total: int, decay: float) -> float:
+        """Advance the state by run_span's total steps and return only the
+        end temperature.  A scalar drive is one piece of all the steps, as
+        on the logged path, and one piece takes that path's arithmetic, so
+        a single-piece reading has the same bits on either path."""
+        params = self.params
+        if not isinstance(drive, np.ndarray):
+            pieces = ((drive, total),)
+        else:
+            pieces = zip(drive.tolist(), np.asarray(counts).tolist())
+        geometric = {}  # piece length -> (decay**c, sum(decay**i, i < c))
+        added = 0.0
+        for piece_drive, count in pieces:
+            if count not in geometric:
+                geometric[count] = _geometric(decay, count)
+            power, gain = geometric[count]
+            added = added * power + piece_drive * gain
+        if params.noise_sigma > 0.0:  # the law of the noise summed over all steps
+            draw = self.state.rng.normal(0.0, params.noise_sigma * DT)
+            added += draw * math.sqrt(_geometric(decay * decay, total)[1])
+        power = geometric[total][0] if total in geometric else _geometric(decay, total)[0]
+        t_skin = float(power * self.state.t_skin + added)
+        self.state = PlantState(t_skin, self.state.time + total * DT, self.state.rng)
+        return t_skin
 
     def read_sensor(self, resolution: float = DEFAULT_SENSOR_RESOLUTION) -> SensorReading:
         return read_sensor(self.state, resolution)

@@ -51,6 +51,21 @@ def test_unknown_flag_exit_code(tmp_path):
     assert proc.returncode == 1
 
 
+def test_calibrate_does_not_import_scipy(tmp_path):
+    # every calibration reading and verification returns one sample, which
+    # needs no lfilter, so neither calibrate nor the command loads scipy
+    script = (
+        "import sys\n"
+        "from coldsim import cli, control, plant\n"
+        "control.calibrate(plant.SkinPlant())\n"
+        "assert cli.main(['calibrate', '--out', sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "models.json")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_calibrate_and_simulate(tmp_path):
     models = tmp_path / "models.json"
     proc = run_cli("calibrate", "--out", str(models), "--seed", "5")

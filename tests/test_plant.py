@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.stats import chi2
 
 from coldsim import (PlantParams, SkinPlant, ValidationError, load_plant_config,
@@ -199,6 +199,19 @@ def test_run_span_pieces_match_consecutive_spans():
     assert (pieces.t_skin, pieces.time) == (spans.t_skin, spans.time)  # untouched
 
 
+@pytest.mark.parametrize("log_every", [1, 10**6])
+@pytest.mark.parametrize("n_steps", [2.5, np.array([1.5, 2.5]), math.nan])
+def test_run_span_rejects_non_integer_step_counts(n_steps, log_every):
+    # neither the logged path nor the one-sample path truncates or trips
+    # over a step count that is not an integer
+    plant = SkinPlant(PlantParams())
+    duty = np.full(np.shape(n_steps), 0.5) if np.ndim(n_steps) else 0.5
+    with pytest.raises(ValidationError, match="non-negative integers"):
+        plant.run_span(duty_valve=duty, valve_on=True, n_steps=n_steps,
+                       log_every=log_every)
+    assert (plant.t_skin, plant.time) == (33.0, 0.0)
+
+
 def test_interaction_bias_only_when_both_on():
     params = PlantParams(relax_coeff=0.0, interaction_bias=0.013)
     single = step(make_state(33.0), params, duty_led=0.5, led_on=True)
@@ -343,6 +356,33 @@ def test_property_run_span_matches_scalar_steps(case, relax):
     assert fast.time == pytest.approx(slow.time, abs=1e-12)
 
 
+@settings(max_examples=60)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.booleans(),
+                          st.booleans(), st.integers(0, 300)), min_size=1, max_size=6),
+       st.integers(0, 50), st.sampled_from([0.0, 0.002, 50.0]))
+def test_property_run_span_end_matches_logged_and_steps(pieces, extra, relax):
+    # a call that returns one sample computes only the end, one update per
+    # piece; it matches the last sample of the same pieces logged every 10
+    # steps and a loop of step() calls
+    params = PlantParams(relax_coeff=relax, interaction_bias=0.013)
+    duty_valve, duty_led, valve_on, led_on, counts = map(np.array, zip(*pieces))
+    total = int(counts.sum())
+    assume(total > 0)
+    inputs = dict(duty_valve=duty_valve, duty_led=duty_led, valve_on=valve_on,
+                  led_on=led_on, n_steps=counts)
+    end, logged, slow = SkinPlant(params), SkinPlant(params), SkinPlant(params)
+    temps = end.run_span(**inputs, log_every=total + extra)
+    samples = logged.run_span(**inputs, log_every=10)
+    for dv, dl, vo, lo, count in pieces:
+        for _ in range(count):
+            slow.step(dv, dl, vo, lo)
+    assert len(temps) == 1 and end.t_skin == temps[0]
+    assert abs(temps[0] - samples[-1]) <= 1e-9
+    assert abs(temps[0] - slow.t_skin) <= 1e-9
+    assert end.time == logged.time
+    assert end.time == pytest.approx(slow.time, abs=1e-12)
+
+
 @pytest.mark.parametrize("relax", [0.0, 0.002, 50.0])
 def test_run_span_noise_per_logged_sample(relax):
     """Each logged sample takes one normal draw with the law of the
@@ -352,7 +392,9 @@ def test_run_span_noise_per_logged_sample(relax):
     Over 200 seeds, the sum of e_k**2 / var_k is chi-square with one
     degree of freedom per sample; it must lie between the 1e-6 and
     1 - 1e-6 quantiles, for presentation-like pieces logged every 10 steps
-    (with a 5-step tail) and for whole 6 s calibration readings."""
+    (with a 5-step tail), for whole 6 s calibration readings, and for
+    several pieces read as one sample at their end, as calibration
+    verifies a pattern."""
     sigma = 0.05
     quiet = PlantParams(relax_coeff=relax, interaction_bias=0.013)
     noisy = replace(quiet, noise_sigma=sigma)
@@ -362,6 +404,9 @@ def test_run_span_noise_per_logged_sample(relax):
               led_on=np.array([False, True]), n_steps=np.array([400, 605]),
               log_every=10), [10] * 100 + [5]),
         (dict(duty_valve=0.5, valve_on=True, n_steps=6000, log_every=6000), [6000]),
+        (dict(duty_valve=np.array([0.55, 0.5, 0.52]), duty_led=0.3, valve_on=True,
+              led_on=np.array([False, True, True]), n_steps=np.array([400, 605, 995]),
+              log_every=2000), [2000]),
     )
     for inputs, lengths in cases:
         powers = [decay ** n for n in lengths]
