@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -215,17 +216,19 @@ def load_models(path) -> tuple[DutyModel, DutyModel]:
         raise ValidationError(f"cannot read {path} as duty models: {exc!r}") from exc
 
 
-def _sensor_delta(plant: SkinPlant, protocol: CalibrationProtocol, **span) -> float:
+def _sensor_delta(plant: SkinPlant, protocol: CalibrationProtocol, before: float,
+                  **span) -> float:
     """Skin-temperature change, read through the sensor, over one
-    plant.run_span(**span) on a freshly reset skin.  Both callers ask for
-    one sample over the whole span, so the plant computes only its end."""
+    plant.run_span(**span) on a freshly reset skin.  Every reset starts
+    at the plant's t_init, so the caller reads that skin once and passes
+    the reading as before.  Both callers ask for one sample over the
+    whole span, so the plant computes only its end."""
     plant.reset()
-    before = plant.read_sensor(protocol.sensor_resolution).value
     plant.run_span(**span)
     return plant.read_sensor(protocol.sensor_resolution).value - before
 
 
-def _measure_grid(plant: SkinPlant, protocol: CalibrationProtocol,
+def _measure_grid(plant: SkinPlant, protocol: CalibrationProtocol, before: float,
                   grid: Sequence[float], channel: str,
                   rng: np.random.Generator) -> list[float]:
     """Mean temperature change over MEASURE_TIME at each duty of one grid.
@@ -239,7 +242,8 @@ def _measure_grid(plant: SkinPlant, protocol: CalibrationProtocol,
         repeats = ENDPOINT_REPEATS if i in (0, len(grid) - 1) else 1
         rates = []
         for _ in range(repeats):
-            delta = _sensor_delta(plant, protocol, n_steps=n_steps, log_every=n_steps,
+            delta = _sensor_delta(plant, protocol, before, n_steps=n_steps,
+                                  log_every=n_steps,
                                   **{f"duty_{channel}": duty, f"{channel}_on": True})
             if protocol.measurement_noise > 0.0:
                 delta += rng.normal(0.0, protocol.measurement_noise) * MEASURE_TIME
@@ -256,33 +260,37 @@ def calibrate(plant: SkinPlant,
     changes and runs every verification pattern; when one leaves the
     skin more than DRIFT_THRESHOLD from where it started, the mean
     drift rate over the patterns is added to every warm measurement and
-    the next round refits.  Like each single-channel reading, each
-    verification pattern is one run_span call that computes only the
-    end temperature the sensor reads, not a logged trace.  Raises
-    CalibrationError when the drift gate still fails after max_iters
-    rounds; unreachable verification rates propagate as
-    UnreachableRateError.
+    the next round refits.  Each verification pattern is compiled, cut
+    into the pieces run_control would play and given its cooling duty
+    once per call, since the valve model is fitted before the rounds; a
+    round only inverts each pattern's distinct warm rates through its
+    warm model.  Like each single-channel reading, each verification
+    pattern is one run_span call that computes only the end temperature
+    the sensor reads, not a logged trace.  Raises CalibrationError when
+    the drift gate still fails after max_iters rounds; an unreachable
+    verification rate raises UnreachableRateError naming the pattern.
     """
     protocol = protocol if protocol is not None else CalibrationProtocol()
     if len({spec.duration for spec in protocol.verify_specs}) > 1:
         raise ValidationError("verification patterns must share one duration")
     rng = np.random.default_rng(protocol.noise_seed)
+    plant.reset()  # every reading starts from this skin
+    before = plant.read_sensor(protocol.sensor_resolution).value
 
-    valve_deltas = _measure_grid(plant, protocol, VALVE_GRID, "valve", rng)
-    led_deltas = _measure_grid(plant, protocol, LED_GRID, "led", rng)
+    valve_deltas = _measure_grid(plant, protocol, before, VALVE_GRID, "valve", rng)
+    led_deltas = _measure_grid(plant, protocol, before, LED_GRID, "led", rng)
     valve_model = fit_duty_model(
         VALVE_GRID, [d / MEASURE_TIME for d in valve_deltas], "valve")
 
-    schedules = [compile_schedule(spec) for spec in protocol.verify_specs]
+    verifications = [_verification_inputs(compile_schedule(spec), valve_model,
+                                          stimulus_id(spec))
+                     for spec in protocol.verify_specs]
     history: list[list[VerificationCheck]] = []
     for iteration in range(1, protocol.max_iters + 1):
         led_model = fit_duty_model(
             LED_GRID, [d / MEASURE_TIME for d in led_deltas], "led")
-        nets = []
-        for schedule in schedules:
-            span, n = _timeline_pieces(
-                schedule_to_timeline(schedule, valve_model, led_model))
-            nets.append(_sensor_delta(plant, protocol, log_every=max(n, 1), **span))
+        nets = [_sensor_delta(plant, protocol, before, **inputs(led_model))
+                for inputs in verifications]
         checks = [VerificationCheck(stimulus_id(spec), net, abs(net) <= DRIFT_THRESHOLD)
                   for spec, net in zip(protocol.verify_specs, nets)]
         history.append(checks)
@@ -296,6 +304,43 @@ def calibrate(plant: SkinPlant,
     raise CalibrationError(
         f"verification drift still above {DRIFT_THRESHOLD} degC "
         f"after {protocol.max_iters} iterations", report=history)
+
+
+def _verification_inputs(schedule: RateSchedule, valve_model: DutyModel,
+                         stimulus: str):
+    """Cut a verification pattern into the pieces run_control would play,
+    once, and return the function that gives run_span's inputs for one
+    sample over the pattern under a warm model.
+
+    The cooling duty is inverted here; the function inverts only the
+    distinct warm rates.  An unreachable rate names the stimulus.
+    """
+    valve_duty = _invert_at(valve_model, schedule.base_cooling_rate, None, stimulus)
+    warm, led_spans = _warm_spans(schedule)
+    duration = schedule.duration_s
+    # The cooling channel runs throughout, as in schedule_to_timeline.
+    (_, led_index, _, led_on, n_steps), n = _timeline_pieces(
+        duration, ((0.0, duration, 0),), led_spans, off=-1)
+
+    def inputs(led_model: DutyModel) -> dict:
+        led_duties = [_invert_at(led_model, rate, segment, stimulus)
+                      for rate, (_, segment) in warm.items()]
+        led_duties.append(0.0)  # at index -1: the warm channel is off
+        return dict(duty_valve=valve_duty, duty_led=np.array(led_duties)[led_index],
+                    valve_on=True, led_on=led_on, n_steps=n_steps,
+                    log_every=max(n, 1))
+    return inputs
+
+
+def _invert_at(model: DutyModel, target_rate: float, segment_index=None,
+               stimulus=None) -> float:
+    """invert_duty, raising an unreachable rate with where it was asked for."""
+    try:
+        return invert_duty(model, target_rate)
+    except UnreachableRateError as exc:
+        raise UnreachableRateError(
+            exc.channel, exc.target_rate, exc.rate_min, exc.rate_max,
+            segment_index=segment_index, stimulus_id=stimulus) from exc
 
 
 @dataclass(frozen=True)
@@ -324,54 +369,58 @@ def schedule_to_timeline(schedule: RateSchedule, valve_model: DutyModel,
     still-running cooling rate; each distinct warm rate is inverted once,
     and an unreachable one names the first segment that asks for it.
     """
+    valve_duty = invert_duty(valve_model, schedule.base_cooling_rate)
+    warm, spans = _warm_spans(schedule)
+    led_duties = [_invert_at(led_model, rate, segment)
+                  for rate, (_, segment) in warm.items()]
+    return ActuatorTimeline(
+        (ChannelSpan(0.0, schedule.duration_s, valve_duty),),
+        tuple(ChannelSpan(start, end, led_duties[k]) for start, end, k in spans),
+        schedule.duration_s)
+
+
+def _warm_spans(schedule: RateSchedule) -> tuple[dict, list]:
+    """The warm channel's spans of a schedule as (start, end, k), k
+    indexing its distinct warm rates (a segment's target rate less the
+    cooling rate), and a dict of those rates in order of first use, each
+    mapped to (k, the first segment that asks for it)."""
     base_rate = schedule.base_cooling_rate
-    valve_duty = invert_duty(valve_model, base_rate)
-    valve_spans = [ChannelSpan(0.0, schedule.duration_s, valve_duty)]
-    led_spans = []
-    led_duties: dict[float, float] = {}  # warm rate -> duty
-    rate = None  # the segment rate that led_duty was found for
+    warm: dict[float, tuple[int, int]] = {}
+    spans = []
+    rate = None  # the segment rate that k was found for
     for index, seg in enumerate(schedule.segments):
         if seg.warm_active:
             # S1 warm segments share one rate object: convert it once.
             if seg.rate is not rate:
                 rate = seg.rate
-                warm_rate = float(rate) - base_rate
-                led_duty = led_duties.get(warm_rate)
-                if led_duty is None:
-                    try:
-                        led_duty = led_duties[warm_rate] = invert_duty(
-                            led_model, warm_rate)
-                    except UnreachableRateError as exc:
-                        raise UnreachableRateError(
-                            exc.channel, exc.target_rate, exc.rate_min,
-                            exc.rate_max, segment_index=index) from exc
-            led_spans.append(ChannelSpan(seg.start_s, seg.end_s, led_duty))
-    return ActuatorTimeline(tuple(valve_spans), tuple(led_spans),
-                            schedule.duration_s)
+                k = warm.setdefault(float(rate) - base_rate, (len(warm), index))[0]
+            spans.append((seg.start_s, seg.end_s, k))
+    return warm, spans
 
 
-def _timeline_pieces(timeline: ActuatorTimeline) -> tuple[dict, int]:
-    """The run_span inputs that play a timeline at DT, one value per
-    piece, and the timeline's length in steps.
+def _timeline_pieces(duration: float, valve, led, off=0.0) -> tuple[tuple, int]:
+    """Snap two channels' spans to steps of DT and cut [0, duration]
+    into pieces on which both channels hold one state.
 
-    Each channel's spans must be ordered and disjoint; a step outside
-    every span has that channel off.  Span boundaries are snapped to the
-    nearest step; a span that would vanish entirely in the snapping is
-    an error, and so is a non-finite boundary or duration.  The
-    presentation is cut at every snapped boundary into pieces on which
-    both channels hold one state.
+    Each channel is an iterable of (start, end, value) spans, which must
+    be ordered and disjoint; a step outside every span has that channel
+    off.  Span boundaries are snapped to the nearest step; a span that
+    would vanish entirely in the snapping is an error, and so is a
+    non-finite boundary or duration.  Returns, in run_span's argument
+    order, each channel's value per piece (off where the channel is off),
+    each channel's on flag per piece and each piece's step count, all as
+    arrays; and the duration's length in steps.
     """
-    if not 0.0 <= timeline.duration < math.inf:
+    if not 0.0 <= duration < math.inf:
         raise ValidationError(f"timeline duration must be finite and "
-                              f"non-negative, got {timeline.duration!r}")
-    n = int(round(timeline.duration / DT))
-    # Per channel, the (duty, on) state that holds from each snapped
+                              f"non-negative, got {duration!r}")
+    n = int(round(duration / DT))
+    # Per channel, the (value, on) state that holds from each snapped
     # boundary on; a later span starting where an earlier one ends wins.
     changes = ({}, {})
-    for spans, change in zip((timeline.valve, timeline.led), changes):
+    for spans, change in zip((valve, led), changes):
         prev_end = 0.0
-        for span in spans:
-            start, end = span.start, span.end
+        for start, end, value in spans:
             if not prev_end <= start <= end < math.inf:  # False for NaN
                 if math.isfinite(start) and math.isfinite(end):
                     raise ValidationError(
@@ -387,24 +436,26 @@ def _timeline_pieces(timeline: ActuatorTimeline) -> tuple[dict, int]:
             if t0 == t1 and end > start:
                 raise ValidationError(
                     f"span [{start}, {end}) collapses to zero steps of {DT} s")
-            change[t0] = (span.duty, True)
-            change[t1] = (0.0, False)
+            change[t0] = (value, True)
+            change[t1] = (off, False)
 
     cuts = sorted({0, n, *changes[0], *changes[1]})
-    duty_valve, valve_on, duty_led, led_on = [], [], [], []  # per piece
-    valve = led = (0.0, False)
+    value_valve, valve_on, value_led, led_on = [], [], [], []  # per piece
+    valve = led = (off, False)
     for cut in cuts[:-1]:
         valve = changes[0].get(cut, valve)
         led = changes[1].get(cut, led)
-        duty_valve.append(valve[0])
+        value_valve.append(valve[0])
         valve_on.append(valve[1])
-        duty_led.append(led[0])
+        value_led.append(led[0])
         led_on.append(led[1])
 
-    span = dict(duty_valve=np.array(duty_valve), duty_led=np.array(duty_led),
-                valve_on=np.array(valve_on, dtype=bool),
-                led_on=np.array(led_on, dtype=bool), n_steps=np.diff(cuts))
-    return span, n
+    return (np.array(value_valve), np.array(value_led),
+            np.array(valve_on, dtype=bool), np.array(led_on, dtype=bool),
+            np.diff(cuts)), n
+
+
+_SPAN = attrgetter("start", "end", "duty")  # a ChannelSpan as (start, end, value)
 
 
 def run_control(timeline: ActuatorTimeline, plant: SkinPlant) -> Trace:
@@ -416,10 +467,11 @@ def run_control(timeline: ActuatorTimeline, plant: SkinPlant) -> Trace:
     t = 0 through the end of the timeline inclusive: the grid
     k / LOG_RATE, plus the end itself when it is off that grid.
     """
-    span, n = _timeline_pieces(timeline)
+    pieces, n = _timeline_pieces(timeline.duration, map(_SPAN, timeline.valve),
+                                 map(_SPAN, timeline.led))
     log_every = int(round(1.0 / (LOG_RATE * DT)))  # steps per logged sample
     start = plant.t_skin
-    temps = plant.run_span(**span, log_every=log_every)
+    temps = plant.run_span(*pieces, log_every=log_every)
     time = np.arange(n // log_every + 1) / LOG_RATE
     if n % log_every:
         time = np.append(time, n * DT)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,9 @@ from coldsim import (CalibrationError, CalibrationProtocol,
                      calibrate, compile_schedule, exact_models, fit_duty_model,
                      invert_duty, load_models, run_control, schedule_to_timeline)
 from coldsim.control import (DRIFT_THRESHOLD, LED_GRID, MEASURE_TIME, VALVE_GRID,
-                             ActuatorTimeline, ChannelSpan)
+                             ActuatorTimeline, ChannelSpan, _SPAN, _timeline_pieces,
+                             _verification_inputs)
+from coldsim.experiment import EXP2_RATES, EXP2_RATIOS, perturb_params
 from coldsim.pattern import RateSchedule, Segment
 from coldsim.plant import DT, PlantState, Trace
 
@@ -148,6 +151,20 @@ def test_calibrate_unreachable_led_range():
         calibrate(plant, protocol)
     assert info.value.channel == "led"
     assert info.value.rate_max < 0.48
+    assert info.value.segment_index == 1
+    assert info.value.stimulus_id == "S1_vc-0.24_r0.5"
+    assert "for stimulus S1_vc-0.24_r0.5 (segment 1)" in str(info.value)
+
+
+def test_calibrate_rejects_verification_durations_before_reading():
+    plant = SkinPlant(PlantParams())
+    protocol = ideal_protocol(verify_specs=(
+        StimulusSpec("S1", cooling_rate=-0.16, cooling_ratio=0.5),
+        StimulusSpec("S1", cooling_rate=-0.16, cooling_ratio=0.5, duration=10.0)))
+    with pytest.raises(ValidationError, match="must share one duration"):
+        calibrate(plant, protocol)
+    assert plant.time == 0.0
+    assert plant.t_skin == PlantParams().t_init
 
 
 def test_calibrate_nonconvergence_reports():
@@ -245,21 +262,90 @@ def test_timeline_unreachable_carries_segment_index():
     assert info.value.segment_index == 1
 
 
-def test_timeline_duty_per_distinct_warm_rate():
-    # warm rates 0.2, 0.15, 0.2 on top of -0.1 cooling, then 0.4
-    valve_model, led_model = exact_models(PlantParams())
-    rates = [Fraction(r, 100) for r in (-10, 10, -10, 5, -10, 10, -10, 30)]
+MULTI_RATES = [Fraction(r, 100) for r in (-10, 10, -10, 5, -10, 10, -10, 30)]
+
+
+def multi_rate_schedule():
+    """Warm rates 0.2, 0.15, 0.2 on top of -0.1 cooling, then 0.4."""
     segments = tuple(Segment(Fraction(k), Fraction(k + 1), rate, True, rate > 0)
-                     for k, rate in enumerate(rates))
-    schedule = RateSchedule("S1", segments, Fraction(len(rates)), -0.1)
+                     for k, rate in enumerate(MULTI_RATES))
+    return RateSchedule("S1", segments, Fraction(len(MULTI_RATES)), -0.1)
+
+
+def test_timeline_duty_per_distinct_warm_rate():
+    valve_model, led_model = exact_models(PlantParams())
+    schedule = multi_rate_schedule()
     timeline = schedule_to_timeline(schedule, valve_model, led_model)
     assert [(s.start, s.duty) for s in timeline.led] == [
         (k, invert_duty(led_model, float(rate) + 0.1))
-        for k, rate in enumerate(rates) if rate > 0]
+        for k, rate in enumerate(MULTI_RATES) if rate > 0]
     squeezed = DutyModel("led", led_model.slope, led_model.intercept, 0.118, 0.5)
     with pytest.raises(UnreachableRateError) as info:
         schedule_to_timeline(schedule, valve_model, squeezed)
     assert info.value.segment_index == 7
+
+
+@st.composite
+def verification_cases(draw):
+    """A verification schedule (an S1, S2 or S3 spec, or the multi-rate
+    schedule), a jittered plant with or without process noise, and the
+    warm models of one to three rounds, each with a shifted intercept."""
+    kind = draw(st.sampled_from(["S1", "S2", "S3", "multi"]))
+    rate = draw(st.sampled_from(EXP2_RATES))
+    if kind == "multi":
+        schedule = multi_rate_schedule()
+    elif kind == "S1":
+        schedule = compile_schedule(StimulusSpec(
+            "S1", rate, draw(st.sampled_from(EXP2_RATIOS)),
+            draw(st.sampled_from([0.03, 0.06]))))
+    else:
+        schedule = compile_schedule(StimulusSpec(kind, rate))
+    params = perturb_params(PlantParams(), np.random.default_rng(
+        draw(st.integers(0, 2**32 - 1))))
+    if draw(st.booleans()):
+        params = replace(params, noise_sigma=0.01)
+    led = exact_models(params)[1]
+    leds = [replace(led, intercept=led.intercept + shift)
+            for shift in draw(st.lists(st.floats(-0.08, 0.08), min_size=1, max_size=3))]
+    return schedule, params, leds, draw(st.integers(0, 2**32 - 1))
+
+
+EXACT_LED = exact_models(PlantParams())[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(verification_cases())
+@example((multi_rate_schedule(), PlantParams(),  # warm rate 0.4 unreachable in round 2
+          [EXACT_LED, replace(EXACT_LED, intercept=-0.2)], 0))
+def test_property_verification_inputs_match_timeline_pieces(case):
+    # Calibration cuts a pattern once and re-inverts only the warm duty
+    # per round; each round's end state must be bit for bit the one-sample
+    # run_span of the pieces run_control would play, with the same draws.
+    schedule, params, leds, seed = case
+    valve = exact_models(params)[0]
+    try:
+        timelines = [schedule_to_timeline(schedule, valve, led) for led in leds]
+    except UnreachableRateError as exc:
+        with pytest.raises(UnreachableRateError) as info:
+            inputs = _verification_inputs(schedule, valve, "P")
+            for led in leds:
+                inputs(led)
+        assert (info.value.channel, info.value.target_rate, info.value.segment_index) \
+            == (exc.channel, exc.target_rate, exc.segment_index)
+        assert info.value.stimulus_id == "P"
+        return
+    inputs = _verification_inputs(schedule, valve, "P")
+    plant, reference = SkinPlant(params, seed=seed), SkinPlant(params, seed=seed)
+    for led, timeline in zip(leds, timelines):
+        plant.reset()
+        reference.reset()
+        pieces, n = _timeline_pieces(timeline.duration, map(_SPAN, timeline.valve),
+                                     map(_SPAN, timeline.led))
+        expected = reference.run_span(*pieces, log_every=max(n, 1))
+        assert plant.run_span(**inputs(led)).tobytes() == expected.tobytes()
+        assert plant.time == reference.time
+        assert (plant.state.rng.bit_generator.state
+                == reference.state.rng.bit_generator.state)
 
 
 def test_run_control_s3_matches_analytic_integral():
