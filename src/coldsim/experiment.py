@@ -159,13 +159,39 @@ def simulate_participant(trace: Trace, model: ParticipantModel,
     return SliderTrace(t, np.clip(lagged, 0.0, 1.0))
 
 
-def persistence(slider: SliderTrace, window=PERSISTENCE_WINDOW) -> bool:
-    """True when confidence stays above 50 % at every sample in the window."""
+def summarize_sliders(sliders: Sequence[SliderTrace], window=PERSISTENCE_WINDOW
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Each slider's persistence flag (confidence above 50 % at every
+    sample in the window) and its mean confidence in percent.
+
+    Sliders that share one time array object, as read_records gives each
+    participant's, form one block: one coverage check, one window mask,
+    one stack.  The row mean of a C-contiguous block takes the same
+    pairwise sum and division as np.mean of that row, bit for bit.
+    """
     lo, hi = window
-    if slider.time[-1] < hi - 1e-9:
-        raise ValidationError(f"persistence needs a trace covering {hi} s")
-    mask = (slider.time >= lo) & (slider.time <= hi)
-    return bool(np.all(slider.values[mask] > 0.5))
+    flags = np.empty(len(sliders), dtype=bool)
+    confidence = np.empty(len(sliders))
+    blocks: dict[int, list[int]] = {}
+    for i, slider in enumerate(sliders):
+        blocks.setdefault(id(slider.time), []).append(i)
+    for rows in blocks.values():
+        time = sliders[rows[0]].time
+        if len(time) == 0:
+            raise ValidationError("persistence needs a slider trace with samples")
+        if time[-1] < hi - 1e-9:
+            raise ValidationError(f"persistence needs a trace covering {hi} s")
+        mask = (time >= lo) & (time <= hi)
+        values = np.stack([sliders[i].values for i in rows])
+        flags[rows] = (values[:, mask] > 0.5).all(axis=1)
+        confidence[rows] = values.mean(axis=1) * 100.0
+    return flags, confidence
+
+
+def persistence(slider: SliderTrace, window=PERSISTENCE_WINDOW) -> bool:
+    """True when confidence stays above 50 % at every sample in the window:
+    summarize_sliders of this one slider."""
+    return bool(summarize_sliders([slider], window)[0][0])
 
 
 def peak_cooling_rate(trace: Trace, model: ParticipantModel) -> float:
@@ -447,12 +473,13 @@ def analyze_exp2(records: Sequence[TrialRecord], pooling: str = "trials") -> Exp
     Group tests run on per-trial mean confidences ("trials" pooling) or
     per-participant means ("participants").  Pairwise pattern-kind
     comparisons at each cooling rate are Benjamini-Hochberg adjusted as
-    one family.
+    one family.  Sliders are summarized once per shared time grid
+    (summarize_sliders), not once per trial.
     """
     _check_input(records, pooling, "slider")
-    flags = [persistence(rec.slider) for rec in records]
-    # Per-trial mean confidence of cold over the presentation, percent.
-    confidence = [float(np.mean(rec.slider.values)) * 100.0 for rec in records]
+    # Per-trial persistence flag and mean confidence of cold, percent.
+    flags, confidence = summarize_sliders([rec.slider for rec in records])
+    flags, confidence = flags.tolist(), confidence.tolist()
 
     persist_trials = _group(records, flags, "trials", "stimulus_id")
     persistence_trial_pct = {
@@ -595,8 +622,10 @@ def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
     """Load records written by write_records; sliders load when present.
 
     A directory that is not a complete format-3 run raises
-    ValidationError naming the file at fault.  The sliders of one
-    participant share one time array, the grid k / LOG_RATE.
+    ValidationError naming the file at fault.  Each participant table is
+    parsed in one csv.reader pass, its columns found once by header name.
+    The sliders of one participant share one time array, the grid
+    k / LOG_RATE, so analyze_exp2 summarizes them as one block.
     """
     manifest_path = os.path.join(run_dir, "manifest.json")
     try:
@@ -616,15 +645,19 @@ def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
         path = os.path.join(run_dir, f"participant_{pidx:02d}.csv")
         try:
             with open(path, newline="") as fh:
+                rows = csv.reader(fh)
+                header = next(rows, [])
+                trial, sid, kind, vc, ratio, seed, likert = map(header.index, (
+                    "trial", "stimulus_id", "kind", "vc", "lambda", "seed", "likert"))
                 table = [TrialRecord(
-                    participant=pidx, trial=int(row["trial"]),
-                    stimulus_id=row["stimulus_id"], kind=row["kind"],
-                    cooling_rate=float(row["vc"]),
-                    cooling_ratio=float(row["lambda"]) if row["lambda"] else None,
-                    seed=int(row["seed"]),
-                    likert=int(row["likert"]) if row["likert"] else None)
-                    for row in csv.DictReader(fh)]
-        except (KeyError, OSError, TypeError, ValueError) as exc:
+                    participant=pidx, trial=int(row[trial]),
+                    stimulus_id=row[sid], kind=row[kind],
+                    cooling_rate=float(row[vc]),
+                    cooling_ratio=float(row[ratio]) if row[ratio] else None,
+                    seed=int(row[seed]),
+                    likert=int(row[likert]) if row[likert] else None)
+                    for row in rows if row]  # a blank line is not a trial
+        except (IndexError, OSError, ValueError, csv.Error) as exc:
             raise ValidationError(f"cannot read {path}: {exc!r}") from exc
         for rec in table:
             has_lambda = rec.cooling_ratio is not None
@@ -644,10 +677,10 @@ def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
                 sliders.close()
                 raise ValidationError(f"{path} is an .npz archive, not an .npy file")
             if (sliders.dtype != np.float64 or sliders.ndim != 2
-                    or sliders.shape[0] != len(table)):
+                    or sliders.shape[0] != len(table) or sliders.shape[1] == 0):
                 raise ValidationError(
                     f"{path} holds {sliders.dtype} of shape {sliders.shape}, not "
-                    f"float64 of shape ({len(table)}, samples)")
+                    f"float64 of shape ({len(table)}, samples) with samples > 0")
             # NaN fails both comparisons, so it is rejected too.
             if sliders.size and not (sliders.min() >= 0.0 and sliders.max() <= 1.0):
                 raise ValidationError(

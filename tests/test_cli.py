@@ -159,6 +159,19 @@ def test_experiment_run_and_analyze(tmp_path):
                 writer.writerows(rows)
         return edit
 
+    def drop_vc_column(copy):
+        table = copy / "participant_00.csv"
+        rows = list(csv.reader(table.read_text().splitlines()))
+        col = rows[0].index("vc")
+        with table.open("w", newline="") as fh:
+            csv.writer(fh).writerows([row[:col] + row[col + 1:] for row in rows])
+
+    def cut_row(copy):
+        table = copy / "participant_00.csv"
+        lines = table.read_text().splitlines(keepends=True)
+        lines[2] = ",".join(lines[2].split(",")[:3]) + "\r\n"
+        table.write_text("".join(lines))
+
     def write_sliders(shape):
         def edit(copy):
             (copy / "traces").mkdir(exist_ok=True)
@@ -177,6 +190,10 @@ def test_experiment_run_and_analyze(tmp_path):
         "bad_trial": (edit_trial, "participant_00.csv"),
         "s1_without_lambda": (edit_s1_row("lambda", ""), "participant_00.csv"),
         "unknown_kind": (edit_s1_row("kind", "S9"), "participant_00.csv"),
+        "no_vc_column": (drop_vc_column, "participant_00.csv"),
+        "short_row": (cut_row, "participant_00.csv"),
+        "huge_field": (edit_s1_row("stimulus_id", "x" * 200_000),
+                       "participant_00.csv"),
         "slider_rows": (write_sliders((14, 1501)), "p01_slider.npy"),
         "slider_shape": (write_sliders((15, 2, 1501)), "p01_slider.npy"),
     }
@@ -238,6 +255,10 @@ def test_experiment_run_exp2_analyzable_without_temp_traces(tmp_path):
                         ("slider_nan", np.nan)):
         assert_analyze_rejects(tmp_path, run_dir, "2", name, set_slider(value),
                                "p00_slider.npy")
+    assert_analyze_rejects(
+        tmp_path, run_dir, "2", "slider_no_samples",
+        lambda copy: np.save(copy / "traces" / "p00_slider.npy", np.zeros((105, 0))),
+        "p00_slider.npy")
 
 
 def test_experiment_run_refuses_nonempty_out(tmp_path):

@@ -4,6 +4,7 @@ import importlib.util
 import math
 import tempfile
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -248,8 +249,63 @@ def test_persistence_window():
     dip_early[np.abs(t - 3.0) < 0.05] = 0.3
     assert persistence(SliderTrace(t, dip_early))
     short = SliderTrace(t[:500], np.full(500, 0.9))
-    with pytest.raises(ValidationError):
-        persistence(short)
+    empty = SliderTrace(t[:0], np.empty(0))
+    for slider in (short, empty):
+        with pytest.raises(ValidationError):
+            persistence(slider)
+
+
+def summarize_one_by_one(sliders, window):
+    """The per-slider summary that summarize_sliders batches: a window
+    mask per slider, then np.all and np.mean on its own values."""
+    lo, hi = window
+    flags, confidence = [], []
+    for slider in sliders:
+        mask = (slider.time >= lo) & (slider.time <= hi)
+        flags.append(bool(np.all(slider.values[mask] > 0.5)))
+        confidence.append(float(np.mean(slider.values)) * 100.0)
+    return flags, confidence
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks=st.lists(
+           st.tuples(st.integers(1, 3001), st.integers(1, 6), st.booleans()),
+           min_size=1, max_size=4),
+       solos=st.lists(st.integers(1, 3001), max_size=4),
+       edges=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+       seed=st.integers(0, 2**32 - 1))
+def test_property_summarize_sliders_matches_one_by_one(blocks, solos, edges, seed):
+    # blocks: (samples, rows, rows are views of one 2-D array) sharing one
+    # time array; solos: sliders with a time array of their own.  The
+    # window's edges are sample times every slider reaches.
+    rng = np.random.default_rng(seed)
+    shortest = min([n for n, _, _ in blocks] + solos)
+    a, b = sorted(int(e * (shortest - 1)) for e in edges)
+    window = (a / 100, b / 100)
+
+    def rows(n, k):
+        values = rng.random((k, n))
+        above = rng.random(k) < 0.5  # rows that mostly stay above one half
+        values[above] = 0.5 + 0.5 * values[above]
+        # Exact one-halves, which do not count as above, in some rows.
+        values[rng.random((k, n)) < rng.choice([0.0, 0.001, 0.01], (k, 1))] = 0.5
+        return values
+
+    sliders = []
+    for n, k, one_array in blocks:
+        time = np.arange(n) / 100
+        values = rows(n, k)
+        sliders += [SliderTrace(time, row if one_array else row.copy())
+                    for row in values]
+    sliders += [SliderTrace(np.arange(n) / 100, rows(n, 1)[0]) for n in solos]
+    sliders = [sliders[i] for i in rng.permutation(len(sliders))]
+
+    flags, confidence = coldsim.experiment.summarize_sliders(sliders, window)
+    want_flags, want_confidence = summarize_one_by_one(sliders, window)
+    assert flags.tolist() == want_flags
+    # Bit for bit: every value is finite and non-negative, so == is exact.
+    assert confidence.tolist() == want_confidence
+    assert [persistence(s, window) for s in sliders[:3]] == want_flags[:3]
 
 
 def small_pipeline(exp, participants=2, seed=3):
@@ -415,9 +471,12 @@ def test_record_round_trip(tmp_path):
         assert np.array_equal(twin.slider.time, rec.slider.time)
         assert np.array_equal(twin.slider.values, rec.slider.values)
     assert any(rec.cooling_ratio is None for rec in loaded)
-    # analysis on reloaded records matches the in-memory one
-    assert (analyze_exp2(loaded).persistence_trial_pct
-            == analyze_exp2(result.records).persistence_trial_pct)
+    # Analysis of the reloaded records, whose sliders share one time array
+    # per participant, matches the in-memory one, where each has its own.
+    assert len({id(r.slider.time) for r in loaded}) == 2
+    for pooling in ("trials", "participants"):
+        assert (asdict(analyze_exp2(loaded, pooling))
+                == asdict(analyze_exp2(result.records, pooling)))
 
 
 def test_temperature_csvs_round_trip(tmp_path):
