@@ -21,7 +21,10 @@ import numpy as np
 
 from .errors import (CalibrationError, DegenerateDesignError,
                      UnreachableRateError, ValidationError, check_numbers)
-from .pattern import RateSchedule, StimulusSpec, compile_schedule, stimulus_id
+from .pattern import RateSchedule, StimulusSpec, _segment_ticks, stimulus_id
+# Unused here: coldbench/spans.py lists control.compile_schedule among
+# the names its tracer patches.
+from .pattern import compile_schedule  # noqa: F401
 from .plant import DEFAULT_SENSOR_RESOLUTION, DT, SkinPlant, Trace
 
 VALVE_DUTY_RANGE = (0.490, 0.601)
@@ -112,12 +115,13 @@ def invert_duty(model: DutyModel, target_rate: float) -> float:
     """Duty ratio that the model predicts will produce target_rate.
 
     Raises UnreachableRateError when the duty falls outside the model's
-    valid band by more than 1e-9 (boundary round-off is clamped).
+    valid band by more than 1e-9 (boundary round-off is clamped), and
+    for a NaN target rate.
     """
     if model.slope == 0.0:
         raise ValidationError("cannot invert a zero-slope duty model")
     duty = (target_rate - model.intercept) / model.slope
-    if duty < model.duty_min - 1e-9 or duty > model.duty_max + 1e-9:
+    if not model.duty_min - 1e-9 <= duty <= model.duty_max + 1e-9:  # NaN fails
         lo, hi = model.rate_range()
         raise UnreachableRateError(model.channel, target_rate, lo, hi)
     return min(max(duty, model.duty_min), model.duty_max)
@@ -260,17 +264,23 @@ def calibrate(plant: SkinPlant,
     changes and runs every verification pattern; when one leaves the
     skin more than DRIFT_THRESHOLD from where it started, the mean
     drift rate over the patterns is added to every warm measurement and
-    the next round refits.  Each verification pattern is compiled, cut
-    into the pieces run_control would play and given its cooling duty
-    once per call, since the valve model is fitted before the rounds; a
+    the next round refits.  Each verification pattern is cut into the
+    pieces run_control would play from its integer ticks, with no
+    schedule compiled, once per call and before the first plant
+    reading, so a bad pattern fails before any measurement.  It gets its
+    cooling duty once the valve model is fitted, before the rounds; a
     round only inverts each pattern's distinct warm rates through its
     warm model.  Like each single-channel reading, each verification
     pattern is one run_span call that computes only the end temperature
     the sensor reads, not a logged trace.  Raises CalibrationError when
-    the drift gate still fails after max_iters rounds; an unreachable
-    verification rate raises UnreachableRateError naming the pattern.
+    the drift gate still fails after max_iters rounds; an invalid
+    verification pattern raises ValidationError, and an unreachable
+    verification rate UnreachableRateError, naming the pattern.
     """
     protocol = protocol if protocol is not None else CalibrationProtocol()
+    stimuli = [stimulus_id(spec) for spec in protocol.verify_specs]
+    cut = [_verification_inputs(spec, stimulus)
+           for spec, stimulus in zip(protocol.verify_specs, stimuli)]
     if len({spec.duration for spec in protocol.verify_specs}) > 1:
         raise ValidationError("verification patterns must share one duration")
     rng = np.random.default_rng(protocol.noise_seed)
@@ -282,17 +292,15 @@ def calibrate(plant: SkinPlant,
     valve_model = fit_duty_model(
         VALVE_GRID, [d / MEASURE_TIME for d in valve_deltas], "valve")
 
-    verifications = [_verification_inputs(compile_schedule(spec), valve_model,
-                                          stimulus_id(spec))
-                     for spec in protocol.verify_specs]
+    verifications = [with_valve(valve_model) for with_valve in cut]
     history: list[list[VerificationCheck]] = []
     for iteration in range(1, protocol.max_iters + 1):
         led_model = fit_duty_model(
             LED_GRID, [d / MEASURE_TIME for d in led_deltas], "led")
         nets = [_sensor_delta(plant, protocol, before, **inputs(led_model))
                 for inputs in verifications]
-        checks = [VerificationCheck(stimulus_id(spec), net, abs(net) <= DRIFT_THRESHOLD)
-                  for spec, net in zip(protocol.verify_specs, nets)]
+        checks = [VerificationCheck(stimulus, net, abs(net) <= DRIFT_THRESHOLD)
+                  for stimulus, net in zip(stimuli, nets)]
         history.append(checks)
         if all(c.passed for c in checks):
             return CalibrationResult(valve_model, led_model, iteration, history)
@@ -306,30 +314,48 @@ def calibrate(plant: SkinPlant,
         f"after {protocol.max_iters} iterations", report=history)
 
 
-def _verification_inputs(schedule: RateSchedule, valve_model: DutyModel,
-                         stimulus: str):
+def _verification_inputs(spec: StimulusSpec, stimulus: str):
     """Cut a verification pattern into the pieces run_control would play,
-    once, and return the function that gives run_span's inputs for one
-    sample over the pattern under a warm model.
+    once, and return the function that takes the fitted valve model and
+    returns the function giving run_span's inputs for one sample over the
+    pattern under a warm model.
 
-    The cooling duty is inverted here; the function inverts only the
-    distinct warm rates.  An unreachable rate names the stimulus.
+    The pattern is cut from _segment_ticks' integer ticks, each warm
+    boundary becoming the float ticks / den, which is the float of the
+    compiled schedule's Fraction: no schedule is compiled.  The cooling
+    duty is inverted once per valve model; the innermost function
+    inverts only the distinct warm rates.  An invalid pattern raises
+    ValidationError, and an unreachable rate UnreachableRateError, both
+    naming the stimulus.
     """
-    valve_duty = _invert_at(valve_model, schedule.base_cooling_rate, None, stimulus)
-    warm, led_spans = _warm_spans(schedule)
-    duration = schedule.duration_s
-    # The cooling channel runs throughout, as in schedule_to_timeline.
-    (_, led_index, _, led_on, n_steps), n = _timeline_pieces(
-        duration, ((0.0, duration, 0),), led_spans, off=-1)
+    try:
+        den, exact_rate, segments = _segment_ticks(spec)
+        cooling_rate = float(exact_rate)
+        warm, led_spans = _warm_spans(
+            ((index, start, end, rate)
+             for index, (start, end, rate, warm_active) in enumerate(segments)
+             if warm_active),
+            cooling_rate, lambda t: t / den)
+        duration = segments[-1][1] / den
+        # The cooling channel runs throughout, as in schedule_to_timeline.
+        (_, led_index, _, led_on, n_steps), n = _timeline_pieces(
+            duration, ((0.0, duration, 0),), led_spans, off=-1)
+    except ValidationError as exc:
+        raise ValidationError(f"verification pattern {stimulus}: {exc}") from exc
 
-    def inputs(led_model: DutyModel) -> dict:
-        led_duties = [_invert_at(led_model, rate, segment, stimulus)
-                      for rate, (_, segment) in warm.items()]
-        led_duties.append(0.0)  # at index -1: the warm channel is off
-        return dict(duty_valve=valve_duty, duty_led=np.array(led_duties)[led_index],
-                    valve_on=True, led_on=led_on, n_steps=n_steps,
-                    log_every=max(n, 1))
-    return inputs
+    def with_valve(valve_model: DutyModel):
+        valve_duty = _invert_at(valve_model, cooling_rate, None, stimulus)
+
+        def inputs(led_model: DutyModel) -> dict:
+            led_duties = [_invert_at(led_model, rate, segment, stimulus)
+                          for rate, (_, segment) in warm.items()]
+            led_duties.append(0.0)  # at index -1: the warm channel is off
+            return dict(duty_valve=valve_duty,
+                        duty_led=np.array(led_duties)[led_index],
+                        valve_on=True, led_on=led_on, n_steps=n_steps,
+                        log_every=max(n, 1))
+        return inputs
+    return with_valve
 
 
 def _invert_at(model: DutyModel, target_rate: float, segment_index=None,
@@ -370,7 +396,10 @@ def schedule_to_timeline(schedule: RateSchedule, valve_model: DutyModel,
     and an unreachable one names the first segment that asks for it.
     """
     valve_duty = invert_duty(valve_model, schedule.base_cooling_rate)
-    warm, spans = _warm_spans(schedule)
+    warm, spans = _warm_spans(
+        ((index, seg.start, seg.end, seg.rate)
+         for index, seg in enumerate(schedule.segments) if seg.warm_active),
+        schedule.base_cooling_rate)
     led_duties = [_invert_at(led_model, rate, segment)
                   for rate, (_, segment) in warm.items()]
     return ActuatorTimeline(
@@ -379,22 +408,25 @@ def schedule_to_timeline(schedule: RateSchedule, valve_model: DutyModel,
         schedule.duration_s)
 
 
-def _warm_spans(schedule: RateSchedule) -> tuple[dict, list]:
-    """The warm channel's spans of a schedule as (start, end, k), k
-    indexing its distinct warm rates (a segment's target rate less the
-    cooling rate), and a dict of those rates in order of first use, each
-    mapped to (k, the first segment that asks for it)."""
-    base_rate = schedule.base_cooling_rate
+def _warm_spans(warm_segments, base_rate: float, seconds=float) -> tuple[dict, list]:
+    """The warm channel's spans as (start, end, k) in seconds, k indexing
+    the distinct warm rates (a segment's target rate less the cooling
+    rate base_rate), and a dict of those rates in order of first use,
+    each mapped to (k, the first segment that asks for it).
+
+    warm_segments yields (index, start, end, rate) for each segment in
+    which the warm channel is active, in order, index counting every
+    segment of the schedule; seconds converts a boundary.
+    """
     warm: dict[float, tuple[int, int]] = {}
     spans = []
-    rate = None  # the segment rate that k was found for
-    for index, seg in enumerate(schedule.segments):
-        if seg.warm_active:
-            # S1 warm segments share one rate object: convert it once.
-            if seg.rate is not rate:
-                rate = seg.rate
-                k = warm.setdefault(float(rate) - base_rate, (len(warm), index))[0]
-            spans.append((seg.start_s, seg.end_s, k))
+    last = None  # the segment rate that k was found for
+    for index, start, end, rate in warm_segments:
+        # S1 warm segments share one rate object: convert it once.
+        if rate is not last:
+            last = rate
+            k = warm.setdefault(float(rate) - base_rate, (len(warm), index))[0]
+        spans.append((seconds(start), seconds(end), k))
     return warm, spans
 
 

@@ -12,7 +12,8 @@ Cycle quantities follow from three design inputs: the cooling rate
 (negative), the fraction of each cycle spent cooling, and the per-cycle
 temperature swing.  Schedule boundaries are carried as exact rationals
 (derived from the decimal reading of the inputs) so that long schedules
-accumulate no floating-point drift and whole cycles balance exactly.
+accumulate no floating-point drift and whole cycles balance exactly;
+they are computed as whole ticks of one denominator per schedule.
 """
 
 from __future__ import annotations
@@ -270,41 +271,63 @@ def compile_schedule(spec: StimulusSpec) -> RateSchedule:
     S2 is one cooling drop followed by a balanced hold at rate zero.
     S3 is a single cooling segment.  The cold channel is active on every
     segment; the warm channel is active exactly where the target rate
-    sits above the cooling rate.
+    sits above the cooling rate.  The boundaries come from
+    _segment_ticks, each as one Fraction shared by the two segments it
+    separates.
+    """
+    den, rate, ticks = _segment_ticks(spec)
+    segments: list[Segment] = []
+    start = Fraction(0)
+    for _, end_tick, seg_rate, warm in ticks:
+        end = Fraction(end_tick, den)
+        segments.append(Segment(start, end, seg_rate, True, warm))
+        start = end
+    return RateSchedule(
+        kind=spec.kind,
+        segments=tuple(segments),
+        duration=_exact(spec.duration),
+        base_cooling_rate=float(rate),
+    )
+
+
+def _segment_ticks(spec: StimulusSpec) -> tuple[int, Fraction, list]:
+    """A valid spec's schedule segments on integer ticks.
+
+    Raises ValidationError on the spec's errors.  Returns (den, rate,
+    segments): every boundary is a whole number of ticks of 1/den; rate
+    is the exact cooling rate; each segment is (start, end, rate,
+    warm_active) with start and end in ticks, the first starting at 0
+    and each starting where the previous one ends.  All S1 warm segments
+    share one rate object.
     """
     exact = _require_valid(spec)
     duration = _exact(spec.duration)
     rate = _exact(spec.cooling_rate)
-    segments: list[Segment] = []
-
     if spec.kind == "S1":
         cooling_time, cycle_time, recovery_rate, _ = exact
-        # Every boundary is a whole number of ticks of 1/den, so it is
-        # computed on integers, from whole-cycle multiples, and becomes
-        # one Fraction shared by the two segments it separates.
-        den = math.lcm(cooling_time.denominator, cycle_time.denominator,
-                       duration.denominator)
-        cool, cycle, end = (x.numerator * (den // x.denominator)
-                            for x in (cooling_time, cycle_time, duration))
-        start = Fraction(0)
+        # Each boundary is computed on integers, from whole-cycle multiples.
+        den, (cool, cycle, end) = _common_ticks(cooling_time, cycle_time, duration)
+        segments = []
         for pos in range(0, end, cycle):
-            cool_ticks = min(pos + cool, end)
-            cool_end = Fraction(cool_ticks, den)
-            segments.append(Segment(start, cool_end, rate, True, False))
-            if cool_ticks == end:
+            cool_end = pos + cool
+            if cool_end >= end:  # the duration ends while cooling
+                segments.append((pos, end, rate, False))
                 break
-            start = Fraction(min(pos + cycle, end), den)
-            segments.append(Segment(cool_end, start, recovery_rate, True, True))
+            warm_end = pos + cycle
+            segments.append((pos, cool_end, rate, False))
+            segments.append((cool_end, warm_end if warm_end < end else end,
+                             recovery_rate, True))
     elif spec.kind == "S2":
-        drop_end = _exact(spec.drop_duration)
-        segments.append(Segment(Fraction(0), drop_end, rate, True, False))
-        segments.append(Segment(drop_end, duration, Fraction(0), True, True))
+        den, (drop_end, end) = _common_ticks(_exact(spec.drop_duration), duration)
+        segments = [(0, drop_end, rate, False), (drop_end, end, Fraction(0), True)]
     else:  # S3
-        segments.append(Segment(Fraction(0), duration, rate, True, False))
+        den, (end,) = _common_ticks(duration)
+        segments = [(0, end, rate, False)]
+    return den, rate, segments
 
-    return RateSchedule(
-        kind=spec.kind,
-        segments=tuple(segments),
-        duration=duration,
-        base_cooling_rate=float(rate),
-    )
+
+def _common_ticks(*times: Fraction) -> tuple[int, list[int]]:
+    """The least common denominator of some times, and each time as a
+    whole number of ticks of 1/den."""
+    den = math.lcm(*(t.denominator for t in times))
+    return den, [t.numerator * (den // t.denominator) for t in times]

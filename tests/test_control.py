@@ -19,7 +19,7 @@ from coldsim.control import (DRIFT_THRESHOLD, LED_GRID, MEASURE_TIME, VALVE_GRID
                              ActuatorTimeline, ChannelSpan, _SPAN, _timeline_pieces,
                              _verification_inputs)
 from coldsim.experiment import EXP2_RATES, EXP2_RATIOS, perturb_params
-from coldsim.pattern import RateSchedule, Segment
+from coldsim.pattern import RateSchedule, Segment, stimulus_id
 from coldsim.plant import DT, PlantState, Trace
 
 
@@ -97,6 +97,13 @@ def test_invert_examples():
         invert_duty(model, -0.5)
     assert info.value.rate_min == pytest.approx(model.predicted_rate(0.601))
     assert info.value.rate_max == pytest.approx(model.predicted_rate(0.490))
+    # a NaN rate is unreachable too, also as a schedule's cooling rate
+    with pytest.raises(UnreachableRateError):
+        invert_duty(model, math.nan)
+    schedule = replace(compile_schedule(StimulusSpec("S3", -0.16)),
+                       base_cooling_rate=math.nan)
+    with pytest.raises(UnreachableRateError):
+        schedule_to_timeline(schedule, model, exact_models(PlantParams())[1])
 
 
 def test_invert_round_trip_property():
@@ -163,6 +170,23 @@ def test_calibrate_rejects_verification_durations_before_reading():
         StimulusSpec("S1", cooling_rate=-0.16, cooling_ratio=0.5, duration=10.0)))
     with pytest.raises(ValidationError, match="must share one duration"):
         calibrate(plant, protocol)
+    assert plant.time == 0.0
+    assert plant.t_skin == PlantParams().t_init
+
+
+@pytest.mark.parametrize("specs,message", [
+    ((StimulusSpec("S2", -0.1, duration=15, drop_duration=14.9996),),
+     "span \\[14.9996, 15.0\\) collapses to zero steps"),
+    ((StimulusSpec("S1", -0.1, cooling_ratio=1.5),), "cooling_ratio must lie"),
+    # distinct NaN durations differ in a set; the bad pattern is still named
+    (tuple(StimulusSpec("S3", -0.1, duration=float("nan")) for _ in range(2)),
+     "duration must be a finite number"),
+], ids=["collapsing-span", "invalid-spec", "nan-durations"])
+def test_calibrate_rejects_bad_verification_pattern_before_reading(specs, message):
+    plant = SkinPlant(PlantParams())
+    with pytest.raises(ValidationError, match=message) as info:
+        calibrate(plant, ideal_protocol(verify_specs=specs))
+    assert f"verification pattern {stimulus_id(specs[0])}: " in str(info.value)
     assert plant.time == 0.0
     assert plant.t_skin == PlantParams().t_init
 
@@ -287,19 +311,17 @@ def test_timeline_duty_per_distinct_warm_rate():
 
 @st.composite
 def verification_cases(draw):
-    """A verification schedule (an S1, S2 or S3 spec, or the multi-rate
-    schedule), a jittered plant with or without process noise, and the
-    warm models of one to three rounds, each with a shifted intercept."""
-    kind = draw(st.sampled_from(["S1", "S2", "S3", "multi"]))
+    """A verification pattern (an S1 spec over the exp2 grid with either
+    swing, or an S2 or S3 spec), a jittered plant with or without process
+    noise, and the warm models of one to three rounds, each with a
+    shifted intercept."""
+    kind = draw(st.sampled_from(["S1", "S2", "S3"]))
     rate = draw(st.sampled_from(EXP2_RATES))
-    if kind == "multi":
-        schedule = multi_rate_schedule()
-    elif kind == "S1":
-        schedule = compile_schedule(StimulusSpec(
-            "S1", rate, draw(st.sampled_from(EXP2_RATIOS)),
-            draw(st.sampled_from([0.03, 0.06]))))
+    if kind == "S1":
+        spec = StimulusSpec("S1", rate, draw(st.sampled_from(EXP2_RATIOS)),
+                            draw(st.sampled_from([0.03, 0.06])))
     else:
-        schedule = compile_schedule(StimulusSpec(kind, rate))
+        spec = StimulusSpec(kind, rate)
     params = perturb_params(PlantParams(), np.random.default_rng(
         draw(st.integers(0, 2**32 - 1))))
     if draw(st.booleans()):
@@ -307,7 +329,7 @@ def verification_cases(draw):
     led = exact_models(params)[1]
     leds = [replace(led, intercept=led.intercept + shift)
             for shift in draw(st.lists(st.floats(-0.08, 0.08), min_size=1, max_size=3))]
-    return schedule, params, leds, draw(st.integers(0, 2**32 - 1))
+    return spec, params, leds, draw(st.integers(0, 2**32 - 1))
 
 
 EXACT_LED = exact_models(PlantParams())[1]
@@ -315,26 +337,29 @@ EXACT_LED = exact_models(PlantParams())[1]
 
 @settings(max_examples=80, deadline=None)
 @given(verification_cases())
-@example((multi_rate_schedule(), PlantParams(),  # warm rate 0.4 unreachable in round 2
-          [EXACT_LED, replace(EXACT_LED, intercept=-0.2)], 0))
+@example((StimulusSpec("S1", -0.24, 0.5), PlantParams(),  # warm rate 0.48 unreachable
+          [EXACT_LED, replace(EXACT_LED, intercept=-0.2)], 0))  # in round 2
 def test_property_verification_inputs_match_timeline_pieces(case):
-    # Calibration cuts a pattern once and re-inverts only the warm duty
-    # per round; each round's end state must be bit for bit the one-sample
-    # run_span of the pieces run_control would play, with the same draws.
-    schedule, params, leds, seed = case
+    # Calibration cuts a pattern once, from its integer ticks, and
+    # re-inverts only the warm duty per round; each round's end state must
+    # be bit for bit the one-sample run_span of the pieces run_control
+    # would play from the compiled schedule, with the same draws.
+    spec, params, leds, seed = case
+    schedule = compile_schedule(spec)
     valve = exact_models(params)[0]
+    stimulus = stimulus_id(spec)
     try:
         timelines = [schedule_to_timeline(schedule, valve, led) for led in leds]
     except UnreachableRateError as exc:
         with pytest.raises(UnreachableRateError) as info:
-            inputs = _verification_inputs(schedule, valve, "P")
+            inputs = _verification_inputs(spec, stimulus)(valve)
             for led in leds:
                 inputs(led)
         assert (info.value.channel, info.value.target_rate, info.value.segment_index) \
             == (exc.channel, exc.target_rate, exc.segment_index)
-        assert info.value.stimulus_id == "P"
+        assert info.value.stimulus_id == stimulus
         return
-    inputs = _verification_inputs(schedule, valve, "P")
+    inputs = _verification_inputs(spec, stimulus)(valve)
     plant, reference = SkinPlant(params, seed=seed), SkinPlant(params, seed=seed)
     for led, timeline in zip(leds, timelines):
         plant.reset()

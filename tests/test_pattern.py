@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from coldsim import (StimulusSpec, ValidationError, WrongKindError,
                      compile_schedule, derive_pattern, validate_spec)
-from coldsim.pattern import Segment, _derive_exact, _exact
+from coldsim.pattern import Segment, _derive_exact, _exact, _segment_ticks
 
 
 def substitution_oracle(vc, lam, swing):
@@ -253,6 +253,25 @@ def test_property_s1_schedule_matches_fraction_loop(spec, off_grid_duration):
                for seg in segments for x in (seg.start, seg.end, seg.rate))
     # one Fraction per boundary, shared by the segments it separates
     assert all(seg.start is prev.end for prev, seg in zip(segments, segments[1:]))
+
+
+@settings(max_examples=200)
+@given(specs(), st.one_of(st.none(), st.floats(0.001, 20.0)))
+def test_property_segment_ticks_match_schedule(spec, off_grid_duration):
+    if off_grid_duration is not None:
+        spec = replace(spec, duration=off_grid_duration, drop_duration=(
+            off_grid_duration * spec.drop_duration / spec.duration))
+    den, rate, ticks = _segment_ticks(spec)
+    schedule = compile_schedule(spec)
+    assert rate == _exact(spec.cooling_rate)
+    assert float(rate) == schedule.base_cooling_rate
+    assert len(ticks) == len(schedule.segments)
+    for (start, end, seg_rate, warm), seg in zip(ticks, schedule.segments):
+        assert (Fraction(start, den), Fraction(end, den)) == (seg.start, seg.end)
+        # integer true division is the float of the Fraction, bit for bit
+        assert ((start / den).hex(), (end / den).hex()) == (
+            seg.start_s.hex(), seg.end_s.hex())
+        assert (seg_rate, warm) == (seg.rate, seg.warm_active)
 
 
 def test_schedule_csv_export(tmp_path):
