@@ -21,10 +21,7 @@ import numpy as np
 
 from .errors import (CalibrationError, DegenerateDesignError,
                      UnreachableRateError, ValidationError, check_numbers)
-from .pattern import RateSchedule, StimulusSpec, _segment_ticks, stimulus_id
-# Unused here: coldbench/spans.py lists control.compile_schedule among
-# the names its tracer patches.
-from .pattern import compile_schedule  # noqa: F401
+from .pattern import RateSchedule, StimulusSpec, compile_schedule, stimulus_id
 from .plant import DEFAULT_SENSOR_RESOLUTION, DT, SkinPlant, Trace
 
 VALVE_DUTY_RANGE = (0.490, 0.601)
@@ -264,18 +261,19 @@ def calibrate(plant: SkinPlant,
     changes and runs every verification pattern; when one leaves the
     skin more than DRIFT_THRESHOLD from where it started, the mean
     drift rate over the patterns is added to every warm measurement and
-    the next round refits.  Each verification pattern is cut into the
-    pieces run_control would play from its integer ticks, with no
-    schedule compiled, once per call and before the first plant
-    reading, so a bad pattern fails before any measurement.  It gets its
-    cooling duty once the valve model is fitted, before the rounds; a
-    round only inverts each pattern's distinct warm rates through its
-    warm model.  Like each single-channel reading, each verification
-    pattern is one run_span call that computes only the end temperature
-    the sensor reads, not a logged trace.  Raises CalibrationError when
-    the drift gate still fails after max_iters rounds; an invalid
-    verification pattern raises ValidationError, and an unreachable
-    verification rate UnreachableRateError, naming the pattern.
+    the next round refits.  Each verification pattern is compiled and
+    cut into the pieces run_control would play, from the schedule's
+    integer ticks as schedule_to_timeline reads them, once per call and
+    before the first plant reading, so a bad pattern fails before any
+    measurement.  It gets its cooling duty once the valve model is
+    fitted, before the rounds; a round only inverts each pattern's
+    distinct warm rates through its warm model.  Like each
+    single-channel reading, each verification pattern is one run_span
+    call that computes only the end temperature the sensor reads, not a
+    logged trace.  Raises CalibrationError when the drift gate still
+    fails after max_iters rounds; an invalid verification pattern raises
+    ValidationError, and an unreachable verification rate
+    UnreachableRateError, naming the pattern.
     """
     protocol = protocol if protocol is not None else CalibrationProtocol()
     stimuli = [stimulus_id(spec) for spec in protocol.verify_specs]
@@ -320,23 +318,19 @@ def _verification_inputs(spec: StimulusSpec, stimulus: str):
     returns the function giving run_span's inputs for one sample over the
     pattern under a warm model.
 
-    The pattern is cut from _segment_ticks' integer ticks, each warm
-    boundary becoming the float ticks / den, which is the float of the
-    compiled schedule's Fraction: no schedule is compiled.  The cooling
-    duty is inverted once per valve model; the innermost function
-    inverts only the distinct warm rates.  An invalid pattern raises
+    The pattern is compiled and its warm spans read from the schedule's
+    integer ticks by _warm_spans, as schedule_to_timeline reads them, so
+    the pieces are the ones run_control would play.  The cooling duty is
+    inverted once per valve model; the innermost function inverts only
+    the distinct warm rates.  An invalid pattern raises
     ValidationError, and an unreachable rate UnreachableRateError, both
     naming the stimulus.
     """
     try:
-        den, exact_rate, segments = _segment_ticks(spec)
-        cooling_rate = float(exact_rate)
-        warm, led_spans = _warm_spans(
-            ((index, start, end, rate)
-             for index, (start, end, rate, warm_active) in enumerate(segments)
-             if warm_active),
-            cooling_rate, lambda t: t / den)
-        duration = segments[-1][1] / den
+        schedule = compile_schedule(spec)
+        cooling_rate = schedule.base_cooling_rate
+        warm, led_spans = _warm_spans(schedule)
+        duration = schedule.duration_s
         # The cooling channel runs throughout, as in schedule_to_timeline.
         (_, led_index, _, led_on, n_steps), n = _timeline_pieces(
             duration, ((0.0, duration, 0),), led_spans, off=-1)
@@ -396,10 +390,7 @@ def schedule_to_timeline(schedule: RateSchedule, valve_model: DutyModel,
     and an unreachable one names the first segment that asks for it.
     """
     valve_duty = invert_duty(valve_model, schedule.base_cooling_rate)
-    warm, spans = _warm_spans(
-        ((index, seg.start, seg.end, seg.rate)
-         for index, seg in enumerate(schedule.segments) if seg.warm_active),
-        schedule.base_cooling_rate)
+    warm, spans = _warm_spans(schedule)
     led_duties = [_invert_at(led_model, rate, segment)
                   for rate, (_, segment) in warm.items()]
     return ActuatorTimeline(
@@ -408,25 +399,25 @@ def schedule_to_timeline(schedule: RateSchedule, valve_model: DutyModel,
         schedule.duration_s)
 
 
-def _warm_spans(warm_segments, base_rate: float, seconds=float) -> tuple[dict, list]:
-    """The warm channel's spans as (start, end, k) in seconds, k indexing
-    the distinct warm rates (a segment's target rate less the cooling
-    rate base_rate), and a dict of those rates in order of first use,
-    each mapped to (k, the first segment that asks for it).
-
-    warm_segments yields (index, start, end, rate) for each segment in
-    which the warm channel is active, in order, index counting every
-    segment of the schedule; seconds converts a boundary.
+def _warm_spans(schedule: RateSchedule) -> tuple[dict, list]:
+    """A schedule's warm-channel spans as (start, end, k) in seconds, k
+    indexing the distinct warm rates (a segment's target rate less the
+    schedule's cooling rate), and a dict of those rates in order of first
+    use, each mapped to (k, the index of the first segment that asks for
+    it).  A boundary of t ticks is the float t / den, which is the float
+    of its exact Fraction bit for bit.
     """
+    den, base_rate = schedule.den, schedule.base_cooling_rate
     warm: dict[float, tuple[int, int]] = {}
     spans = []
     last = None  # the segment rate that k was found for
-    for index, start, end, rate in warm_segments:
-        # S1 warm segments share one rate object: convert it once.
-        if rate is not last:
-            last = rate
-            k = warm.setdefault(float(rate) - base_rate, (len(warm), index))[0]
-        spans.append((seconds(start), seconds(end), k))
+    for index, (start, end, rate, warm_active) in enumerate(schedule.ticks):
+        if warm_active:
+            # S1 warm segments share one rate object: convert it once.
+            if rate is not last:
+                last = rate
+                k = warm.setdefault(float(rate) - base_rate, (len(warm), index))[0]
+            spans.append((start / den, end / den, k))
     return warm, spans
 
 

@@ -12,8 +12,10 @@ Cycle quantities follow from three design inputs: the cooling rate
 (negative), the fraction of each cycle spent cooling, and the per-cycle
 temperature swing.  Schedule boundaries are carried as exact rationals
 (derived from the decimal reading of the inputs) so that long schedules
-accumulate no floating-point drift and whole cycles balance exactly;
-they are computed as whole ticks of one denominator per schedule.
+accumulate no floating-point drift and whole cycles balance exactly.
+A compiled schedule holds them as whole ticks of one denominator; its
+Fractions and Segments are built only when asked for, and control
+reads the ticks directly, for presentations and calibration alike.
 """
 
 from __future__ import annotations
@@ -228,16 +230,35 @@ class Segment:
 
 @dataclass(frozen=True)
 class RateSchedule:
-    """Target skin-temperature-rate segments covering [0, duration]."""
+    """Target skin-temperature-rate segments covering [0, duration].
+
+    Each segment is held as (start, end, rate, warm_active) in ticks:
+    start and end are whole numbers of ticks of 1/den s, the first
+    starting at 0 and each starting where the previous one ends; rate is
+    an exact Fraction, and all S1 warm segments share one rate object.
+    """
 
     kind: str
-    segments: tuple[Segment, ...]
+    den: int
+    ticks: tuple[tuple[int, int, Fraction, bool], ...]
     duration: Fraction
     base_cooling_rate: float = field(default=0.0)
 
     @property
     def duration_s(self) -> float:
         return float(self.duration)
+
+    @property
+    def segments(self) -> tuple[Segment, ...]:
+        """The segments with exact boundaries, built on each call; each
+        boundary is one Fraction shared by the two segments it separates."""
+        segments = []
+        start = Fraction(0)
+        for _, end_tick, rate, warm in self.ticks:
+            end = Fraction(end_tick, self.den)
+            segments.append(Segment(start, end, rate, True, warm))
+            start = end
+        return tuple(segments)
 
     def rate_integral(self, start=None, end=None) -> Fraction:
         """Exact integral of the target rate over [start, end] (degC)."""
@@ -271,34 +292,9 @@ def compile_schedule(spec: StimulusSpec) -> RateSchedule:
     S2 is one cooling drop followed by a balanced hold at rate zero.
     S3 is a single cooling segment.  The cold channel is active on every
     segment; the warm channel is active exactly where the target rate
-    sits above the cooling rate.  The boundaries come from
-    _segment_ticks, each as one Fraction shared by the two segments it
-    separates.
-    """
-    den, rate, ticks = _segment_ticks(spec)
-    segments: list[Segment] = []
-    start = Fraction(0)
-    for _, end_tick, seg_rate, warm in ticks:
-        end = Fraction(end_tick, den)
-        segments.append(Segment(start, end, seg_rate, True, warm))
-        start = end
-    return RateSchedule(
-        kind=spec.kind,
-        segments=tuple(segments),
-        duration=_exact(spec.duration),
-        base_cooling_rate=float(rate),
-    )
-
-
-def _segment_ticks(spec: StimulusSpec) -> tuple[int, Fraction, list]:
-    """A valid spec's schedule segments on integer ticks.
-
-    Raises ValidationError on the spec's errors.  Returns (den, rate,
-    segments): every boundary is a whole number of ticks of 1/den; rate
-    is the exact cooling rate; each segment is (start, end, rate,
-    warm_active) with start and end in ticks, the first starting at 0
-    and each starting where the previous one ends.  All S1 warm segments
-    share one rate object.
+    sits above the cooling rate.  Every boundary is computed on integer
+    ticks of one denominator per schedule.  Raises ValidationError on the
+    spec's errors.
     """
     exact = _require_valid(spec)
     duration = _exact(spec.duration)
@@ -307,23 +303,23 @@ def _segment_ticks(spec: StimulusSpec) -> tuple[int, Fraction, list]:
         cooling_time, cycle_time, recovery_rate, _ = exact
         # Each boundary is computed on integers, from whole-cycle multiples.
         den, (cool, cycle, end) = _common_ticks(cooling_time, cycle_time, duration)
-        segments = []
+        ticks = []
         for pos in range(0, end, cycle):
             cool_end = pos + cool
             if cool_end >= end:  # the duration ends while cooling
-                segments.append((pos, end, rate, False))
+                ticks.append((pos, end, rate, False))
                 break
             warm_end = pos + cycle
-            segments.append((pos, cool_end, rate, False))
-            segments.append((cool_end, warm_end if warm_end < end else end,
-                             recovery_rate, True))
+            ticks.append((pos, cool_end, rate, False))
+            ticks.append((cool_end, warm_end if warm_end < end else end,
+                          recovery_rate, True))
     elif spec.kind == "S2":
         den, (drop_end, end) = _common_ticks(_exact(spec.drop_duration), duration)
-        segments = [(0, drop_end, rate, False), (drop_end, end, Fraction(0), True)]
+        ticks = [(0, drop_end, rate, False), (drop_end, end, Fraction(0), True)]
     else:  # S3
         den, (end,) = _common_ticks(duration)
-        segments = [(0, end, rate, False)]
-    return den, rate, segments
+        ticks = [(0, end, rate, False)]
+    return RateSchedule(spec.kind, den, tuple(ticks), duration, float(rate))
 
 
 def _common_ticks(*times: Fraction) -> tuple[int, list[int]]:

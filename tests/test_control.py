@@ -19,7 +19,7 @@ from coldsim.control import (DRIFT_THRESHOLD, LED_GRID, MEASURE_TIME, VALVE_GRID
                              ActuatorTimeline, ChannelSpan, _SPAN, _timeline_pieces,
                              _verification_inputs)
 from coldsim.experiment import EXP2_RATES, EXP2_RATIOS, perturb_params
-from coldsim.pattern import RateSchedule, Segment, stimulus_id
+from coldsim.pattern import RateSchedule, stimulus_id
 from coldsim.plant import DT, PlantState, Trace
 
 
@@ -291,9 +291,8 @@ MULTI_RATES = [Fraction(r, 100) for r in (-10, 10, -10, 5, -10, 10, -10, 30)]
 
 def multi_rate_schedule():
     """Warm rates 0.2, 0.15, 0.2 on top of -0.1 cooling, then 0.4."""
-    segments = tuple(Segment(Fraction(k), Fraction(k + 1), rate, True, rate > 0)
-                     for k, rate in enumerate(MULTI_RATES))
-    return RateSchedule("S1", segments, Fraction(len(MULTI_RATES)), -0.1)
+    ticks = tuple((k, k + 1, rate, rate > 0) for k, rate in enumerate(MULTI_RATES))
+    return RateSchedule("S1", 1, ticks, Fraction(len(MULTI_RATES)), -0.1)
 
 
 def test_timeline_duty_per_distinct_warm_rate():

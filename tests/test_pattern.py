@@ -8,9 +8,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coldsim import (StimulusSpec, ValidationError, WrongKindError,
-                     compile_schedule, derive_pattern, validate_spec)
-from coldsim.pattern import Segment, _derive_exact, _exact, _segment_ticks
+from coldsim import (PlantParams, StimulusSpec, UnreachableRateError,
+                     ValidationError, WrongKindError, compile_schedule,
+                     derive_pattern, exact_models, invert_duty,
+                     schedule_to_timeline, validate_spec)
+from coldsim.pattern import Segment, _derive_exact, _exact
 
 
 def substitution_oracle(vc, lam, swing):
@@ -261,8 +263,9 @@ def test_property_segment_ticks_match_schedule(spec, off_grid_duration):
     if off_grid_duration is not None:
         spec = replace(spec, duration=off_grid_duration, drop_duration=(
             off_grid_duration * spec.drop_duration / spec.duration))
-    den, rate, ticks = _segment_ticks(spec)
     schedule = compile_schedule(spec)
+    den, ticks = schedule.den, schedule.ticks
+    rate = ticks[0][2]  # every schedule starts cooling
     assert rate == _exact(spec.cooling_rate)
     assert float(rate) == schedule.base_cooling_rate
     assert len(ticks) == len(schedule.segments)
@@ -272,6 +275,43 @@ def test_property_segment_ticks_match_schedule(spec, off_grid_duration):
         assert ((start / den).hex(), (end / den).hex()) == (
             seg.start_s.hex(), seg.end_s.hex())
         assert (seg_rate, warm) == (seg.rate, seg.warm_active)
+
+
+def segment_spans(schedule, valve_model, led_model):
+    """Valve and LED spans as (start, end, duty) built from the schedule's
+    Segments, each boundary the float of its Fraction and each warm duty
+    inverted from the segment's rate less the cooling rate: the oracle
+    for schedule_to_timeline, which reads the integer ticks instead."""
+    base = schedule.base_cooling_rate
+    valve = [(0.0, schedule.duration_s, invert_duty(valve_model, base))]
+    led = [(seg.start_s, seg.end_s, invert_duty(led_model, float(seg.rate) - base))
+           for seg in schedule.segments if seg.warm_active]
+    return valve, led
+
+
+EXACT_MODELS = exact_models(PlantParams())
+
+
+@settings(max_examples=200)
+@given(specs())
+def test_property_timeline_from_ticks_matches_segments(spec):
+    # The drawn spec, and the same spec over the study's 15 s.
+    for spec in (spec, replace(spec, duration=15.0, drop_duration=(
+            15.0 * spec.drop_duration / spec.duration))):
+        schedule = compile_schedule(spec)
+        try:
+            expected = segment_spans(schedule, *EXACT_MODELS)
+        except UnreachableRateError as exc:
+            with pytest.raises(UnreachableRateError) as info:
+                schedule_to_timeline(schedule, *EXACT_MODELS)
+            assert (info.value.channel, info.value.target_rate) == (
+                exc.channel, exc.target_rate)
+            continue
+        timeline = schedule_to_timeline(schedule, *EXACT_MODELS)
+        assert timeline.duration.hex() == schedule.duration_s.hex()
+        for got, want in zip((timeline.valve, timeline.led), expected):
+            assert [(s.start.hex(), s.end.hex(), s.duty.hex()) for s in got] == [
+                tuple(x.hex() for x in span) for span in want]
 
 
 def test_schedule_csv_export(tmp_path):
