@@ -156,16 +156,27 @@ def cmd_experiment_run(args) -> None:
     build = experiment.build_exp2_plan if args.exp == 2 else experiment.build_exp3_plan
     plan = build(participants=args.participants, repetitions=args.repetitions,
                  seed=args.seed)
-    result = experiment.run_pipeline(plan, base_params=_load_params(args),
-                                     jitter=args.jitter)
+    participants = experiment.run_participants(
+        plan, base_params=_load_params(args), jitter=args.jitter)
+    calibrations = []
+
+    def records():
+        # Each participant is calibrated and simulated only when
+        # write_records asks for its first record, and the previous
+        # participant's records, already written, are not held then.
+        for calibration, participant_records in participants:
+            calibrations.append(calibration)
+            yield from participant_records
+            del participant_records
+
     # Build the whole run next to the target, then rename into place.
     parent = os.path.dirname(os.path.abspath(args.out)) or "."
     staging = tempfile.mkdtemp(dir=parent, prefix=".tmp-run-")
     try:
         os.chmod(staging, _umask_mode(0o777))
-        experiment.write_records(result.records, plan, staging,
+        experiment.write_records(records(), plan, staging,
                                  traces=not args.no_traces)
-        for idx, calibration in enumerate(result.calibrations):
+        for idx, calibration in enumerate(calibrations):
             calibration.to_json(os.path.join(staging, f"models_{idx:02d}.json"))
         if os.path.isdir(args.out):
             os.rmdir(args.out)
@@ -176,7 +187,7 @@ def cmd_experiment_run(args) -> None:
         raise
     _status(args, "experiment-run", started, out=args.out,
             participants=plan.participants,
-            trials=len(result.records))
+            trials=plan.participants * plan.trials_per_participant)
 
 
 def cmd_experiment_analyze(args) -> None:

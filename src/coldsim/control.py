@@ -358,9 +358,7 @@ def _invert_at(model: DutyModel, target_rate: float, segment_index=None,
     try:
         return invert_duty(model, target_rate)
     except UnreachableRateError as exc:
-        raise UnreachableRateError(
-            exc.channel, exc.target_rate, exc.rate_min, exc.rate_max,
-            segment_index=segment_index, stimulus_id=stimulus) from exc
+        raise exc.located(segment_index=segment_index, stimulus_id=stimulus) from exc
 
 
 @dataclass(frozen=True)

@@ -33,22 +33,33 @@ class UnreachableRateError(RuntimeError):
     """
 
     def __init__(self, channel, target_rate, rate_min, rate_max,
-                 segment_index=None, stimulus_id=None):
+                 segment_index=None, stimulus_id=None, participant=None):
         self.channel = channel
         self.target_rate = target_rate
         self.rate_min = rate_min
         self.rate_max = rate_max
         self.segment_index = segment_index
         self.stimulus_id = stimulus_id
-        where = ""
-        if stimulus_id is not None:
-            where += f" for stimulus {stimulus_id}"
+        self.participant = participant
+        where = ", ".join(f"{name} {value}" for name, value in (
+            ("participant", participant), ("stimulus", stimulus_id))
+            if value is not None)
+        where = f" for {where}" if where else ""
         if segment_index is not None:
             where += f" (segment {segment_index})"
         super().__init__(
             f"{channel} channel cannot reach {target_rate:+.4f} degC/s{where}; "
             f"feasible interval is [{rate_min:+.4f}, {rate_max:+.4f}] degC/s"
         )
+
+    def located(self, **where) -> "UnreachableRateError":
+        """This error with more context: each given field (segment_index,
+        stimulus_id, participant) replaces this error's value."""
+        fields = dict(segment_index=self.segment_index,
+                      stimulus_id=self.stimulus_id, participant=self.participant)
+        fields.update(where)
+        return UnreachableRateError(self.channel, self.target_rate,
+                                    self.rate_min, self.rate_max, **fields)
 
 
 class CalibrationError(RuntimeError):

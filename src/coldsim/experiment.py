@@ -28,14 +28,15 @@ import math
 import os
 from dataclasses import dataclass, asdict, replace
 from operator import attrgetter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .control import (LED_DUTY_RANGE, LOG_RATE, VALVE_DUTY_RANGE,
                       CalibrationResult, DutyModel, calibrate, run_control,
                       schedule_to_timeline)
-from .errors import UnreachableRateError, ValidationError, check_numbers
+from .errors import (CalibrationError, UnreachableRateError, ValidationError,
+                     check_numbers)
 from .pattern import KINDS, StimulusSpec, compile_schedule, stimulus_id
 from .plant import PlantParams, SkinPlant, Trace, write_trace_csvs
 from .stats import TestResult, benjamini_hochberg, kruskal_wallis, wilcoxon_rank_sum
@@ -284,48 +285,55 @@ def run_experiment(plan: ExperimentPlan,
     Presentation order is shuffled per participant from the plan seed.
     Each trial re-initializes the skin, drives the compiled pattern
     through the participant's calibrated models, and produces either a
-    slider trace (exp2) or a coldness rating (exp3).
+    slider trace (exp2) or a coldness rating (exp3).  An unreachable
+    rate raises UnreachableRateError naming the participant and the
+    stimulus.
     """
     if len(participants) < plan.participants or len(models) < plan.participants:
         raise ValidationError("need one participant model and one model pair "
                               "per planned participant")
+    return [rec for pidx in range(plan.participants)
+            for rec in _participant_trials(plan, pidx, plant_factory(pidx),
+                                           participants[pidx], models[pidx])]
+
+
+def _participant_trials(plan: ExperimentPlan, pidx: int, plant: SkinPlant,
+                        person: ParticipantModel,
+                        models: tuple[DutyModel, DutyModel]) -> list[TrialRecord]:
+    """Participant pidx's trials of run_experiment, in run order."""
+    valve_model, led_model = models
+    timelines = {}
+    for planned in plan.stimuli:
+        try:
+            timelines[planned.stimulus_id] = schedule_to_timeline(
+                compile_schedule(planned.spec), valve_model, led_model)
+        except UnreachableRateError as exc:
+            raise exc.located(stimulus_id=planned.stimulus_id,
+                              participant=pidx) from exc
     records = []
     trial_list = [s for s in plan.stimuli for _ in range(plan.repetitions)]
-    for pidx in range(plan.participants):
-        plant = plant_factory(pidx)
-        valve_model, led_model = models[pidx]
-        timelines = {}
-        for planned in plan.stimuli:
-            try:
-                timelines[planned.stimulus_id] = schedule_to_timeline(
-                    compile_schedule(planned.spec), valve_model, led_model)
-            except UnreachableRateError as exc:
-                raise UnreachableRateError(
-                    exc.channel, exc.target_rate, exc.rate_min, exc.rate_max,
-                    segment_index=exc.segment_index,
-                    stimulus_id=planned.stimulus_id) from exc
-        order_rng = np.random.default_rng((plan.seed, pidx, 0xC01D))
-        order = order_rng.permutation(len(trial_list))
-        for tidx, which in enumerate(order):
-            planned = trial_list[which]
-            seed = _trial_seed(plan.seed, pidx, tidx)
-            plant.reset()
-            trace = run_control(timelines[planned.stimulus_id], plant)
-            rng = np.random.default_rng(seed)
-            slider = simulate_participant(trace, participants[pidx], rng)
-            record = TrialRecord(
-                participant=pidx, trial=tidx,
-                stimulus_id=planned.stimulus_id, kind=planned.spec.kind,
-                cooling_rate=planned.spec.cooling_rate,
-                cooling_ratio=planned.spec.cooling_ratio,
-                seed=seed, trace=trace)
-            if plan.experiment == "exp2":
-                record.slider = slider
-            else:
-                record.likert = default_likert_rating(
-                    float(np.mean(slider.values)),
-                    peak_cooling_rate(trace, participants[pidx]))
-            records.append(record)
+    order_rng = np.random.default_rng((plan.seed, pidx, 0xC01D))
+    order = order_rng.permutation(len(trial_list))
+    for tidx, which in enumerate(order):
+        planned = trial_list[which]
+        seed = _trial_seed(plan.seed, pidx, tidx)
+        plant.reset()
+        trace = run_control(timelines[planned.stimulus_id], plant)
+        rng = np.random.default_rng(seed)
+        slider = simulate_participant(trace, person, rng)
+        record = TrialRecord(
+            participant=pidx, trial=tidx,
+            stimulus_id=planned.stimulus_id, kind=planned.spec.kind,
+            cooling_rate=planned.spec.cooling_rate,
+            cooling_ratio=planned.spec.cooling_ratio,
+            seed=seed, trace=trace)
+        if plan.experiment == "exp2":
+            record.slider = slider
+        else:
+            record.likert = default_likert_rating(
+                float(np.mean(slider.values)),
+                peak_cooling_rate(trace, person))
+        records.append(record)
     return records
 
 
@@ -376,24 +384,53 @@ class PipelineResult:
     calibrations: list[CalibrationResult]
 
 
-def run_pipeline(plan: ExperimentPlan, base_params: Optional[PlantParams] = None,
-                 jitter: float = 0.1) -> PipelineResult:
-    """Plants, calibration, and trials for every participant in one call."""
+def run_participants(plan: ExperimentPlan, base_params: Optional[PlantParams] = None,
+                     jitter: float = 0.1
+                     ) -> Iterator[tuple[CalibrationResult, list[TrialRecord]]]:
+    """Yield (calibration, records) for each participant in turn: build
+    the participant's jittered plant, calibrate it, then run that
+    participant's trials.
+
+    Nothing runs until the first item is asked for, and a caller that
+    drops each participant's records once used holds one participant at
+    a time.  Each plant draws from its own (seed, participant, ...)
+    streams, so calibrating participant k just before its own trials
+    gives the same models and records as calibrating every plant first.
+    A failed calibration (CalibrationError) or an unreachable rate names
+    the participant.  A jitter outside [0, 1) raises ValidationError on
+    the call, before any participant runs.
+    """
     if not 0 <= jitter < 1:
         raise ValidationError(f"jitter must lie in [0, 1), got {jitter}")
     base = base_params if base_params is not None else PlantParams()
-    plants = []
-    calibrations = []
+    return _participants(plan, base, jitter)
+
+
+def _participants(plan: ExperimentPlan, base: PlantParams, jitter: float):
+    persons = default_participants(plan.participants, seed=plan.seed)
     for pidx in range(plan.participants):
         rng = np.random.default_rng((plan.seed, pidx, 0x71A))
         params = perturb_params(base, rng, rel=jitter) if jitter > 0 else base
         plant = SkinPlant(params, seed=(plan.seed, pidx, 0x5EED))
-        calibrations.append(calibrate(plant))
-        plants.append(plant)
-    records = run_experiment(
-        plan, lambda i: plants[i],
-        default_participants(plan.participants, seed=plan.seed),
-        [(c.valve, c.led) for c in calibrations])
+        try:
+            calibration = calibrate(plant)
+        except CalibrationError as exc:
+            raise CalibrationError(f"participant {pidx}: {exc}",
+                                   report=exc.report) from exc
+        except UnreachableRateError as exc:
+            raise exc.located(participant=pidx) from exc
+        yield calibration, _participant_trials(
+            plan, pidx, plant, persons[pidx], (calibration.valve, calibration.led))
+
+
+def run_pipeline(plan: ExperimentPlan, base_params: Optional[PlantParams] = None,
+                 jitter: float = 0.1) -> PipelineResult:
+    """Plants, calibration, and trials for every participant in one call:
+    everything run_participants yields, collected."""
+    records, calibrations = [], []
+    for calibration, participant_records in run_participants(plan, base_params, jitter):
+        calibrations.append(calibration)
+        records.extend(participant_records)
     return PipelineResult(plan, records, calibrations)
 
 
@@ -549,59 +586,97 @@ def analyze_exp3(records: Sequence[TrialRecord], pooling: str = "trials") -> Exp
 # Record export / import
 
 
-def write_records(records: Sequence[TrialRecord], plan: ExperimentPlan,
+def _participant_groups(records: Iterable[TrialRecord], trials: int):
+    """Each participant's records as one list, yielded as soon as it is
+    complete: when it holds `trials` records, or the next participant's
+    first record arrives, or the records end.  The list is emptied when
+    the next one is asked for, so its records can be freed before the
+    next participant's are made."""
+    group: list[TrialRecord] = []
+    for rec in records:
+        if group and rec.participant != group[0].participant:
+            yield group
+            group.clear()
+        group.append(rec)
+        if len(group) == trials:
+            yield group
+            group.clear()
+    if group:
+        yield group
+
+
+def _write_participant(out_dir, pidx: int, recs: list[TrialRecord],
+                       traces: bool) -> None:
+    """write_records' files for one participant's records."""
+    trace_dir = os.path.join(out_dir, "traces")
+    recs = sorted(recs, key=attrgetter("trial"))
+    path = os.path.join(out_dir, f"participant_{pidx:02d}.csv")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["trial", "stimulus_id", "kind", "vc", "lambda",
+                         "seed", "likert"])
+        for rec in recs:
+            writer.writerow([
+                rec.trial, rec.stimulus_id, rec.kind, rec.cooling_rate,
+                "" if rec.cooling_ratio is None else rec.cooling_ratio,
+                rec.seed, "" if rec.likert is None else rec.likert])
+    kept = [rec for rec in recs if rec.trace is not None] if traces else []
+    if kept:
+        os.makedirs(trace_dir, exist_ok=True)
+        write_trace_csvs([rec.trace for rec in kept], [
+            os.path.join(trace_dir, f"p{pidx:02d}_t{rec.trial:03d}_temp.csv")
+            for rec in kept])
+    if any(rec.slider is not None for rec in recs):
+        bare = next((rec for rec in recs if rec.slider is None), None)
+        if bare is not None:
+            raise ValidationError(
+                f"participant {pidx} trial {bare.trial}: no slider while other "
+                f"trials of this participant have one, so p{pidx:02d}_slider.npy "
+                f"could not hold a row for it that read_records rebuilds")
+        grid = np.arange(len(recs[0].slider.time)) / LOG_RATE
+        for rec in recs:
+            if not np.array_equal(rec.slider.time, grid):
+                raise ValidationError(
+                    f"participant {pidx} trial {rec.trial}: slider time is "
+                    f"not the grid k / {LOG_RATE:g} s that read_records rebuilds")
+        os.makedirs(trace_dir, exist_ok=True)
+        np.save(os.path.join(trace_dir, f"p{pidx:02d}_slider.npy"),
+                np.stack([rec.slider.values for rec in recs], dtype=np.float64))
+
+
+def write_records(records: Iterable[TrialRecord], plan: ExperimentPlan,
                   out_dir, traces: bool = True) -> None:
     """One CSV and one slider array per participant, a temperature trace
     CSV per trial, and a manifest.
+
+    `records` may be any iterable, such as one that simulates each
+    participant only when asked, but each participant's records must
+    arrive together, at most plan.trials_per_participant of them: a
+    participant whose records come back after its files were written
+    raises ValidationError.  A participant's files are written as soon
+    as its records are complete (all of its trials, or the next
+    participant's first record, or the end), and its records are then
+    dropped.
 
     Row k of `pXX_slider.npy` (float64, shape (trials, samples)) holds the
     slider values of row k of `participant_XX.csv`; their time is the
     grid k / LOG_RATE, which is not stored; a slider sampled on any other
     grid, or a participant with sliders on only some trials, raises
     ValidationError.  `traces=False` skips only the temperature trace
-    files, which `write_trace_csvs` writes.
+    files, which `write_trace_csvs` writes.  `traces/` is made only when
+    a file is written into it.
     """
     os.makedirs(out_dir, exist_ok=True)
-    trace_dir = os.path.join(out_dir, "traces")
-    if any(rec.trace is not None and traces or rec.slider is not None
-           for rec in records):
-        os.makedirs(trace_dir, exist_ok=True)
-    by_participant: dict[int, list[TrialRecord]] = {}
-    for rec in records:
-        by_participant.setdefault(rec.participant, []).append(rec)
-    for pidx, recs in sorted(by_participant.items()):
-        recs = sorted(recs, key=lambda r: r.trial)
-        path = os.path.join(out_dir, f"participant_{pidx:02d}.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trial", "stimulus_id", "kind", "vc", "lambda",
-                             "seed", "likert"])
-            for rec in recs:
-                writer.writerow([
-                    rec.trial, rec.stimulus_id, rec.kind, rec.cooling_rate,
-                    "" if rec.cooling_ratio is None else rec.cooling_ratio,
-                    rec.seed, "" if rec.likert is None else rec.likert])
-        if traces:
-            kept = [rec for rec in recs if rec.trace is not None]
-            write_trace_csvs([rec.trace for rec in kept], [
-                os.path.join(trace_dir, f"p{pidx:02d}_t{rec.trial:03d}_temp.csv")
-                for rec in kept])
-        if any(rec.slider is not None for rec in recs):
-            bare = next((rec for rec in recs if rec.slider is None), None)
-            if bare is not None:
-                raise ValidationError(
-                    f"participant {pidx} trial {bare.trial}: no slider while other "
-                    f"trials of this participant have one, so p{pidx:02d}_slider.npy "
-                    f"could not hold a row for it that read_records rebuilds")
-            grid = np.arange(len(recs[0].slider.time)) / LOG_RATE
-            for rec in recs:
-                if not np.array_equal(rec.slider.time, grid):
-                    raise ValidationError(
-                        f"participant {pidx} trial {rec.trial}: slider time is "
-                        f"not the grid k / {LOG_RATE:g} s that read_records rebuilds")
-            np.save(os.path.join(trace_dir, f"p{pidx:02d}_slider.npy"),
-                    np.stack([rec.slider.values for rec in recs],
-                             dtype=np.float64))
+    written = set()
+    for recs in _participant_groups(records, plan.trials_per_participant):
+        pidx = recs[0].participant
+        if pidx in written:
+            raise ValidationError(
+                f"participant {pidx}: records arrive after its files were "
+                f"written; each participant's records must arrive together, "
+                f"at most {plan.trials_per_participant} of them")
+        written.add(pidx)
+        _write_participant(out_dir, pidx, recs, traces)
     manifest = {
         "format_version": FORMAT_VERSION,
         "experiment": plan.experiment,
@@ -626,6 +701,14 @@ def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
     parsed in one csv.reader pass, its columns found once by header name.
     The sliders of one participant share one time array, the grid
     k / LOG_RATE, so analyze_exp2 summarizes them as one block.
+
+    Each slider array is mapped copy-on-write from its file, not read
+    into fresh memory: a run just written is already in the page cache,
+    so reading maps those pages instead of faulting in and filling a
+    copy.  The slider values are views of the mapping; writing to them
+    leaves the file alone.  While any of a participant's records lives,
+    its mapping holds one open file, and truncating that file then is an
+    error the process cannot catch (SIGBUS).
     """
     manifest_path = os.path.join(run_dir, "manifest.json")
     try:
@@ -669,13 +752,14 @@ def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
         path = os.path.join(run_dir, "traces", f"p{pidx:02d}_slider.npy")
         if os.path.exists(path):
             try:
-                sliders = np.load(path, allow_pickle=False)
+                sliders = np.load(path, allow_pickle=False, mmap_mode="c")
             except (EOFError, OSError, ValueError) as exc:
                 raise ValidationError(
                     f"{path} is not a readable .npy file: {exc}") from exc
             if not isinstance(sliders, np.ndarray):  # np.load also opens .npz
                 sliders.close()
                 raise ValidationError(f"{path} is an .npz archive, not an .npy file")
+            sliders = np.asarray(sliders)  # plain ndarray rows of the mapping
             if (sliders.dtype != np.float64 or sliders.ndim != 2
                     or sliders.shape[0] != len(table) or sliders.shape[1] == 0):
                 raise ValidationError(

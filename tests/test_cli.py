@@ -1,13 +1,17 @@
 """Command-line behavior: artifacts, exit codes, determinism."""
 
 import csv
+import dataclasses
 import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+
+from coldsim import CalibrationError, UnreachableRateError, cli, experiment
 
 
 def run_cli(*argv, cwd=None, umask=-1):
@@ -286,6 +290,60 @@ def test_experiment_run_refuses_nonempty_out(tmp_path):
             assert kept.read_text() == text
     assert not (tmp_path / "nodir").exists()
     assert not list(tmp_path.glob(".tmp-*"))
+
+
+def experiment_run(out, participants):
+    """experiment-run --exp 2 with one repetition, in this process."""
+    return cli.main(["experiment-run", "--exp", "2", "--repetitions", "1",
+                     "--participants", str(participants), "--quiet",
+                     "--out", str(out)])
+
+
+def test_experiment_run_memory_flat_in_participants(tmp_path):
+    # Each participant is simulated, written and dropped in turn, so twice
+    # the participants must not take about twice the memory, as holding
+    # every record until the end did (1.9x).
+    assert experiment_run(tmp_path / "warm-up", 1) == 0  # lazy imports
+    peaks = {}
+    for participants in (4, 8):
+        tracemalloc.start()
+        try:
+            assert experiment_run(tmp_path / f"run{participants}", participants) == 0
+            peaks[participants] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8] < 1.25 * peaks[4], peaks
+
+
+@pytest.mark.parametrize("failure", [CalibrationError, UnreachableRateError])
+def test_experiment_run_failure_names_participant(tmp_path, monkeypatch, capsys,
+                                                  failure):
+    real = experiment.calibrate
+    calls = []
+
+    def calibrate(plant, *args, **kwargs):
+        result = real(plant, *args, **kwargs)
+        calls.append(plant)
+        if len(calls) < 2:
+            return result
+        # Participant 0's files are already written when participant 1
+        # is calibrated.
+        staging, = tmp_path.glob(".tmp-run-*")
+        assert (staging / "participant_00.csv").exists()
+        if failure is CalibrationError:
+            raise CalibrationError("verification drift stays above the gate")
+        # A warm band too narrow for the study's warm rates.
+        led = dataclasses.replace(result.led, duty_max=result.led.duty_min + 0.01)
+        return dataclasses.replace(result, led=led)
+
+    monkeypatch.setattr(experiment, "calibrate", calibrate)
+    out = tmp_path / "run"
+    assert experiment_run(out, 3) == 2
+    assert len(calls) == 2
+    stderr = capsys.readouterr().err
+    assert "participant 1" in stderr and "Traceback" not in stderr, stderr
+    assert not out.exists()
+    assert not list(tmp_path.glob(".tmp-run-*"))
 
 
 def test_cli_determinism_byte_identical(tmp_path):

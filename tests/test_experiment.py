@@ -21,8 +21,8 @@ from coldsim import (CalibrationProtocol, ParticipantModel, PlantParams,
 from coldsim.experiment import (EXP2_RATIOS, EXP3_BASE_RATE, EXP3_RATES,
                                 ExperimentPlan, PlannedStimulus, TrialRecord,
                                 peak_cooling_rate, perceived_rate,
-                                perturb_params, read_records, run_pipeline,
-                                write_records)
+                                perturb_params, read_records, run_participants,
+                                run_pipeline, write_records)
 from coldsim.pattern import StimulusSpec, stimulus_id
 from coldsim.plant import Trace
 from test_plant import oracle_trace_csv
@@ -70,6 +70,8 @@ def test_exp3_plan_shape():
     (lambda: run_pipeline(build_exp3_plan(participants=1), jitter=-0.5), "jitter"),
     (lambda: run_pipeline(build_exp3_plan(participants=1), jitter=math.nan), "jitter"),
     (lambda: run_pipeline(build_exp3_plan(participants=1), jitter=1.0), "jitter"),
+    # Checked on the call, before any participant is calibrated.
+    (lambda: run_participants(build_exp3_plan(participants=1), jitter=1.0), "jitter"),
     (lambda: CalibrationProtocol(max_iters=0), "max_iters"),
     (lambda: CalibrationProtocol(sensor_resolution=math.nan), "sensor_resolution"),
     (lambda: CalibrationProtocol(sensor_resolution=-0.01), "sensor_resolution"),
@@ -344,15 +346,62 @@ def test_run_experiment_shuffle_deterministic_and_per_participant():
 
 
 def test_run_experiment_unreachable_carries_stimulus_id():
-    plan = build_exp3_plan(participants=1)
     params = PlantParams(relax_coeff=0.0)
     models = exact_models(params)
     squeezed = models[1].__class__("led", models[1].slope, models[1].intercept,
                                    0.118, 0.5)
+    plan = build_exp3_plan(participants=1)
     with pytest.raises(UnreachableRateError) as info:
         run_experiment(plan, lambda i: SkinPlant(params),
                        default_participants(1), [(models[0], squeezed)])
     assert info.value.stimulus_id is not None
+    assert info.value.participant == 0
+    # Only participant 1's warm band is too narrow: the error names it.
+    plan = build_exp3_plan(participants=2)
+    with pytest.raises(UnreachableRateError) as info:
+        run_experiment(plan, lambda i: SkinPlant(params), default_participants(2),
+                       [models, (models[0], squeezed)])
+    assert info.value.stimulus_id is not None
+    assert info.value.participant == 1
+    assert f"for participant 1, stimulus {info.value.stimulus_id}" in str(info.value)
+
+
+def reference_pipeline(plan, jitter=0.1):
+    """The study in its earlier order: calibrate every plant first, then
+    run every trial in one run_experiment call."""
+    plants, calibrations = [], []
+    for pidx in range(plan.participants):
+        rng = np.random.default_rng((plan.seed, pidx, 0x71A))
+        plant = SkinPlant(perturb_params(PlantParams(), rng, rel=jitter),
+                          seed=(plan.seed, pidx, 0x5EED))
+        calibrations.append(coldsim.experiment.calibrate(plant))
+        plants.append(plant)
+    records = run_experiment(
+        plan, lambda i: plants[i], default_participants(plan.participants, plan.seed),
+        [(c.valve, c.led) for c in calibrations])
+    return records, calibrations
+
+
+@pytest.mark.parametrize("build", [build_exp2_plan, build_exp3_plan])
+def test_pipeline_matches_calibrate_all_first_order(build, tmp_path):
+    plan = build(participants=2, repetitions=1, seed=5)
+    want_records, want_calibrations = reference_pipeline(plan)
+    got = run_pipeline(plan)
+    assert len(got.records) == len(want_records) == 2 * plan.trials_per_participant
+    for rec, want in zip(got.records, want_records):
+        assert (rec.participant, rec.trial, rec.stimulus_id, rec.seed, rec.likert) == (
+            want.participant, want.trial, want.stimulus_id, want.seed, want.likert)
+        assert rec.trace.temp.tobytes() == want.trace.temp.tobytes()
+        assert (rec.slider is None) == (want.slider is None) == (plan.experiment == "exp3")
+        if rec.slider is not None:
+            assert rec.slider.values.tobytes() == want.slider.values.tobytes()
+    assert len(got.calibrations) == len(want_calibrations) == 2
+    for idx, (calibration, want) in enumerate(zip(got.calibrations, want_calibrations)):
+        calibration.to_json(tmp_path / f"got_{idx}.json")
+        want.to_json(tmp_path / f"want_{idx}.json")
+        assert (tmp_path / f"got_{idx}.json").read_bytes() == \
+            (tmp_path / f"want_{idx}.json").read_bytes()
+        assert (calibration.valve, calibration.led) == (want.valve, want.led)
 
 
 def test_perturb_params_keeps_grid_reachable():
@@ -479,6 +528,21 @@ def test_record_round_trip(tmp_path):
                 == asdict(analyze_exp2(result.records, pooling)))
 
 
+def test_read_records_sliders_copy_on_write(tmp_path):
+    # read_records maps each slider array: its rows are views of the file's
+    # pages, and writing to one changes that record only, not the file.
+    plan, result = small_pipeline(2)
+    write_records(result.records, plan, tmp_path / "run")
+    path = tmp_path / "run" / "traces" / "p00_slider.npy"
+    saved = path.read_bytes()
+    loaded, _ = read_records(tmp_path / "run")
+    assert loaded[0].slider.values.base is loaded[1].slider.values.base
+    loaded[0].slider.values[:] = 0.25
+    assert path.read_bytes() == saved
+    again, _ = read_records(tmp_path / "run")
+    assert again[0].slider.values.tobytes() == result.records[0].slider.values.tobytes()
+
+
 def test_temperature_csvs_round_trip(tmp_path):
     # Nothing in coldsim reads these files back; check the contract here:
     # csv.writer's bytes, and fields that parse back to the same floats.
@@ -520,6 +584,39 @@ def test_write_records_rejects_off_grid_slider(tmp_path):
     assert records[0].slider.time[-1] == 2.005
     with pytest.raises(ValidationError, match="participant 0 trial 0"):
         write_records(records, plan, tmp_path / "run")
+
+
+def test_write_records_rejects_participant_that_comes_back(tmp_path):
+    # write_records writes a participant's files once its records are
+    # complete; records arriving later would overwrite them.
+    plan, result = small_pipeline(3)
+    first = [rec for rec in result.records if rec.participant == 0]
+    second = [rec for rec in result.records if rec.participant == 1]
+    for records in (first[:5] + second + first[5:], first + first[:1]):
+        with pytest.raises(ValidationError,
+                           match="participant 0: records arrive after its files"):
+            write_records(records, plan, tmp_path / "run")
+    # Within a participant, any trial order is written in trial order, and
+    # records from a generator give the same files as from a list.
+    write_records(first[::-1] + second, plan, tmp_path / "listed")
+    write_records((rec for rec in result.records), plan, tmp_path / "streamed")
+    listed = sorted(p.relative_to(tmp_path / "listed")
+                    for p in (tmp_path / "listed").rglob("*"))
+    assert listed == sorted(p.relative_to(tmp_path / "streamed")
+                            for p in (tmp_path / "streamed").rglob("*"))
+    for name in listed:
+        if (tmp_path / "listed" / name).is_file():
+            assert ((tmp_path / "listed" / name).read_bytes()
+                    == (tmp_path / "streamed" / name).read_bytes()), name
+
+
+def test_write_records_makes_traces_dir_only_for_files(tmp_path):
+    plan, result = small_pipeline(3)  # exp3: ratings, no sliders
+    write_records(result.records, plan, tmp_path / "bare", traces=False)
+    assert sorted(p.name for p in (tmp_path / "bare").iterdir()) == [
+        "manifest.json", "participant_00.csv", "participant_01.csv"]
+    write_records(result.records, plan, tmp_path / "traced")
+    assert len(list((tmp_path / "traced" / "traces").iterdir())) == 2 * 15
 
 
 # Slider samples at and next to the edges of [0, 1], including subnormals.
