@@ -13,8 +13,8 @@ from .errors import (CalibrationError, DegenerateDesignError,
 from .pattern import (DerivedPattern, RateSchedule, Segment, SpecIssue,
                       StimulusSpec, compile_schedule, derive_pattern,
                       validate_spec)
-from .plant import (PlantParams, PlantState, SensorReading, SkinPlant, Trace,
-                    load_plant_config, read_sensor, save_plant_config, step)
+from .plant import (PlantParams, SensorReading, SkinPlant, Trace,
+                    load_plant_config, save_plant_config)
 from .control import (ActuatorTimeline, CalibrationProtocol, CalibrationResult,
                       DutyModel, calibrate, exact_models, fit_duty_model,
                       invert_duty, load_models, run_control,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from operator import attrgetter
 from typing import Optional, Sequence
 
@@ -33,6 +33,20 @@ LED_GRID = (LED_DUTY_RANGE[0], 0.275, 0.431, 0.588, 0.745, LED_DUTY_RANGE[1])
 ENDPOINT_REPEATS = 3   # lowest/highest grid duty measured this often
 MEASURE_TIME = 6.0     # s per single-stimulus measurement
 DRIFT_THRESHOLD = 0.1  # degC net change allowed per verification pattern
+
+# Alternating patterns that check heat balance after fitting, all of one
+# duration (the drift rate divides by it): a subset of the study grid, including one low cooling-ratio
+# pattern whose long warm phase makes warm-channel bias visible.  The
+# grid's most demanding warm rate is deliberately absent: the first fit
+# sits slightly low (ambient pull absorbed during single-channel
+# measurement counts twice when both channels run), and the
+# drift-correction rounds must lift the warm model before that corner
+# becomes commandable.
+VERIFY_SPECS = (
+    StimulusSpec("S1", cooling_rate=-0.16, cooling_ratio=0.5),
+    StimulusSpec("S1", cooling_rate=-0.20, cooling_ratio=0.5),
+    StimulusSpec("S1", cooling_rate=-0.20, cooling_ratio=0.3),
+)
 
 # Samples per second in the traces run_control returns.
 LOG_RATE = 100.0
@@ -124,30 +138,12 @@ def invert_duty(model: DutyModel, target_rate: float) -> float:
     return min(max(duty, model.duty_min), model.duty_max)
 
 
-def default_verification_specs() -> tuple[StimulusSpec, ...]:
-    """Alternating patterns used to check heat balance after fitting.
-
-    A subset of the study grid, including one low cooling-ratio pattern
-    whose long warm phase makes warm-channel bias visible.  The grid's
-    most demanding warm rate is deliberately absent: the first fit sits
-    slightly low (ambient pull absorbed during single-channel
-    measurement counts twice when both channels run), and the
-    drift-correction rounds must lift the warm model before that corner
-    becomes commandable.
-    """
-    return (
-        StimulusSpec("S1", cooling_rate=-0.16, cooling_ratio=0.5),
-        StimulusSpec("S1", cooling_rate=-0.20, cooling_ratio=0.5),
-        StimulusSpec("S1", cooling_rate=-0.20, cooling_ratio=0.3),
-    )
-
-
 @dataclass(frozen=True)
 class CalibrationProtocol:
     """Calibration settings that callers vary; the duty grids, repeats,
-    measurement time and drift gate are this module's constants."""
+    measurement time, verification patterns and drift gate are this
+    module's constants."""
 
-    verify_specs: tuple = field(default_factory=default_verification_specs)
     max_iters: int = 10
     sensor_resolution: float = DEFAULT_SENSOR_RESOLUTION  # degC; 0 = ideal
     measurement_noise: float = 0.0    # degC/s sigma added to measured rates
@@ -261,26 +257,22 @@ def calibrate(plant: SkinPlant,
     changes and runs every verification pattern; when one leaves the
     skin more than DRIFT_THRESHOLD from where it started, the mean
     drift rate over the patterns is added to every warm measurement and
-    the next round refits.  Each verification pattern is compiled and
-    cut into the pieces run_control would play, from the schedule's
-    integer ticks as schedule_to_timeline reads them, once per call and
-    before the first plant reading, so a bad pattern fails before any
-    measurement.  It gets its cooling duty once the valve model is
-    fitted, before the rounds; a round only inverts each pattern's
-    distinct warm rates through its warm model.  Like each
-    single-channel reading, each verification pattern is one run_span
-    call that computes only the end temperature the sensor reads, not a
-    logged trace.  Raises CalibrationError when the drift gate still
-    fails after max_iters rounds; an invalid verification pattern raises
-    ValidationError, and an unreachable verification rate
-    UnreachableRateError, naming the pattern.
+    the next round refits.  Each of VERIFY_SPECS is compiled and cut
+    into the pieces run_control would play, from the schedule's integer
+    ticks as schedule_to_timeline reads them, once per call.  It gets its
+    cooling duty once the valve model is fitted, before the rounds; a
+    round only inverts each pattern's distinct warm rates through its
+    warm model.  Like each single-channel reading, each verification
+    pattern is one run_span call that computes only the end temperature
+    the sensor reads, not a logged trace.  Raises CalibrationError when
+    the drift gate still fails after max_iters rounds, and
+    UnreachableRateError naming the pattern when a verification rate is
+    out of a fitted model's band.
     """
     protocol = protocol if protocol is not None else CalibrationProtocol()
-    stimuli = [stimulus_id(spec) for spec in protocol.verify_specs]
+    stimuli = [stimulus_id(spec) for spec in VERIFY_SPECS]
     cut = [_verification_inputs(spec, stimulus)
-           for spec, stimulus in zip(protocol.verify_specs, stimuli)]
-    if len({spec.duration for spec in protocol.verify_specs}) > 1:
-        raise ValidationError("verification patterns must share one duration")
+           for spec, stimulus in zip(VERIFY_SPECS, stimuli)]
     rng = np.random.default_rng(protocol.noise_seed)
     plant.reset()  # every reading starts from this skin
     before = plant.read_sensor(protocol.sensor_resolution).value
@@ -304,7 +296,7 @@ def calibrate(plant: SkinPlant,
             return CalibrationResult(valve_model, led_model, iteration, history)
         # A balanced pattern that ends warmer means the warm channel
         # delivers that much more rate than its measurements say.
-        drift_rate = sum(nets) / len(nets) / protocol.verify_specs[0].duration
+        drift_rate = sum(nets) / len(nets) / VERIFY_SPECS[0].duration
         led_deltas = [d + drift_rate * MEASURE_TIME for d in led_deltas]
 
     raise CalibrationError(
@@ -322,20 +314,16 @@ def _verification_inputs(spec: StimulusSpec, stimulus: str):
     integer ticks by _warm_spans, as schedule_to_timeline reads them, so
     the pieces are the ones run_control would play.  The cooling duty is
     inverted once per valve model; the innermost function inverts only
-    the distinct warm rates.  An invalid pattern raises
-    ValidationError, and an unreachable rate UnreachableRateError, both
-    naming the stimulus.
+    the distinct warm rates.  An unreachable rate raises
+    UnreachableRateError naming the stimulus.
     """
-    try:
-        schedule = compile_schedule(spec)
-        cooling_rate = schedule.base_cooling_rate
-        warm, led_spans = _warm_spans(schedule)
-        duration = schedule.duration_s
-        # The cooling channel runs throughout, as in schedule_to_timeline.
-        (_, led_index, _, led_on, n_steps), n = _timeline_pieces(
-            duration, ((0.0, duration, 0),), led_spans, off=-1)
-    except ValidationError as exc:
-        raise ValidationError(f"verification pattern {stimulus}: {exc}") from exc
+    schedule = compile_schedule(spec)
+    cooling_rate = schedule.base_cooling_rate
+    warm, led_spans = _warm_spans(schedule)
+    duration = schedule.duration_s
+    # The cooling channel runs throughout, as in schedule_to_timeline.
+    (_, led_index, _, led_on, n_steps), n = _timeline_pieces(
+        duration, ((0.0, duration, 0),), led_spans, off=-1)
 
     def with_valve(valve_model: DutyModel):
         valve_duty = _invert_at(valve_model, cooling_rate, None, stimulus)

@@ -346,7 +346,8 @@ def perturb_params(base: PlantParams, rng: np.random.Generator,
     coefficients directly swings the near-cancelling valve anchors wildly.
     The warm top anchor is re-drawn until the study grid stays reachable,
     mirroring the real protocol where the duty bands were chosen to cover
-    every participant.
+    every participant.  A base plant whose top anchor no draw can lift
+    to that headroom raises UnreachableRateError on the led channel.
     """
     def anchors(gain, bias, lo, hi):
         return gain * lo + bias, gain * hi + bias
@@ -361,8 +362,12 @@ def perturb_params(base: PlantParams, rng: np.random.Generator,
     # The top warm anchor keeps headroom over the grid's strongest warm
     # demand (0.48 degC/s) so the calibrated model, which sits about a
     # hundredth low until drift correction settles, still covers it.
+    headroom = 0.495
+    l_hi_lo, l_hi_hi = sorted((l_hi * (1.0 - rel), l_hi * (1.0 + rel)))
+    if l_hi_hi <= headroom:  # no draw can pass
+        raise UnreachableRateError("led", headroom, l_hi_lo, l_hi_hi)
     l_hi_j = l_hi * (1.0 + rng.uniform(-rel, rel))
-    while l_hi_j < 0.495:
+    while l_hi_j < headroom:
         l_hi_j = l_hi * (1.0 + rng.uniform(-rel, rel))
     valve_gain = (v_hi - v_lo) / (v_max - v_min)
     valve_bias = v_lo - valve_gain * v_min
@@ -410,9 +415,9 @@ def _participants(plan: ExperimentPlan, base: PlantParams, jitter: float):
     persons = default_participants(plan.participants, seed=plan.seed)
     for pidx in range(plan.participants):
         rng = np.random.default_rng((plan.seed, pidx, 0x71A))
-        params = perturb_params(base, rng, rel=jitter) if jitter > 0 else base
-        plant = SkinPlant(params, seed=(plan.seed, pidx, 0x5EED))
         try:
+            params = perturb_params(base, rng, rel=jitter) if jitter > 0 else base
+            plant = SkinPlant(params, seed=(plan.seed, pidx, 0x5EED))
             calibration = calibrate(plant)
         except CalibrationError as exc:
             raise CalibrationError(f"participant {pidx}: {exc}",

@@ -32,9 +32,6 @@ import numpy as np
 
 from .errors import ValidationError, check_numbers
 
-# Maximum explicit-Euler step, seconds.
-MAX_STEP = 0.01
-
 # Integration step of every simulation and calibration, seconds.
 DT = 0.001
 
@@ -83,13 +80,6 @@ class PlantParams:
             raise ValidationError("relax_coeff must be non-negative")
         if self.noise_sigma < 0:
             raise ValidationError("noise_sigma must be non-negative")
-
-
-@dataclass
-class PlantState:
-    t_skin: float
-    time: float
-    rng: np.random.Generator
 
 
 @dataclass(frozen=True)
@@ -164,45 +154,32 @@ def _block_sums(drive: np.ndarray, length: int, decay: float) -> np.ndarray:
     return sums
 
 
-def step(state: PlantState, params: PlantParams, duty_valve=0.0, duty_led=0.0,
-         valve_on=False, led_on=False, dt=DT) -> PlantState:
-    """Advance the skin node by one explicit first-order step."""
-    if not 0.0 < dt <= MAX_STEP:
-        raise ValidationError(f"dt must lie in (0, {MAX_STEP}] s, got {dt}")
-    _check_duties(duty_valve, duty_led)
-    rate = _drive_rate(params, duty_valve, duty_led, valve_on, led_on)
-    rate += params.relax_coeff * (params.t_neutral - state.t_skin)
-    if params.noise_sigma > 0.0:
-        rate += state.rng.normal(0.0, params.noise_sigma)
-    return PlantState(state.t_skin + dt * rate, state.time + dt, state.rng)
-
-
 class SkinPlant:
-    """A single-owner plant instance stepped sequentially."""
+    """A single-owner plant instance stepped sequentially: t_skin is the
+    skin temperature and rng the process-noise stream."""
 
     def __init__(self, params: Optional[PlantParams] = None, seed=None):
         self.params = params if params is not None else PlantParams()
-        self.state = PlantState(self.params.t_init, 0.0, np.random.default_rng(seed))
+        self.t_skin = self.params.t_init
+        self.rng = np.random.default_rng(seed)
 
-    @property
-    def t_skin(self) -> float:
-        return self.state.t_skin
+    def reset(self) -> None:
+        """Instantaneous re-initialization to t_init (the hot-plate step);
+        the noise stream is deliberately not rewound."""
+        self.t_skin = self.params.t_init
 
-    @property
-    def time(self) -> float:
-        return self.state.time
-
-    def reset(self, t_skin: Optional[float] = None) -> None:
-        """Instantaneous re-initialization (the hot-plate step); the noise
-        stream is deliberately not rewound."""
-        self.state = PlantState(
-            self.params.t_init if t_skin is None else t_skin, 0.0, self.state.rng)
-
-    def step(self, duty_valve=0.0, duty_led=0.0, valve_on=False, led_on=False,
-             dt=DT) -> float:
-        self.state = step(self.state, self.params, duty_valve, duty_led,
-                          valve_on, led_on, dt)
-        return self.state.t_skin
+    def step(self, duty_valve=0.0, duty_led=0.0, valve_on=False,
+             led_on=False) -> float:
+        """Advance the skin node by one explicit first-order step of DT:
+        the per-step reference that run_span's block updates reorder."""
+        _check_duties(duty_valve, duty_led)
+        params = self.params
+        rate = _drive_rate(params, duty_valve, duty_led, valve_on, led_on)
+        rate += params.relax_coeff * (params.t_neutral - self.t_skin)
+        if params.noise_sigma > 0.0:
+            rate += self.rng.normal(0.0, params.noise_sigma)
+        self.t_skin += DT * rate
+        return self.t_skin
 
     def run_span(self, duty_valve=0.0, duty_led=0.0, valve_on=False,
                  led_on=False, n_steps=1, log_every=1) -> np.ndarray:
@@ -260,27 +237,22 @@ class SkinPlant:
             # with independent n_j ~ N(0, sigma**2): a normal of variance
             # (sigma * DT)**2 * sum(decay**(2 i), i < L), independent between
             # blocks.  One draw per sample gives each sample that law.
-            draws = self.state.rng.normal(0.0, params.noise_sigma * DT,
-                                          blocks + (rem > 0))
+            draws = self.rng.normal(0.0, params.noise_sigma * DT,
+                                    blocks + (rem > 0))
             squared = decay * decay
             sums = sums + draws[:blocks] * math.sqrt(_geometric(squared, log_every)[1])
             if rem:
                 tail += draws[-1] * math.sqrt(_geometric(squared, rem)[1])
-        t_skin = self.state.t_skin
-        if blocks > 1:
-            from scipy.signal import lfilter
-            temps, _ = lfilter([1.0], [1.0, -power], sums, zi=[power * t_skin])
-        else:  # lfilter's own arithmetic on one block
-            temps = power * t_skin + sums
-        t_skin = float(temps[-1])
+        from scipy.signal import lfilter
+        temps, _ = lfilter([1.0], [1.0, -power], sums, zi=[power * self.t_skin])
+        self.t_skin = float(temps[-1])
         if rem:
-            t_skin = float(tail_power * t_skin + tail)
-            temps = np.append(temps, t_skin)
-        self.state = PlantState(t_skin, self.state.time + total * DT, self.state.rng)
+            self.t_skin = float(tail_power * self.t_skin + tail)
+            temps = np.append(temps, self.t_skin)
         return temps
 
     def _run_to_end(self, drive, counts, total: int, decay: float) -> float:
-        """Advance the state by run_span's total steps and return only the
+        """Advance the skin by run_span's total steps and return only the
         end temperature.  A scalar drive is one piece of all the steps, as
         on the logged path, and one piece takes that path's arithmetic, so
         a single-piece reading has the same bits on either path."""
@@ -297,15 +269,34 @@ class SkinPlant:
             power, gain = geometric[count]
             added = added * power + piece_drive * gain
         if params.noise_sigma > 0.0:  # the law of the noise summed over all steps
-            draw = self.state.rng.normal(0.0, params.noise_sigma * DT)
+            draw = self.rng.normal(0.0, params.noise_sigma * DT)
             added += draw * math.sqrt(_geometric(decay * decay, total)[1])
         power = geometric[total][0] if total in geometric else _geometric(decay, total)[0]
-        t_skin = float(power * self.state.t_skin + added)
-        self.state = PlantState(t_skin, self.state.time + total * DT, self.state.rng)
-        return t_skin
+        self.t_skin = float(power * self.t_skin + added)
+        return self.t_skin
 
     def read_sensor(self, resolution: float = DEFAULT_SENSOR_RESOLUTION) -> SensorReading:
-        return read_sensor(self.state, resolution)
+        """Quantize the skin temperature to the sensor grid.
+
+        The reading is the nearest integer multiple of the resolution,
+        with exact halves rounded away from zero.  Quantization happens in
+        exact integer arithmetic on the decimal strings of both values, so
+        grid and tie behavior do not depend on binary float
+        representation; the final int / int division is correctly
+        rounded.  A resolution of 0 returns the raw value (ideal sensor).
+        """
+        if not 0 <= resolution < math.inf:
+            raise ValidationError(
+                f"resolution must be finite and non-negative, got {resolution!r}")
+        if resolution == 0:
+            return SensorReading(self.t_skin, 0.0)
+        t_num, t_q = _decimal(self.t_skin)
+        r_num, r_q = _decimal(resolution)
+        num, den = t_num * 10**r_q, r_num * 10**t_q  # t_skin / resolution
+        ticks = (2 * abs(num) + den) // (2 * den)  # floor(|ratio| + 1/2)
+        if num < 0:
+            ticks = -ticks
+        return SensorReading(ticks * r_num / 10**r_q, resolution)
 
 
 def _decimal(x) -> tuple[int, int]:
@@ -314,30 +305,6 @@ def _decimal(x) -> tuple[int, int]:
     whole, _, digits = mantissa.partition(".")
     num, q = int(whole + digits), len(digits) - int(exponent or 0)
     return (num, q) if q >= 0 else (num * 10**-q, 0)
-
-
-def read_sensor(state: PlantState, resolution: float = DEFAULT_SENSOR_RESOLUTION) -> SensorReading:
-    """Quantize the skin temperature to the sensor grid.
-
-    The reading is the nearest integer multiple of the resolution, with
-    exact halves rounded away from zero.  Quantization happens in exact
-    integer arithmetic on the decimal strings of both values, so grid
-    and tie behavior do not depend on binary float representation; the
-    final int / int division is correctly rounded.  A resolution of 0
-    returns the raw value (ideal sensor).
-    """
-    if not 0 <= resolution < math.inf:
-        raise ValidationError(
-            f"resolution must be finite and non-negative, got {resolution!r}")
-    if resolution == 0:
-        return SensorReading(state.t_skin, 0.0)
-    t_num, t_q = _decimal(state.t_skin)
-    r_num, r_q = _decimal(resolution)
-    num, den = t_num * 10**r_q, r_num * 10**t_q  # t_skin / resolution
-    ticks = (2 * abs(num) + den) // (2 * den)  # floor(|ratio| + 1/2)
-    if num < 0:
-        ticks = -ticks
-    return SensorReading(ticks * r_num / 10**r_q, resolution)
 
 
 @dataclass

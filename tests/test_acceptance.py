@@ -125,7 +125,7 @@ def test_criterion_2_calibration_closed_loop():
         plant = SkinPlant(PlantParams(relax_coeff=0.0))
         protocol = CalibrationProtocol(sensor_resolution=0.0,
                                        measurement_noise=0.01,
-                                       noise_seed=seed, verify_specs=())
+                                       noise_seed=seed)
         fit = calibrate(plant, protocol)
         led_ok += abs(fit.led.slope - 0.6122) / 0.6122 < 0.05
         valve_ok += abs(fit.valve.slope + 2.252) / 2.252 < 0.05

@@ -346,6 +346,23 @@ def test_experiment_run_failure_names_participant(tmp_path, monkeypatch, capsys,
     assert not list(tmp_path.glob(".tmp-run-*"))
 
 
+def test_experiment_run_weak_led_config_exits(tmp_path, capsys):
+    # With led_gain 0.55 the warm top anchor is 0.444 degC/s, and no draw
+    # of the 10 % jitter lifts it to the 0.495 degC/s that perturb_params
+    # re-draws for: the run must stop with exit 2, not draw forever.
+    config = tmp_path / "weak.json"
+    config.write_text(json.dumps({"led_gain": 0.55}))
+    out = tmp_path / "run"
+    assert cli.main(["experiment-run", "--exp", "3", "--participants", "1",
+                     "--repetitions", "1", "--config", str(config), "--quiet",
+                     "--out", str(out)]) == 2
+    stderr = capsys.readouterr().err
+    assert "led channel cannot reach +0.4950 degC/s for participant 0" in stderr, stderr
+    assert "Traceback" not in stderr
+    assert not out.exists()
+    assert not list(tmp_path.glob(".tmp-run-*"))
+
+
 def test_cli_determinism_byte_identical(tmp_path):
     art = {}
     for label in ("a", "b"):

@@ -15,19 +15,19 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.stats import chi2
 
 from coldsim import (PlantParams, SkinPlant, ValidationError, load_plant_config,
-                     read_sensor, save_plant_config, step)
-from coldsim.plant import DT, PlantState, Trace, write_trace_csvs
+                     save_plant_config)
+from coldsim.plant import DT, Trace, write_trace_csvs
 
 
-def make_state(temp, seed=0):
-    return PlantState(temp, 0.0, np.random.default_rng(seed))
+def plant_at(temp):
+    plant = SkinPlant(PlantParams())
+    plant.t_skin = temp
+    return plant
 
 
 def test_equilibrium_fixed_point():
-    params = PlantParams(t_init=24.0)
-    state = make_state(24.0)
-    new = step(state, params, dt=0.001)
-    assert new.t_skin == 24.0
+    plant = SkinPlant(PlantParams(t_init=24.0))
+    assert plant.step() == 24.0
 
 
 def test_valve_rate_and_six_second_drop():
@@ -42,20 +42,14 @@ def test_valve_rate_and_six_second_drop():
 
 
 def test_led_rate_affine_map():
-    params = PlantParams(relax_coeff=0.0)
-    state = make_state(33.0)
-    new = step(state, params, duty_led=0.902, led_on=True, dt=0.001)
-    assert (new.t_skin - 33.0) / 0.001 == pytest.approx(0.5000044, abs=1e-9)
+    plant = SkinPlant(PlantParams(relax_coeff=0.0))
+    t_skin = plant.step(duty_led=0.902, led_on=True)
+    assert (t_skin - 33.0) / DT == pytest.approx(0.5000044, abs=1e-9)
 
 
 def test_step_validation():
-    params = PlantParams()
     with pytest.raises(ValidationError):
-        step(make_state(33.0), params, dt=0.02)
-    with pytest.raises(ValidationError):
-        step(make_state(33.0), params, dt=0.0)
-    with pytest.raises(ValidationError):
-        step(make_state(33.0), params, duty_valve=1.5, valve_on=True)
+        SkinPlant(PlantParams()).step(duty_valve=1.5, valve_on=True)
 
 
 @pytest.mark.parametrize("temp,expected", [
@@ -64,28 +58,28 @@ def test_step_validation():
     (30.0125, 30.025),  # exact tie rounds away from zero
 ])
 def test_sensor_examples(temp, expected):
-    assert read_sensor(make_state(temp), 0.025).value == expected
+    assert plant_at(temp).read_sensor(0.025).value == expected
 
 
 def test_sensor_quantization_property():
     rng = np.random.default_rng(5)
     for _ in range(500):
         temp = float(rng.uniform(-50, 50))
-        reading = read_sensor(make_state(temp), 0.025)
+        reading = plant_at(temp).read_sensor(0.025)
         assert abs(reading.value - temp) <= 0.0125 + 1e-12
         ticks = reading.value / 0.025
         assert abs(ticks - round(ticks)) < 1e-9
 
 
 def test_sensor_negative_tie_rounds_away():
-    assert read_sensor(make_state(-30.0125), 0.025).value == -30.025
+    assert plant_at(-30.0125).read_sensor(0.025).value == -30.025
 
 
 @pytest.mark.parametrize("resolution", [-0.025, float("nan"), float("inf"),
                                         float("-inf")])
 def test_sensor_rejects_bad_resolution(resolution):
     with pytest.raises(ValidationError, match=f"got {resolution!r}"):
-        read_sensor(make_state(30.0), resolution)
+        plant_at(30.0).read_sensor(resolution)
 
 
 def fraction_read(temp, resolution):
@@ -110,9 +104,9 @@ def test_property_sensor_matches_fraction_oracle(data, resolution):
         expected = fraction_read(temp, resolution)
     except OverflowError:  # the nearest multiple is beyond the float range
         with pytest.raises(OverflowError):
-            read_sensor(make_state(temp), resolution)
+            plant_at(temp).read_sensor(resolution)
         return
-    value = read_sensor(make_state(temp), resolution).value
+    value = plant_at(temp).read_sensor(resolution).value
     assert struct.pack("<d", value) == struct.pack("<d", expected)
 
 
@@ -133,8 +127,8 @@ def test_relaxation_monotone_convergence():
                              t_init=t0)
         plant = SkinPlant(params)
         last_gap = abs(plant.t_skin - 24.0)
-        for _ in range(200):
-            plant.step(dt=0.01)
+        for _ in range(2000):
+            plant.step()
             gap = abs(plant.t_skin - 24.0)
             assert gap <= last_gap + 1e-15
             last_gap = gap
@@ -172,7 +166,6 @@ def test_run_span_matches_scalar_loop():
         assert len(temps) == len(expected)
         assert np.max(np.abs(temps - expected)) <= 1e-9
         assert fast.t_skin == temps[-1]
-        assert fast.time == pytest.approx(slow.time, abs=1e-12)
 
 
 def test_run_span_pieces_match_consecutive_spans():
@@ -190,13 +183,13 @@ def test_run_span_pieces_match_consecutive_spans():
         spans.run_span(duty_valve=0.49, duty_led=0.3, valve_on=True,
                        led_on=True, n_steps=12)])
     assert temps.tobytes() == expected.tobytes()
-    assert (pieces.t_skin, pieces.time) == (spans.t_skin, spans.time)
+    assert pieces.t_skin == spans.t_skin
     with pytest.raises(ValidationError, match="non-negative"):
         pieces.run_span(duty_valve=np.array([0.5, 0.5]), n_steps=np.array([3, -1]))
     with pytest.raises(ValidationError, match="3 pieces but n_steps gives 1"):
         pieces.run_span(duty_valve=np.array([0.5, 0.5, 0.5]), valve_on=True,
                         n_steps=3)
-    assert (pieces.t_skin, pieces.time) == (spans.t_skin, spans.time)  # untouched
+    assert pieces.t_skin == spans.t_skin  # untouched
 
 
 @pytest.mark.parametrize("log_every", [1, 10**6])
@@ -209,16 +202,16 @@ def test_run_span_rejects_non_integer_step_counts(n_steps, log_every):
     with pytest.raises(ValidationError, match="non-negative integers"):
         plant.run_span(duty_valve=duty, valve_on=True, n_steps=n_steps,
                        log_every=log_every)
-    assert (plant.t_skin, plant.time) == (33.0, 0.0)
+    assert plant.t_skin == 33.0
 
 
 def test_interaction_bias_only_when_both_on():
     params = PlantParams(relax_coeff=0.0, interaction_bias=0.013)
-    single = step(make_state(33.0), params, duty_led=0.5, led_on=True)
-    both = step(make_state(33.0), params, duty_valve=0.55, duty_led=0.5,
-                valve_on=True, led_on=True)
-    led_only_rate = (single.t_skin - 33.0) / 0.001
-    both_rate = (both.t_skin - 33.0) / 0.001
+    single = SkinPlant(params).step(duty_led=0.5, led_on=True)
+    both = SkinPlant(params).step(duty_valve=0.55, duty_led=0.5,
+                                  valve_on=True, led_on=True)
+    led_only_rate = (single - 33.0) / DT
+    both_rate = (both - 33.0) / DT
     valve_rate = -2.252 * 0.55 + 1.0535
     assert both_rate - (led_only_rate + valve_rate) == pytest.approx(0.013, abs=1e-9)
 
@@ -353,7 +346,6 @@ def test_property_run_span_matches_scalar_steps(case, relax):
     if expected:
         assert np.max(np.abs(temps - expected)) <= 1e-9
     assert fast.t_skin == (temps[-1] if expected else params.t_init)
-    assert fast.time == pytest.approx(slow.time, abs=1e-12)
 
 
 @settings(max_examples=60)
@@ -379,8 +371,6 @@ def test_property_run_span_end_matches_logged_and_steps(pieces, extra, relax):
     assert len(temps) == 1 and end.t_skin == temps[0]
     assert abs(temps[0] - samples[-1]) <= 1e-9
     assert abs(temps[0] - slow.t_skin) <= 1e-9
-    assert end.time == logged.time
-    assert end.time == pytest.approx(slow.time, abs=1e-12)
 
 
 @pytest.mark.parametrize("relax", [0.0, 0.002, 50.0])
@@ -419,7 +409,7 @@ def test_run_span_noise_per_logged_sample(relax):
             residual = plant.run_span(**inputs) - expected
             shadow = np.random.default_rng(seed)
             shadow.standard_normal(len(lengths))  # one draw per sample
-            assert plant.state.rng.random() == shadow.random()
+            assert plant.rng.random() == shadow.random()
             prev = 0.0
             for r, power, var in zip(residual.tolist(), powers, variances):
                 stat += (r - power * prev) ** 2 / var
