@@ -52,6 +52,12 @@ class UnreachableRateError(RuntimeError):
             f"feasible interval is [{rate_min:+.4f}, {rate_max:+.4f}] degC/s"
         )
 
+    def __reduce__(self):
+        # The default rebuilds from self.args, the message alone.
+        return (type(self), (self.channel, self.target_rate, self.rate_min,
+                             self.rate_max, self.segment_index,
+                             self.stimulus_id, self.participant))
+
     def located(self, **where) -> "UnreachableRateError":
         """This error with more context: each given field (segment_index,
         stimulus_id, participant) replaces this error's value."""

@@ -17,17 +17,23 @@ they do not vanish the instant stimulation pauses), motor lag, and
 clipped response noise.
 
 scipy is imported where it is first used, as in plant and stats:
-importing it takes about 0.6 s, which every CLI start would pay.
+importing it takes about 0.6 s, which every CLI start would pay.  So
+is multiprocessing (about 10 ms), which only a trace-writing pool needs.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import csv
 import json
 import math
 import os
+import signal
+import threading
 from dataclasses import dataclass, asdict, replace
 from operator import attrgetter
+from time import sleep
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -611,8 +617,10 @@ def _participant_groups(records: Iterable[TrialRecord], trials: int):
 
 
 def _write_participant(out_dir, pidx: int, recs: list[TrialRecord],
-                       traces: bool) -> None:
-    """write_records' files for one participant's records."""
+                       write_traces) -> None:
+    """write_records' files for one participant's records; the
+    temperature traces go to write_traces(traces, paths), or nowhere
+    when it is None."""
     trace_dir = os.path.join(out_dir, "traces")
     recs = sorted(recs, key=attrgetter("trial"))
     path = os.path.join(out_dir, f"participant_{pidx:02d}.csv")
@@ -625,10 +633,10 @@ def _write_participant(out_dir, pidx: int, recs: list[TrialRecord],
                 rec.trial, rec.stimulus_id, rec.kind, rec.cooling_rate,
                 "" if rec.cooling_ratio is None else rec.cooling_ratio,
                 rec.seed, "" if rec.likert is None else rec.likert])
-    kept = [rec for rec in recs if rec.trace is not None] if traces else []
+    kept = [rec for rec in recs if rec.trace is not None] if write_traces else []
     if kept:
         os.makedirs(trace_dir, exist_ok=True)
-        write_trace_csvs([rec.trace for rec in kept], [
+        write_traces([rec.trace for rec in kept], [
             os.path.join(trace_dir, f"p{pidx:02d}_t{rec.trial:03d}_temp.csv")
             for rec in kept])
     if any(rec.slider is not None for rec in recs):
@@ -647,6 +655,71 @@ def _write_participant(out_dir, pidx: int, recs: list[TrialRecord],
         os.makedirs(trace_dir, exist_ok=True)
         np.save(os.path.join(trace_dir, f"p{pidx:02d}_slider.npy"),
                 np.stack([rec.slider.values for rec in recs], dtype=np.float64))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _trace_worker_init(parent: int) -> None:
+    """Set up a trace-writing worker: Ctrl-C is left to the parent, whose
+    cleanup runs, and the worker exits by itself once the parent is gone
+    (a killed parent's workers would otherwise live on, re-parented)."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+    def watch():
+        while os.getppid() == parent:
+            sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+@contextlib.contextmanager
+def _trace_writer(participants: int):
+    """write_records' trace writer: write_trace_csvs itself, or with more
+    than one worker a function of the same arguments that splits the
+    traces into one chunk per worker for a pool forked at its first call.
+    After a call at most one chunk per worker is pending (the oldest are
+    waited for), and on leaving every chunk has finished and the pool is
+    shut down.
+    """
+    workers = min(_usable_cpus(), participants)
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers == 1:
+        yield write_trace_csvs
+        return
+    pending = collections.deque()
+    with contextlib.ExitStack() as stack:
+        pool = None
+
+        def write(traces, paths):
+            nonlocal pool
+            if pool is None:
+                # fork, so a worker re-imports nothing.  No other thread
+                # runs at the fork: the executor forks every worker
+                # before it starts its own threads, and OpenBLAS stops
+                # numpy's and scipy's BLAS threads around a fork.
+                pool = stack.enter_context(ProcessPoolExecutor(
+                    workers, mp_context=multiprocessing.get_context("fork"),
+                    initializer=_trace_worker_init, initargs=(os.getpid(),)))
+            size = -(-len(traces) // workers)
+            for start in range(0, len(traces), size):
+                pending.append(pool.submit(write_trace_csvs,
+                                           traces[start:start + size],
+                                           paths[start:start + size]))
+            while len(pending) > workers:
+                pending.popleft().result()
+
+        yield write
+        while pending:
+            pending.popleft().result()
 
 
 def write_records(records: Iterable[TrialRecord], plan: ExperimentPlan,
@@ -670,18 +743,32 @@ def write_records(records: Iterable[TrialRecord], plan: ExperimentPlan,
     ValidationError.  `traces=False` skips only the temperature trace
     files, which `write_trace_csvs` writes.  `traces/` is made only when
     a file is written into it.
+
+    The participant tables and slider arrays are written here, in
+    participant order.  The temperature traces are formatted in forked
+    worker processes, one per usable CPU and at most one per
+    participant, while `records` makes the next participant: each
+    participant's traces are split into one chunk per worker.  With one
+    worker (one participant, one CPU, or no `fork` start method) they are
+    written here.  The pool starts at the first trace written, so a run
+    without traces starts no process.  Before the manifest is written,
+    and before this returns or raises, every chunk has finished and the
+    workers have exited; a worker's exception (an OSError naming the
+    file, say) is raised here as it was raised there.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = set()
-    for recs in _participant_groups(records, plan.trials_per_participant):
-        pidx = recs[0].participant
-        if pidx in written:
-            raise ValidationError(
-                f"participant {pidx}: records arrive after its files were "
-                f"written; each participant's records must arrive together, "
-                f"at most {plan.trials_per_participant} of them")
-        written.add(pidx)
-        _write_participant(out_dir, pidx, recs, traces)
+    with _trace_writer(plan.participants) as write_traces:
+        for recs in _participant_groups(records, plan.trials_per_participant):
+            pidx = recs[0].participant
+            if pidx in written:
+                raise ValidationError(
+                    f"participant {pidx}: records arrive after its files were "
+                    f"written; each participant's records must arrive together, "
+                    f"at most {plan.trials_per_participant} of them")
+            written.add(pidx)
+            _write_participant(out_dir, pidx, recs,
+                               write_traces if traces else None)
     manifest = {
         "format_version": FORMAT_VERSION,
         "experiment": plan.experiment,

@@ -1,11 +1,17 @@
 """Command-line behavior: artifacts, exit codes, determinism."""
 
+import concurrent.futures
+import contextlib
 import csv
 import dataclasses
 import json
+import multiprocessing
+import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -313,6 +319,69 @@ def test_experiment_run_memory_flat_in_participants(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[8] < 1.25 * peaks[4], peaks
+
+
+def tree_bytes(root):
+    return {path.relative_to(root): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_experiment_run_trace_workers_deterministic(tmp_path, monkeypatch):
+    # Two participants on two CPUs: the temperature traces are written by
+    # two worker processes, and both are gone when experiment-run returns.
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+    trees = []
+    for name in ("a", "b"):
+        assert experiment_run(tmp_path / name, 2) == 0
+        assert multiprocessing.active_children() == []
+        trees.append(tree_bytes(tmp_path / name))
+    assert len([p for p in trees[0] if p.name.endswith("_temp.csv")]) == 2 * 35
+    assert trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("flags", [["--participants", "1"],
+                                   ["--participants", "2", "--no-traces"]])
+def test_experiment_run_starts_no_worker(tmp_path, monkeypatch, flags):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trace worker pool was started")
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    assert cli.main(["experiment-run", "--exp", "2", "--repetitions", "1",
+                     "--quiet", "--out", str(tmp_path / "run"), *flags]) == 0
+
+
+def test_experiment_run_killed_leaves_no_worker(tmp_path):
+    # A trace worker whose parent is killed exits by itself, so nothing of
+    # the run's process group outlives it.
+    out = tmp_path / "run"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coldsim.cli", "experiment-run", "--exp", "2",
+         "--participants", "4", "--repetitions", "3", "--quiet", "--out", str(out)],
+        start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not list(tmp_path.glob(".tmp-run-*/traces/*_temp.csv")):
+            assert proc.poll() is None, "the run ended before it could be killed"
+            assert time.monotonic() < deadline, "no trace written in 60 s"
+            time.sleep(0.01)
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 5
+        while True:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a worker outlived its killed parent"
+            time.sleep(0.05)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        for staging in tmp_path.glob(".tmp-run-*"):
+            shutil.rmtree(staging)
 
 
 @pytest.mark.parametrize("failure", [CalibrationError, UnreachableRateError])

@@ -1,7 +1,10 @@
 """Plans, the synthetic participant, the runner, and the analyses."""
 
+import concurrent.futures
 import importlib.util
 import math
+import multiprocessing
+import pickle
 import tempfile
 from collections import Counter
 from dataclasses import asdict
@@ -12,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coldsim.experiment
-from coldsim import (CalibrationProtocol, ParticipantModel, PlantParams,
+from coldsim import (CalibrationError, CalibrationProtocol, ParticipantModel,
+                     PlantParams,
                      SkinPlant, SliderTrace, UnreachableRateError,
                      ValidationError, analyze_exp2, analyze_exp3,
                      build_exp2_plan, build_exp3_plan, default_participants,
@@ -559,6 +563,75 @@ def test_temperature_csvs_round_trip(tmp_path):
         time, temp = np.array([[float(f) for f in row.split(",")] for row in rows]).T
         assert time.tobytes() == rec.trace.time.tobytes()
         assert temp.tobytes() == rec.trace.temp.tobytes()
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    # Two trace workers for a two-participant plan on any host.
+    monkeypatch.setattr(coldsim.experiment, "_usable_cpus", lambda: 2)
+
+
+@pytest.fixture
+def no_pool(monkeypatch, two_cpus):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trace worker pool was started")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+
+def test_write_records_worker_error_reaches_caller(tmp_path, two_cpus):
+    # A worker cannot write a trace over a directory; its OSError names
+    # the file, and write_records raises it only once every worker is done.
+    plan, result = small_pipeline(2)
+    out = tmp_path / "run"
+    (out / "traces" / "p00_t000_temp.csv").mkdir(parents=True)
+    with pytest.raises(OSError, match="p00_t000_temp.csv"):
+        write_records(result.records, plan, out)
+    assert not (out / "manifest.json").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_write_records_caller_error_waits_for_workers(tmp_path, two_cpus):
+    # The records stop with a calibration failure while participant 0's
+    # traces are being written: the same error arrives, after the workers
+    # have finished participant 0 and exited.
+    plan, result = small_pipeline(2)
+    trials = plan.trials_per_participant
+    failure = CalibrationError("participant 1: verification drift")
+
+    def records():
+        yield from result.records[:trials]
+        # Participant 0's group was handed over with its last record.
+        assert multiprocessing.active_children(), "no worker writes participant 0"
+        raise failure
+
+    out = tmp_path / "run"
+    with pytest.raises(CalibrationError) as info:
+        write_records(records(), plan, out)
+    assert info.value is failure
+    assert multiprocessing.active_children() == []
+    assert len(list((out / "traces").glob("p00_t*_temp.csv"))) == trials
+    assert not (out / "manifest.json").exists()
+
+
+def test_write_records_slider_only_starts_no_worker(tmp_path, no_pool):
+    plan, result = small_pipeline(2)
+    for rec in result.records:
+        rec.trace = None
+    write_records(result.records, plan, tmp_path / "run")
+    assert not list((tmp_path / "run" / "traces").glob("*_temp.csv"))
+
+
+def test_typed_errors_survive_pickle():
+    # Errors must cross a process boundary whole: type, message and fields.
+    unreachable = UnreachableRateError("led", 0.495, 0.4, 0.49).located(
+        segment_index=3, stimulus_id="S1_vc-0.08_r0.1", participant=2)
+    calibration = CalibrationError("verification drift", report=[{"round": 1}])
+    for exc in (UnreachableRateError("led", 0.495, 0.4, 0.49), unreachable,
+                calibration, ValidationError("jitter must lie in [0, 1)")):
+        again = pickle.loads(pickle.dumps(exc))
+        assert type(again) is type(exc) and str(again) == str(exc)
+        assert vars(again) == vars(exc)
+    assert pickle.loads(pickle.dumps(calibration)).report == [{"round": 1}]
 
 
 def test_write_records_rejects_partial_sliders(tmp_path):
