@@ -158,26 +158,23 @@ def cmd_experiment_run(args) -> None:
                  seed=args.seed)
     participants = experiment.run_participants(
         plan, base_params=_load_params(args), jitter=args.jitter)
-    calibrations = []
+    # Build the whole run next to the target, then rename into place.
+    parent = os.path.dirname(os.path.abspath(args.out)) or "."
+    staging = tempfile.mkdtemp(dir=parent, prefix=".tmp-run-")
 
     def records():
         # Each participant is calibrated and simulated only when
         # write_records asks for its first record, and the previous
         # participant's records, already written, are not held then.
-        for calibration, participant_records in participants:
-            calibrations.append(calibration)
+        for idx, (calibration, participant_records) in enumerate(participants):
+            calibration.to_json(os.path.join(staging, f"models_{idx:02d}.json"))
             yield from participant_records
             del participant_records
 
-    # Build the whole run next to the target, then rename into place.
-    parent = os.path.dirname(os.path.abspath(args.out)) or "."
-    staging = tempfile.mkdtemp(dir=parent, prefix=".tmp-run-")
     try:
         os.chmod(staging, _umask_mode(0o777))
         experiment.write_records(records(), plan, staging,
                                  traces=not args.no_traces)
-        for idx, calibration in enumerate(calibrations):
-            calibration.to_json(os.path.join(staging, f"models_{idx:02d}.json"))
         if os.path.isdir(args.out):
             os.rmdir(args.out)
         os.rename(staging, args.out)

@@ -152,11 +152,7 @@ class CalibrationProtocol:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be at least 1, got {self.max_iters}")
-        check_numbers(self, ("sensor_resolution", "measurement_noise"))
-        for name in ("sensor_resolution", "measurement_noise"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be non-negative, "
-                                      f"got {getattr(self, name)}")
+        check_numbers(self, nonnegative=("sensor_resolution", "measurement_noise"))
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,16 @@ class ValidationError(ValueError):
     """Raised when an input value violates a documented precondition."""
 
 
-def check_numbers(obj, names) -> None:
-    """Raise ValidationError unless each named attribute of obj is a finite
-    real number."""
-    for name in names:
+def check_numbers(obj, names=(), nonnegative=()) -> None:
+    """Raise ValidationError unless each attribute of obj named in `names`
+    or `nonnegative` is a finite real number, and each named in
+    `nonnegative` is also at least 0."""
+    for name in (*names, *nonnegative):
         value = getattr(obj, name)
         if not (isinstance(value, numbers.Real) and math.isfinite(value)):
             raise ValidationError(f"{name} must be a finite number, got {value!r}")
+        if name in nonnegative and value < 0:
+            raise ValidationError(f"{name} must be non-negative, got {value!r}")
 
 
 class WrongKindError(ValidationError):

@@ -84,13 +84,9 @@ class ParticipantModel:
     hold_time: float = 3.0           # s release time of a held percept
 
     def __post_init__(self):
-        nonnegative = ("detect_threshold", "slider_lag", "response_noise",
-                       "warm_attenuation", "gain", "hold_time")
-        check_numbers(self, nonnegative + ("time_constant",))
-        for name in nonnegative:
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be non-negative, "
-                                      f"got {getattr(self, name)!r}")
+        check_numbers(self, ("time_constant",), nonnegative=(
+            "detect_threshold", "slider_lag", "response_noise",
+            "warm_attenuation", "gain", "hold_time"))
         if not self.time_constant > 0:
             raise ValidationError("time_constant must be positive")
 

@@ -71,15 +71,12 @@ class PlantParams:
     interaction_bias: float = 0.0  # degC/s extra while both channels on
 
     def __post_init__(self):
-        check_numbers(self, self.__dataclass_fields__)
+        check_numbers(self, self.__dataclass_fields__,
+                      nonnegative=("relax_coeff", "noise_sigma"))
         if not self.valve_gain < 0:
             raise ValidationError("valve_gain must be negative")
         if not self.led_gain > 0:
             raise ValidationError("led_gain must be positive")
-        if self.relax_coeff < 0:
-            raise ValidationError("relax_coeff must be non-negative")
-        if self.noise_sigma < 0:
-            raise ValidationError("noise_sigma must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from coldsim.experiment import (EXP2_RATES, build_exp2_plan, build_exp3_plan,
                                 run_pipeline)
 from coldsim.pattern import _derive_exact, _exact
 
-from test_cli import run_cli
+from test_cli import run_cli_process
 from test_stats import brute_ranksum_p, stepwise_bh
 
 
@@ -232,26 +232,38 @@ def test_criterion_6_substituted_properties(exp2_result, exp3_result):
 # -- criterion 7: CLI determinism ---------------------------------------------
 
 def test_criterion_7_cli_determinism(tmp_path):
+    # Each command runs in a fresh interpreter, so nothing one run leaves
+    # behind in a process can make the second run match.  The exp3 run's
+    # two participants split its temperature traces between two trace
+    # workers on a host with two CPUs, and the exp2 run writes slider
+    # arrays.
     artifacts = {}
     for label in ("first", "second"):
         base = tmp_path / label
         base.mkdir()
-        assert run_cli("design", "--kind", "S1", "--vc", "-0.24", "--ratio",
-                       "0.5", "--out", str(base / "sched.csv")).returncode == 0
-        assert run_cli("calibrate", "--seed", "13", "--measurement-noise",
-                       "0.01", "--out", str(base / "models.json")).returncode == 0
-        assert run_cli("simulate", "--kind", "S2", "--vc", "-0.16", "--seed",
-                       "13", "--out", str(base / "trace.csv")).returncode == 0
-        assert run_cli("experiment-run", "--exp", "3", "--participants", "1",
-                       "--seed", "13", "--out", str(base / "runs")).returncode == 0
-        assert run_cli("experiment-analyze", "--exp", "3", "--runs",
-                       str(base / "runs"), "--out",
-                       str(base / "report.json")).returncode == 0
+        for argv in (
+                ("design", "--kind", "S1", "--vc", "-0.24", "--ratio", "0.5",
+                 "--out", base / "sched.csv"),
+                ("calibrate", "--seed", "13", "--measurement-noise", "0.01",
+                 "--out", base / "models.json"),
+                ("simulate", "--kind", "S2", "--vc", "-0.16", "--seed", "13",
+                 "--models", base / "models.json", "--out", base / "trace.csv"),
+                ("experiment-run", "--exp", "3", "--participants", "2",
+                 "--seed", "13", "--out", base / "runs"),
+                ("experiment-analyze", "--exp", "3", "--runs", base / "runs",
+                 "--out", base / "report.json"),
+                ("experiment-run", "--exp", "2", "--participants", "1",
+                 "--repetitions", "1", "--seed", "13", "--out", base / "runs2")):
+            proc = run_cli_process(*map(str, argv))
+            assert proc.returncode == 0, (argv, proc.stderr)
         files = {}
         for path in sorted(base.rglob("*")):
             if path.is_file():
                 files[str(path.relative_to(base))] = path.read_bytes()
         artifacts[label] = files
+    assert "runs2/traces/p00_slider.npy" in artifacts["first"]
+    assert len([name for name in artifacts["first"]
+                if name.startswith("runs/") and name.endswith("_temp.csv")]) == 2 * 15
     assert artifacts["first"].keys() == artifacts["second"].keys()
     differing = [name for name in artifacts["first"]
                  if artifacts["first"][name] != artifacts["second"][name]]

@@ -4,6 +4,7 @@ import concurrent.futures
 import contextlib
 import csv
 import dataclasses
+import io
 import json
 import multiprocessing
 import os
@@ -20,16 +21,28 @@ import pytest
 from coldsim import CalibrationError, UnreachableRateError, cli, experiment
 
 
-def run_cli(*argv, cwd=None, umask=-1):
+def run_cli(*argv):
+    """Run the CLI in this process; return its exit code and output."""
+    argv = list(argv)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    return subprocess.CompletedProcess(argv, code, stdout.getvalue(),
+                                       stderr.getvalue())
+
+
+def run_cli_process(*argv, umask=-1):
+    """Run the CLI in a fresh interpreter, for what only a new process
+    shows: its own umask, or byte determinism across processes."""
     return subprocess.run([sys.executable, "-m", "coldsim.cli", *argv],
-                          capture_output=True, text=True, cwd=cwd, umask=umask)
+                          capture_output=True, text=True, umask=umask)
 
 
 def test_design_worked_example(tmp_path):
     out = tmp_path / "sched.csv"
-    proc = run_cli("design", "--kind", "S1", "--vc", "-0.1", "--ratio", "0.5",
-                   "--delta-t", "0.06", "--duration", "15", "--out", str(out),
-                   umask=0o022)
+    proc = run_cli_process("design", "--kind", "S1", "--vc", "-0.1", "--ratio",
+                           "0.5", "--delta-t", "0.06", "--duration", "15",
+                           "--out", str(out), umask=0o022)
     assert proc.returncode == 0, proc.stderr
     assert out.stat().st_mode & 0o777 == 0o644
     status = json.loads(proc.stdout)
@@ -125,6 +138,8 @@ def test_experiment_run_and_analyze(tmp_path):
     status = json.loads(proc.stdout)
     assert status["trials"] == 2 * 15
     assert (run_dir / "manifest.json").exists()
+    assert sorted(p.name for p in run_dir.glob("models_*.json")) == [
+        "models_00.json", "models_01.json"]
     rows = list(csv.DictReader((run_dir / "participant_00.csv").open()))
     assert len(rows) == 15
     assert all(r["likert"] for r in rows)
@@ -182,10 +197,11 @@ def test_experiment_run_and_analyze(tmp_path):
         lines[2] = ",".join(lines[2].split(",")[:3]) + "\r\n"
         table.write_text("".join(lines))
 
-    def write_sliders(shape):
+    def write_sliders(shape, save=np.save, dtype=float):
         def edit(copy):
             (copy / "traces").mkdir(exist_ok=True)
-            np.save(copy / "traces" / "p01_slider.npy", np.zeros(shape))
+            with open(copy / "traces" / "p01_slider.npy", "wb") as fh:
+                save(fh, np.zeros(shape, dtype=dtype))
         return edit
 
     corruptions = {
@@ -206,6 +222,11 @@ def test_experiment_run_and_analyze(tmp_path):
                        "participant_00.csv"),
         "slider_rows": (write_sliders((14, 1501)), "p01_slider.npy"),
         "slider_shape": (write_sliders((15, 2, 1501)), "p01_slider.npy"),
+        "slider_npz": (write_sliders((15, 1501), save=np.savez),
+                       "p01_slider.npy is an .npz archive"),
+        "slider_objects": (write_sliders((15, 1501), dtype=object),  # pickled
+                           "p01_slider.npy is not a readable .npy file: "
+                           "Array can't be memory-mapped: Python objects in dtype"),
     }
     for name, (edit, named) in corruptions.items():
         assert_analyze_rejects(tmp_path, run_dir, "3", name, edit, named)
@@ -227,9 +248,9 @@ def assert_analyze_rejects(tmp_path, run_dir, exp, name, edit, named):
 
 def test_experiment_run_exp2_analyzable_without_temp_traces(tmp_path):
     run_dir = tmp_path / "runs2"
-    proc = run_cli("experiment-run", "--exp", "2", "--participants", "2",
-                   "--seed", "3", "--no-traces", "--out", str(run_dir),
-                   umask=0o022)
+    proc = run_cli_process("experiment-run", "--exp", "2", "--participants", "2",
+                           "--seed", "3", "--no-traces", "--out", str(run_dir),
+                           umask=0o022)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["trials"] == 2 * 105
     assert run_dir.stat().st_mode & 0o777 == 0o755
@@ -299,22 +320,23 @@ def test_experiment_run_refuses_nonempty_out(tmp_path):
 
 
 def experiment_run(out, participants):
-    """experiment-run --exp 2 with one repetition, in this process."""
-    return cli.main(["experiment-run", "--exp", "2", "--repetitions", "1",
-                     "--participants", str(participants), "--quiet",
-                     "--out", str(out)])
+    """experiment-run --exp 2 with one repetition."""
+    return run_cli("experiment-run", "--exp", "2", "--repetitions", "1",
+                   "--participants", str(participants), "--quiet",
+                   "--out", str(out))
 
 
 def test_experiment_run_memory_flat_in_participants(tmp_path):
     # Each participant is simulated, written and dropped in turn, so twice
     # the participants must not take about twice the memory, as holding
     # every record until the end did (1.9x).
-    assert experiment_run(tmp_path / "warm-up", 1) == 0  # lazy imports
+    assert experiment_run(tmp_path / "warm-up", 1).returncode == 0  # lazy imports
     peaks = {}
     for participants in (4, 8):
         tracemalloc.start()
         try:
-            assert experiment_run(tmp_path / f"run{participants}", participants) == 0
+            proc = experiment_run(tmp_path / f"run{participants}", participants)
+            assert proc.returncode == 0, proc.stderr
             peaks[participants] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -332,7 +354,7 @@ def test_experiment_run_trace_workers_deterministic(tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
     trees = []
     for name in ("a", "b"):
-        assert experiment_run(tmp_path / name, 2) == 0
+        assert experiment_run(tmp_path / name, 2).returncode == 0
         assert multiprocessing.active_children() == []
         trees.append(tree_bytes(tmp_path / name))
     assert len([p for p in trees[0] if p.name.endswith("_temp.csv")]) == 2 * 35
@@ -346,8 +368,9 @@ def test_experiment_run_starts_no_worker(tmp_path, monkeypatch, flags):
         raise AssertionError("a trace worker pool was started")
     monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    assert cli.main(["experiment-run", "--exp", "2", "--repetitions", "1",
-                     "--quiet", "--out", str(tmp_path / "run"), *flags]) == 0
+    proc = run_cli("experiment-run", "--exp", "2", "--repetitions", "1",
+                   "--quiet", "--out", str(tmp_path / "run"), *flags)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_experiment_run_killed_leaves_no_worker(tmp_path):
@@ -385,8 +408,7 @@ def test_experiment_run_killed_leaves_no_worker(tmp_path):
 
 
 @pytest.mark.parametrize("failure", [CalibrationError, UnreachableRateError])
-def test_experiment_run_failure_names_participant(tmp_path, monkeypatch, capsys,
-                                                  failure):
+def test_experiment_run_failure_names_participant(tmp_path, monkeypatch, failure):
     real = experiment.calibrate
     calls = []
 
@@ -407,62 +429,31 @@ def test_experiment_run_failure_names_participant(tmp_path, monkeypatch, capsys,
 
     monkeypatch.setattr(experiment, "calibrate", calibrate)
     out = tmp_path / "run"
-    assert experiment_run(out, 3) == 2
+    proc = experiment_run(out, 3)
+    assert proc.returncode == 2
     assert len(calls) == 2
-    stderr = capsys.readouterr().err
-    assert "participant 1" in stderr and "Traceback" not in stderr, stderr
+    assert "participant 1" in proc.stderr and "Traceback" not in proc.stderr, \
+        proc.stderr
     assert not out.exists()
     assert not list(tmp_path.glob(".tmp-run-*"))
 
 
-def test_experiment_run_weak_led_config_exits(tmp_path, capsys):
+def test_experiment_run_weak_led_config_exits(tmp_path):
     # With led_gain 0.55 the warm top anchor is 0.444 degC/s, and no draw
     # of the 10 % jitter lifts it to the 0.495 degC/s that perturb_params
     # re-draws for: the run must stop with exit 2, not draw forever.
     config = tmp_path / "weak.json"
     config.write_text(json.dumps({"led_gain": 0.55}))
     out = tmp_path / "run"
-    assert cli.main(["experiment-run", "--exp", "3", "--participants", "1",
-                     "--repetitions", "1", "--config", str(config), "--quiet",
-                     "--out", str(out)]) == 2
-    stderr = capsys.readouterr().err
-    assert "led channel cannot reach +0.4950 degC/s for participant 0" in stderr, stderr
-    assert "Traceback" not in stderr
+    proc = run_cli("experiment-run", "--exp", "3", "--participants", "1",
+                   "--repetitions", "1", "--config", str(config), "--quiet",
+                   "--out", str(out))
+    assert proc.returncode == 2
+    assert ("led channel cannot reach +0.4950 degC/s for participant 0"
+            in proc.stderr), proc.stderr
+    assert "Traceback" not in proc.stderr
     assert not out.exists()
     assert not list(tmp_path.glob(".tmp-run-*"))
-
-
-def test_cli_determinism_byte_identical(tmp_path):
-    art = {}
-    for label in ("a", "b"):
-        base = tmp_path / label
-        base.mkdir()
-        sched = base / "sched.csv"
-        run_cli("design", "--kind", "S1", "--vc", "-0.2", "--ratio", "0.3",
-                "--out", str(sched))
-        models = base / "models.json"
-        run_cli("calibrate", "--out", str(models), "--seed", "11",
-                "--measurement-noise", "0.01")
-        trace = base / "trace.csv"
-        run_cli("simulate", "--kind", "S1", "--vc", "-0.2", "--ratio", "0.3",
-                "--models", str(models), "--seed", "11", "--out", str(trace))
-        run_dir = base / "runs"
-        run_cli("experiment-run", "--exp", "3", "--participants", "2",
-                "--seed", "11", "--out", str(run_dir))
-        run2_dir = base / "runs2"
-        run_cli("experiment-run", "--exp", "2", "--participants", "1",
-                "--repetitions", "1", "--seed", "11", "--out", str(run2_dir))
-        files = {"sched": sched.read_bytes(), "models": models.read_bytes(),
-                 "trace": trace.read_bytes()}
-        for directory in (run_dir, run2_dir):
-            for path in sorted(directory.rglob("*")):
-                if path.is_file():
-                    files[str(path.relative_to(base))] = path.read_bytes()
-        art[label] = files
-    assert any("_slider." in name for name in art["a"])
-    assert art["a"].keys() == art["b"].keys()
-    for name in art["a"]:
-        assert art["a"][name] == art["b"][name], f"{name} differs between runs"
 
 
 def test_quiet_suppresses_status(tmp_path):
