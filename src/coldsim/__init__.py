@@ -14,13 +14,13 @@ from .pattern import (DerivedPattern, RateSchedule, Segment, SpecIssue,
                       StimulusSpec, compile_schedule, derive_pattern,
                       validate_spec)
 from .plant import (PlantParams, SensorReading, SkinPlant, Trace,
-                    load_plant_config, save_plant_config)
+                    load_plant_config)
 from .control import (ActuatorTimeline, CalibrationProtocol, CalibrationResult,
                       DutyModel, calibrate, exact_models, fit_duty_model,
                       invert_duty, load_models, run_control,
                       schedule_to_timeline)
 from .stats import (TestResult, benjamini_hochberg, chi_square_sf,
-                    kruskal_wallis, wilcoxon_rank_sum)
+                    kruskal_wallis, wilcoxon_rank_sum, wilcoxon_rank_sums)
 from .experiment import (ExperimentPlan, ParticipantModel, SliderTrace,
                          TrialRecord, analyze_exp2, analyze_exp3,
                          build_exp2_plan, build_exp3_plan, default_participants,

@@ -81,14 +81,6 @@ class DutyModel:
         return asdict(self)
 
 
-def default_duty_range(channel: str) -> tuple[float, float]:
-    if channel == "valve":
-        return VALVE_DUTY_RANGE
-    if channel == "led":
-        return LED_DUTY_RANGE
-    raise ValidationError(f"unknown channel {channel!r}")
-
-
 def exact_models(params) -> tuple[DutyModel, DutyModel]:
     """Duty models copied from a plant's true coefficients (no fitting)."""
     valve = DutyModel("valve", params.valve_gain, params.valve_bias,
@@ -101,6 +93,9 @@ def exact_models(params) -> tuple[DutyModel, DutyModel]:
 def fit_duty_model(duties: Sequence[float], rates: Sequence[float],
                    channel: str) -> DutyModel:
     """Least-squares affine fit of rate against duty over the channel's band."""
+    duty_range = {"valve": VALVE_DUTY_RANGE, "led": LED_DUTY_RANGE}.get(channel)
+    if duty_range is None:
+        raise ValidationError(f"unknown channel {channel!r}")
     if len(duties) != len(rates):
         raise ValidationError(f"fit_duty_model needs one rate per duty, got "
                               f"{len(duties)} duties and {len(rates)} rates")
@@ -118,8 +113,7 @@ def fit_duty_model(duties: Sequence[float], rates: Sequence[float],
     ss_res = sum((v - (slope * d + intercept)) ** 2 for d, v in zip(duties, rates))
     ss_tot = sum((v - mean_v) ** 2 for v in rates)
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return DutyModel(channel, slope, intercept, *default_duty_range(channel),
-                     r_squared)
+    return DutyModel(channel, slope, intercept, *duty_range, r_squared)
 
 
 def invert_duty(model: DutyModel, target_rate: float) -> float:

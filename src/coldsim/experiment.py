@@ -26,6 +26,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import csv
+import ctypes
 import json
 import math
 import os
@@ -45,7 +46,10 @@ from .errors import (CalibrationError, UnreachableRateError, ValidationError,
                      check_numbers)
 from .pattern import KINDS, StimulusSpec, compile_schedule, stimulus_id
 from .plant import PlantParams, SkinPlant, Trace, write_trace_csvs
-from .stats import TestResult, benjamini_hochberg, kruskal_wallis, wilcoxon_rank_sum
+# wilcoxon_rank_sum is not called here; coldbench/spans.py patches it
+# under this module's name, so it stays importable from here.
+from .stats import (TestResult, benjamini_hochberg, kruskal_wallis,
+                    wilcoxon_rank_sum, wilcoxon_rank_sums)
 
 EXP2_RATES = (-0.08, -0.12, -0.16, -0.20, -0.24)
 EXP2_RATIOS = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -168,9 +172,13 @@ def summarize_sliders(sliders: Sequence[SliderTrace], window=PERSISTENCE_WINDOW
     sample in the window) and its mean confidence in percent.
 
     Sliders that share one time array object, as read_records gives each
-    participant's, form one block: one coverage check, one window mask,
-    one stack.  The row mean of a C-contiguous block takes the same
-    pairwise sum and division as np.mean of that row, bit for bit.
+    participant's, form one block: one coverage check, one window (a
+    slice when it is one run of the time grid), one 2-D array.  When the
+    block's sliders are, in order, the rows of one C-contiguous array, as
+    read_records gives them, that array is read in place; any other block
+    is stacked into a copy.  The row mean of a C-contiguous block takes
+    the same pairwise sum and division as np.mean of that row, bit for
+    bit.
     """
     lo, hi = window
     flags = np.empty(len(sliders), dtype=bool)
@@ -184,11 +192,42 @@ def summarize_sliders(sliders: Sequence[SliderTrace], window=PERSISTENCE_WINDOW
             raise ValidationError("persistence needs a slider trace with samples")
         if time[-1] < hi - 1e-9:
             raise ValidationError(f"persistence needs a trace covering {hi} s")
-        mask = (time >= lo) & (time <= hi)
-        values = np.stack([sliders[i].values for i in rows])
-        flags[rows] = (values[:, mask] > 0.5).all(axis=1)
+        inside = np.flatnonzero((time >= lo) & (time <= hi))
+        if len(inside) and inside[-1] - inside[0] == len(inside) - 1:
+            inside = slice(inside[0], inside[-1] + 1)
+        rows_values = [sliders[i].values for i in rows]
+        values = _rows_array(rows_values)
+        if values is None:
+            values = np.stack(rows_values)
+        flags[rows] = (values[:, inside] > 0.5).all(axis=1)
         confidence[rows] = values.mean(axis=1) * 100.0
     return flags, confidence
+
+
+def _rows_array(rows: list[np.ndarray]) -> Optional[np.ndarray]:
+    """The C-contiguous 2-D array whose rows, in order, are `rows`, or None.
+
+    The one candidate is the first row's base.  Each row must have its
+    dtype and row length and start at its next row address.  The
+    addresses come from ctypes.c_char.from_buffer, about 0.3 us a row on
+    a shared 2-vCPU host, where __array_interface__ costs about as much
+    as copying the row.  A read-only or non-contiguous row raises
+    TypeError there, and its block is copied.
+    """
+    block = rows[0].base
+    if not (isinstance(block, np.ndarray) and block.ndim == 2
+            and len(block) == len(rows) and block.flags.c_contiguous
+            and set(map(attrgetter("dtype", "shape"), rows))
+            == {(block.dtype, block.shape[1:])}):
+        return None
+    try:
+        starts = list(map(ctypes.addressof, map(ctypes.c_char.from_buffer, rows)))
+    except (TypeError, ValueError):  # read-only, non-contiguous or empty rows
+        return None
+    first, row_bytes = block.ctypes.data, block.itemsize * block.shape[1]
+    if starts != list(range(first, first + len(rows) * row_bytes, row_bytes)):
+        return None
+    return block
 
 
 def persistence(slider: SliderTrace, window=PERSISTENCE_WINDOW) -> bool:
@@ -480,7 +519,8 @@ def _group(records: Sequence[TrialRecord], values: Sequence, pooling: str,
 def _pairwise(groups: dict, pairs) -> tuple[list[float], list[float]]:
     """Rank-sum p-value of each pair of group keys, and the same p-values
     Benjamini-Hochberg adjusted as one family."""
-    raw = [wilcoxon_rank_sum(groups[a], groups[b]).p_value for a, b in pairs]
+    raw = [res.p_value for res in
+           wilcoxon_rank_sums([(groups[a], groups[b]) for a, b in pairs])]
     return raw, benjamini_hochberg(raw)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -335,15 +335,6 @@ def write_trace_csvs(traces, paths) -> None:
         rows = map(",".join, zip(time_strs, map(repr, trace.temp.tolist())))
         with open(path, "wb") as fh:
             fh.write("\r\n".join(["time_s,temp_c", *rows, ""]).encode())
-
-
-def save_plant_config(params: PlantParams, path) -> None:
-    """Write the plant parameters plus the descriptive device constants."""
-    doc = asdict(params)
-    doc.update(DESCRIPTIVE_CONSTANTS)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_plant_config(path) -> PlantParams:

@@ -82,6 +82,8 @@ def test_fit_rejects_bad_designs():
         fit_duty_model((0.2, 0.5, 0.8), (0.1, 0.2), "led")
     with pytest.raises(ValidationError, match="at least 2 points"):
         fit_duty_model((0.5,), (0.1,), "led")
+    with pytest.raises(ValidationError, match="unknown channel 'fan'"):
+        fit_duty_model((0.2, 0.8), (0.1, 0.4), "fan")
 
 
 def test_invert_examples():

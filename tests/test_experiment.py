@@ -314,6 +314,33 @@ def test_property_summarize_sliders_matches_one_by_one(blocks, solos, edges, see
     assert [persistence(s, window) for s in sliders[:3]] == want_flags[:3]
 
 
+def test_summarize_read_records_sliders_in_place(tmp_path, monkeypatch):
+    # read_records gives each participant's sliders as the rows, in order,
+    # of one array: they are summarized without a copy.  The same sliders
+    # in another order are stacked, and summarize the same.
+    plan, result = small_pipeline(2)
+    write_records(result.records, plan, tmp_path / "run")
+    sliders = [rec.slider for rec in read_records(tmp_path / "run")[0]]
+    want = summarize_one_by_one(sliders, coldsim.experiment.PERSISTENCE_WINDOW)
+    stacks = Counter()
+
+    def counted(*args, _stack=np.stack, **kwargs):
+        stacks["calls"] += 1
+        return _stack(*args, **kwargs)
+
+    monkeypatch.setattr(np, "stack", counted)
+    flags, confidence = coldsim.experiment.summarize_sliders(sliders)
+    assert stacks["calls"] == 0
+    assert (flags.tolist(), confidence.tolist()) == want
+    order = np.random.default_rng(7).permutation(len(sliders))
+    for permuted in (order, order[::-1], np.arange(len(sliders))[::-1]):
+        flags, confidence = coldsim.experiment.summarize_sliders(
+            [sliders[i] for i in permuted])
+        assert (flags.tolist(), confidence.tolist()) == (
+            [want[0][i] for i in permuted], [want[1][i] for i in permuted])
+    assert stacks["calls"] == 3 * plan.participants
+
+
 def small_pipeline(exp, participants=2, seed=3):
     if exp == 2:
         plan = build_exp2_plan(participants=participants, seed=seed)
@@ -420,11 +447,13 @@ def test_perturb_params_keeps_grid_reachable():
 
 def count_stats_calls(monkeypatch) -> Counter:
     """Count calls to the stats functions the analyses look up on
-    coldsim.experiment, the attributes the benchmark's tracing replaces."""
+    coldsim.experiment, and the pairs in their rank-sum families."""
     calls = Counter()
-    for name in ("kruskal_wallis", "wilcoxon_rank_sum", "benjamini_hochberg"):
+    for name in ("kruskal_wallis", "wilcoxon_rank_sums", "benjamini_hochberg"):
         def counted(*args, _name=name, _fn=getattr(coldsim.experiment, name)):
             calls[_name] += 1
+            if _name == "wilcoxon_rank_sums":
+                calls["ranksum_pairs"] += len(args[0])
             return _fn(*args)
         monkeypatch.setattr(coldsim.experiment, name, counted)
     return calls
@@ -434,8 +463,8 @@ def test_analyze_exp2_shapes_and_recount(monkeypatch):
     plan, result = small_pipeline(2)
     calls = count_stats_calls(monkeypatch)
     report = analyze_exp2(result.records)
-    assert calls == {"kruskal_wallis": 4, "wilcoxon_rank_sum": 15,
-                     "benjamini_hochberg": 1}
+    assert calls == {"kruskal_wallis": 4, "wilcoxon_rank_sums": 1,
+                     "ranksum_pairs": 15, "benjamini_hochberg": 1}
     assert report.kruskal_wallis["s1_by_ratio"].df == 4
     assert report.kruskal_wallis["s1_by_rate"].df == 4
     assert (report.kruskal_wallis["s2_by_rate"].df == 4
@@ -473,8 +502,8 @@ def test_analyze_exp3_shapes(monkeypatch):
     plan, result = small_pipeline(3)
     calls = count_stats_calls(monkeypatch)
     report = analyze_exp3(result.records)
-    assert calls == {"kruskal_wallis": 1, "wilcoxon_rank_sum": 10,
-                     "benjamini_hochberg": 1}
+    assert calls == {"kruskal_wallis": 1, "wilcoxon_rank_sums": 1,
+                     "ranksum_pairs": 10, "benjamini_hochberg": 1}
     assert report.kruskal_wallis.df == 4
     ids = sorted(report.mean_rating)
     for a in ids:

@@ -6,7 +6,7 @@ import math
 import os
 import struct
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
@@ -14,9 +14,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.stats import chi2
 
-from coldsim import (PlantParams, SkinPlant, ValidationError, load_plant_config,
-                     save_plant_config)
-from coldsim.plant import DT, Trace, write_trace_csvs
+from coldsim import PlantParams, SkinPlant, ValidationError, load_plant_config
+from coldsim.plant import DESCRIPTIVE_CONSTANTS, DT, Trace, write_trace_csvs
 
 
 def plant_at(temp):
@@ -229,9 +228,11 @@ def test_params_validation():
 
 
 def test_config_round_trip(tmp_path):
+    # A config document may carry the descriptive device constants beside
+    # the parameters; loading ignores them.
     params = PlantParams(valve_gain=-2.0, noise_sigma=0.01)
     path = tmp_path / "plant.json"
-    save_plant_config(params, path)
+    path.write_text(json.dumps({**asdict(params), **DESCRIPTIVE_CONSTANTS}))
     loaded = load_plant_config(path)
     assert loaded == params
     text = path.read_text()

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from coldsim import (ValidationError, benjamini_hochberg, chi_square_sf,
-                     kruskal_wallis, wilcoxon_rank_sum)
+                     kruskal_wallis, wilcoxon_rank_sum, wilcoxon_rank_sums)
 
 
 # --- oracles -----------------------------------------------------------
@@ -149,6 +150,65 @@ def test_ranksum_normal_path_with_ties():
 def test_ranksum_empty_sample():
     with pytest.raises(ValidationError):
         wilcoxon_rank_sum([], [1.0])
+    with pytest.raises(ValidationError):
+        wilcoxon_rank_sums([([1.0, 2.0], [3.0]), ([1.0], [])])
+
+
+@st.composite
+def ranksum_families(draw):
+    """A family of pairs: tied integer samples and all-identical samples,
+    whose sizes come from a small pool so that shapes repeat, mixed with
+    small tie-free pairs that take the exact test."""
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
+    pairs = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(("tied", "identical", "exact")))
+        if kind == "exact":
+            n1 = draw(st.integers(1, 19))
+            n = n1 + draw(st.integers(1, 20 - n1))
+            pooled = draw(st.lists(st.floats(-100, 100), min_size=n, max_size=n,
+                                   unique=True))
+            pairs.append((pooled[:n1], pooled[n1:]))
+            continue
+        n1, n2 = draw(st.sampled_from(sizes)), draw(st.sampled_from(sizes))
+        if kind == "identical":
+            value = draw(st.sampled_from((0, 2.5, -1.0)))
+            pairs.append(([value] * n1, [value] * n2))
+        else:
+            top = draw(st.integers(1, 6))
+            pairs.append((draw(st.lists(st.integers(0, top), min_size=n1, max_size=n1)),
+                          draw(st.lists(st.integers(0, top), min_size=n2, max_size=n2))))
+    return pairs
+
+
+@settings(max_examples=120)
+@given(pairs=ranksum_families())
+def test_property_ranksum_family_matches_pairs(pairs):
+    # Bit for bit, in input order; repr tells -0.0 from 0.0 and calls
+    # every NaN alike.
+    got = wilcoxon_rank_sums(pairs)
+    want = [wilcoxon_rank_sum(a, b) for a, b in pairs]
+    assert [(repr(r.statistic), r.df, repr(r.p_value), r.method) for r in got] == \
+        [(repr(r.statistic), r.df, repr(r.p_value), r.method) for r in want]
+
+
+def test_ranksum_family_one_scipy_call_per_shape(monkeypatch):
+    calls = []
+
+    def counted(x, y, _mannwhitneyu=scipy.stats.mannwhitneyu, **kwargs):
+        calls.append(np.shape(x))
+        return _mannwhitneyu(x, y, **kwargs)
+
+    monkeypatch.setattr(scipy.stats, "mannwhitneyu", counted)
+    tied = [1.0, 1.0, 2.0]
+    pairs = [(tied, tied * 2), ([1.0, 2.0], [3.0]), (tied, tied * 2),
+             (tied * 2, tied * 2), (tied, tied * 2)]
+    results = wilcoxon_rank_sums(pairs)
+    # Three normal pairs of one shape, one of another, the exact pair alone.
+    assert sorted(calls) == [(1, 6), (2,), (3, 3)]
+    assert [r.method for r in results] == (
+        ["wilcoxon_normal", "wilcoxon_exact"] + ["wilcoxon_normal"] * 3)
+    assert wilcoxon_rank_sums([]) == []
 
 
 # --- Benjamini-Hochberg ------------------------------------------------
