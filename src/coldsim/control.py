@@ -12,9 +12,7 @@ measurements and the verification repeats until the drift gate passes.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, asdict
-from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,8 +33,9 @@ MEASURE_TIME = 6.0     # s per single-stimulus measurement
 DRIFT_THRESHOLD = 0.1  # degC net change allowed per verification pattern
 
 # Alternating patterns that check heat balance after fitting, all of one
-# duration (the drift rate divides by it): a subset of the study grid, including one low cooling-ratio
-# pattern whose long warm phase makes warm-channel bias visible.  The
+# duration (the drift rate divides by it): a subset of the study grid,
+# including one low cooling-ratio pattern whose long warm phase makes
+# warm-channel bias visible.  The
 # grid's most demanding warm rate is deliberately absent: the first fit
 # sits slightly low (ambient pull absorbed during single-channel
 # measurement counts twice when both channels run), and the
@@ -204,14 +203,14 @@ def load_models(path) -> tuple[DutyModel, DutyModel]:
 
 
 def _sensor_delta(plant: SkinPlant, protocol: CalibrationProtocol, before: float,
-                  **span) -> float:
+                  total: int, *inputs) -> float:
     """Skin-temperature change, read through the sensor, over one
-    plant.run_span(**span) on a freshly reset skin.  Every reset starts
-    at the plant's t_init, so the caller reads that skin once and passes
-    the reading as before.  Both callers ask for one sample over the
-    whole span, so the plant computes only its end."""
+    plant.run_span(*inputs) of total steps on a freshly reset skin.
+    Every reset starts at the plant's t_init, so the caller reads that
+    skin once and passes the reading as before.  The span returns one
+    sample, after all total steps, so the plant computes only its end."""
     plant.reset()
-    plant.run_span(**span)
+    plant.run_span(*inputs, log_every=total)
     return plant.read_sensor(protocol.sensor_resolution).value - before
 
 
@@ -226,12 +225,12 @@ def _measure_grid(plant: SkinPlant, protocol: CalibrationProtocol, before: float
     n_steps = int(round(MEASURE_TIME / DT))
     deltas = []
     for i, duty in enumerate(grid):
+        inputs = ((duty, 0.0, True, False) if channel == "valve"
+                  else (0.0, duty, False, True))
         repeats = ENDPOINT_REPEATS if i in (0, len(grid) - 1) else 1
         rates = []
         for _ in range(repeats):
-            delta = _sensor_delta(plant, protocol, before, n_steps=n_steps,
-                                  log_every=n_steps,
-                                  **{f"duty_{channel}": duty, f"{channel}_on": True})
+            delta = _sensor_delta(plant, protocol, before, n_steps, *inputs, n_steps)
             if protocol.measurement_noise > 0.0:
                 delta += rng.normal(0.0, protocol.measurement_noise) * MEASURE_TIME
             rates.append(delta / MEASURE_TIME)
@@ -248,21 +247,22 @@ def calibrate(plant: SkinPlant,
     skin more than DRIFT_THRESHOLD from where it started, the mean
     drift rate over the patterns is added to every warm measurement and
     the next round refits.  Each of VERIFY_SPECS is compiled and cut
-    into the pieces run_control would play, from the schedule's integer
-    ticks as schedule_to_timeline reads them, once per call.  It gets its
-    cooling duty once the valve model is fitted, before the rounds; a
-    round only inverts each pattern's distinct warm rates through its
-    warm model.  Like each single-channel reading, each verification
-    pattern is one run_span call that computes only the end temperature
-    the sensor reads, not a logged trace.  Raises CalibrationError when
-    the drift gate still fails after max_iters rounds, and
-    UnreachableRateError naming the pattern when a verification rate is
-    out of a fitted model's band.
+    into pieces by _cut_schedule once per call, before the first plant
+    reading; each round makes its timeline from that cut as
+    schedule_to_timeline does, inverting only the cooling rate and the
+    distinct warm rates.  Like each single-channel reading, each
+    verification pattern is one run_span call that computes only the
+    end temperature the sensor reads, not a logged trace.  Raises
+    CalibrationError when the drift gate still fails after max_iters
+    rounds, and UnreachableRateError naming the pattern (and, for a warm
+    rate, its first segment) when a verification rate is out of a fitted
+    model's band.
     """
     protocol = protocol if protocol is not None else CalibrationProtocol()
-    stimuli = [stimulus_id(spec) for spec in VERIFY_SPECS]
-    cut = [_verification_inputs(spec, stimulus)
-           for spec, stimulus in zip(VERIFY_SPECS, stimuli)]
+    patterns = []  # (stimulus, schedule, cut) of each verification pattern
+    for spec in VERIFY_SPECS:
+        schedule = compile_schedule(spec)
+        patterns.append((stimulus_id(spec), schedule, _cut_schedule(schedule)))
     rng = np.random.default_rng(protocol.noise_seed)
     plant.reset()  # every reading starts from this skin
     before = plant.read_sensor(protocol.sensor_resolution).value
@@ -272,62 +272,29 @@ def calibrate(plant: SkinPlant,
     valve_model = fit_duty_model(
         VALVE_GRID, [d / MEASURE_TIME for d in valve_deltas], "valve")
 
-    verifications = [with_valve(valve_model) for with_valve in cut]
     history: list[list[VerificationCheck]] = []
     for iteration in range(1, protocol.max_iters + 1):
         led_model = fit_duty_model(
             LED_GRID, [d / MEASURE_TIME for d in led_deltas], "led")
-        nets = [_sensor_delta(plant, protocol, before, **inputs(led_model))
-                for inputs in verifications]
-        checks = [VerificationCheck(stimulus, net, abs(net) <= DRIFT_THRESHOLD)
-                  for stimulus, net in zip(stimuli, nets)]
+        checks = []
+        for stimulus, schedule, cut in patterns:
+            tl = _invert_cut(schedule, cut, valve_model, led_model, stimulus)
+            net = _sensor_delta(plant, protocol, before, int(tl.n_steps.sum()),
+                                tl.valve_duty, tl.led_duty, True, tl.led_on,
+                                tl.n_steps)
+            checks.append(VerificationCheck(stimulus, net, abs(net) <= DRIFT_THRESHOLD))
         history.append(checks)
         if all(c.passed for c in checks):
             return CalibrationResult(valve_model, led_model, iteration, history)
         # A balanced pattern that ends warmer means the warm channel
         # delivers that much more rate than its measurements say.
-        drift_rate = sum(nets) / len(nets) / VERIFY_SPECS[0].duration
+        drift_rate = (sum(c.net_delta_t for c in checks) / len(checks)
+                      / VERIFY_SPECS[0].duration)
         led_deltas = [d + drift_rate * MEASURE_TIME for d in led_deltas]
 
     raise CalibrationError(
         f"verification drift still above {DRIFT_THRESHOLD} degC "
         f"after {protocol.max_iters} iterations", report=history)
-
-
-def _verification_inputs(spec: StimulusSpec, stimulus: str):
-    """Cut a verification pattern into the pieces run_control would play,
-    once, and return the function that takes the fitted valve model and
-    returns the function giving run_span's inputs for one sample over the
-    pattern under a warm model.
-
-    The pattern is compiled and its warm spans read from the schedule's
-    integer ticks by _warm_spans, as schedule_to_timeline reads them, so
-    the pieces are the ones run_control would play.  The cooling duty is
-    inverted once per valve model; the innermost function inverts only
-    the distinct warm rates.  An unreachable rate raises
-    UnreachableRateError naming the stimulus.
-    """
-    schedule = compile_schedule(spec)
-    cooling_rate = schedule.base_cooling_rate
-    warm, led_spans = _warm_spans(schedule)
-    duration = schedule.duration_s
-    # The cooling channel runs throughout, as in schedule_to_timeline.
-    (_, led_index, _, led_on, n_steps), n = _timeline_pieces(
-        duration, ((0.0, duration, 0),), led_spans, off=-1)
-
-    def with_valve(valve_model: DutyModel):
-        valve_duty = _invert_at(valve_model, cooling_rate, None, stimulus)
-
-        def inputs(led_model: DutyModel) -> dict:
-            led_duties = [_invert_at(led_model, rate, segment, stimulus)
-                          for rate, (_, segment) in warm.items()]
-            led_duties.append(0.0)  # at index -1: the warm channel is off
-            return dict(duty_valve=valve_duty,
-                        duty_led=np.array(led_duties)[led_index],
-                        valve_on=True, led_on=led_on, n_steps=n_steps,
-                        log_every=max(n, 1))
-        return inputs
-    return with_valve
 
 
 def _invert_at(model: DutyModel, target_rate: float, segment_index=None,
@@ -340,137 +307,100 @@ def _invert_at(model: DutyModel, target_rate: float, segment_index=None,
 
 
 @dataclass(frozen=True)
-class ChannelSpan:
-    start: float
-    end: float
-    duty: float
-
-
-@dataclass(frozen=True)
 class ActuatorTimeline:
-    """Per-channel duty spans over [0, duration]; off outside them."""
+    """What SkinPlant.run_span plays for one presentation: the cold
+    channel on at valve_duty throughout, and on each piece of n_steps
+    steps of DT the warm channel's led_duty and led_on, over duration
+    seconds."""
 
-    valve: tuple[ChannelSpan, ...]
-    led: tuple[ChannelSpan, ...]
+    valve_duty: float
+    led_duty: np.ndarray
+    led_on: np.ndarray
+    n_steps: np.ndarray
     duration: float
 
 
 def schedule_to_timeline(schedule: RateSchedule, valve_model: DutyModel,
                          led_model: DutyModel) -> ActuatorTimeline:
-    """Translate a rate schedule into actuator duty spans.
+    """Translate a rate schedule into the pieces the plant plays.
 
     The cold channel runs for the whole presentation at the duty that
     realizes the cooling rate.  On warming/hold segments the warm channel
     supplies the difference between the segment's target rate and the
-    still-running cooling rate; each distinct warm rate is inverted once,
-    and an unreachable one names the first segment that asks for it.
+    still-running cooling rate.  The schedule is cut by _cut_schedule,
+    as calibration cuts its verification patterns, and each distinct
+    warm rate is inverted once; an unreachable one names the first
+    segment that asks for it.
     """
-    valve_duty = invert_duty(valve_model, schedule.base_cooling_rate)
-    warm, spans = _warm_spans(schedule)
-    led_duties = [_invert_at(led_model, rate, segment)
-                  for rate, (_, segment) in warm.items()]
-    return ActuatorTimeline(
-        (ChannelSpan(0.0, schedule.duration_s, valve_duty),),
-        tuple(ChannelSpan(start, end, led_duties[k]) for start, end, k in spans),
-        schedule.duration_s)
+    return _invert_cut(schedule, _cut_schedule(schedule), valve_model, led_model)
 
 
-def _warm_spans(schedule: RateSchedule) -> tuple[dict, list]:
-    """A schedule's warm-channel spans as (start, end, k) in seconds, k
-    indexing the distinct warm rates (a segment's target rate less the
-    schedule's cooling rate), and a dict of those rates in order of first
-    use, each mapped to (k, the index of the first segment that asks for
-    it).  A boundary of t ticks is the float t / den, which is the float
-    of its exact Fraction bit for bit.
+def _invert_cut(schedule: RateSchedule, cut: tuple, valve_model: DutyModel,
+                led_model: DutyModel, stimulus=None) -> ActuatorTimeline:
+    """The timeline of a schedule and its _cut_schedule cut under two duty
+    models.  An unreachable rate raises UnreachableRateError naming the
+    stimulus and, for a warm rate, the first segment that asks for it."""
+    warm, index, n_steps = cut
+    valve_duty = _invert_at(valve_model, schedule.base_cooling_rate, None, stimulus)
+    led_duties = [0.0]  # at index 0: the warm channel is off
+    led_duties += [_invert_at(led_model, rate, segment, stimulus)
+                   for rate, (_, segment) in warm.items()]
+    return ActuatorTimeline(valve_duty, np.array(led_duties)[index], index > 0,
+                            n_steps, schedule.duration_s)
+
+
+def _cut_schedule(schedule: RateSchedule) -> tuple[dict, np.ndarray, np.ndarray]:
+    """Cut a schedule into the pieces of DT steps that run_span plays.
+
+    The cold channel runs throughout, so a piece ends only where the warm
+    channel changes.  A warm segment's boundary of t ticks is the float
+    t / den (the float of its exact Fraction, bit for bit), snapped to
+    the nearest step; a warm segment starting where another ends wins
+    that step.  A warm segment that would vanish in the snapping raises
+    ValidationError naming it, and so does the first segment of a
+    schedule shorter than half a step.  Returns the distinct warm rates
+    (a segment's target rate less the schedule's cooling rate) in order
+    of first use, each mapped to (k, the index of the first segment that
+    asks for it) with k counting from 1; each piece's k, 0 where the warm
+    channel is off; and each piece's step count.
     """
     den, base_rate = schedule.den, schedule.base_cooling_rate
+    n = int(round(schedule.duration_s / DT))
     warm: dict[float, tuple[int, int]] = {}
-    spans = []
+    change = {0: 0, n: 0}  # snapped step -> the k that holds from it on
     last = None  # the segment rate that k was found for
     for index, (start, end, rate, warm_active) in enumerate(schedule.ticks):
-        if warm_active:
-            # S1 warm segments share one rate object: convert it once.
-            if rate is not last:
-                last = rate
-                k = warm.setdefault(float(rate) - base_rate, (len(warm), index))[0]
-            spans.append((start / den, end / den, k))
-    return warm, spans
-
-
-def _timeline_pieces(duration: float, valve, led, off=0.0) -> tuple[tuple, int]:
-    """Snap two channels' spans to steps of DT and cut [0, duration]
-    into pieces on which both channels hold one state.
-
-    Each channel is an iterable of (start, end, value) spans, which must
-    be ordered and disjoint; a step outside every span has that channel
-    off.  Span boundaries are snapped to the nearest step; a span that
-    would vanish entirely in the snapping is an error, and so is a
-    non-finite boundary or duration.  Returns, in run_span's argument
-    order, each channel's value per piece (off where the channel is off),
-    each channel's on flag per piece and each piece's step count, all as
-    arrays; and the duration's length in steps.
-    """
-    if not 0.0 <= duration < math.inf:
-        raise ValidationError(f"timeline duration must be finite and "
-                              f"non-negative, got {duration!r}")
-    n = int(round(duration / DT))
-    # Per channel, the (value, on) state that holds from each snapped
-    # boundary on; a later span starting where an earlier one ends wins.
-    changes = ({}, {})
-    for spans, change in zip((valve, led), changes):
-        prev_end = 0.0
-        for start, end, value in spans:
-            if not prev_end <= start <= end < math.inf:  # False for NaN
-                if math.isfinite(start) and math.isfinite(end):
-                    raise ValidationError(
-                        f"span [{start}, {end}) is out of order: spans on one "
-                        f"channel must be ordered and disjoint from t = 0")
-                raise ValidationError(
-                    f"span [{start}, {end}) has a non-finite boundary")
-            prev_end = end
-            # Boundaries snap to the nearest step (that is always within
-            # half a step); a nonempty span must still survive.
-            t0 = min(int(round(start / DT)), n)
-            t1 = min(int(round(end / DT)), n)
-            if t0 == t1 and end > start:
-                raise ValidationError(
-                    f"span [{start}, {end}) collapses to zero steps of {DT} s")
-            change[t0] = (value, True)
-            change[t1] = (off, False)
-
-    cuts = sorted({0, n, *changes[0], *changes[1]})
-    value_valve, valve_on, value_led, led_on = [], [], [], []  # per piece
-    valve = led = (off, False)
-    for cut in cuts[:-1]:
-        valve = changes[0].get(cut, valve)
-        led = changes[1].get(cut, led)
-        value_valve.append(valve[0])
-        valve_on.append(valve[1])
-        value_led.append(led[0])
-        led_on.append(led[1])
-
-    return (np.array(value_valve), np.array(value_led),
-            np.array(valve_on, dtype=bool), np.array(led_on, dtype=bool),
-            np.diff(cuts)), n
-
-
-_SPAN = attrgetter("start", "end", "duty")  # a ChannelSpan as (start, end, value)
+        if not (warm_active or n == 0):  # n == 0: the cold channel collapses
+            continue
+        t0 = min(int(round((start / den) / DT)), n)
+        t1 = min(int(round((end / den) / DT)), n)
+        if t0 == t1:
+            raise ValidationError(
+                f"segment {index} [{start / den}, {end / den}) s collapses "
+                f"to zero steps of {DT} s")
+        # S1 warm segments share one rate object: convert it once.
+        if rate is not last:
+            last = rate
+            k = warm.setdefault(float(rate) - base_rate, (len(warm) + 1, index))[0]
+        change[t0] = k
+        change[t1] = 0
+    cuts = sorted(change)
+    return warm, np.array([change[t] for t in cuts[:-1]]), np.diff(cuts)
 
 
 def run_control(timeline: ActuatorTimeline, plant: SkinPlant) -> Trace:
-    """Step the plant under a timeline at DT and log at LOG_RATE.
+    """Play a timeline on the plant at DT and log at LOG_RATE.
 
-    The timeline is checked, snapped to steps and cut into pieces as
-    _timeline_pieces says, and the plant runs all of them in one call
-    that returns only the logged samples.  The returned trace covers
-    t = 0 through the end of the timeline inclusive: the grid
-    k / LOG_RATE, plus the end itself when it is off that grid.
+    The plant runs all of the timeline's pieces in one call that returns
+    only the logged samples.  The returned trace covers t = 0 through the
+    end of the timeline's steps inclusive: the grid k / LOG_RATE, plus
+    the end itself when it is off that grid.
     """
-    pieces, n = _timeline_pieces(timeline.duration, map(_SPAN, timeline.valve),
-                                 map(_SPAN, timeline.led))
     log_every = int(round(1.0 / (LOG_RATE * DT)))  # steps per logged sample
     start = plant.t_skin
-    temps = plant.run_span(*pieces, log_every=log_every)
+    temps = plant.run_span(timeline.valve_duty, timeline.led_duty, True,
+                           timeline.led_on, timeline.n_steps, log_every=log_every)
+    n = int(timeline.n_steps.sum())
     time = np.arange(n // log_every + 1) / LOG_RATE
     if n % log_every:
         time = np.append(time, n * DT)

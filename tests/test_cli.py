@@ -89,6 +89,19 @@ def test_calibrate_does_not_import_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_simulate_collapsing_segment_exit_code(tmp_path):
+    # A swing of 0.0001 degC makes warm stretches shorter than a step of
+    # DT; the sixth segment's snapped boundaries meet.
+    out = tmp_path / "t.csv"
+    proc = run_cli("simulate", "--kind", "S1", "--vc", "-0.24", "--ratio", "0.5",
+                   "--delta-t", "0.0001", "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == (
+        "error: segment 5 [0.0020833333333333333, 0.0025) s collapses to "
+        "zero steps of 0.001 s")
+    assert not out.exists()
+
+
 def test_calibrate_and_simulate(tmp_path):
     models = tmp_path / "models.json"
     proc = run_cli("calibrate", "--out", str(models), "--seed", "5")

@@ -2,12 +2,13 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 from scipy.signal import lfilter
 
 from coldsim import (CalibrationError, CalibrationProtocol,
@@ -15,11 +16,9 @@ from coldsim import (CalibrationError, CalibrationProtocol,
                      StimulusSpec, UnreachableRateError, ValidationError,
                      calibrate, compile_schedule, exact_models, fit_duty_model,
                      invert_duty, load_models, run_control, schedule_to_timeline)
-from coldsim.control import (DRIFT_THRESHOLD, LED_GRID, MEASURE_TIME, VALVE_GRID,
-                             ActuatorTimeline, ChannelSpan, _SPAN, _timeline_pieces,
-                             _verification_inputs)
+from coldsim.control import DRIFT_THRESHOLD, LED_GRID, MEASURE_TIME, VALVE_GRID
 from coldsim.experiment import EXP2_RATES, EXP2_RATIOS, perturb_params
-from coldsim.pattern import RateSchedule, stimulus_id
+from coldsim.pattern import RateSchedule
 from coldsim.plant import DT, Trace
 
 
@@ -165,6 +164,21 @@ def test_calibrate_unreachable_led_range():
     assert "for stimulus S1_vc-0.16_r0.5 (segment 1)" in str(info.value)
 
 
+def test_calibrate_unreachable_in_second_round_names_pattern():
+    # Both channels together cool harder than the single-channel fits say,
+    # so the first round's patterns end far colder, and the correction
+    # lowers the warm model until the second pattern's warm rate is out of
+    # reach: round 2 inverts the warm rates again from the pattern's cut.
+    params = PlantParams(relax_coeff=0.0, interaction_bias=-0.15)
+    with pytest.raises(UnreachableRateError) as info:
+        calibrate(SkinPlant(params), ideal_protocol())
+    assert (info.value.channel, info.value.target_rate) == ("led", pytest.approx(0.4))
+    # the first round's warm model is the exact one, which reaches 0.4
+    assert info.value.rate_max < 0.4 < exact_models(params)[1].rate_range()[1]
+    assert (info.value.stimulus_id, info.value.segment_index) == ("S1_vc-0.2_r0.5", 1)
+    assert "for stimulus S1_vc-0.2_r0.5 (segment 1)" in str(info.value)
+
+
 def test_calibrate_nonconvergence_reports():
     # A huge uncorrectable asymmetry: correction is warm-only but the gate
     # cannot be met because the verification keeps drifting beyond reach.
@@ -213,42 +227,42 @@ def test_timeline_worked_example():
     valve_model, led_model = exact_models(params)
     schedule = compile_schedule(StimulusSpec("S1", -0.1, 0.5, 0.06, duration=15.0))
     timeline = schedule_to_timeline(schedule, valve_model, led_model)
-    assert len(timeline.valve) == 1
-    assert timeline.valve[0].duty == pytest.approx(
+    assert timeline.valve_duty == pytest.approx(
         invert_duty(valve_model, -0.1), abs=1e-12)
-    led_on = timeline.led
-    assert all(s.duty == pytest.approx(invert_duty(led_model, 0.2), abs=1e-9)
-               for s in led_on)
-    # cadence: warm stretches of 0.6 s, one per 1.2 s cycle
-    assert led_on[0].start == pytest.approx(0.6, abs=1e-12)
-    assert led_on[0].end == pytest.approx(1.2, abs=1e-12)
-    assert led_on[1].start == pytest.approx(1.8, abs=1e-12)
-    assert len(led_on) == 12
+    # cadence: 0.6 s cooling, then 0.6 s warming, for 12 whole cycles of
+    # 1.2 s and a final cooling stretch
+    assert timeline.n_steps.tolist() == [600] * 25
+    assert timeline.led_on.tolist() == [False, True] * 12 + [False]
+    assert all(duty == pytest.approx(invert_duty(led_model, 0.2), abs=1e-9)
+               for duty in timeline.led_duty[timeline.led_on])
+    assert not timeline.led_duty[~timeline.led_on].any()
 
 
 def test_timeline_s3_led_inactive():
     valve_model, led_model = exact_models(PlantParams())
     schedule = compile_schedule(StimulusSpec("S3", -0.16))
     timeline = schedule_to_timeline(schedule, valve_model, led_model)
-    assert timeline.led == ()
+    assert timeline.n_steps.tolist() == [15000]
+    assert timeline.led_on.tolist() == [False]
+    assert timeline.led_duty.tolist() == [0.0]
 
 
 def test_timeline_strong_warm_duty_inversion():
     valve_model, led_model = exact_models(PlantParams())
     schedule = compile_schedule(StimulusSpec("S1", -0.24, 0.5, 0.06))
     timeline = schedule_to_timeline(schedule, valve_model, led_model)
-    led_on = timeline.led
-    assert led_on[0].duty == pytest.approx((0.48 + 0.0522) / 0.6122, abs=1e-9)
-    assert led_on[0].duty == pytest.approx(0.869, abs=1e-3)
+    (duty,) = set(timeline.led_duty[timeline.led_on].tolist())
+    assert duty == pytest.approx((0.48 + 0.0522) / 0.6122, abs=1e-9)
+    assert duty == pytest.approx(0.869, abs=1e-3)
 
 
 def test_timeline_s2_hold_balances_cooling():
     valve_model, led_model = exact_models(PlantParams())
     schedule = compile_schedule(StimulusSpec("S2", -0.16))
     timeline = schedule_to_timeline(schedule, valve_model, led_model)
-    (hold,) = timeline.led
-    assert (hold.start, hold.end) == (5.0, 15.0)
-    assert hold.duty == pytest.approx(invert_duty(led_model, 0.16), abs=1e-12)
+    assert timeline.n_steps.tolist() == [5000, 10000]
+    assert timeline.led_on.tolist() == [False, True]
+    assert timeline.led_duty[1] == pytest.approx(invert_duty(led_model, 0.16), abs=1e-12)
 
 
 def test_timeline_unreachable_carries_segment_index():
@@ -273,75 +287,15 @@ def test_timeline_duty_per_distinct_warm_rate():
     valve_model, led_model = exact_models(PlantParams())
     schedule = multi_rate_schedule()
     timeline = schedule_to_timeline(schedule, valve_model, led_model)
-    assert [(s.start, s.duty) for s in timeline.led] == [
-        (k, invert_duty(led_model, float(rate) + 0.1))
-        for k, rate in enumerate(MULTI_RATES) if rate > 0]
+    assert timeline.n_steps.tolist() == [1000] * len(MULTI_RATES)
+    assert timeline.led_on.tolist() == [rate > 0 for rate in MULTI_RATES]
+    assert timeline.led_duty.tolist() == [
+        invert_duty(led_model, float(rate) + 0.1) if rate > 0 else 0.0
+        for rate in MULTI_RATES]
     squeezed = DutyModel("led", led_model.slope, led_model.intercept, 0.118, 0.5)
     with pytest.raises(UnreachableRateError) as info:
         schedule_to_timeline(schedule, valve_model, squeezed)
     assert info.value.segment_index == 7
-
-
-@st.composite
-def verification_cases(draw):
-    """A verification pattern (an S1 spec over the exp2 grid with either
-    swing, or an S2 or S3 spec), a jittered plant with or without process
-    noise, and the warm models of one to three rounds, each with a
-    shifted intercept."""
-    kind = draw(st.sampled_from(["S1", "S2", "S3"]))
-    rate = draw(st.sampled_from(EXP2_RATES))
-    if kind == "S1":
-        spec = StimulusSpec("S1", rate, draw(st.sampled_from(EXP2_RATIOS)),
-                            draw(st.sampled_from([0.03, 0.06])))
-    else:
-        spec = StimulusSpec(kind, rate)
-    params = perturb_params(PlantParams(), np.random.default_rng(
-        draw(st.integers(0, 2**32 - 1))))
-    if draw(st.booleans()):
-        params = replace(params, noise_sigma=0.01)
-    led = exact_models(params)[1]
-    leds = [replace(led, intercept=led.intercept + shift)
-            for shift in draw(st.lists(st.floats(-0.08, 0.08), min_size=1, max_size=3))]
-    return spec, params, leds, draw(st.integers(0, 2**32 - 1))
-
-
-EXACT_LED = exact_models(PlantParams())[1]
-
-
-@settings(max_examples=80, deadline=None)
-@given(verification_cases())
-@example((StimulusSpec("S1", -0.24, 0.5), PlantParams(),  # warm rate 0.48 unreachable
-          [EXACT_LED, replace(EXACT_LED, intercept=-0.2)], 0))  # in round 2
-def test_property_verification_inputs_match_timeline_pieces(case):
-    # Calibration cuts a pattern once, from its integer ticks, and
-    # re-inverts only the warm duty per round; each round's end state must
-    # be bit for bit the one-sample run_span of the pieces run_control
-    # would play from the compiled schedule, with the same draws.
-    spec, params, leds, seed = case
-    schedule = compile_schedule(spec)
-    valve = exact_models(params)[0]
-    stimulus = stimulus_id(spec)
-    try:
-        timelines = [schedule_to_timeline(schedule, valve, led) for led in leds]
-    except UnreachableRateError as exc:
-        with pytest.raises(UnreachableRateError) as info:
-            inputs = _verification_inputs(spec, stimulus)(valve)
-            for led in leds:
-                inputs(led)
-        assert (info.value.channel, info.value.target_rate, info.value.segment_index) \
-            == (exc.channel, exc.target_rate, exc.segment_index)
-        assert info.value.stimulus_id == stimulus
-        return
-    inputs = _verification_inputs(spec, stimulus)(valve)
-    plant, reference = SkinPlant(params, seed=seed), SkinPlant(params, seed=seed)
-    for led, timeline in zip(leds, timelines):
-        plant.reset()
-        reference.reset()
-        pieces, n = _timeline_pieces(timeline.duration, map(_SPAN, timeline.valve),
-                                     map(_SPAN, timeline.led))
-        expected = reference.run_span(*pieces, log_every=max(n, 1))
-        assert plant.run_span(**inputs(led)).tobytes() == expected.tobytes()
-        assert plant.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
 def test_run_control_s3_matches_analytic_integral():
@@ -367,174 +321,141 @@ def test_run_control_s1_whole_cycles_balance():
     assert abs(trace.net_delta_t) <= 0.02
 
 
-def test_run_control_empty_timeline_constant():
-    plant = SkinPlant(PlantParams(relax_coeff=0.0))
-    timeline = ActuatorTimeline((), (), 2.0)
-    trace = run_control(timeline, plant)
-    assert len(trace.time) == 201
-    assert np.all(trace.temp == 33.0)
-
-
 def test_run_control_snaps_off_grid_boundary():
-    # an off-grid boundary lands on the nearest step without distortion
+    # an off-grid boundary lands on the nearest step without distortion:
+    # the hold starts at step 1005, not at 1.0049 s
     params = PlantParams(relax_coeff=0.0)
     plant = SkinPlant(params)
-    spans = (ChannelSpan(0.0, 1.0049, 0.55), ChannelSpan(1.0049, 2.0, 0.49))
-    timeline = ActuatorTimeline(spans, (), 2.0)
+    valve_model, led_model = exact_models(params)
+    spec = StimulusSpec("S2", -0.16, duration=2.0, drop_duration=1.0049)
+    timeline = schedule_to_timeline(compile_schedule(spec), valve_model, led_model)
+    assert timeline.n_steps.tolist() == [1005, 995]
     trace = run_control(timeline, plant)
-    rate_a = -2.252 * 0.55 + 1.0535
-    rate_b = -2.252 * 0.49 + 1.0535
-    assert trace.net_delta_t == pytest.approx(rate_a * 1.005 + rate_b * 0.995,
+    rate_valve = valve_model.predicted_rate(timeline.valve_duty)
+    rate_led = led_model.predicted_rate(timeline.led_duty[1])
+    assert trace.net_delta_t == pytest.approx(rate_valve * 2.0 + rate_led * 0.995,
                                               abs=1e-9)
 
 
 def test_run_control_vanishing_active_span_rejected():
-    plant = SkinPlant(PlantParams())
-    spans = (ChannelSpan(0.0, 0.0004, 0.55),)
-    timeline = ActuatorTimeline(spans, (), 2.0)
-    with pytest.raises(ValidationError, match="collapses to zero steps"):
-        run_control(timeline, plant)
+    # A warm segment that snaps to zero steps, or a presentation shorter
+    # than half a step, cannot be played: the error names the segment.
+    models = exact_models(PlantParams())
+    for spec, segment in (
+            (StimulusSpec("S1", -0.24, 0.5, 0.0001),
+             "segment 5 [0.0020833333333333333, 0.0025) s"),
+            (StimulusSpec("S3", -0.16, duration=0.0004), "segment 0 [0.0, 0.0004) s")):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{segment} collapses to zero steps of {DT} s")):
+            run_control(schedule_to_timeline(compile_schedule(spec), *models),
+                        SkinPlant(PlantParams()))
 
 
-@pytest.mark.parametrize("spans", [
-    (ChannelSpan(0.0, 1.0, 0.55), ChannelSpan(0.5, 2.0, 0.49)),
-    (ChannelSpan(1.0, 2.0, 0.49), ChannelSpan(0.0, 1.0, 0.55)),
-    (ChannelSpan(1.0, 0.5, 0.55),),
-    (ChannelSpan(-0.5, 1.0, 0.55),),
-])
-def test_run_control_rejects_unordered_spans(spans):
-    # overlapping, out-of-order, reversed or negative-time spans have no
-    # single actuator state per step
-    for timeline in (ActuatorTimeline(spans, (), 2.0),
-                     ActuatorTimeline((), spans, 2.0)):
-        with pytest.raises(ValidationError, match="ordered and disjoint"):
-            run_control(timeline, SkinPlant(PlantParams()))
-
-
-@pytest.mark.parametrize("valve,duration,bad", [
-    ((ChannelSpan(0.0, math.nan, 0.55),), 2.0, "nan"),
-    ((ChannelSpan(math.nan, 1.0, 0.55),), 2.0, "nan"),
-    ((ChannelSpan(0.0, math.inf, 0.55),), 2.0, "inf"),
-    ((), math.nan, "nan"),
-    ((), math.inf, "inf"),
-    ((), -1.0, "-1.0"),
-])
-def test_run_control_rejects_non_finite_or_negative_timeline(valve, duration, bad):
-    for timeline in (ActuatorTimeline(valve, (), duration),
-                     ActuatorTimeline((), valve, duration)):
-        with pytest.raises(ValidationError, match=bad):
-            run_control(timeline, SkinPlant(PlantParams()))
+def presentation(spec, valve_model, led_model):
+    """A spec's schedule, the duty models and the timeline they give."""
+    schedule = compile_schedule(spec)
+    return schedule, valve_model, led_model, schedule_to_timeline(
+        schedule, valve_model, led_model)
 
 
 @st.composite
-def random_timelines(draw):
-    """A timeline with off-grid boundaries and gaps, plus its step count.
+def presentations(draw):
+    """An S1, S2 or S3 presentation of an off-grid duration up to 2 s
+    (S2 with an off-grid drop), under the duty models of a jittered plant
+    with a shifted warm model.  Drawn until it has a timeline: every rate
+    reachable and no warm segment vanishing in the snap to steps."""
+    kind = draw(st.sampled_from(["S1", "S2", "S3"]))
+    rate = draw(st.sampled_from(EXP2_RATES))
+    duration = draw(st.floats(0.0005, 2.0))
+    if kind == "S1":
+        spec = StimulusSpec("S1", rate, draw(st.sampled_from(EXP2_RATIOS)),
+                            draw(st.floats(0.002, 0.08)), duration)
+    else:
+        spec = StimulusSpec(kind, rate, duration=duration,
+                            drop_duration=duration * draw(st.floats(0.01, 0.99)))
+    valve, led = exact_models(perturb_params(PlantParams(), np.random.default_rng(
+        draw(st.integers(0, 2**32 - 1)))))
+    led = replace(led, intercept=led.intercept + draw(st.floats(-0.05, 0.05)))
+    try:
+        return presentation(spec, valve, led)
+    except (ValidationError, UnreachableRateError):
+        reject()
 
-    Every boundary sits within 0.4 of a step from its grid tick, so it
-    snaps to that tick and the span holding a step's midpoint is the one
-    that covers the step.
-    """
-    n = draw(st.integers(1, int(round(2.0 / DT))))
-    off = st.floats(-0.4, 0.4)
-    duration = (n + draw(off)) * DT
 
-    channels = []
-    for _ in range(2):
-        ticks = sorted(draw(st.sets(st.integers(0, n), max_size=12)))
-        at = {t: 0.0 if t == 0 else duration if t == n else (t + draw(off)) * DT
-              for t in ticks}
-        spans = []
-        for t0, t1 in zip(ticks, ticks[1:]):
-            if draw(st.booleans()):  # else a gap: the channel is off
-                spans.append(ChannelSpan(at[t0], at[t1], draw(st.floats(0.0, 1.0))))
-        channels.append(tuple(spans))
-    return ActuatorTimeline(channels[0], channels[1], duration), n
+def segment_steps(schedule, valve_model, led_model):
+    """run_span's inputs for every step of a presentation, built from the
+    schedule's Segments: the valve on throughout at the cooling rate's
+    duty, and the warm channel on each warm segment at the duty of its
+    exact rate less the cooling rate, over the steps its boundaries (the
+    floats of their Fractions) snap to."""
+    n = int(round(schedule.duration_s / DT))
+    base = schedule.base_cooling_rate
+    duty_led, led_on = np.zeros(n), np.zeros(n, dtype=bool)
+    for seg in schedule.segments:
+        if seg.warm_active:
+            t0, t1 = (min(int(round(t / DT)), n) for t in (seg.start_s, seg.end_s))
+            duty_led[t0:t1] = invert_duty(led_model, float(seg.rate) - base)
+            led_on[t0:t1] = True
+    return (np.full(n, invert_duty(valve_model, base)), duty_led,
+            np.ones(n, dtype=bool), led_on)
 
 
-def scalar_reference(timeline, params, n):
-    """Temperatures from a loop of scalar steps."""
-    plant = SkinPlant(params)
-    temps = [plant.t_skin]
-    for k in range(n):
-        mid = (k + 0.5) * DT
-        state = []
-        for spans in (timeline.valve, timeline.led):
-            span = next((s for s in spans if s.start <= mid < s.end), None)
-            state.append((0.0, False) if span is None else (span.duty, True))
-        (duty_valve, valve_on), (duty_led, led_on) = state
-        temps.append(plant.step(duty_valve, duty_led, valve_on, led_on))
-    return np.array(temps)
+def logged(temps):
+    """The samples of per-step temperatures (from t = 0) that run_control
+    logs, and their times."""
+    n = len(temps) - 1
+    idx = np.arange(0, n + 1, 10)
+    time = np.arange(len(idx)) / 100.0
+    if n % 10:
+        idx, time = np.append(idx, n), np.append(time, n * DT)
+    return Trace(time, np.asarray(temps)[idx])
 
 
 @settings(max_examples=60)
-@given(random_timelines())
-def test_property_run_control_matches_scalar_steps(case):
-    timeline, n = case
-    params = PlantParams(interaction_bias=0.013)  # relaxation on, noise off
+@given(presentations(), st.sampled_from([0.0, 0.002]), st.floats(-0.05, 0.05))
+def test_property_run_control_matches_scalar_steps(case, relax, bias):
+    schedule, valve, led, timeline = case
+    params = PlantParams(relax_coeff=relax, interaction_bias=bias)  # noise off
     trace = run_control(timeline, SkinPlant(params))
-    temps = scalar_reference(timeline, params, n)
-    idx = list(range(0, n + 1, 10))
-    times = [k / 100.0 for k in range(len(idx))]
-    if idx[-1] != n:
-        idx.append(n)
-        times.append(n * DT)
-    assert trace.time.tolist() == times
-    assert np.max(np.abs(trace.temp - temps[idx])) <= 1e-9
+    plant = SkinPlant(params)
+    temps = [plant.t_skin]
+    for inputs in zip(*(a.tolist() for a in segment_steps(schedule, valve, led))):
+        temps.append(plant.step(*inputs))
+    expected = logged(temps)
+    assert trace.time.tolist() == expected.time.tolist()
+    assert np.max(np.abs(trace.temp - expected.temp)) <= 1e-9
 
 
-def per_step_run_span(plant, duty_valve, duty_led, valve_on, led_on, n_steps):
+def per_step_run_span(plant, duty_valve, duty_led, valve_on, led_on):
     """A noiseless SkinPlant.run_span on per-step input arrays: the drive
     rate of every step from that step's inputs, then one linear filter
     over all of them, returning every step's temperature."""
-    if n_steps <= 0:
-        return np.empty(0)
     p = plant.params
     rate = (valve_on * (p.valve_gain * duty_valve + p.valve_bias)
             + led_on * (p.led_gain * duty_led + p.led_bias)
             + (valve_on & led_on) * p.interaction_bias)
     decay = 1.0 - p.relax_coeff * DT
-    drive = np.full(n_steps, DT * (rate + p.relax_coeff * p.t_neutral))
+    drive = DT * (rate + p.relax_coeff * p.t_neutral)
     temps, _ = lfilter([1.0], [1.0, -decay], drive, zi=[decay * plant.t_skin])
     plant.t_skin = float(temps[-1])
     return temps
 
 
-def per_step_run_control(timeline, plant):
-    """run_control with each channel's spans written into per-step duty
-    and on-flag arrays, later spans over earlier ones."""
-    n = int(round(timeline.duration / DT))
-    duty_valve, duty_led = np.zeros(n), np.zeros(n)
-    valve_on, led_on = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-    for spans, duty, on in ((timeline.valve, duty_valve, valve_on),
-                            (timeline.led, duty_led, led_on)):
-        for span in spans:
-            t0, t1 = (min(int(round(t / DT)), n) for t in (span.start, span.end))
-            duty[t0:t1] = span.duty
-            on[t0:t1] = True
-    temp = np.empty(n + 1)
-    temp[0] = plant.t_skin
-    temp[1:] = per_step_run_span(plant, duty_valve, duty_led, valve_on, led_on, n)
-    idx = np.arange(0, n + 1, 10)
-    time = np.arange(len(idx)) / 100.0
-    if n % 10:
-        idx, time = np.append(idx, n), np.append(time, n * DT)
-    return Trace(time, temp[idx])
-
-
 @settings(max_examples=60)
-@given(random_timelines(), st.sampled_from([0.0, 0.002]))
-@example((ActuatorTimeline(  # zero-length spans: between spans, before one, alone
-    (ChannelSpan(0.0, 1.0, 0.5), ChannelSpan(1.0, 1.0, 0.7),
-     ChannelSpan(1.0, 1.5, 0.6), ChannelSpan(1.8, 1.8, 0.4)),
-    (ChannelSpan(0.5, 0.5, 0.9), ChannelSpan(0.5, 1.5, 0.3)), 2.0), 2000), 0.002)
-def test_property_run_control_matches_per_step_arrays(case, relax):
+@given(presentations(), st.sampled_from([0.0, 0.002]), st.floats(-0.05, 0.05))
+@example(presentation(  # cooling segments that vanish between warm ones
+    StimulusSpec("S1", -0.08, 0.3, 5e-05, duration=0.05), *exact_models(PlantParams())),
+    0.002, 0.013)
+def test_property_run_control_matches_per_step_arrays(case, relax, bias):
     # The block update reorders the float operations of the per-step
     # filter, so noiseless temperatures agree to rounding.
-    timeline, _ = case
-    params = PlantParams(relax_coeff=relax, interaction_bias=0.013)
+    schedule, valve, led, timeline = case
+    params = PlantParams(relax_coeff=relax, interaction_bias=bias)
     plant, oracle = SkinPlant(params), SkinPlant(params)
     trace = run_control(timeline, plant)
-    expected = per_step_run_control(timeline, oracle)
+    start = oracle.t_skin
+    temps = per_step_run_span(oracle, *segment_steps(schedule, valve, led))
+    expected = logged(np.concatenate(([start], temps)))
     assert trace.time.tobytes() == expected.time.tobytes()
     assert np.max(np.abs(trace.temp - expected.temp)) <= 1e-9
     assert abs(plant.t_skin - oracle.t_skin) <= 1e-9

@@ -5,14 +5,16 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coldsim import (PlantParams, StimulusSpec, UnreachableRateError,
                      ValidationError, WrongKindError, compile_schedule,
                      derive_pattern, exact_models, invert_duty,
                      schedule_to_timeline, validate_spec)
 from coldsim.pattern import Segment, _derive_exact, _exact
+from coldsim.plant import DT
 
 
 def substitution_oracle(vc, lam, swing):
@@ -105,6 +107,9 @@ def test_validate_messages():
             issues = validate_spec(spec)
             assert [(i.severity, i.message) for i in issues] == [
                 ("error", f"{name} must be a finite number, got {value!r}")]
+    for duration in (0.0, -1.0):
+        with pytest.raises(ValidationError, match="duration must be positive"):
+            compile_schedule(StimulusSpec("S3", -0.1, duration=duration))
 
 
 def test_validate_cycle_floor_boundary():
@@ -277,16 +282,30 @@ def test_property_segment_ticks_match_schedule(spec, off_grid_duration):
         assert (seg_rate, warm) == (seg.rate, seg.warm_active)
 
 
-def segment_spans(schedule, valve_model, led_model):
-    """Valve and LED spans as (start, end, duty) built from the schedule's
-    Segments, each boundary the float of its Fraction and each warm duty
-    inverted from the segment's rate less the cooling rate: the oracle
-    for schedule_to_timeline, which reads the integer ticks instead."""
+def segment_steps(schedule, valve_model, led_model):
+    """The valve duty, and the warm channel's duty and on flag on every
+    step, built from the schedule's Segments: each boundary is the float
+    of its Fraction snapped to the nearest step, and each warm duty is
+    inverted from the segment's rate less the cooling rate.  The oracle
+    for schedule_to_timeline, which cuts the integer ticks into pieces
+    instead.  A warm segment that snaps to zero steps, or a schedule
+    shorter than half a step, raises ValidationError naming the segment.
+    """
+    n = int(round(schedule.duration_s / DT))
     base = schedule.base_cooling_rate
-    valve = [(0.0, schedule.duration_s, invert_duty(valve_model, base))]
-    led = [(seg.start_s, seg.end_s, invert_duty(led_model, float(seg.rate) - base))
-           for seg in schedule.segments if seg.warm_active]
-    return valve, led
+    warm = []
+    for index, seg in enumerate(schedule.segments):
+        t0, t1 = (min(int(round(t / DT)), n) for t in (seg.start_s, seg.end_s))
+        if t0 == t1 and (seg.warm_active or n == 0):
+            raise ValidationError(f"segment {index} [{seg.start_s}, {seg.end_s}) s")
+        if seg.warm_active:
+            warm.append((t0, t1, float(seg.rate) - base))
+    valve_duty = invert_duty(valve_model, base)
+    duty, on = np.zeros(n), np.zeros(n, dtype=bool)
+    for t0, t1, rate in warm:
+        duty[t0:t1] = invert_duty(led_model, rate)
+        on[t0:t1] = True
+    return valve_duty, duty, on
 
 
 EXACT_MODELS = exact_models(PlantParams())
@@ -294,24 +313,32 @@ EXACT_MODELS = exact_models(PlantParams())
 
 @settings(max_examples=200)
 @given(specs())
+@example(StimulusSpec("S1", -0.24, 0.5, 0.0001))  # segment 5 snaps to zero steps
+@example(StimulusSpec("S3", -0.16, duration=0.0004))  # so does the whole schedule
 def test_property_timeline_from_ticks_matches_segments(spec):
     # The drawn spec, and the same spec over the study's 15 s.
     for spec in (spec, replace(spec, duration=15.0, drop_duration=(
             15.0 * spec.drop_duration / spec.duration))):
         schedule = compile_schedule(spec)
         try:
-            expected = segment_spans(schedule, *EXACT_MODELS)
-        except UnreachableRateError as exc:
-            with pytest.raises(UnreachableRateError) as info:
+            valve_duty, duty, on = segment_steps(schedule, *EXACT_MODELS)
+        except (ValidationError, UnreachableRateError) as exc:
+            with pytest.raises(type(exc)) as info:
                 schedule_to_timeline(schedule, *EXACT_MODELS)
-            assert (info.value.channel, info.value.target_rate) == (
-                exc.channel, exc.target_rate)
+            if isinstance(exc, UnreachableRateError):
+                assert (info.value.channel, info.value.target_rate) == (
+                    exc.channel, exc.target_rate)
+            else:
+                assert f"{exc} collapses" in str(info.value)
             continue
         timeline = schedule_to_timeline(schedule, *EXACT_MODELS)
         assert timeline.duration.hex() == schedule.duration_s.hex()
-        for got, want in zip((timeline.valve, timeline.led), expected):
-            assert [(s.start.hex(), s.end.hex(), s.duty.hex()) for s in got] == [
-                tuple(x.hex() for x in span) for span in want]
+        assert timeline.valve_duty.hex() == valve_duty.hex()
+        assert np.repeat(timeline.led_duty, timeline.n_steps).tobytes() == duty.tobytes()
+        assert np.repeat(timeline.led_on, timeline.n_steps).tobytes() == on.tobytes()
+        # a piece ends only where the warm duty or flag changes
+        changes = np.flatnonzero((duty[1:] != duty[:-1]) | (on[1:] != on[:-1])) + 1
+        assert np.cumsum(timeline.n_steps)[:-1].tolist() == changes.tolist()
 
 
 def test_schedule_csv_export(tmp_path):
