@@ -212,6 +212,12 @@ def test_property_segments_tile_and_alternate(spec):
         assert seg.start == prev.end
         assert seg.warm_active != prev.warm_active
     assert not segments[0].warm_active
+    # one cooling rate, the spec's, and one shared warm rate: S1's
+    # recovery rate, S2's hold at 0 (S3 has no warm segment)
+    assert {seg.rate for seg in segments if not seg.warm_active} == {
+        _exact(spec.cooling_rate)}
+    warm_rate = _derive_exact(spec)[2] if spec.kind == "S1" else Fraction(0)
+    assert {seg.rate for seg in segments if seg.warm_active} <= {warm_rate}
     if spec.kind == "S1":
         cycle = _derive_exact(spec)[1]
         whole = int(schedule.duration / cycle)
