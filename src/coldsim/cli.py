@@ -109,7 +109,7 @@ def cmd_design(args) -> None:
     schedule = pattern.compile_schedule(spec)
     _atomic_write(args.out, schedule.to_csv)
     _status(args, "design", started, out=args.out,
-            segments=len(schedule.ticks),
+            segments=len(schedule.ends),
             scheduled_delta_t=float(schedule.rate_integral()))
 
 

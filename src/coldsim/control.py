@@ -250,12 +250,12 @@ def calibrate(plant: SkinPlant,
     into pieces by _cut_schedule once per call, before the first plant
     reading; each round makes its timeline from that cut as
     schedule_to_timeline does, inverting only the cooling rate and the
-    distinct warm rates.  Like each single-channel reading, each
+    one warming rate.  Like each single-channel reading, each
     verification pattern is one run_span call that computes only the
     end temperature the sensor reads, not a logged trace.  Raises
     CalibrationError when the drift gate still fails after max_iters
-    rounds, and UnreachableRateError naming the pattern (and, for a warm
-    rate, its first segment) when a verification rate is out of a fitted
+    rounds, and UnreachableRateError naming the pattern (and, for the
+    warming rate, segment 1) when a verification rate is out of a fitted
     model's band.
     """
     protocol = protocol if protocol is not None else CalibrationProtocol()
@@ -309,15 +309,14 @@ def _invert_at(model: DutyModel, target_rate: float, segment_index=None,
 @dataclass(frozen=True)
 class ActuatorTimeline:
     """What SkinPlant.run_span plays for one presentation: the cold
-    channel on at valve_duty throughout, and on each piece of n_steps
-    steps of DT the warm channel's led_duty and led_on, over duration
-    seconds."""
+    channel on at valve_duty throughout, and the warm channel at
+    led_duty, on or off as led_on says for each piece of n_steps steps
+    of DT."""
 
     valve_duty: float
-    led_duty: np.ndarray
+    led_duty: float
     led_on: np.ndarray
     n_steps: np.ndarray
-    duration: float
 
 
 def schedule_to_timeline(schedule: RateSchedule, valve_model: DutyModel,
@@ -326,11 +325,11 @@ def schedule_to_timeline(schedule: RateSchedule, valve_model: DutyModel,
 
     The cold channel runs for the whole presentation at the duty that
     realizes the cooling rate.  On warming/hold segments the warm channel
-    supplies the difference between the segment's target rate and the
+    supplies the difference between the schedule's warming rate and the
     still-running cooling rate.  The schedule is cut by _cut_schedule,
-    as calibration cuts its verification patterns, and each distinct
-    warm rate is inverted once; an unreachable one names the first
-    segment that asks for it.
+    as calibration cuts its verification patterns, and each of the two
+    rates is inverted once; an unreachable warming rate names segment 1,
+    the first that asks for it.
     """
     return _invert_cut(schedule, _cut_schedule(schedule), valve_model, led_model)
 
@@ -339,53 +338,47 @@ def _invert_cut(schedule: RateSchedule, cut: tuple, valve_model: DutyModel,
                 led_model: DutyModel, stimulus=None) -> ActuatorTimeline:
     """The timeline of a schedule and its _cut_schedule cut under two duty
     models.  An unreachable rate raises UnreachableRateError naming the
-    stimulus and, for a warm rate, the first segment that asks for it."""
-    warm, index, n_steps = cut
-    valve_duty = _invert_at(valve_model, schedule.base_cooling_rate, None, stimulus)
-    led_duties = [0.0]  # at index 0: the warm channel is off
-    led_duties += [_invert_at(led_model, rate, segment, stimulus)
-                   for rate, (_, segment) in warm.items()]
-    return ActuatorTimeline(valve_duty, np.array(led_duties)[index], index > 0,
-                            n_steps, schedule.duration_s)
+    stimulus and, for the warming rate, segment 1."""
+    cooling_rate = float(schedule.cooling_rate)
+    valve_duty = _invert_at(valve_model, cooling_rate, None, stimulus)
+    led_duty = 0.0  # a schedule without a warm segment never turns it on
+    if len(schedule.ends) > 1:
+        led_duty = _invert_at(led_model, float(schedule.warming_rate) - cooling_rate,
+                              1, stimulus)
+    return ActuatorTimeline(valve_duty, led_duty, *cut)
 
 
-def _cut_schedule(schedule: RateSchedule) -> tuple[dict, np.ndarray, np.ndarray]:
+def _cut_schedule(schedule: RateSchedule) -> tuple[np.ndarray, np.ndarray]:
     """Cut a schedule into the pieces of DT steps that run_span plays.
 
-    The cold channel runs throughout, so a piece ends only where the warm
-    channel changes.  A warm segment's boundary of t ticks is the float
-    t / den (the float of its exact Fraction, bit for bit), snapped to
-    the nearest step; a warm segment starting where another ends wins
-    that step.  A warm segment that would vanish in the snapping raises
-    ValidationError naming it, and so does the first segment of a
-    schedule shorter than half a step.  Returns the distinct warm rates
-    (a segment's target rate less the schedule's cooling rate) in order
-    of first use, each mapped to (k, the index of the first segment that
-    asks for it) with k counting from 1; each piece's k, 0 where the warm
-    channel is off; and each piece's step count.
+    The cold channel runs throughout and every warm segment asks for the
+    one warming rate, so a piece ends only where the warm channel turns
+    on or off.  A segment's end of t ticks is the float t / den (the
+    float of its exact Fraction, bit for bit), snapped to the nearest
+    step.  A cooling segment that vanishes in the snapping joins the warm
+    segments around it into one piece; a warm segment that would vanish
+    raises ValidationError naming it, and so does the first segment of a
+    schedule shorter than half a step.  Returns each piece's warm flag
+    and step count.
     """
-    den, base_rate = schedule.den, schedule.base_cooling_rate
+    den, ends = schedule.den, schedule.ends
     n = int(round(schedule.duration_s / DT))
-    warm: dict[float, tuple[int, int]] = {}
-    change = {0: 0, n: 0}  # snapped step -> the k that holds from it on
-    last = None  # the segment rate that k was found for
-    for index, (start, end, rate, warm_active) in enumerate(schedule.ticks):
-        if not (warm_active or n == 0):  # n == 0: the cold channel collapses
-            continue
-        t0 = min(int(round((start / den) / DT)), n)
-        t1 = min(int(round((end / den) / DT)), n)
-        if t0 == t1:
-            raise ValidationError(
-                f"segment {index} [{start / den}, {end / den}) s collapses "
-                f"to zero steps of {DT} s")
-        # S1 warm segments share one rate object: convert it once.
-        if rate is not last:
-            last = rate
-            k = warm.setdefault(float(rate) - base_rate, (len(warm) + 1, index))[0]
-        change[t0] = k
-        change[t1] = 0
-    cuts = sorted(change)
-    return warm, np.array([change[t] for t in cuts[:-1]]), np.diff(cuts)
+    led_on, stops = [], [0]  # each piece's warm flag, and the step it ends at
+    for index, end in enumerate(ends):
+        stop = min(int(round((end / den) / DT)), n)
+        warm = index % 2 == 1
+        if stop == stops[-1]:
+            if warm or n == 0:  # n == 0: the cold channel collapses
+                begin = ends[index - 1] if index else 0
+                raise ValidationError(
+                    f"segment {index} [{begin / den}, {end / den}) s collapses "
+                    f"to zero steps of {DT} s")
+        elif led_on and led_on[-1] == warm:  # the cooling between vanished
+            stops[-1] = stop
+        else:
+            led_on.append(warm)
+            stops.append(stop)
+    return np.array(led_on), np.diff(stops)
 
 
 def run_control(timeline: ActuatorTimeline, plant: SkinPlant) -> Trace:

@@ -13,16 +13,16 @@ Cycle quantities follow from three design inputs: the cooling rate
 temperature swing.  Schedule boundaries are carried as exact rationals
 (derived from the decimal reading of the inputs) so that long schedules
 accumulate no floating-point drift and whole cycles balance exactly.
-A compiled schedule holds them as whole ticks of one denominator; its
-Fractions and Segments are built only when asked for, and control
-reads the ticks directly, for presentations and calibration alike.
+A compiled schedule holds its segment ends as whole ticks of one
+denominator and its two rates; its Fractions and Segments are built only
+when asked for, and control reads the ticks directly.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
@@ -232,17 +232,17 @@ class Segment:
 class RateSchedule:
     """Target skin-temperature-rate segments covering [0, duration].
 
-    Each segment is held as (start, end, rate, warm_active) in ticks:
-    start and end are whole numbers of ticks of 1/den s, the first
-    starting at 0 and each starting where the previous one ends; rate is
-    an exact Fraction, and all S1 warm segments share one rate object.
+    The segments alternate, starting with cooling: segment i ends at
+    ends[i] ticks of 1/den s, where segment i + 1 starts, and runs at
+    cooling_rate for even i and at warming_rate for odd i (exact
+    Fractions; warming_rate is S1's recovery rate, 0 for S2, None for S3).
     """
 
-    kind: str
     den: int
-    ticks: tuple[tuple[int, int, Fraction, bool], ...]
+    ends: tuple[int, ...]
+    cooling_rate: Fraction
+    warming_rate: Optional[Fraction]
     duration: Fraction
-    base_cooling_rate: float = field(default=0.0)
 
     @property
     def duration_s(self) -> float:
@@ -254,9 +254,10 @@ class RateSchedule:
         boundary is one Fraction shared by the two segments it separates."""
         segments = []
         start = Fraction(0)
-        for _, end_tick, rate, warm in self.ticks:
+        rates = (self.cooling_rate, self.warming_rate)  # even, odd segments
+        for index, end_tick in enumerate(self.ends):
             end = Fraction(end_tick, self.den)
-            segments.append(Segment(start, end, rate, True, warm))
+            segments.append(Segment(start, end, rates[index % 2], True, index % 2 == 1))
             start = end
         return tuple(segments)
 
@@ -300,26 +301,24 @@ def compile_schedule(spec: StimulusSpec) -> RateSchedule:
     duration = _exact(spec.duration)
     rate = _exact(spec.cooling_rate)
     if spec.kind == "S1":
-        cooling_time, cycle_time, recovery_rate, _ = exact
+        cooling_time, cycle_time, warming_rate, _ = exact  # recovery rate
         # Each boundary is computed on integers, from whole-cycle multiples.
         den, (cool, cycle, end) = _common_ticks(cooling_time, cycle_time, duration)
-        ticks = []
+        ends = []
         for pos in range(0, end, cycle):
             cool_end = pos + cool
             if cool_end >= end:  # the duration ends while cooling
-                ticks.append((pos, end, rate, False))
+                ends.append(end)
                 break
             warm_end = pos + cycle
-            ticks.append((pos, cool_end, rate, False))
-            ticks.append((cool_end, warm_end if warm_end < end else end,
-                          recovery_rate, True))
+            ends += (cool_end, warm_end if warm_end < end else end)
     elif spec.kind == "S2":
-        den, (drop_end, end) = _common_ticks(_exact(spec.drop_duration), duration)
-        ticks = [(0, drop_end, rate, False), (drop_end, end, Fraction(0), True)]
+        den, ends = _common_ticks(_exact(spec.drop_duration), duration)
+        warming_rate = Fraction(0)
     else:  # S3
-        den, (end,) = _common_ticks(duration)
-        ticks = [(0, end, rate, False)]
-    return RateSchedule(spec.kind, den, tuple(ticks), duration, float(rate))
+        den, ends = _common_ticks(duration)
+        warming_rate = None
+    return RateSchedule(den, tuple(ends), rate, warming_rate, duration)
 
 
 def _common_ticks(*times: Fraction) -> tuple[int, list[int]]:

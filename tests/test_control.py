@@ -4,7 +4,6 @@ import json
 import math
 import re
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from coldsim import (CalibrationError, CalibrationProtocol,
                      invert_duty, load_models, run_control, schedule_to_timeline)
 from coldsim.control import DRIFT_THRESHOLD, LED_GRID, MEASURE_TIME, VALVE_GRID
 from coldsim.experiment import EXP2_RATES, EXP2_RATIOS, perturb_params
-from coldsim.pattern import RateSchedule
 from coldsim.plant import DT, Trace
 
 
@@ -102,7 +100,7 @@ def test_invert_examples():
     with pytest.raises(UnreachableRateError):
         invert_duty(model, math.nan)
     schedule = replace(compile_schedule(StimulusSpec("S3", -0.16)),
-                       base_cooling_rate=math.nan)
+                       cooling_rate=math.nan)
     with pytest.raises(UnreachableRateError):
         schedule_to_timeline(schedule, model, exact_models(PlantParams())[1])
 
@@ -233,9 +231,7 @@ def test_timeline_worked_example():
     # 1.2 s and a final cooling stretch
     assert timeline.n_steps.tolist() == [600] * 25
     assert timeline.led_on.tolist() == [False, True] * 12 + [False]
-    assert all(duty == pytest.approx(invert_duty(led_model, 0.2), abs=1e-9)
-               for duty in timeline.led_duty[timeline.led_on])
-    assert not timeline.led_duty[~timeline.led_on].any()
+    assert timeline.led_duty == pytest.approx(invert_duty(led_model, 0.2), abs=1e-9)
 
 
 def test_timeline_s3_led_inactive():
@@ -244,14 +240,14 @@ def test_timeline_s3_led_inactive():
     timeline = schedule_to_timeline(schedule, valve_model, led_model)
     assert timeline.n_steps.tolist() == [15000]
     assert timeline.led_on.tolist() == [False]
-    assert timeline.led_duty.tolist() == [0.0]
+    assert timeline.led_duty == 0.0
 
 
 def test_timeline_strong_warm_duty_inversion():
     valve_model, led_model = exact_models(PlantParams())
     schedule = compile_schedule(StimulusSpec("S1", -0.24, 0.5, 0.06))
     timeline = schedule_to_timeline(schedule, valve_model, led_model)
-    (duty,) = set(timeline.led_duty[timeline.led_on].tolist())
+    duty = timeline.led_duty
     assert duty == pytest.approx((0.48 + 0.0522) / 0.6122, abs=1e-9)
     assert duty == pytest.approx(0.869, abs=1e-3)
 
@@ -262,7 +258,7 @@ def test_timeline_s2_hold_balances_cooling():
     timeline = schedule_to_timeline(schedule, valve_model, led_model)
     assert timeline.n_steps.tolist() == [5000, 10000]
     assert timeline.led_on.tolist() == [False, True]
-    assert timeline.led_duty[1] == pytest.approx(invert_duty(led_model, 0.16), abs=1e-12)
+    assert timeline.led_duty == pytest.approx(invert_duty(led_model, 0.16), abs=1e-12)
 
 
 def test_timeline_unreachable_carries_segment_index():
@@ -272,30 +268,6 @@ def test_timeline_unreachable_carries_segment_index():
     with pytest.raises(UnreachableRateError) as info:
         schedule_to_timeline(schedule, valve_model, squeezed)
     assert info.value.segment_index == 1
-
-
-MULTI_RATES = [Fraction(r, 100) for r in (-10, 10, -10, 5, -10, 10, -10, 30)]
-
-
-def multi_rate_schedule():
-    """Warm rates 0.2, 0.15, 0.2 on top of -0.1 cooling, then 0.4."""
-    ticks = tuple((k, k + 1, rate, rate > 0) for k, rate in enumerate(MULTI_RATES))
-    return RateSchedule("S1", 1, ticks, Fraction(len(MULTI_RATES)), -0.1)
-
-
-def test_timeline_duty_per_distinct_warm_rate():
-    valve_model, led_model = exact_models(PlantParams())
-    schedule = multi_rate_schedule()
-    timeline = schedule_to_timeline(schedule, valve_model, led_model)
-    assert timeline.n_steps.tolist() == [1000] * len(MULTI_RATES)
-    assert timeline.led_on.tolist() == [rate > 0 for rate in MULTI_RATES]
-    assert timeline.led_duty.tolist() == [
-        invert_duty(led_model, float(rate) + 0.1) if rate > 0 else 0.0
-        for rate in MULTI_RATES]
-    squeezed = DutyModel("led", led_model.slope, led_model.intercept, 0.118, 0.5)
-    with pytest.raises(UnreachableRateError) as info:
-        schedule_to_timeline(schedule, valve_model, squeezed)
-    assert info.value.segment_index == 7
 
 
 def test_run_control_s3_matches_analytic_integral():
@@ -332,7 +304,7 @@ def test_run_control_snaps_off_grid_boundary():
     assert timeline.n_steps.tolist() == [1005, 995]
     trace = run_control(timeline, plant)
     rate_valve = valve_model.predicted_rate(timeline.valve_duty)
-    rate_led = led_model.predicted_rate(timeline.led_duty[1])
+    rate_led = led_model.predicted_rate(timeline.led_duty)
     assert trace.net_delta_t == pytest.approx(rate_valve * 2.0 + rate_led * 0.995,
                                               abs=1e-9)
 
@@ -389,7 +361,7 @@ def segment_steps(schedule, valve_model, led_model):
     exact rate less the cooling rate, over the steps its boundaries (the
     floats of their Fractions) snap to."""
     n = int(round(schedule.duration_s / DT))
-    base = schedule.base_cooling_rate
+    base = float(schedule.cooling_rate)
     duty_led, led_on = np.zeros(n), np.zeros(n, dtype=bool)
     for seg in schedule.segments:
         if seg.warm_active:

@@ -275,17 +275,16 @@ def test_property_segment_ticks_match_schedule(spec, off_grid_duration):
         spec = replace(spec, duration=off_grid_duration, drop_duration=(
             off_grid_duration * spec.drop_duration / spec.duration))
     schedule = compile_schedule(spec)
-    den, ticks = schedule.den, schedule.ticks
-    rate = ticks[0][2]  # every schedule starts cooling
-    assert rate == _exact(spec.cooling_rate)
-    assert float(rate) == schedule.base_cooling_rate
-    assert len(ticks) == len(schedule.segments)
-    for (start, end, seg_rate, warm), seg in zip(ticks, schedule.segments):
+    den, ends = schedule.den, schedule.ends
+    assert schedule.cooling_rate == _exact(spec.cooling_rate)
+    assert len(ends) == len(schedule.segments)
+    for start, end, seg in zip((0,) + ends, ends, schedule.segments):
         assert (Fraction(start, den), Fraction(end, den)) == (seg.start, seg.end)
         # integer true division is the float of the Fraction, bit for bit
         assert ((start / den).hex(), (end / den).hex()) == (
             seg.start_s.hex(), seg.end_s.hex())
-        assert (seg_rate, warm) == (seg.rate, seg.warm_active)
+        assert seg.rate == (schedule.warming_rate if seg.warm_active
+                            else schedule.cooling_rate)
 
 
 def segment_steps(schedule, valve_model, led_model):
@@ -298,7 +297,7 @@ def segment_steps(schedule, valve_model, led_model):
     shorter than half a step, raises ValidationError naming the segment.
     """
     n = int(round(schedule.duration_s / DT))
-    base = schedule.base_cooling_rate
+    base = float(schedule.cooling_rate)
     warm = []
     for index, seg in enumerate(schedule.segments):
         t0, t1 = (min(int(round(t / DT)), n) for t in (seg.start_s, seg.end_s))
@@ -321,6 +320,7 @@ EXACT_MODELS = exact_models(PlantParams())
 @given(specs())
 @example(StimulusSpec("S1", -0.24, 0.5, 0.0001))  # segment 5 snaps to zero steps
 @example(StimulusSpec("S3", -0.16, duration=0.0004))  # so does the whole schedule
+@example(StimulusSpec("S1", -0.24, 0.1, 0.0001))  # cooling segments vanish, the first too
 def test_property_timeline_from_ticks_matches_segments(spec):
     # The drawn spec, and the same spec over the study's 15 s.
     for spec in (spec, replace(spec, duration=15.0, drop_duration=(
@@ -338,10 +338,10 @@ def test_property_timeline_from_ticks_matches_segments(spec):
                 assert f"{exc} collapses" in str(info.value)
             continue
         timeline = schedule_to_timeline(schedule, *EXACT_MODELS)
-        assert timeline.duration.hex() == schedule.duration_s.hex()
         assert timeline.valve_duty.hex() == valve_duty.hex()
-        assert np.repeat(timeline.led_duty, timeline.n_steps).tobytes() == duty.tobytes()
-        assert np.repeat(timeline.led_on, timeline.n_steps).tobytes() == on.tobytes()
+        steps_on = np.repeat(timeline.led_on, timeline.n_steps)
+        assert steps_on.tobytes() == on.tobytes()
+        assert np.where(steps_on, timeline.led_duty, 0.0).tobytes() == duty.tobytes()
         # a piece ends only where the warm duty or flag changes
         changes = np.flatnonzero((duty[1:] != duty[:-1]) | (on[1:] != on[:-1])) + 1
         assert np.cumsum(timeline.n_steps)[:-1].tolist() == changes.tolist()
