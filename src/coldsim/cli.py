@@ -159,21 +159,13 @@ def cmd_experiment_run(args) -> None:
     participants = experiment.run_participants(
         plan, base_params=_load_params(args), jitter=args.jitter)
     # Build the whole run next to the target, then rename into place.
+    # Each participant is calibrated and simulated only when write_records
+    # asks for it, once the previous participant's files are written.
     parent = os.path.dirname(os.path.abspath(args.out)) or "."
     staging = tempfile.mkdtemp(dir=parent, prefix=".tmp-run-")
-
-    def records():
-        # Each participant is calibrated and simulated only when
-        # write_records asks for its first record, and the previous
-        # participant's records, already written, are not held then.
-        for idx, (calibration, participant_records) in enumerate(participants):
-            calibration.to_json(os.path.join(staging, f"models_{idx:02d}.json"))
-            yield from participant_records
-            del participant_records
-
     try:
         os.chmod(staging, _umask_mode(0o777))
-        experiment.write_records(records(), plan, staging,
+        experiment.write_records(participants, plan, staging,
                                  traces=not args.no_traces)
         if os.path.isdir(args.out):
             os.rmdir(args.out)

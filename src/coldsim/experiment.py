@@ -425,7 +425,6 @@ def default_participants(n: int, seed: int = 0) -> list[ParticipantModel]:
 
 @dataclass
 class PipelineResult:
-    plan: ExperimentPlan
     records: list[TrialRecord]
     calibrations: list[CalibrationResult]
 
@@ -472,12 +471,15 @@ def _participants(plan: ExperimentPlan, base: PlantParams, jitter: float):
 def run_pipeline(plan: ExperimentPlan, base_params: Optional[PlantParams] = None,
                  jitter: float = 0.1) -> PipelineResult:
     """Plants, calibration, and trials for every participant in one call:
-    everything run_participants yields, collected."""
+    everything run_participants yields, collected into one list of
+    records in participant order and one calibration per participant.
+    This holds every participant at once; to write a run, hand
+    run_participants to write_records instead."""
     records, calibrations = [], []
     for calibration, participant_records in run_participants(plan, base_params, jitter):
         calibrations.append(calibration)
         records.extend(participant_records)
-    return PipelineResult(plan, records, calibrations)
+    return PipelineResult(records, calibrations)
 
 
 # ---------------------------------------------------------------------------
@@ -633,25 +635,6 @@ def analyze_exp3(records: Sequence[TrialRecord], pooling: str = "trials") -> Exp
 # Record export / import
 
 
-def _participant_groups(records: Iterable[TrialRecord], trials: int):
-    """Each participant's records as one list, yielded as soon as it is
-    complete: when it holds `trials` records, or the next participant's
-    first record arrives, or the records end.  The list is emptied when
-    the next one is asked for, so its records can be freed before the
-    next participant's are made."""
-    group: list[TrialRecord] = []
-    for rec in records:
-        if group and rec.participant != group[0].participant:
-            yield group
-            group.clear()
-        group.append(rec)
-        if len(group) == trials:
-            yield group
-            group.clear()
-    if group:
-        yield group
-
-
 def _write_participant(out_dir, pidx: int, recs: list[TrialRecord],
                        write_traces) -> None:
     """write_records' files for one participant's records; the
@@ -758,19 +741,18 @@ def _trace_writer(participants: int):
             pending.popleft().result()
 
 
-def write_records(records: Iterable[TrialRecord], plan: ExperimentPlan,
-                  out_dir, traces: bool = True) -> None:
-    """One CSV and one slider array per participant, a temperature trace
-    CSV per trial, and a manifest.
+def write_records(participants: Iterable[tuple[CalibrationResult, list[TrialRecord]]],
+                  plan: ExperimentPlan, out_dir, traces: bool = True) -> None:
+    """For each participant a models JSON, a CSV, a slider array and a
+    temperature trace CSV per trial; then a manifest.
 
-    `records` may be any iterable, such as one that simulates each
-    participant only when asked, but each participant's records must
-    arrive together, at most plan.trials_per_participant of them: a
-    participant whose records come back after its files were written
-    raises ValidationError.  A participant's files are written as soon
-    as its records are complete (all of its trials, or the next
-    participant's first record, or the end), and its records are then
-    dropped.
+    `participants` holds one (calibration, records) pair per planned
+    participant, in participant order, as run_participants yields them.
+    The k-th pair's files are named for participant k, its records are
+    written in trial order, and the pair is dropped before the next one
+    is asked for, so a lazy iterable is held one participant at a time.
+    A number of pairs other than plan.participants raises
+    ValidationError, and no manifest is written.
 
     Row k of `pXX_slider.npy` (float64, shape (trials, samples)) holds the
     slider values of row k of `participant_XX.csv`; their time is the
@@ -780,10 +762,10 @@ def write_records(records: Iterable[TrialRecord], plan: ExperimentPlan,
     files, which `write_trace_csvs` writes.  `traces/` is made only when
     a file is written into it.
 
-    The participant tables and slider arrays are written here, in
-    participant order.  The temperature traces are formatted in forked
+    The models, participant tables and slider arrays are written here,
+    in participant order.  The temperature traces are formatted in forked
     worker processes, one per usable CPU and at most one per
-    participant, while `records` makes the next participant: each
+    participant, while `participants` makes the next pair: each
     participant's traces are split into one chunk per worker.  With one
     worker (one participant, one CPU, or no `fork` start method) they are
     written here.  The pool starts at the first trace written, so a run
@@ -793,18 +775,21 @@ def write_records(records: Iterable[TrialRecord], plan: ExperimentPlan,
     file, say) is raised here as it was raised there.
     """
     os.makedirs(out_dir, exist_ok=True)
-    written = set()
+    # A plain counter, not enumerate: enumerate's cached result tuple
+    # would keep the previous pair alive while the next one is made.
+    pidx = 0
     with _trace_writer(plan.participants) as write_traces:
-        for recs in _participant_groups(records, plan.trials_per_participant):
-            pidx = recs[0].participant
-            if pidx in written:
-                raise ValidationError(
-                    f"participant {pidx}: records arrive after its files were "
-                    f"written; each participant's records must arrive together, "
-                    f"at most {plan.trials_per_participant} of them")
-            written.add(pidx)
+        for calibration, recs in participants:
+            calibration.to_json(os.path.join(out_dir, f"models_{pidx:02d}.json"))
             _write_participant(out_dir, pidx, recs,
                                write_traces if traces else None)
+            del calibration, recs
+            pidx += 1
+    if pidx != plan.participants:
+        raise ValidationError(
+            f"{pidx} (calibration, records) pairs given for a plan of "
+            f"{plan.participants} participants; write_records needs one "
+            f"pair per planned participant")
     manifest = {
         "format_version": FORMAT_VERSION,
         "experiment": plan.experiment,

@@ -1,11 +1,13 @@
 """Plans, the synthetic participant, the runner, and the analyses."""
 
 import concurrent.futures
+import gc
 import importlib.util
 import math
 import multiprocessing
 import pickle
 import tempfile
+import weakref
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
@@ -15,7 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coldsim.experiment
-from coldsim import (CalibrationError, CalibrationProtocol, ParticipantModel,
+from coldsim import (CalibrationError, CalibrationProtocol, CalibrationResult,
+                     ParticipantModel,
                      PlantParams,
                      SkinPlant, SliderTrace, UnreachableRateError,
                      ValidationError, analyze_exp2, analyze_exp3,
@@ -319,7 +322,7 @@ def test_summarize_read_records_sliders_in_place(tmp_path, monkeypatch):
     # of one array: they are summarized without a copy.  The same sliders
     # in another order are stacked, and summarize the same.
     plan, result = small_pipeline(2)
-    write_records(result.records, plan, tmp_path / "run")
+    write_records(pairs(result), plan, tmp_path / "run")
     sliders = [rec.slider for rec in read_records(tmp_path / "run")[0]]
     want = summarize_one_by_one(sliders, coldsim.experiment.PERSISTENCE_WINDOW)
     stacks = Counter()
@@ -347,6 +350,18 @@ def small_pipeline(exp, participants=2, seed=3):
     else:
         plan = build_exp3_plan(participants=participants, seed=seed)
     return plan, run_pipeline(plan)
+
+
+def pairs(result):
+    """run_pipeline's result as the (calibration, records) pairs, one per
+    participant, that write_records takes."""
+    return [(calibration, [rec for rec in result.records if rec.participant == pidx])
+            for pidx, calibration in enumerate(result.calibrations)]
+
+
+def exact_calibration():
+    """A calibration to pair with records built by hand."""
+    return CalibrationResult(*exact_models(PlantParams()), 1, [])
 
 
 def test_run_experiment_counts_and_fields():
@@ -537,7 +552,7 @@ def test_analyze_exp3_identical_ratings():
 def test_record_round_trip(tmp_path):
     plan, result = small_pipeline(2)
     out = tmp_path / "run"
-    write_records(result.records, plan, out)
+    write_records(pairs(result), plan, out)
     loaded, manifest = read_records(out)
     assert manifest["experiment"] == "exp2"
     assert len(loaded) == len(result.records)
@@ -565,7 +580,7 @@ def test_read_records_sliders_copy_on_write(tmp_path):
     # read_records maps each slider array: its rows are views of the file's
     # pages, and writing to one changes that record only, not the file.
     plan, result = small_pipeline(2)
-    write_records(result.records, plan, tmp_path / "run")
+    write_records(pairs(result), plan, tmp_path / "run")
     path = tmp_path / "run" / "traces" / "p00_slider.npy"
     saved = path.read_bytes()
     loaded, _ = read_records(tmp_path / "run")
@@ -581,7 +596,7 @@ def test_temperature_csvs_round_trip(tmp_path):
     # csv.writer's bytes, and fields that parse back to the same floats.
     plan, result = small_pipeline(2)
     out = tmp_path / "run"
-    write_records(result.records, plan, out)
+    write_records(pairs(result), plan, out)
     for rec in result.records:
         path = out / "traces" / f"p{rec.participant:02d}_t{rec.trial:03d}_temp.csv"
         oracle_trace_csv(rec.trace, tmp_path / "oracle.csv")
@@ -614,7 +629,7 @@ def test_write_records_worker_error_reaches_caller(tmp_path, two_cpus):
     out = tmp_path / "run"
     (out / "traces" / "p00_t000_temp.csv").mkdir(parents=True)
     with pytest.raises(OSError, match="p00_t000_temp.csv"):
-        write_records(result.records, plan, out)
+        write_records(pairs(result), plan, out)
     assert not (out / "manifest.json").exists()
     assert multiprocessing.active_children() == []
 
@@ -627,15 +642,16 @@ def test_write_records_caller_error_waits_for_workers(tmp_path, two_cpus):
     trials = plan.trials_per_participant
     failure = CalibrationError("participant 1: verification drift")
 
-    def records():
-        yield from result.records[:trials]
-        # Participant 0's group was handed over with its last record.
+    def participants():
+        yield pairs(result)[0]
+        # Participant 0's traces were handed over before the next pair
+        # was asked for.
         assert multiprocessing.active_children(), "no worker writes participant 0"
         raise failure
 
     out = tmp_path / "run"
     with pytest.raises(CalibrationError) as info:
-        write_records(records(), plan, out)
+        write_records(participants(), plan, out)
     assert info.value is failure
     assert multiprocessing.active_children() == []
     assert len(list((out / "traces").glob("p00_t*_temp.csv"))) == trials
@@ -646,7 +662,7 @@ def test_write_records_slider_only_starts_no_worker(tmp_path, no_pool):
     plan, result = small_pipeline(2)
     for rec in result.records:
         rec.trace = None
-    write_records(result.records, plan, tmp_path / "run")
+    write_records(pairs(result), plan, tmp_path / "run")
     assert not list((tmp_path / "run" / "traces").glob("*_temp.csv"))
 
 
@@ -670,10 +686,10 @@ def test_write_records_rejects_partial_sliders(tmp_path):
     specs = [StimulusSpec("S3", rate) for rate in (-0.08, -0.16)]
     plan = ExperimentPlan("exp2", tuple(PlannedStimulus(stimulus_id(s), s) for s in specs),
                           repetitions=1, participants=1, seed=0)
-    records = run_pipeline(plan).records
-    records[0].slider = None
+    result = run_pipeline(plan)
+    result.records[0].slider = None
     with pytest.raises(ValidationError, match="participant 0 trial 0: no slider"):
-        write_records(records, plan, tmp_path / "run")
+        write_records(pairs(result), plan, tmp_path / "run")
 
 
 def test_write_records_rejects_off_grid_slider(tmp_path):
@@ -682,26 +698,19 @@ def test_write_records_rejects_off_grid_slider(tmp_path):
     spec = StimulusSpec("S3", -0.16, duration=2.005)
     plan = ExperimentPlan("exp2", (PlannedStimulus(stimulus_id(spec), spec),),
                           repetitions=1, participants=1, seed=0)
-    records = run_pipeline(plan).records
-    assert records[0].slider.time[-1] == 2.005
+    result = run_pipeline(plan)
+    assert result.records[0].slider.time[-1] == 2.005
     with pytest.raises(ValidationError, match="participant 0 trial 0"):
-        write_records(records, plan, tmp_path / "run")
+        write_records(pairs(result), plan, tmp_path / "run")
 
 
-def test_write_records_rejects_participant_that_comes_back(tmp_path):
-    # write_records writes a participant's files once its records are
-    # complete; records arriving later would overwrite them.
-    plan, result = small_pipeline(3)
-    first = [rec for rec in result.records if rec.participant == 0]
-    second = [rec for rec in result.records if rec.participant == 1]
-    for records in (first[:5] + second + first[5:], first + first[:1]):
-        with pytest.raises(ValidationError,
-                           match="participant 0: records arrive after its files"):
-            write_records(records, plan, tmp_path / "run")
+def test_write_records_trial_order_and_lazy_pairs(tmp_path):
     # Within a participant, any trial order is written in trial order, and
-    # records from a generator give the same files as from a list.
-    write_records(first[::-1] + second, plan, tmp_path / "listed")
-    write_records((rec for rec in result.records), plan, tmp_path / "streamed")
+    # pairs from a generator give the same files as from a list.
+    plan, result = small_pipeline(3)
+    (cal0, first), (cal1, second) = pairs(result)
+    write_records([(cal0, first[::-1]), (cal1, second)], plan, tmp_path / "listed")
+    write_records((pair for pair in pairs(result)), plan, tmp_path / "streamed")
     listed = sorted(p.relative_to(tmp_path / "listed")
                     for p in (tmp_path / "listed").rglob("*"))
     assert listed == sorted(p.relative_to(tmp_path / "streamed")
@@ -712,12 +721,50 @@ def test_write_records_rejects_participant_that_comes_back(tmp_path):
                     == (tmp_path / "streamed" / name).read_bytes()), name
 
 
+@pytest.mark.parametrize("given", [1, 3])
+def test_write_records_rejects_wrong_participant_count(tmp_path, given):
+    # A manifest over fewer participants than the plan names files that
+    # are missing, and files past the plan are never read: either way no
+    # manifest is written.
+    plan, result = small_pipeline(3)
+    with pytest.raises(ValidationError, match=rf"^{given} \(calibration, records\) "
+                       rf"pairs given for a plan of {plan.participants} participants"):
+        write_records((pairs(result) * 2)[:given], plan, tmp_path / "run")
+    assert not (tmp_path / "run" / "manifest.json").exists()
+
+
+def test_write_records_holds_one_participant_at_a_time(tmp_path):
+    # Each pair's records are dropped before the next pair is asked for,
+    # so run_participants simulates participant k+1 while nothing holds
+    # participant k's records.
+    plan = build_exp3_plan(participants=3, repetitions=1, seed=3)
+    checked = []
+
+    def one_at_a_time():
+        source = run_participants(plan)
+        previous = None
+        for _ in range(plan.participants):
+            if previous is not None:
+                gc.collect()
+                assert previous() is None, "the previous participant's records live on"
+                checked.append(previous)
+            calibration, records = next(source)
+            previous = weakref.ref(records[0])
+            yield calibration, records
+            del calibration, records
+
+    write_records(one_at_a_time(), plan, tmp_path / "run")
+    assert len(checked) == plan.participants - 1
+    assert len(read_records(tmp_path / "run")[0]) == 3 * plan.trials_per_participant
+
+
 def test_write_records_makes_traces_dir_only_for_files(tmp_path):
     plan, result = small_pipeline(3)  # exp3: ratings, no sliders
-    write_records(result.records, plan, tmp_path / "bare", traces=False)
+    write_records(pairs(result), plan, tmp_path / "bare", traces=False)
     assert sorted(p.name for p in (tmp_path / "bare").iterdir()) == [
-        "manifest.json", "participant_00.csv", "participant_01.csv"]
-    write_records(result.records, plan, tmp_path / "traced")
+        "manifest.json", "models_00.json", "models_01.json",
+        "participant_00.csv", "participant_01.csv"]
+    write_records(pairs(result), plan, tmp_path / "traced")
     assert len(list((tmp_path / "traced" / "traces").iterdir())) == 2 * 15
 
 
@@ -746,17 +793,19 @@ def test_property_slider_round_trip_bit_identical(run):
     participants, samples, values = run
     plan = build_exp2_plan(participants=participants, repetitions=1)
     time = np.arange(samples) / 100.0
-    records = []
+    groups = []
     for pidx, trials in enumerate(values):
+        groups.append([])
         for tidx, vals in enumerate(trials):
             spec = plan.stimuli[tidx].spec
-            records.append(TrialRecord(
+            groups[-1].append(TrialRecord(
                 participant=pidx, trial=tidx,
                 stimulus_id=plan.stimuli[tidx].stimulus_id, kind=spec.kind,
                 cooling_rate=spec.cooling_rate, cooling_ratio=spec.cooling_ratio,
                 seed=tidx, slider=SliderTrace(time, vals)))
+    records = [rec for group in groups for rec in group]
     with tempfile.TemporaryDirectory() as tmp:
-        write_records(records, plan, tmp)
+        write_records([(exact_calibration(), group) for group in groups], plan, tmp)
         loaded, _ = read_records(tmp)
     assert [(r.participant, r.trial) for r in loaded] == [
         (r.participant, r.trial) for r in records]
