@@ -389,6 +389,12 @@ def test_run_experiment_shuffle_deterministic_and_per_participant():
     order1 = [r.stimulus_id for r in result.records if r.participant == 1]
     assert sorted(order0) == sorted(order1)
     assert order0 != order1  # same trials, different presentation order
+    # The order is drawn from (seed, participant), so it is pinned.
+    assert order0 == [
+        "S3_vc-0.16", "S2_vc-0.16", "S2_vc-0.16", "S1_vc-0.16_r0.5",
+        "S1_vc-0.08_r0.5", "S1_vc-0.16_r0.5", "S1_vc-0.24_r0.5",
+        "S1_vc-0.16_r0.5", "S3_vc-0.16", "S1_vc-0.24_r0.5", "S2_vc-0.16",
+        "S1_vc-0.24_r0.5", "S1_vc-0.08_r0.5", "S3_vc-0.16", "S1_vc-0.08_r0.5"]
 
 
 def test_run_experiment_unreachable_carries_stimulus_id():
