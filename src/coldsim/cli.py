@@ -6,7 +6,8 @@ stimulus and log the temperature trace), experiment-run and
 experiment-analyze (the full study pipeline).  Every command is
 deterministic given its flags and seeds; artifacts are written
 atomically; stdout carries a single JSON status line and human-readable
-diagnostics go to stderr.
+diagnostics go to stderr.  Each cmd_* function returns its own fields of
+that line; main adds the command, its elapsed time and --out.
 
 Exit codes: 0 success, 1 validation/usage error, 2 runtime or
 convergence error.
@@ -63,17 +64,8 @@ def _atomic_write(path: str, producer) -> None:
         raise
 
 
-def _status(args, command: str, started: float, **extra) -> None:
-    if getattr(args, "quiet", False):
-        return
-    doc = {"status": "ok", "command": command,
-           "elapsed_s": round(time.perf_counter() - started, 3)}
-    doc.update(extra)
-    print(json.dumps(doc))
-
-
 def _load_params(args) -> plant.PlantParams:
-    if getattr(args, "config", None):
+    if args.config:
         return plant.load_plant_config(args.config)
     return plant.PlantParams()
 
@@ -100,21 +92,18 @@ def _add_stimulus_flags(parser) -> None:
                         help="initial drop length, s; S2 only")
 
 
-def cmd_design(args) -> None:
-    started = time.perf_counter()
+def cmd_design(args) -> dict:
     spec = _spec_from_args(args)
     for issue in pattern.validate_spec(spec):
         if issue.severity != "error":  # compile_schedule raises the errors
             print(f"{issue.severity}: {issue.message}", file=sys.stderr)
     schedule = pattern.compile_schedule(spec)
     _atomic_write(args.out, schedule.to_csv)
-    _status(args, "design", started, out=args.out,
-            segments=len(schedule.ends),
-            scheduled_delta_t=float(schedule.rate_integral()))
+    return {"segments": len(schedule.ends),
+            "scheduled_delta_t": float(schedule.rate_integral())}
 
 
-def cmd_calibrate(args) -> None:
-    started = time.perf_counter()
+def cmd_calibrate(args) -> dict:
     params = _load_params(args)
     sim = plant.SkinPlant(params, seed=args.seed)
     protocol = control.CalibrationProtocol(
@@ -123,14 +112,12 @@ def cmd_calibrate(args) -> None:
         noise_seed=args.seed, max_iters=args.max_iters)
     result = control.calibrate(sim, protocol)
     _atomic_write(args.out, result.to_json)
-    _status(args, "calibrate", started, out=args.out,
-            iterations=result.iterations,
-            valve_r_squared=result.valve.r_squared,
-            led_r_squared=result.led.r_squared)
+    return {"iterations": result.iterations,
+            "valve_r_squared": result.valve.r_squared,
+            "led_r_squared": result.led.r_squared}
 
 
-def cmd_simulate(args) -> None:
-    started = time.perf_counter()
+def cmd_simulate(args) -> dict:
     params = _load_params(args)
     spec = _spec_from_args(args)
     schedule = pattern.compile_schedule(spec)
@@ -144,12 +131,10 @@ def cmd_simulate(args) -> None:
     sim = plant.SkinPlant(params, seed=args.seed)
     trace = control.run_control(timeline, sim)
     _atomic_write(args.out, trace.to_csv)
-    _status(args, "simulate", started, out=args.out,
-            net_delta_t=trace.net_delta_t, samples=len(trace.time))
+    return {"net_delta_t": trace.net_delta_t, "samples": len(trace.time)}
 
 
-def cmd_experiment_run(args) -> None:
-    started = time.perf_counter()
+def cmd_experiment_run(args) -> dict:
     if os.path.exists(args.out) and (not os.path.isdir(args.out)
                                      or os.listdir(args.out)):
         raise ValidationError(f"output {args.out} exists and is not an empty directory")
@@ -174,13 +159,11 @@ def cmd_experiment_run(args) -> None:
         import shutil
         shutil.rmtree(staging, ignore_errors=True)
         raise
-    _status(args, "experiment-run", started, out=args.out,
-            participants=plan.participants,
-            trials=plan.participants * plan.trials_per_participant)
+    return {"participants": plan.participants,
+            "trials": plan.participants * plan.trials_per_participant}
 
 
-def cmd_experiment_analyze(args) -> None:
-    started = time.perf_counter()
+def cmd_experiment_analyze(args) -> dict:
     records, manifest = experiment.read_records(args.runs)
     if manifest.get("experiment") != f"exp{args.exp}":
         raise ValidationError(f"--exp {args.exp} asks for exp{args.exp}, but "
@@ -194,8 +177,7 @@ def cmd_experiment_analyze(args) -> None:
             fh.write("\n")
 
     _atomic_write(args.out, write)
-    _status(args, "experiment-analyze", started, out=args.out,
-            records=len(records), experiment=manifest["experiment"])
+    return {"records": len(records), "experiment": manifest["experiment"]}
 
 
 def build_parser() -> Parser:
@@ -269,7 +251,13 @@ def main(argv=None) -> int:
         if not os.path.isdir(parent):
             raise ValidationError(
                 f"--out: {parent} is not an existing directory")
-        args.func(args)
+        started = time.perf_counter()
+        extra = args.func(args)
+        if not args.quiet:
+            print(json.dumps({
+                "status": "ok", "command": args.command,
+                "elapsed_s": round(time.perf_counter() - started, 3),
+                "out": args.out, **extra}))
         return 0
     except (UsageError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -252,15 +252,12 @@ def default_likert_rating(mean_confidence: float, peak_cool_rate: float) -> int:
 
 
 @dataclass(frozen=True)
-class PlannedStimulus:
-    stimulus_id: str
-    spec: StimulusSpec
-
-
-@dataclass(frozen=True)
 class ExperimentPlan:
+    """Each of `stimuli` shown `repetitions` times, shuffled, to each of
+    `participants`; a stimulus's id is stimulus_id(spec), not stored."""
+
     experiment: str  # "exp2" | "exp3"
-    stimuli: tuple[PlannedStimulus, ...]
+    stimuli: tuple[StimulusSpec, ...]
     repetitions: int
     participants: int
     seed: int
@@ -277,25 +274,23 @@ class ExperimentPlan:
 
 
 def build_exp2_plan(repetitions=3, participants=15, seed=0) -> ExperimentPlan:
-    """Persistence-study plan: the EXP2_RATES x EXP2_RATIOS grid of
-    alternating patterns plus drop-and-hold and continuous-cooling rows at
-    each rate, all with StimulusSpec's swing, duration and drop."""
+    """Persistence-study plan: the specs of the EXP2_RATES x EXP2_RATIOS
+    grid of alternating patterns, then of drop-and-hold and of continuous
+    cooling at each rate, all with StimulusSpec's swing, duration and drop."""
     specs = [StimulusSpec("S1", rate, ratio)
              for rate in EXP2_RATES for ratio in EXP2_RATIOS]
     specs += [StimulusSpec("S2", rate) for rate in EXP2_RATES]
     specs += [StimulusSpec("S3", rate) for rate in EXP2_RATES]
-    stimuli = tuple(PlannedStimulus(stimulus_id(spec), spec) for spec in specs)
-    return ExperimentPlan("exp2", stimuli, repetitions, participants, seed)
+    return ExperimentPlan("exp2", tuple(specs), repetitions, participants, seed)
 
 
 def build_exp3_plan(repetitions=3, participants=15, seed=0) -> ExperimentPlan:
-    """Intensity-study plan: alternating patterns at EXP3_RATES and
-    EXP3_RATIO plus drop-and-hold and continuous comparisons at
+    """Intensity-study plan: the specs of alternating patterns at EXP3_RATES
+    and EXP3_RATIO, then of drop-and-hold and continuous cooling at
     EXP3_BASE_RATE, all with StimulusSpec's swing, duration and drop."""
     specs = [StimulusSpec("S1", rate, EXP3_RATIO) for rate in EXP3_RATES]
     specs += [StimulusSpec("S2", EXP3_BASE_RATE), StimulusSpec("S3", EXP3_BASE_RATE)]
-    stimuli = tuple(PlannedStimulus(stimulus_id(spec), spec) for spec in specs)
-    return ExperimentPlan("exp3", stimuli, repetitions, participants, seed)
+    return ExperimentPlan("exp3", tuple(specs), repetitions, participants, seed)
 
 
 @dataclass
@@ -341,32 +336,32 @@ def run_experiment(plan: ExperimentPlan,
 def _participant_trials(plan: ExperimentPlan, pidx: int, plant: SkinPlant,
                         person: ParticipantModel,
                         models: tuple[DutyModel, DutyModel]) -> list[TrialRecord]:
-    """Participant pidx's trials of run_experiment, in run order."""
+    """Participant pidx's trials of run_experiment, in run order: trial k
+    presents plan.stimuli[order[k] // plan.repetitions], for one order per
+    participant drawn from (plan seed, pidx).  Each stimulus's id and
+    timeline are made once."""
     valve_model, led_model = models
-    timelines = {}
-    for planned in plan.stimuli:
+    planned = []  # (id, spec, timeline) per stimulus, in plan order
+    for spec in plan.stimuli:
+        sid = stimulus_id(spec)
         try:
-            timelines[planned.stimulus_id] = schedule_to_timeline(
-                compile_schedule(planned.spec), valve_model, led_model)
+            planned.append((sid, spec, schedule_to_timeline(
+                compile_schedule(spec), valve_model, led_model)))
         except UnreachableRateError as exc:
-            raise exc.located(stimulus_id=planned.stimulus_id,
-                              participant=pidx) from exc
+            raise exc.located(stimulus_id=sid, participant=pidx) from exc
     records = []
-    trial_list = [s for s in plan.stimuli for _ in range(plan.repetitions)]
     order_rng = np.random.default_rng((plan.seed, pidx, 0xC01D))
-    order = order_rng.permutation(len(trial_list))
+    order = order_rng.permutation(plan.trials_per_participant)
     for tidx, which in enumerate(order):
-        planned = trial_list[which]
+        sid, spec, timeline = planned[which // plan.repetitions]
         seed = _trial_seed(plan.seed, pidx, tidx)
         plant.reset()
-        trace = run_control(timelines[planned.stimulus_id], plant)
+        trace = run_control(timeline, plant)
         rng = np.random.default_rng(seed)
         slider = simulate_participant(trace, person, rng)
         record = TrialRecord(
-            participant=pidx, trial=tidx,
-            stimulus_id=planned.stimulus_id, kind=planned.spec.kind,
-            cooling_rate=planned.spec.cooling_rate,
-            cooling_ratio=planned.spec.cooling_ratio,
+            participant=pidx, trial=tidx, stimulus_id=sid, kind=spec.kind,
+            cooling_rate=spec.cooling_rate, cooling_ratio=spec.cooling_ratio,
             seed=seed, trace=trace)
         if plan.experiment == "exp2":
             record.slider = slider
@@ -797,7 +792,7 @@ def write_records(participants: Iterable[tuple[CalibrationResult, list[TrialReco
         "repetitions": plan.repetitions,
         "seed": plan.seed,
         "trials_per_participant": plan.trials_per_participant,
-        "stimuli": [{"stimulus_id": s.stimulus_id, **asdict(s.spec)}
+        "stimuli": [{"stimulus_id": stimulus_id(s), **asdict(s)}
                     for s in plan.stimuli],
         "traces": traces,
     }

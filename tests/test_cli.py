@@ -4,6 +4,7 @@ import concurrent.futures
 import contextlib
 import csv
 import dataclasses
+import errno
 import io
 import json
 import multiprocessing
@@ -18,7 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coldsim import CalibrationError, UnreachableRateError, cli, experiment
+from coldsim import CalibrationError, UnreachableRateError, cli, experiment, plant
 
 
 def run_cli(*argv):
@@ -100,6 +101,38 @@ def test_simulate_collapsing_segment_exit_code(tmp_path):
         "error: segment 5 [0.0020833333333333333, 0.0025) s collapses to "
         "zero steps of 0.001 s")
     assert not out.exists()
+
+
+def test_simulate_failed_write_leaves_nothing(tmp_path, monkeypatch):
+    # A trace writer that fails part way through (a full disk, say): the
+    # error reaches main, which exits 2, and neither the artifact nor the
+    # temp file it was written through is left.
+    def to_csv(self, path):
+        with open(path, "w") as fh:
+            fh.write("time_s,temp_c\n0.0,")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+    monkeypatch.setattr(plant.Trace, "to_csv", to_csv)
+    out = tmp_path / "t.csv"
+    proc = run_cli("simulate", "--kind", "S3", "--vc", "-0.16", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1].startswith(
+        f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}")
+    assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_design_cycle_floor_warning(tmp_path):
+    # A 0.01 degC swing at -0.3 degC/s makes 67 ms cycles: a warning, not
+    # an error, so the schedule is still written.
+    out = tmp_path / "s.csv"
+    proc = run_cli("design", "--kind", "S1", "--vc", "-0.3", "--ratio", "0.5",
+                   "--delta-t", "0.01", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "warning: cycle time 0.067 s is below the 0.5 s actuation floor"]
+    assert json.loads(proc.stdout)["segments"] == 450
+    assert len(out.read_text().splitlines()) == 451
 
 
 def test_calibrate_and_simulate(tmp_path):
@@ -330,6 +363,19 @@ def test_experiment_run_refuses_nonempty_out(tmp_path):
             assert kept.read_text() == text
     assert not (tmp_path / "nodir").exists()
     assert not list(tmp_path.glob(".tmp-*"))
+
+
+def test_experiment_run_accepts_empty_out(tmp_path):
+    # An existing empty directory is replaced by the run.
+    out = tmp_path / "run"
+    out.mkdir()
+    proc = run_cli("experiment-run", "--exp", "3", "--participants", "1",
+                   "--repetitions", "1", "--no-traces", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["out"] == str(out)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "models_00.json", "participant_00.csv"]
+    assert [p.name for p in tmp_path.iterdir()] == ["run"]
 
 
 def experiment_run(out, participants):

@@ -18,6 +18,7 @@ from coldsim import (CalibrationError, CalibrationProtocol,
 from coldsim.control import DRIFT_THRESHOLD, LED_GRID, MEASURE_TIME, VALVE_GRID
 from coldsim.experiment import EXP2_RATES, EXP2_RATIOS, perturb_params
 from coldsim.plant import DT, Trace
+from test_pattern import segment_steps
 
 
 def normal_equations_oracle(duties, rates):
@@ -354,24 +355,6 @@ def presentations(draw):
         reject()
 
 
-def segment_steps(schedule, valve_model, led_model):
-    """run_span's inputs for every step of a presentation, built from the
-    schedule's Segments: the valve on throughout at the cooling rate's
-    duty, and the warm channel on each warm segment at the duty of its
-    exact rate less the cooling rate, over the steps its boundaries (the
-    floats of their Fractions) snap to."""
-    n = int(round(schedule.duration_s / DT))
-    base = float(schedule.cooling_rate)
-    duty_led, led_on = np.zeros(n), np.zeros(n, dtype=bool)
-    for seg in schedule.segments:
-        if seg.warm_active:
-            t0, t1 = (min(int(round(t / DT)), n) for t in (seg.start_s, seg.end_s))
-            duty_led[t0:t1] = invert_duty(led_model, float(seg.rate) - base)
-            led_on[t0:t1] = True
-    return (np.full(n, invert_duty(valve_model, base)), duty_led,
-            np.ones(n, dtype=bool), led_on)
-
-
 def logged(temps):
     """The samples of per-step temperatures (from t = 0) that run_control
     logs, and their times."""
@@ -391,8 +374,9 @@ def test_property_run_control_matches_scalar_steps(case, relax, bias):
     trace = run_control(timeline, SkinPlant(params))
     plant = SkinPlant(params)
     temps = [plant.t_skin]
-    for inputs in zip(*(a.tolist() for a in segment_steps(schedule, valve, led))):
-        temps.append(plant.step(*inputs))
+    valve_duty, duty, on = segment_steps(schedule, valve, led)
+    for duty_led, led_on in zip(duty.tolist(), on.tolist()):
+        temps.append(plant.step(valve_duty, duty_led, True, led_on))
     expected = logged(temps)
     assert trace.time.tolist() == expected.time.tolist()
     assert np.max(np.abs(trace.temp - expected.temp)) <= 1e-9
@@ -426,7 +410,9 @@ def test_property_run_control_matches_per_step_arrays(case, relax, bias):
     plant, oracle = SkinPlant(params), SkinPlant(params)
     trace = run_control(timeline, plant)
     start = oracle.t_skin
-    temps = per_step_run_span(oracle, *segment_steps(schedule, valve, led))
+    valve_duty, duty, on = segment_steps(schedule, valve, led)
+    temps = per_step_run_span(oracle, np.full(len(duty), valve_duty), duty,
+                              np.ones(len(duty), dtype=bool), on)
     expected = logged(np.concatenate(([start], temps)))
     assert trace.time.tobytes() == expected.time.tobytes()
     assert np.max(np.abs(trace.temp - expected.temp)) <= 1e-9

@@ -18,15 +18,15 @@ from hypothesis import given, settings, strategies as st
 
 import coldsim.experiment
 from coldsim import (CalibrationError, CalibrationProtocol, CalibrationResult,
-                     ParticipantModel,
+                     DutyModel, ParticipantModel,
                      PlantParams,
                      SkinPlant, SliderTrace, UnreachableRateError,
                      ValidationError, analyze_exp2, analyze_exp3,
-                     build_exp2_plan, build_exp3_plan, default_participants,
-                     exact_models, persistence, run_experiment,
-                     simulate_participant)
+                     build_exp2_plan, build_exp3_plan, compile_schedule,
+                     default_participants, exact_models, invert_duty,
+                     persistence, run_experiment, simulate_participant)
 from coldsim.experiment import (EXP2_RATIOS, EXP3_BASE_RATE, EXP3_RATES,
-                                ExperimentPlan, PlannedStimulus, TrialRecord,
+                                ExperimentPlan, TrialRecord,
                                 peak_cooling_rate, perceived_rate,
                                 perturb_params, read_records, run_participants,
                                 run_pipeline, write_records)
@@ -44,30 +44,30 @@ def test_exp2_plan_shape():
     plan = build_exp2_plan()
     assert len(plan.stimuli) == 35
     assert plan.trials_per_participant == 105
-    kinds = [s.spec.kind for s in plan.stimuli]
+    kinds = [s.kind for s in plan.stimuli]
     assert kinds.count("S1") == 25 and kinds.count("S2") == 5 and kinds.count("S3") == 5
-    s1_rates = sorted({s.spec.cooling_rate for s in plan.stimuli
-                       if s.spec.kind == "S1"})
+    s1_rates = sorted({s.cooling_rate for s in plan.stimuli
+                       if s.kind == "S1"})
     assert s1_rates == [-0.24, -0.2, -0.16, -0.12, -0.08]
     assert len(s1_rates) - 1 == 4  # five levels, df = 4 in the rate test
-    assert sorted({s.spec.cooling_ratio for s in plan.stimuli
-                   if s.spec.kind == "S1"}) == list(EXP2_RATIOS)
-    assert all(s.spec.swing == 0.06 and s.spec.duration == 15.0
+    assert sorted({s.cooling_ratio for s in plan.stimuli
+                   if s.kind == "S1"}) == list(EXP2_RATIOS)
+    assert all(s.swing == 0.06 and s.duration == 15.0
                for s in plan.stimuli)
-    assert all(s.spec.drop_duration == 5.0 for s in plan.stimuli
-               if s.spec.kind == "S2")
+    assert all(s.drop_duration == 5.0 for s in plan.stimuli
+               if s.kind == "S2")
 
 
 def test_exp3_plan_shape():
     plan = build_exp3_plan()
     assert len(plan.stimuli) == 5
     assert plan.trials_per_participant == 15
-    s1 = [s.spec for s in plan.stimuli if s.spec.kind == "S1"]
+    s1 = [s for s in plan.stimuli if s.kind == "S1"]
     assert all(spec.cooling_ratio == 0.5 for spec in s1)
     assert [spec.cooling_rate for spec in s1] == list(EXP3_RATES) == [
         -0.08, -0.16, -0.24]
-    assert [s.spec.cooling_rate for s in plan.stimuli
-            if s.spec.kind in ("S2", "S3")] == [EXP3_BASE_RATE] * 2 == [-0.16] * 2
+    assert [s.cooling_rate for s in plan.stimuli
+            if s.kind in ("S2", "S3")] == [EXP3_BASE_RATE] * 2 == [-0.16] * 2
 
 
 @pytest.mark.parametrize("make, named", [
@@ -92,6 +92,18 @@ def test_exp3_plan_shape():
     (lambda: ParticipantModel(time_constant=0.0), "time_constant"),
     (lambda: ParticipantModel(time_constant=math.nan), "time_constant"),
     (lambda: ParticipantModel(time_constant=math.inf), "time_constant"),
+    (lambda: DutyModel("led", 0.5, 0.0, 0.6, 0.6), "duty range"),
+    (lambda: invert_duty(DutyModel("led", 0.0, 0.1, 0.0, 1.0), 0.1), "zero-slope"),
+    (lambda: analyze_exp2([]), "no records"),
+    (lambda: analyze_exp3([TrialRecord(0, 0, "S3_vc-0.16", "S3", -0.16, None, 0)]),
+     "every record needs"),
+    (lambda: run_experiment(build_exp3_plan(participants=2), lambda i: SkinPlant(),
+                            default_participants(2), [exact_models(PlantParams())]),
+     "need one participant model"),
+    (lambda: compile_schedule(StimulusSpec("S4", -0.16)), "kind must be one of"),
+    (lambda: compile_schedule(StimulusSpec("S2", -0.16, drop_duration=0)),
+     "drop_duration must be positive"),
+    (lambda: SkinPlant().run_span(log_every=0), "log_every"),
 ])
 def test_out_of_range_settings_rejected(make, named):
     with pytest.raises(ValidationError, match=named):
@@ -100,7 +112,7 @@ def test_out_of_range_settings_rejected(make, named):
 
 def test_plan_ids_unique():
     plan = build_exp2_plan()
-    ids = [s.stimulus_id for s in plan.stimuli]
+    ids = [stimulus_id(s) for s in plan.stimuli]
     assert len(set(ids)) == len(ids)
 
 
@@ -278,15 +290,17 @@ def summarize_one_by_one(sliders, window):
 
 @settings(max_examples=60, deadline=None)
 @given(blocks=st.lists(
-           st.tuples(st.integers(1, 3001), st.integers(1, 6), st.booleans()),
+           st.tuples(st.integers(1, 3001), st.integers(1, 6),
+                     st.sampled_from(("copies", "views", "read-only views"))),
            min_size=1, max_size=4),
        solos=st.lists(st.integers(1, 3001), max_size=4),
        edges=st.tuples(st.floats(0, 1), st.floats(0, 1)),
        seed=st.integers(0, 2**32 - 1))
 def test_property_summarize_sliders_matches_one_by_one(blocks, solos, edges, seed):
-    # blocks: (samples, rows, rows are views of one 2-D array) sharing one
-    # time array; solos: sliders with a time array of their own.  The
-    # window's edges are sample times every slider reaches.
+    # blocks: (samples, rows, layout) sharing one time array, whose rows
+    # are copies or views of one 2-D array, writeable or not; solos:
+    # sliders with a time array of their own.  The window's edges are
+    # sample times every slider reaches.
     rng = np.random.default_rng(seed)
     shortest = min([n for n, _, _ in blocks] + solos)
     a, b = sorted(int(e * (shortest - 1)) for e in edges)
@@ -301,10 +315,15 @@ def test_property_summarize_sliders_matches_one_by_one(blocks, solos, edges, see
         return values
 
     sliders = []
-    for n, k, one_array in blocks:
+    for n, k, layout in blocks:
         time = np.arange(n) / 100
         values = rows(n, k)
-        sliders += [SliderTrace(time, row if one_array else row.copy())
+        if layout == "read-only views":
+            values.flags.writeable = False
+            # Not read in place: the rows' addresses cannot be taken, so
+            # the block is stacked into a copy.
+            assert coldsim.experiment._rows_array(list(values)) is None
+        sliders += [SliderTrace(time, row.copy() if layout == "copies" else row)
                     for row in values]
     sliders += [SliderTrace(np.arange(n) / 100, rows(n, 1)[0]) for n in solos]
     sliders = [sliders[i] for i in rng.permutation(len(sliders))]
@@ -367,11 +386,13 @@ def exact_calibration():
 def test_run_experiment_counts_and_fields():
     plan, result = small_pipeline(3)
     assert len(result.records) == 2 * 15
+    planned = {stimulus_id(spec): spec for spec in plan.stimuli}
     for rec in result.records:
         assert rec.likert is not None and 1 <= rec.likert <= 7
         assert rec.slider is None
-        assert rec.stimulus_id == stimulus_id(
-            next(s.spec for s in plan.stimuli if s.stimulus_id == rec.stimulus_id))
+        spec = planned[rec.stimulus_id]
+        assert (rec.kind, rec.cooling_rate, rec.cooling_ratio) == (
+            spec.kind, spec.cooling_rate, spec.cooling_ratio)
 
 
 def test_run_experiment_replay_bit_identical():
@@ -690,8 +711,8 @@ def test_write_records_rejects_partial_sliders(tmp_path):
     # row per trial, so a trial without a slider among ones with a slider
     # cannot be stored.
     specs = [StimulusSpec("S3", rate) for rate in (-0.08, -0.16)]
-    plan = ExperimentPlan("exp2", tuple(PlannedStimulus(stimulus_id(s), s) for s in specs),
-                          repetitions=1, participants=1, seed=0)
+    plan = ExperimentPlan("exp2", tuple(specs), repetitions=1, participants=1,
+                          seed=0)
     result = run_pipeline(plan)
     result.records[0].slider = None
     with pytest.raises(ValidationError, match="participant 0 trial 0: no slider"):
@@ -702,8 +723,7 @@ def test_write_records_rejects_off_grid_slider(tmp_path):
     # A 2.005 s presentation ends off the 100 Hz grid; read_records could
     # not rebuild that slider's time, so write_records refuses it.
     spec = StimulusSpec("S3", -0.16, duration=2.005)
-    plan = ExperimentPlan("exp2", (PlannedStimulus(stimulus_id(spec), spec),),
-                          repetitions=1, participants=1, seed=0)
+    plan = ExperimentPlan("exp2", (spec,), repetitions=1, participants=1, seed=0)
     result = run_pipeline(plan)
     assert result.records[0].slider.time[-1] == 2.005
     with pytest.raises(ValidationError, match="participant 0 trial 0"):
@@ -803,10 +823,10 @@ def test_property_slider_round_trip_bit_identical(run):
     for pidx, trials in enumerate(values):
         groups.append([])
         for tidx, vals in enumerate(trials):
-            spec = plan.stimuli[tidx].spec
+            spec = plan.stimuli[tidx]
             groups[-1].append(TrialRecord(
                 participant=pidx, trial=tidx,
-                stimulus_id=plan.stimuli[tidx].stimulus_id, kind=spec.kind,
+                stimulus_id=stimulus_id(spec), kind=spec.kind,
                 cooling_rate=spec.cooling_rate, cooling_ratio=spec.cooling_ratio,
                 seed=tidx, slider=SliderTrace(time, vals)))
     records = [rec for group in groups for rec in group]

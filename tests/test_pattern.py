@@ -293,8 +293,9 @@ def segment_steps(schedule, valve_model, led_model):
     of its Fraction snapped to the nearest step, and each warm duty is
     inverted from the segment's rate less the cooling rate.  The oracle
     for schedule_to_timeline, which cuts the integer ticks into pieces
-    instead.  A warm segment that snaps to zero steps, or a schedule
-    shorter than half a step, raises ValidationError naming the segment.
+    instead, and in test_control for run_control's per-step plant inputs.
+    A warm segment that snaps to zero steps, or a schedule shorter than
+    half a step, raises ValidationError naming the segment.
     """
     n = int(round(schedule.duration_s / DT))
     base = float(schedule.cooling_rate)
