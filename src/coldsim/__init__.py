@@ -24,7 +24,7 @@ from .stats import (TestResult, benjamini_hochberg, chi_square_sf,
 from .experiment import (ExperimentPlan, ParticipantModel, SliderTrace,
                          TrialRecord, analyze_exp2, analyze_exp3,
                          build_exp2_plan, build_exp3_plan, default_participants,
-                         persistence, run_experiment, run_participants,
-                         run_pipeline, simulate_participant)
+                         run_experiment, run_participants, run_pipeline,
+                         simulate_participant)
 
 __version__ = "0.1.0"

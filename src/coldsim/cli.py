@@ -184,10 +184,11 @@ def build_parser() -> Parser:
     parser = Parser(prog="coldsim",
                     description="Non-contact cold-sensation display: stimulus "
                                 "design, calibration, simulation, and studies.")
+    plant_flags = Parser(add_help=False)  # for the commands that build a plant
+    plant_flags.add_argument("--config", default=None,
+                             help="plant config JSON (defaults built in)")
+    plant_flags.add_argument("--seed", type=int, default=0)
     common = Parser(add_help=False)
-    common.add_argument("--config", default=None,
-                        help="plant config JSON (defaults built in)")
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--quiet", action="store_true",
                         help="suppress the JSON status line")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -198,7 +199,7 @@ def build_parser() -> Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_design)
 
-    p = sub.add_parser("calibrate", parents=[common],
+    p = sub.add_parser("calibrate", parents=[plant_flags, common],
                        help="fit duty models against the configured plant")
     p.add_argument("--out", required=True)
     p.add_argument("--sensor-resolution", type=float,
@@ -209,7 +210,7 @@ def build_parser() -> Parser:
                    default=control.CalibrationProtocol.max_iters)
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[plant_flags, common],
                        help="drive one stimulus and log the temperature trace")
     _add_stimulus_flags(p)
     p.add_argument("--models", default=None,
@@ -217,7 +218,7 @@ def build_parser() -> Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("experiment-run", parents=[common],
+    p = sub.add_parser("experiment-run", parents=[plant_flags, common],
                        help="run a full study: plants, calibration, trials")
     p.add_argument("--exp", type=int, required=True, choices=(2, 3))
     p.add_argument("--participants", type=int, default=15)
@@ -245,7 +246,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.seed < 0:  # numpy seeds are non-negative
+        if getattr(args, "seed", 0) < 0:  # numpy seeds are non-negative
             raise ValidationError(f"--seed must be non-negative, got {args.seed}")
         parent = os.path.dirname(os.path.abspath(args.out))
         if not os.path.isdir(parent):

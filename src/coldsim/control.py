@@ -76,9 +76,6 @@ class DutyModel:
         hi = self.predicted_rate(self.duty_max)
         return (min(lo, hi), max(lo, hi))
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def exact_models(params) -> tuple[DutyModel, DutyModel]:
     """Duty models copied from a plant's true coefficients (no fitting)."""
@@ -164,8 +161,8 @@ class CalibrationResult:
 
     def to_json(self, path) -> None:
         doc = {
-            "valve": self.valve.to_dict(),
-            "led": self.led.to_dict(),
+            "valve": asdict(self.valve),
+            "led": asdict(self.led),
             "meta": {
                 "iterations": self.iterations,
                 "valve_grid": list(VALVE_GRID),
@@ -362,7 +359,7 @@ def _cut_schedule(schedule: RateSchedule) -> tuple[np.ndarray, np.ndarray]:
     and step count.
     """
     den, ends = schedule.den, schedule.ends
-    n = int(round(schedule.duration_s / DT))
+    n = int(round(float(schedule.duration) / DT))
     led_on, stops = [], [0]  # each piece's warm flag, and the step it ends at
     for index, end in enumerate(ends):
         stop = min(int(round((end / den) / DT)), n)

@@ -64,6 +64,9 @@ PERSISTENCE_WINDOW = (5.0, 15.0)
 # Perceived-peak normalization for ratings, degC/s.
 RATING_PEAK_SCALE = 0.3
 
+# A participant's trial index takes three decimal digits of its seed.
+MAX_TRIALS = 1_000
+
 # Run directory layout that write_records writes and read_records reads.
 FORMAT_VERSION = 3
 
@@ -230,12 +233,6 @@ def _rows_array(rows: list[np.ndarray]) -> Optional[np.ndarray]:
     return block
 
 
-def persistence(slider: SliderTrace, window=PERSISTENCE_WINDOW) -> bool:
-    """True when confidence stays above 50 % at every sample in the window:
-    summarize_sliders of this one slider."""
-    return bool(summarize_sliders([slider], window)[0][0])
-
-
 def peak_cooling_rate(trace: Trace, model: ParticipantModel) -> float:
     """Largest perceived cooling rate over the presentation (>= 0)."""
     return float(max(0.0, -np.min(perceived_rate(trace, model))))
@@ -267,6 +264,10 @@ class ExperimentPlan:
             if getattr(self, name) < least:
                 raise ValidationError(f"{name} must be at least {least}, "
                                       f"got {getattr(self, name)}")
+        if self.trials_per_participant > MAX_TRIALS:
+            raise ValidationError(
+                f"trials_per_participant must be at most {MAX_TRIALS}, got "
+                f"{self.trials_per_participant}")
 
     @property
     def trials_per_participant(self) -> int:
@@ -308,6 +309,7 @@ class TrialRecord:
 
 
 def _trial_seed(plan_seed: int, participant: int, trial: int) -> int:
+    """Distinct for trial < MAX_TRIALS, which ExperimentPlan enforces."""
     return plan_seed * 1_000_000 + participant * 1_000 + trial
 
 
@@ -382,8 +384,9 @@ def perturb_params(base: PlantParams, rng: np.random.Generator,
     coefficients directly swings the near-cancelling valve anchors wildly.
     The warm top anchor is re-drawn until the study grid stays reachable,
     mirroring the real protocol where the duty bands were chosen to cover
-    every participant.  A base plant whose top anchor no draw can lift
-    to that headroom raises UnreachableRateError on the led channel.
+    every participant.  A base plant whose top anchor fewer than one draw
+    in 10**6 can lift to that headroom raises UnreachableRateError on the
+    led channel.
     """
     def anchors(gain, bias, lo, hi):
         return gain * lo + bias, gain * hi + bias
@@ -400,7 +403,10 @@ def perturb_params(base: PlantParams, rng: np.random.Generator,
     # hundredth low until drift correction settles, still covers it.
     headroom = 0.495
     l_hi_lo, l_hi_hi = sorted((l_hi * (1.0 - rel), l_hi * (1.0 + rel)))
-    if l_hi_hi <= headroom:  # no draw can pass
+    # A draw passes in the share of [l_hi_lo, l_hi_hi) at or above the
+    # headroom; below one in 10**6 the re-draws would go on for practically
+    # ever.  With rel == 0 both sides are 0 when the one value passes.
+    if l_hi_hi - max(headroom, l_hi_lo) < 1e-6 * (l_hi_hi - l_hi_lo):
         raise UnreachableRateError("led", headroom, l_hi_lo, l_hi_hi)
     l_hi_j = l_hi * (1.0 + rng.uniform(-rel, rel))
     while l_hi_j < headroom:
@@ -414,7 +420,12 @@ def perturb_params(base: PlantParams, rng: np.random.Generator,
 
 
 def default_participants(n: int, seed: int = 0) -> list[ParticipantModel]:
-    """n copies of the default perceiver, distinguished only by noise seed."""
+    """n copies of the default perceiver, distinguished only by noise seed.
+
+    Every study path (run_participants, run_experiment and coldbench's
+    present-stream) passes each trial's own generator to
+    simulate_participant, so these seeds reach no draw; only a call
+    without rng reads them."""
     return [ParticipantModel(seed=seed * 10_000 + i) for i in range(n)]
 
 

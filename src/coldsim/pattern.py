@@ -205,8 +205,7 @@ def derive_pattern(spec: StimulusSpec) -> DerivedPattern:
 class Segment:
     """One piecewise-constant stretch of a rate schedule.
 
-    Boundaries and rate are exact rationals; float views are provided
-    for consumers that do arithmetic downstream.
+    Boundaries and rate are exact rationals.
     """
 
     start: Fraction
@@ -214,18 +213,6 @@ class Segment:
     rate: Fraction
     cold_active: bool
     warm_active: bool
-
-    @property
-    def start_s(self) -> float:
-        return float(self.start)
-
-    @property
-    def end_s(self) -> float:
-        return float(self.end)
-
-    @property
-    def rate_c_per_s(self) -> float:
-        return float(self.rate)
 
 
 @dataclass(frozen=True)
@@ -243,10 +230,6 @@ class RateSchedule:
     cooling_rate: Fraction
     warming_rate: Optional[Fraction]
     duration: Fraction
-
-    @property
-    def duration_s(self) -> float:
-        return float(self.duration)
 
     @property
     def segments(self) -> tuple[Segment, ...]:
@@ -280,7 +263,7 @@ class RateSchedule:
                              "cold_active", "warm_active"])
             for seg in self.segments:
                 writer.writerow([
-                    seg.start_s, seg.end_s, seg.rate_c_per_s,
+                    float(seg.start), float(seg.end), float(seg.rate),
                     str(seg.cold_active).lower(), str(seg.warm_active).lower(),
                 ])
 

@@ -500,19 +500,41 @@ def test_experiment_run_failure_names_participant(tmp_path, monkeypatch, failure
 def test_experiment_run_weak_led_config_exits(tmp_path):
     # With led_gain 0.55 the warm top anchor is 0.444 degC/s, and no draw
     # of the 10 % jitter lifts it to the 0.495 degC/s that perturb_params
-    # re-draws for: the run must stop with exit 2, not draw forever.
+    # re-draws for; with the second gain the anchor is 0.45 degC/s, and
+    # about one draw in 10**8 does.  Either run must stop with exit 2, not
+    # draw for practically forever.
     config = tmp_path / "weak.json"
-    config.write_text(json.dumps({"led_gain": 0.55}))
     out = tmp_path / "run"
-    proc = run_cli("experiment-run", "--exp", "3", "--participants", "1",
-                   "--repetitions", "1", "--config", str(config), "--quiet",
-                   "--out", str(out))
-    assert proc.returncode == 2
-    assert ("led channel cannot reach +0.4950 degC/s for participant 0"
-            in proc.stderr), proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert not out.exists()
-    assert not list(tmp_path.glob(".tmp-run-*"))
+    for led_gain in (0.55, 0.5567627504535375):
+        config.write_text(json.dumps({"led_gain": led_gain}))
+        proc = run_cli("experiment-run", "--exp", "3", "--participants", "1",
+                       "--repetitions", "1", "--config", str(config), "--quiet",
+                       "--out", str(out))
+        assert proc.returncode == 2
+        assert ("led channel cannot reach +0.4950 degC/s for participant 0"
+                in proc.stderr), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+        assert not list(tmp_path.glob(".tmp-run-*"))
+
+
+def test_flags_a_command_does_not_read_exit_1(tmp_path):
+    # design and experiment-analyze build no plant, so they take neither
+    # --config nor --seed: a missing --config file must not pass unread.
+    run = tmp_path / "run"
+    assert run_cli("experiment-run", "--exp", "3", "--participants", "1",
+                   "--repetitions", "1", "--no-traces", "--quiet",
+                   "--out", str(run)).returncode == 0
+    out = tmp_path / "artifact"
+    for argv in (["design", "--kind", "S3", "--vc", "-0.1",
+                  "--config", str(tmp_path / "missing.json")],
+                 ["experiment-analyze", "--exp", "3", "--runs", str(run),
+                  "--seed", "1"]):
+        proc = run_cli(*argv, "--out", str(out))
+        assert proc.returncode == 1
+        assert [line.startswith("error:") for line in proc.stderr.splitlines()] == [True]
+        assert "unrecognized arguments" in proc.stderr
+        assert sorted(os.listdir(tmp_path)) == ["run"]
 
 
 def test_quiet_suppresses_status(tmp_path):

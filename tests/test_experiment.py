@@ -24,12 +24,13 @@ from coldsim import (CalibrationError, CalibrationProtocol, CalibrationResult,
                      ValidationError, analyze_exp2, analyze_exp3,
                      build_exp2_plan, build_exp3_plan, compile_schedule,
                      default_participants, exact_models, invert_duty,
-                     persistence, run_experiment, simulate_participant)
+                     run_experiment, simulate_participant)
 from coldsim.experiment import (EXP2_RATIOS, EXP3_BASE_RATE, EXP3_RATES,
-                                ExperimentPlan, TrialRecord,
+                                PERSISTENCE_WINDOW, ExperimentPlan, TrialRecord,
                                 peak_cooling_rate, perceived_rate,
                                 perturb_params, read_records, run_participants,
-                                run_pipeline, write_records)
+                                _trial_seed, run_pipeline, summarize_sliders,
+                                write_records)
 from coldsim.pattern import StimulusSpec, stimulus_id
 from coldsim.plant import Trace
 from test_plant import oracle_trace_csv
@@ -104,10 +105,24 @@ def test_exp3_plan_shape():
     (lambda: compile_schedule(StimulusSpec("S2", -0.16, drop_duration=0)),
      "drop_duration must be positive"),
     (lambda: SkinPlant().run_span(log_every=0), "log_every"),
+    (lambda: build_exp2_plan(participants=2, repetitions=29, seed=1),
+     "trials_per_participant must be at most 1000, got 1015"),
 ])
 def test_out_of_range_settings_rejected(make, named):
     with pytest.raises(ValidationError, match=named):
         make()
+
+
+def test_plan_trial_seeds_distinct_up_to_max_trials():
+    # _trial_seed packs the trial index into three decimal digits: with
+    # 1,000 trials per participant every seed is distinct, one more trial
+    # is refused.
+    stimuli = (StimulusSpec("S3", -0.16),)
+    plan = ExperimentPlan("exp3", stimuli, repetitions=1000, participants=2, seed=1)
+    seeds = {_trial_seed(plan.seed, p, t) for p in range(2) for t in range(1000)}
+    assert len(seeds) == 2000
+    with pytest.raises(ValidationError, match="at most 1000, got 1001"):
+        ExperimentPlan("exp3", stimuli, repetitions=1001, participants=2, seed=1)
 
 
 def test_plan_ids_unique():
@@ -262,18 +277,18 @@ def test_participant_zero_hold_time_holds_nothing():
 def test_persistence_window():
     t = np.round(np.arange(0.0, 15.005, 0.01), 10)
     steady = SliderTrace(t, np.full_like(t, 0.8))
-    assert persistence(steady)
+    assert summarize_sliders([steady])[0][0]
     dip_mid = np.full_like(t, 0.8)
     dip_mid[np.abs(t - 10.0) < 0.05] = 0.4
-    assert not persistence(SliderTrace(t, dip_mid))
+    assert not summarize_sliders([SliderTrace(t, dip_mid)])[0][0]
     dip_early = np.full_like(t, 0.8)
     dip_early[np.abs(t - 3.0) < 0.05] = 0.3
-    assert persistence(SliderTrace(t, dip_early))
+    assert summarize_sliders([SliderTrace(t, dip_early)])[0][0]
     short = SliderTrace(t[:500], np.full(500, 0.9))
     empty = SliderTrace(t[:0], np.empty(0))
     for slider in (short, empty):
         with pytest.raises(ValidationError):
-            persistence(slider)
+            summarize_sliders([slider])
 
 
 def summarize_one_by_one(sliders, window):
@@ -333,7 +348,8 @@ def test_property_summarize_sliders_matches_one_by_one(blocks, solos, edges, see
     assert flags.tolist() == want_flags
     # Bit for bit: every value is finite and non-negative, so == is exact.
     assert confidence.tolist() == want_confidence
-    assert [persistence(s, window) for s in sliders[:3]] == want_flags[:3]
+    assert [bool(summarize_sliders([s], window)[0][0])
+            for s in sliders[:3]] == want_flags[:3]
 
 
 def test_summarize_read_records_sliders_in_place(tmp_path, monkeypatch):
@@ -487,6 +503,21 @@ def test_perturb_params_keeps_grid_reachable():
         assert params.valve_gain * 0.601 + params.valve_bias <= -0.24
 
 
+def test_perturb_params_rejects_near_impossible_led():
+    # The top warm anchor is 0.45 degC/s, and about one draw of the 10 %
+    # jitter in 10**8 lifts it to the 0.495 degC/s headroom: fewer than
+    # one in 10**6, so perturb_params raises instead of re-drawing.
+    weak = PlantParams(led_gain=0.5567627504535375)
+    with pytest.raises(UnreachableRateError) as info:
+        perturb_params(weak, np.random.default_rng(0))
+    assert (info.value.channel, info.value.target_rate) == ("led", 0.495)
+    # Without jitter the one value passes or raises.
+    with pytest.raises(UnreachableRateError):
+        perturb_params(weak, np.random.default_rng(0), rel=0.0)
+    params = perturb_params(PlantParams(), np.random.default_rng(0), rel=0.0)
+    assert params.led_gain * 0.902 + params.led_bias >= 0.495
+
+
 def count_stats_calls(monkeypatch) -> Counter:
     """Count calls to the stats functions the analyses look up on
     coldsim.experiment, and the pairs in their rank-sum families."""
@@ -515,8 +546,9 @@ def test_analyze_exp2_shapes_and_recount(monkeypatch):
     assert all(c.p_adjusted >= c.p_value - 1e-15 for c in report.pairwise_by_rate)
     # persistence percentages equal a brute-force recount
     for sid, pct in report.persistence_trial_pct.items():
-        flags = [persistence(r.slider) for r in result.records
-                 if r.stimulus_id == sid]
+        flags, _ = summarize_one_by_one(
+            [r.slider for r in result.records if r.stimulus_id == sid],
+            PERSISTENCE_WINDOW)
         assert pct == pytest.approx(100.0 * sum(flags) / len(flags))
         assert 0.0 <= pct <= 100.0
 

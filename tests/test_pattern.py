@@ -64,7 +64,7 @@ def test_derive_rejects_wrong_kind_and_bad_values():
 def test_compile_s3_constant_rate_integral():
     schedule = compile_schedule(StimulusSpec("S3", -0.16, duration=15.0))
     assert len(schedule.segments) == 1
-    assert schedule.segments[0].rate_c_per_s == -0.16
+    assert float(schedule.segments[0].rate) == -0.16
     assert float(schedule.rate_integral()) == pytest.approx(-2.4, abs=1e-12)
 
 
@@ -73,16 +73,16 @@ def test_compile_s1_worked_example_truncation():
     # 12 full cycles of two segments plus one truncated cooling segment.
     assert len(schedule.segments) == 25
     last = schedule.segments[-1]
-    assert (last.start_s, last.end_s) == (14.4, 15.0)
-    assert last.rate_c_per_s == -0.1 and not last.warm_active
+    assert (float(last.start), float(last.end)) == (14.4, 15.0)
+    assert float(last.rate) == -0.1 and not last.warm_active
     assert float(schedule.rate_integral()) == pytest.approx(-0.06, abs=1e-12)
 
 
 def test_compile_s2_piecewise_integral():
     schedule = compile_schedule(
         StimulusSpec("S2", -0.16, duration=15.0, drop_duration=5.0))
-    assert [(s.start_s, s.end_s, s.rate_c_per_s) for s in schedule.segments] == [
-        (0.0, 5.0, -0.16), (5.0, 15.0, 0.0)]
+    assert [(float(s.start), float(s.end), float(s.rate))
+            for s in schedule.segments] == [(0.0, 5.0, -0.16), (5.0, 15.0, 0.0)]
     assert schedule.segments[1].warm_active and schedule.segments[1].cold_active
     assert float(schedule.rate_integral()) == pytest.approx(-0.8, abs=1e-12)
 
@@ -282,7 +282,7 @@ def test_property_segment_ticks_match_schedule(spec, off_grid_duration):
         assert (Fraction(start, den), Fraction(end, den)) == (seg.start, seg.end)
         # integer true division is the float of the Fraction, bit for bit
         assert ((start / den).hex(), (end / den).hex()) == (
-            seg.start_s.hex(), seg.end_s.hex())
+            float(seg.start).hex(), float(seg.end).hex())
         assert seg.rate == (schedule.warming_rate if seg.warm_active
                             else schedule.cooling_rate)
 
@@ -297,13 +297,14 @@ def segment_steps(schedule, valve_model, led_model):
     A warm segment that snaps to zero steps, or a schedule shorter than
     half a step, raises ValidationError naming the segment.
     """
-    n = int(round(schedule.duration_s / DT))
+    n = int(round(float(schedule.duration) / DT))
     base = float(schedule.cooling_rate)
     warm = []
     for index, seg in enumerate(schedule.segments):
-        t0, t1 = (min(int(round(t / DT)), n) for t in (seg.start_s, seg.end_s))
+        start, end = float(seg.start), float(seg.end)
+        t0, t1 = (min(int(round(t / DT)), n) for t in (start, end))
         if t0 == t1 and (seg.warm_active or n == 0):
-            raise ValidationError(f"segment {index} [{seg.start_s}, {seg.end_s}) s")
+            raise ValidationError(f"segment {index} [{start}, {end}) s")
         if seg.warm_active:
             warm.append((t0, t1, float(seg.rate) - base))
     valve_duty = invert_duty(valve_model, base)

@@ -109,6 +109,21 @@ def test_property_sensor_matches_fraction_oracle(data, resolution):
     assert struct.pack("<d", value) == struct.pack("<d", expected)
 
 
+def test_step_noise_draws_from_plant_stream():
+    # step() adds one normal draw of the plant's stream to the rate, in
+    # this order of float operations, and the next step takes the next draw.
+    params = PlantParams(noise_sigma=0.05, interaction_bias=0.013)
+    plant = SkinPlant(params, seed=7)
+    twin = np.random.default_rng(7)
+    drive = ((params.valve_gain * 0.55 + params.valve_bias)
+             + (params.led_gain * 0.3 + params.led_bias) + params.interaction_bias)
+    temp = params.t_init
+    for _ in range(2):
+        temp = temp + DT * (drive + params.relax_coeff * (params.t_neutral - temp)
+                            + twin.normal(0.0, params.noise_sigma))
+        assert plant.step(0.55, 0.3, True, True) == temp == plant.t_skin
+
+
 def test_deterministic_with_equal_seeds():
     params = PlantParams(noise_sigma=0.05)
     a = SkinPlant(params, seed=42)
