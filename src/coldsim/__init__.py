@@ -20,7 +20,7 @@ from .control import (ActuatorTimeline, CalibrationProtocol, CalibrationResult,
                       invert_duty, load_models, run_control,
                       schedule_to_timeline)
 from .stats import (TestResult, benjamini_hochberg, chi_square_sf,
-                    kruskal_wallis, wilcoxon_rank_sum, wilcoxon_rank_sums)
+                    kruskal_wallis, wilcoxon_rank_sum)
 from .experiment import (ExperimentPlan, ParticipantModel, SliderTrace,
                          TrialRecord, analyze_exp2, analyze_exp3,
                          build_exp2_plan, build_exp3_plan, default_participants,

@@ -46,10 +46,8 @@ from .errors import (CalibrationError, UnreachableRateError, ValidationError,
                      check_numbers)
 from .pattern import KINDS, StimulusSpec, compile_schedule, stimulus_id
 from .plant import PlantParams, SkinPlant, Trace, write_trace_csvs
-# wilcoxon_rank_sum is not called here; coldbench/spans.py patches it
-# under this module's name, so it stays importable from here.
 from .stats import (TestResult, benjamini_hochberg, kruskal_wallis,
-                    wilcoxon_rank_sum, wilcoxon_rank_sums)
+                    wilcoxon_rank_sum)
 
 EXP2_RATES = (-0.08, -0.12, -0.16, -0.20, -0.24)
 EXP2_RATIOS = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -527,8 +525,7 @@ def _group(records: Sequence[TrialRecord], values: Sequence, pooling: str,
 def _pairwise(groups: dict, pairs) -> tuple[list[float], list[float]]:
     """Rank-sum p-value of each pair of group keys, and the same p-values
     Benjamini-Hochberg adjusted as one family."""
-    raw = [res.p_value for res in
-           wilcoxon_rank_sums([(groups[a], groups[b]) for a, b in pairs])]
+    raw = [wilcoxon_rank_sum(groups[a], groups[b]).p_value for a, b in pairs]
     return raw, benjamini_hochberg(raw)
 
 

@@ -1,17 +1,19 @@
 """Nonparametric tests used by the experiment analyses.
 
-Thin wrappers over `scipy.stats` with the method choices fixed here:
-tie-corrected Kruskal-Wallis, Wilcoxon rank-sum (exact only for
-tie-free samples of combined size <= EXACT_RANKSUM_LIMIT, otherwise the
-normal approximation with tie and continuity corrections),
-Benjamini-Hochberg FDR adjustment, and the chi-square survival
-function.  All p-values are two-sided.
+Tie-corrected Kruskal-Wallis, two-sided Wilcoxon rank-sum (exact only
+for tie-free samples of combined size <= EXACT_RANKSUM_LIMIT, otherwise
+the normal approximation with tie and continuity corrections),
+Benjamini-Hochberg FDR adjustment and the chi-square survival function.
 
-A family of rank-sum tests (wilcoxon_rank_sums) makes one scipy call
-per sample-size shape, not one per pair: each scipy call costs about
-0.5 ms of wrapping whatever its size (on a shared 2-vCPU host), and an
-analysis' pairs share a few shapes.  Each result is bit for bit
-wilcoxon_rank_sum's.
+Both rank tests rank their pooled values once (_ranks) and compute the
+statistic and its normal or chi-square tail here, in the order of
+operations of scipy.stats.kruskal and mannwhitneyu, so that each result
+is bit for bit scipy's: ranks are half-integers and tie counts integers,
+so every rank sum and tie term is exact in float64.  A scipy.stats test
+call costs about 0.5 ms of wrapping whatever its size (on a shared
+2-vCPU host); an analysis makes up to 19 of them.  Ranking, the exact
+rank-sum distribution, Benjamini-Hochberg and the chi-square tail stay
+scipy's.
 
 scipy is imported where it is first used, as in plant and experiment:
 importing it takes about 0.6 s, which every CLI start would pay.
@@ -21,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -37,23 +41,37 @@ class TestResult:
     method: str
 
 
+def _ranks(values) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's average ranks of the values, and the size of each tie
+    group.  Any NaN makes every rank NaN, one tie group."""
+    from scipy.stats import rankdata
+    ranks = rankdata(values)
+    return ranks, np.unique(ranks, return_counts=True)[1]
+
+
 def kruskal_wallis(groups: Sequence[Sequence[float]]) -> TestResult:
     """Tie-corrected Kruskal-Wallis H test across k groups.
 
     When every observation is identical the tie correction removes all
-    rank variation; H is 0 and p is 1 by convention.
+    rank variation; H is 0 and p is 1 by convention.  A NaN gives NaN.
     """
     if len(groups) < 2:
         raise ValidationError("kruskal_wallis needs at least 2 groups")
     if any(len(g) == 0 for g in groups):
         raise ValidationError("kruskal_wallis groups must be non-empty")
     df = len(groups) - 1
-    if len({float(v) for g in groups for v in g}) == 1:
+    ranks, ties = _ranks(np.concatenate(groups))
+    if len(ties) == 1 and not np.isnan(ranks[0]):
         # scipy returns NaN with a RuntimeWarning here.
         return TestResult(0.0, df, 1.0, "kruskal_wallis")
-    from scipy.stats import kruskal
-    res = kruskal(*groups)
-    return TestResult(float(res.statistic), df, float(res.pvalue), "kruskal_wallis")
+    sizes = [len(g) for g in groups]
+    sums = np.add.reduceat(ranks, np.cumsum([0] + sizes[:-1]))
+    ssbn = sum(s * s / k for s, k in zip(sums, sizes))
+    n = len(ranks)
+    h = 12.0 / (n * (n + 1)) * ssbn - 3 * (n + 1)
+    h /= 1 - (ties ** 3 - ties).sum() / (n ** 3 - n)
+    from scipy.special import chdtrc
+    return TestResult(float(h), df, float(chdtrc(df, h)), "kruskal_wallis")
 
 
 def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float]) -> TestResult:
@@ -61,51 +79,29 @@ def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float]) -> TestResult:
 
     Uses the exact permutation distribution when the combined sample is
     small and tie-free; otherwise the normal approximation with tie and
-    continuity corrections.  The statistic reported is U for the first
-    sample.
+    continuity corrections (p is 1 when every value is tied).  The
+    statistic reported is U for the first sample.  A NaN gives NaN.
     """
-    exact = _ranksum_exact(a, b)
-    from scipy.stats import mannwhitneyu
-    res = mannwhitneyu(a, b, alternative="two-sided", use_continuity=True,
-                       method="exact" if exact else "asymptotic")
-    return TestResult(float(res.statistic), None, float(res.pvalue),
-                      "wilcoxon_exact" if exact else "wilcoxon_normal")
-
-
-def wilcoxon_rank_sums(pairs: Sequence[tuple[Sequence[float], Sequence[float]]]
-                       ) -> list[TestResult]:
-    """wilcoxon_rank_sum(a, b) of each (a, b) pair, in the input order.
-
-    Pairs for the exact test go through wilcoxon_rank_sum one at a time.
-    The rest are stacked by (len(a), len(b)), and each stack is one
-    normal-approximation scipy call along axis 1.  Ranking and the tie
-    term are per row, and U is a sum of half-integers, exact in float64,
-    so every result is bit for bit the pair's own.
-    """
-    results: list[Optional[TestResult]] = [None] * len(pairs)
-    stacks: dict[tuple[int, int], list[int]] = {}
-    for i, (a, b) in enumerate(pairs):
-        if _ranksum_exact(a, b):
-            results[i] = wilcoxon_rank_sum(a, b)
-        else:
-            stacks.setdefault((len(a), len(b)), []).append(i)
-    from scipy.stats import mannwhitneyu
-    for rows in stacks.values():
-        res = mannwhitneyu([pairs[i][0] for i in rows], [pairs[i][1] for i in rows],
-                           axis=1, alternative="two-sided", use_continuity=True,
-                           method="asymptotic")
-        for i, u, p in zip(rows, res.statistic.tolist(), res.pvalue.tolist()):
-            results[i] = TestResult(u, None, p, "wilcoxon_normal")
-    return results
-
-
-def _ranksum_exact(a: Sequence[float], b: Sequence[float]) -> bool:
-    """Whether the pair takes the exact test (tie-free and small); an
-    empty sample raises ValidationError."""
     if len(a) == 0 or len(b) == 0:
         raise ValidationError("wilcoxon_rank_sum samples must be non-empty")
-    pooled = [float(v) for v in a] + [float(v) for v in b]
-    return len(set(pooled)) == len(pooled) <= EXACT_RANKSUM_LIMIT
+    n1, n2 = len(a), len(b)
+    n = n1 + n2
+    ranks, ties = _ranks(np.concatenate((a, b)))
+    if len(ties) == n <= EXACT_RANKSUM_LIMIT:
+        from scipy.stats import mannwhitneyu
+        res = mannwhitneyu(a, b, alternative="two-sided", method="exact")
+        return TestResult(float(res.statistic), None, float(res.pvalue),
+                          "wilcoxon_exact")
+    u1 = ranks[:n1].sum() - n1 * (n1 + 1) / 2
+    u = max(u1, n1 * n2 - u1)
+    tie_term = (ties ** 3 - ties).sum()
+    s = np.sqrt(n1 * n2 / 12 * ((n + 1) - tie_term / (n * (n - 1))))
+    with np.errstate(divide="ignore"):  # s is 0 when every value is tied
+        z = (u - n1 * n2 / 2 - 0.5) / s
+    from scipy.special import ndtr
+    # The doubled tail passes 1 near the centre; min keeps a NaN.
+    p = min(2 * ndtr(-z), 1.0)
+    return TestResult(float(u1), None, float(p), "wilcoxon_normal")
 
 
 def benjamini_hochberg(p_values: Sequence[float]) -> list[float]:

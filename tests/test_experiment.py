@@ -520,13 +520,11 @@ def test_perturb_params_rejects_near_impossible_led():
 
 def count_stats_calls(monkeypatch) -> Counter:
     """Count calls to the stats functions the analyses look up on
-    coldsim.experiment, and the pairs in their rank-sum families."""
+    coldsim.experiment."""
     calls = Counter()
-    for name in ("kruskal_wallis", "wilcoxon_rank_sums", "benjamini_hochberg"):
+    for name in ("kruskal_wallis", "wilcoxon_rank_sum", "benjamini_hochberg"):
         def counted(*args, _name=name, _fn=getattr(coldsim.experiment, name)):
             calls[_name] += 1
-            if _name == "wilcoxon_rank_sums":
-                calls["ranksum_pairs"] += len(args[0])
             return _fn(*args)
         monkeypatch.setattr(coldsim.experiment, name, counted)
     return calls
@@ -536,8 +534,8 @@ def test_analyze_exp2_shapes_and_recount(monkeypatch):
     plan, result = small_pipeline(2)
     calls = count_stats_calls(monkeypatch)
     report = analyze_exp2(result.records)
-    assert calls == {"kruskal_wallis": 4, "wilcoxon_rank_sums": 1,
-                     "ranksum_pairs": 15, "benjamini_hochberg": 1}
+    assert calls == {"kruskal_wallis": 4, "wilcoxon_rank_sum": 15,
+                     "benjamini_hochberg": 1}
     assert report.kruskal_wallis["s1_by_ratio"].df == 4
     assert report.kruskal_wallis["s1_by_rate"].df == 4
     assert (report.kruskal_wallis["s2_by_rate"].df == 4
@@ -576,8 +574,8 @@ def test_analyze_exp3_shapes(monkeypatch):
     plan, result = small_pipeline(3)
     calls = count_stats_calls(monkeypatch)
     report = analyze_exp3(result.records)
-    assert calls == {"kruskal_wallis": 1, "wilcoxon_rank_sums": 1,
-                     "ranksum_pairs": 10, "benjamini_hochberg": 1}
+    assert calls == {"kruskal_wallis": 1, "wilcoxon_rank_sum": 10,
+                     "benjamini_hochberg": 1}
     assert report.kruskal_wallis.df == 4
     ids = sorted(report.mean_rating)
     for a in ids:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from coldsim import (ValidationError, benjamini_hochberg, chi_square_sf,
-                     kruskal_wallis, wilcoxon_rank_sum, wilcoxon_rank_sums)
+                     kruskal_wallis, wilcoxon_rank_sum)
+from coldsim.stats import EXACT_RANKSUM_LIMIT
 
 
 # --- oracles -----------------------------------------------------------
@@ -88,8 +90,7 @@ def test_kw_matches_scipy_with_ties():
             continue
         ours = kruskal_wallis(groups)
         ref = scipy.stats.kruskal(*groups)
-        assert ours.statistic == pytest.approx(ref.statistic, abs=1e-9)
-        assert ours.p_value == pytest.approx(ref.pvalue, abs=1e-9)
+        assert (ours.statistic, ours.p_value) == (ref.statistic, ref.pvalue)
 
 
 # --- Wilcoxon rank-sum -------------------------------------------------
@@ -151,23 +152,25 @@ def test_ranksum_empty_sample():
     with pytest.raises(ValidationError):
         wilcoxon_rank_sum([], [1.0])
     with pytest.raises(ValidationError):
-        wilcoxon_rank_sums([([1.0, 2.0], [3.0]), ([1.0], [])])
+        wilcoxon_rank_sum([1.0, 2.0], [])
 
 
 @st.composite
-def ranksum_families(draw):
-    """A family of pairs: tied integer samples and all-identical samples,
-    whose sizes come from a small pool so that shapes repeat, mixed with
-    small tie-free pairs that take the exact test."""
+def ranksum_pairs(draw):
+    """Pairs of samples: tied integer samples and all-identical samples,
+    whose sizes come from a small pool, small tie-free pairs that take
+    the exact test, and pairs holding a NaN."""
     sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
     pairs = []
     for _ in range(draw(st.integers(1, 12))):
-        kind = draw(st.sampled_from(("tied", "identical", "exact")))
-        if kind == "exact":
+        kind = draw(st.sampled_from(("tied", "identical", "exact", "nan")))
+        if kind in ("exact", "nan"):
             n1 = draw(st.integers(1, 19))
             n = n1 + draw(st.integers(1, 20 - n1))
             pooled = draw(st.lists(st.floats(-100, 100), min_size=n, max_size=n,
                                    unique=True))
+            if kind == "nan":
+                pooled[draw(st.integers(0, n - 1))] = math.nan
             pairs.append((pooled[:n1], pooled[n1:]))
             continue
         n1, n2 = draw(st.sampled_from(sizes)), draw(st.sampled_from(sizes))
@@ -181,34 +184,42 @@ def ranksum_families(draw):
     return pairs
 
 
+def scipy_quiet(test, *args, **kwargs):
+    """A scipy.stats result as (statistic, p) floats; scipy warns on NaN
+    input and on all-identical Kruskal-Wallis groups."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = test(*args, **kwargs)
+    return float(res.statistic), float(res.pvalue)
+
+
 @settings(max_examples=120)
-@given(pairs=ranksum_families())
-def test_property_ranksum_family_matches_pairs(pairs):
-    # Bit for bit, in input order; repr tells -0.0 from 0.0 and calls
-    # every NaN alike.
-    got = wilcoxon_rank_sums(pairs)
-    want = [wilcoxon_rank_sum(a, b) for a, b in pairs]
-    assert [(repr(r.statistic), r.df, repr(r.p_value), r.method) for r in got] == \
-        [(repr(r.statistic), r.df, repr(r.p_value), r.method) for r in want]
-
-
-def test_ranksum_family_one_scipy_call_per_shape(monkeypatch):
-    calls = []
-
-    def counted(x, y, _mannwhitneyu=scipy.stats.mannwhitneyu, **kwargs):
-        calls.append(np.shape(x))
-        return _mannwhitneyu(x, y, **kwargs)
-
-    monkeypatch.setattr(scipy.stats, "mannwhitneyu", counted)
-    tied = [1.0, 1.0, 2.0]
-    pairs = [(tied, tied * 2), ([1.0, 2.0], [3.0]), (tied, tied * 2),
-             (tied * 2, tied * 2), (tied, tied * 2)]
-    results = wilcoxon_rank_sums(pairs)
-    # Three normal pairs of one shape, one of another, the exact pair alone.
-    assert sorted(calls) == [(1, 6), (2,), (3, 3)]
-    assert [r.method for r in results] == (
-        ["wilcoxon_normal", "wilcoxon_exact"] + ["wilcoxon_normal"] * 3)
-    assert wilcoxon_rank_sums([]) == []
+@given(pairs=ranksum_pairs())
+def test_property_rank_tests_match_scipy(pairs):
+    # Each pair against mannwhitneyu and all drawn samples as the groups
+    # of one Kruskal-Wallis test, bit for bit; repr tells -0.0 from 0.0
+    # and calls every NaN alike.  Our calls run under the suite's
+    # RuntimeWarning-as-error filter.
+    for a, b in pairs:
+        pooled = [float(v) for v in a + b]
+        exact = len(set(pooled)) == len(pooled) <= EXACT_RANKSUM_LIMIT
+        got = wilcoxon_rank_sum(a, b)
+        want = scipy_quiet(scipy.stats.mannwhitneyu, a, b, alternative="two-sided",
+                           method="exact" if exact else "asymptotic")
+        assert (repr(got.statistic), repr(got.p_value)) == tuple(map(repr, want))
+        if any(math.isnan(v) for v in pooled):
+            assert math.isnan(got.statistic) and math.isnan(got.p_value)
+            continue
+        assert got.method == ("wilcoxon_exact" if exact else "wilcoxon_normal")
+        if len(set(pooled)) == 1:
+            assert got.p_value == 1.0
+    groups = [sample for pair in pairs for sample in pair]
+    got = kruskal_wallis(groups)
+    if len({float(v) for g in groups for v in g}) == 1:
+        assert (got.statistic, got.p_value) == (0.0, 1.0)
+    else:
+        want = scipy_quiet(scipy.stats.kruskal, *groups)
+        assert (repr(got.statistic), repr(got.p_value)) == tuple(map(repr, want))
 
 
 # --- Benjamini-Hochberg ------------------------------------------------
