@@ -106,10 +106,11 @@ def cmd_design(args) -> dict:
 def cmd_calibrate(args) -> dict:
     params = _load_params(args)
     sim = plant.SkinPlant(params, seed=args.seed)
+    # Measurement noise draws from its own stream, not the plant's.
     protocol = control.CalibrationProtocol(
         sensor_resolution=args.sensor_resolution,
         measurement_noise=args.measurement_noise,
-        noise_seed=args.seed, max_iters=args.max_iters)
+        noise_seed=(args.seed, 0x4EA5), max_iters=args.max_iters)
     result = control.calibrate(sim, protocol)
     _atomic_write(args.out, result.to_json)
     return {"iterations": result.iterations,

@@ -137,7 +137,7 @@ class CalibrationProtocol:
     max_iters: int = 10
     sensor_resolution: float = DEFAULT_SENSOR_RESOLUTION  # degC; 0 = ideal
     measurement_noise: float = 0.0    # degC/s sigma added to measured rates
-    noise_seed: Optional[int] = None
+    noise_seed: int | Sequence[int] | None = None  # any numpy seed
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -275,7 +275,10 @@ def calibrate(plant: SkinPlant,
             LED_GRID, [d / MEASURE_TIME for d in led_deltas], "led")
         checks = []
         for stimulus, schedule, cut in patterns:
-            tl = _invert_cut(schedule, cut, valve_model, led_model, stimulus)
+            try:
+                tl = _invert_cut(schedule, cut, valve_model, led_model)
+            except UnreachableRateError as exc:
+                raise exc.located(stimulus_id=stimulus) from exc
             net = _sensor_delta(plant, protocol, before, int(tl.n_steps.sum()),
                                 tl.valve_duty, tl.led_duty, True, tl.led_on,
                                 tl.n_steps)
@@ -292,15 +295,6 @@ def calibrate(plant: SkinPlant,
     raise CalibrationError(
         f"verification drift still above {DRIFT_THRESHOLD} degC "
         f"after {protocol.max_iters} iterations", report=history)
-
-
-def _invert_at(model: DutyModel, target_rate: float, segment_index=None,
-               stimulus=None) -> float:
-    """invert_duty, raising an unreachable rate with where it was asked for."""
-    try:
-        return invert_duty(model, target_rate)
-    except UnreachableRateError as exc:
-        raise exc.located(segment_index=segment_index, stimulus_id=stimulus) from exc
 
 
 @dataclass(frozen=True)
@@ -332,16 +326,18 @@ def schedule_to_timeline(schedule: RateSchedule, valve_model: DutyModel,
 
 
 def _invert_cut(schedule: RateSchedule, cut: tuple, valve_model: DutyModel,
-                led_model: DutyModel, stimulus=None) -> ActuatorTimeline:
+                led_model: DutyModel) -> ActuatorTimeline:
     """The timeline of a schedule and its _cut_schedule cut under two duty
-    models.  An unreachable rate raises UnreachableRateError naming the
-    stimulus and, for the warming rate, segment 1."""
+    models.  An unreachable warming rate raises UnreachableRateError
+    naming segment 1; the caller adds the stimulus."""
     cooling_rate = float(schedule.cooling_rate)
-    valve_duty = _invert_at(valve_model, cooling_rate, None, stimulus)
+    valve_duty = invert_duty(valve_model, cooling_rate)
     led_duty = 0.0  # a schedule without a warm segment never turns it on
     if len(schedule.ends) > 1:
-        led_duty = _invert_at(led_model, float(schedule.warming_rate) - cooling_rate,
-                              1, stimulus)
+        try:
+            led_duty = invert_duty(led_model, float(schedule.warming_rate) - cooling_rate)
+        except UnreachableRateError as exc:
+            raise exc.located(segment_index=1) from exc
     return ActuatorTimeline(valve_duty, led_duty, *cut)
 
 

@@ -818,6 +818,9 @@ def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
     The sliders of one participant share one time array, the grid
     k / LOG_RATE, so analyze_exp2 summarizes them as one block.
 
+    Each table must hold the manifest's trials 0, 1, ... in row order,
+    each showing a stimulus of the manifest with its kind, vc and lambda.
+
     Each slider array is mapped copy-on-write from its file, not read
     into fresh memory: a run just written is already in the page cache,
     so reading maps those pages instead of faulting in and filling a
@@ -832,6 +835,9 @@ def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
             manifest = json.load(fh)
         version = manifest["format_version"]
         participants = range(manifest["participants"])
+        trials = range(manifest["trials_per_participant"])
+        stimuli = {s["stimulus_id"]: (s["kind"], s["cooling_rate"], s["cooling_ratio"])
+                   for s in manifest["stimuli"]}  # id -> a row's kind, vc, lambda
     except (KeyError, OSError, TypeError, ValueError) as exc:
         raise ValidationError(
             f"cannot read {manifest_path} as a run manifest: {exc!r}") from exc
@@ -839,6 +845,12 @@ def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
         raise ValidationError(
             f"{manifest_path}: format_version {version!r} is not read here; "
             f"re-run experiment-run to write format_version {FORMAT_VERSION}")
+    for sid, (kind, _, ratio) in stimuli.items():
+        if kind not in KINDS or (kind == "S1") != (ratio is not None):
+            raise ValidationError(
+                f"{manifest_path}: stimulus {sid!r} has kind {kind!r} and lambda "
+                f"{ratio!r}; the kind must be one of {KINDS}, with a lambda for "
+                f"S1 only")
     records = []
     for pidx in participants:
         path = os.path.join(run_dir, f"participant_{pidx:02d}.csv")
@@ -858,13 +870,16 @@ def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
                     for row in rows if row]  # a blank line is not a trial
         except (IndexError, OSError, ValueError, csv.Error) as exc:
             raise ValidationError(f"cannot read {path}: {exc!r}") from exc
+        if [rec.trial for rec in table] != list(trials):
+            raise ValidationError(f"{path}: {len(table)} rows, not the manifest's "
+                                  f"trials 0 to {len(trials) - 1} in row order")
         for rec in table:
-            has_lambda = rec.cooling_ratio is not None
-            if rec.kind not in KINDS or (rec.kind == "S1") != has_lambda:
+            if stimuli.get(rec.stimulus_id) != (rec.kind, rec.cooling_rate,
+                                                rec.cooling_ratio):
                 raise ValidationError(
-                    f"{path}: trial {rec.trial} has kind {rec.kind!r} and lambda "
-                    f"{rec.cooling_ratio!r}; the kind must be one of {KINDS}, "
-                    f"with a lambda for S1 only")
+                    f"{path}: trial {rec.trial} shows {rec.stimulus_id!r} as kind "
+                    f"{rec.kind!r}, vc {rec.cooling_rate!r} and lambda "
+                    f"{rec.cooling_ratio!r}, not a stimulus of the manifest")
         path = os.path.join(run_dir, "traces", f"p{pidx:02d}_slider.npy")
         if os.path.exists(path):
             try:

@@ -88,11 +88,10 @@ class SensorReading:
 
 
 def _drive_rate(params: PlantParams, duty_valve, duty_led, valve_on, led_on):
-    """Actuator rate for scalar inputs, or per piece for array inputs.
+    """Actuator rate, one per piece for an array of led_on flags.
 
-    The on flags are bools (or bool arrays).  An off channel contributes
-    an exact zero, so a rate is the same whether its inputs are given as
-    scalars or as elements of arrays.
+    An off channel contributes an exact zero, so a piece's rate is the
+    same whether its warm flag is given alone or in an array.
     """
     return (valve_on * (params.valve_gain * duty_valve + params.valve_bias)
             + led_on * (params.led_gain * duty_led + params.led_bias)
@@ -100,10 +99,9 @@ def _drive_rate(params: PlantParams, duty_valve, duty_led, valve_on, led_on):
 
 
 def _check_duties(duty_valve, duty_led):
-    for duty in (duty_valve, duty_led):
-        inside = (0.0 <= duty) & (duty <= 1.0)  # a bool for Python numbers
-        if not (inside if type(inside) is bool else inside.all()):
-            raise ValidationError("duty fractions must lie in [0, 1]")
+    # NaN fails the comparisons; a multi-element array raises ValueError.
+    if not (0.0 <= duty_valve <= 1.0 and 0.0 <= duty_led <= 1.0):
+        raise ValidationError("duty fractions must lie in [0, 1]")
 
 
 def _step_counts(n_steps) -> tuple:
@@ -184,17 +182,16 @@ class SkinPlant:
         after every log_every steps, plus the end when the steps are not
         a whole number of log intervals.
 
-        n_steps is the step count of one piece, or an array of the step
-        counts of several; each input is either one value for every
-        piece or an array holding one value per piece.  The actuator
-        rate is evaluated once per piece.  Over a block of L steps
-        between samples, step()'s recurrence T <- decay * T + d_j is
-        applied as one update, T <- decay**L * T + sum(decay**(L-1-j) * d_j),
-        and one linear filter runs over the blocks: the dynamics are
-        those of step(), only the order of the float operations differs.
-        A single piece needs no per-step drive at all.  Process noise is
-        one normal draw per sample, with the exact law of the per-step
-        noise summed over its block.
+        As in a presentation, where only the warm channel switches, the
+        duties and valve_on are one value per call; led_on is one flag or
+        one per piece, and n_steps one step count or one per piece.  The
+        actuator rate is evaluated once per piece.  Over a block of L
+        steps between samples, step()'s recurrence T <- decay * T + d_j
+        is applied as one update, T <- decay**L * T + sum(decay**(L-1-j) * d_j)
+        by Horner's rule, and one linear filter runs over the blocks: the
+        dynamics are those of step(), only the order of the float
+        operations differs.  Process noise is one normal draw per sample,
+        with the exact law of the per-step noise summed over its block.
 
         A call that returns one sample (log_every at least the total
         step count, as every calibration reading and verification asks)
@@ -211,24 +208,20 @@ class SkinPlant:
             return np.empty(0)
         params = self.params
         rate = _drive_rate(params, duty_valve, duty_led, valve_on, led_on)
-        # An array rate has one value per piece; scalar inputs give a float.
-        if isinstance(rate, np.ndarray) and rate.shape != np.shape(counts):
-            raise ValidationError(f"the inputs give {rate.size} pieces but "
+        per_piece = isinstance(rate, np.ndarray)  # led_on is an array
+        if per_piece and rate.shape != np.shape(counts):
+            raise ValidationError(f"led_on gives {rate.size} pieces but "
                                   f"n_steps gives {np.size(counts)}")
         decay = 1.0 - params.relax_coeff * DT
         drive = DT * (rate + params.relax_coeff * params.t_neutral)
         if total <= log_every:
             return np.array([self._run_to_end(drive, counts, total, decay)])
         blocks, rem = divmod(total, log_every)
-        power, gain = _geometric(decay, log_every)
-        tail_power, tail_gain = _geometric(decay, rem)
-        if not isinstance(drive, np.ndarray):
-            sums, tail = np.full(blocks, drive * gain), drive * tail_gain
-        else:
-            steps = np.repeat(drive, counts)
-            cut = blocks * log_every
-            sums = _block_sums(steps[:cut], log_every, decay)
-            tail = _block_sums(steps[cut:], rem, decay)[0] if rem else 0.0
+        power, tail_power = _geometric(decay, log_every)[0], _geometric(decay, rem)[0]
+        steps = np.repeat(drive, counts if per_piece else total)
+        cut = blocks * log_every
+        sums = _block_sums(steps[:cut], log_every, decay)
+        tail = _block_sums(steps[cut:], rem, decay)[0] if rem else 0.0
         if params.noise_sigma > 0.0:
             # Over L steps the rate noise adds DT * sum(decay**(L-1-j) * n_j)
             # with independent n_j ~ N(0, sigma**2): a normal of variance
@@ -250,9 +243,8 @@ class SkinPlant:
 
     def _run_to_end(self, drive, counts, total: int, decay: float) -> float:
         """Advance the skin by run_span's total steps and return only the
-        end temperature.  A scalar drive is one piece of all the steps, as
-        on the logged path, and one piece takes that path's arithmetic, so
-        a single-piece reading has the same bits on either path."""
+        end temperature.  A scalar drive is one piece of all the steps,
+        with the arithmetic, so the bits, of a one-piece drive array."""
         params = self.params
         if not isinstance(drive, np.ndarray):
             pieces = ((drive, total),)

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import contextlib
+import copy
 import csv
 import dataclasses
 import errno
@@ -88,6 +89,28 @@ def test_calibrate_does_not_import_scipy(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_calibrate_streams_differ(tmp_path, monkeypatch):
+    # calibrate draws process noise from the plant's stream and measurement
+    # noise from the protocol's: the command seeds them apart, so a
+    # reading's measurement error is not a scaled copy of its process noise.
+    streams = []
+
+    def calibrate(sim, protocol, _calibrate=cli.control.calibrate):
+        streams.append((copy.deepcopy(sim.rng).standard_normal(5),
+                        np.random.default_rng(protocol.noise_seed).standard_normal(5)))
+        return _calibrate(sim, protocol)
+
+    monkeypatch.setattr(cli.control, "calibrate", calibrate)
+    for seed in ("5", "6"):
+        proc = run_cli("calibrate", "--seed", seed, "--out", str(tmp_path / "m.json"))
+        assert proc.returncode == 0, proc.stderr
+    (plant5, protocol5), (plant6, protocol6) = streams
+    assert plant5.tolist() == np.random.default_rng(5).standard_normal(5).tolist()
+    assert not np.isin(protocol5, plant5).any()
+    assert not np.isin(protocol6, plant6).any()
+    assert not np.isin(protocol5, protocol6).any()
 
 
 def test_simulate_collapsing_segment_exit_code(tmp_path):
@@ -230,6 +253,20 @@ def test_experiment_run_and_analyze(tmp_path):
                 writer.writerows(rows)
         return edit
 
+    def edit_lines(name, edit_rows):
+        def edit(copy):
+            table = copy / name
+            lines = table.read_text().splitlines(keepends=True)
+            table.write_text("".join(edit_rows(lines)))
+        return edit
+
+    def edit_manifest_stimulus(**changes):
+        def edit(copy):
+            manifest = json.loads((copy / "manifest.json").read_text())
+            manifest["stimuli"][0].update(changes)
+            (copy / "manifest.json").write_text(json.dumps(manifest))
+        return edit
+
     def drop_vc_column(copy):
         table = copy / "participant_00.csv"
         rows = list(csv.reader(table.read_text().splitlines()))
@@ -266,6 +303,22 @@ def test_experiment_run_and_analyze(tmp_path):
         "short_row": (cut_row, "participant_00.csv"),
         "huge_field": (edit_s1_row("stimulus_id", "x" * 200_000),
                        "participant_00.csv"),
+        # Tables that parse but do not hold the trials the manifest plans.
+        "missing_trials": (edit_lines("participant_00.csv",
+                                      lambda lines: lines[:3] + lines[7:]),
+                           "participant_00.csv: 11 rows"),
+        "duplicate_trial": (edit_lines("participant_01.csv",
+                                       lambda lines: lines[:5] + lines[4:]),
+                            "participant_01.csv: 16 rows"),
+        "swapped_trials": (edit_lines("participant_01.csv", lambda lines:
+                                      lines[:2] + [lines[3], lines[2]] + lines[4:]),
+                           "participant_01.csv: 15 rows, not the manifest's trials"),
+        "unknown_stimulus": (edit_s1_row("stimulus_id", "S1_vc-0.5_r0.5"),
+                             "participant_00.csv: trial"),
+        "stimulus_mismatch": (edit_s1_row("vc", "-0.05"), "participant_00.csv: trial"),
+        "manifest_kind": (edit_manifest_stimulus(kind="S9"), "manifest.json: stimulus"),
+        "manifest_lambda": (edit_manifest_stimulus(cooling_ratio=None),
+                            "manifest.json: stimulus"),
         "slider_rows": (write_sliders((14, 1501)), "p01_slider.npy"),
         "slider_shape": (write_sliders((15, 2, 1501)), "p01_slider.npy"),
         "slider_npz": (write_sliders((15, 1501), save=np.savez),

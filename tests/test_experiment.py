@@ -847,7 +847,11 @@ def slider_runs(draw):
 @given(slider_runs())
 def test_property_slider_round_trip_bit_identical(run):
     participants, samples, values = run
-    plan = build_exp2_plan(participants=participants, repetitions=1)
+    # A plan of as many stimuli as each participant has trials, so each
+    # table holds every planned trial, as read_records requires.
+    stimuli = build_exp2_plan().stimuli[:len(values[0])]
+    plan = ExperimentPlan("exp2", stimuli, repetitions=1, participants=participants,
+                          seed=0)
     time = np.arange(samples) / 100.0
     groups = []
     for pidx, trials in enumerate(values):

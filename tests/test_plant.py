@@ -185,25 +185,35 @@ def test_run_span_matches_scalar_loop():
 def test_run_span_pieces_match_consecutive_spans():
     # one call over three pieces steps like three one-piece calls
     params = PlantParams(interaction_bias=0.013)  # relaxation on, noise off
+    inputs = dict(duty_valve=0.55, duty_led=0.3, valve_on=True)
     pieces = SkinPlant(params)
-    temps = pieces.run_span(duty_valve=np.array([0.55, 0.0, 0.49]),
-                            duty_led=0.3, valve_on=np.array([True, False, True]),
-                            led_on=np.array([False, True, True]),
+    temps = pieces.run_span(**inputs, led_on=np.array([False, True, True]),
                             n_steps=np.array([7, 0, 12]))
     spans = SkinPlant(params)
     expected = np.concatenate([
-        spans.run_span(duty_valve=0.55, duty_led=0.3, valve_on=True, n_steps=7),
-        spans.run_span(duty_led=0.3, led_on=True, n_steps=0),
-        spans.run_span(duty_valve=0.49, duty_led=0.3, valve_on=True,
-                       led_on=True, n_steps=12)])
+        spans.run_span(**inputs, n_steps=7),
+        spans.run_span(**inputs, led_on=True, n_steps=0),
+        spans.run_span(**inputs, led_on=True, n_steps=12)])
     assert temps.tobytes() == expected.tobytes()
     assert pieces.t_skin == spans.t_skin
     with pytest.raises(ValidationError, match="non-negative"):
-        pieces.run_span(duty_valve=np.array([0.5, 0.5]), n_steps=np.array([3, -1]))
+        pieces.run_span(led_on=np.array([True, True]), n_steps=np.array([3, -1]))
     with pytest.raises(ValidationError, match="3 pieces but n_steps gives 1"):
-        pieces.run_span(duty_valve=np.array([0.5, 0.5, 0.5]), valve_on=True,
-                        n_steps=3)
+        pieces.run_span(**inputs, led_on=np.array([True, False, True]), n_steps=3)
     assert pieces.t_skin == spans.t_skin  # untouched
+
+
+@pytest.mark.parametrize("log_every", [1, 10**6])
+def test_run_span_rejects_duty_arrays(log_every):
+    # duties are one value per call: an array of several raises ValueError
+    # before any step, on the logged path and the one-sample path
+    plant = SkinPlant(PlantParams())
+    for duties in (dict(duty_valve=np.array([0.5, 0.55])),
+                   dict(duty_valve=0.5, duty_led=np.array([0.3, 0.3]))):
+        with pytest.raises(ValueError):
+            plant.run_span(**duties, valve_on=True, led_on=np.array([True, False]),
+                           n_steps=np.array([5, 5]), log_every=log_every)
+    assert plant.t_skin == 33.0
 
 
 @pytest.mark.parametrize("log_every", [1, 10**6])
@@ -212,10 +222,10 @@ def test_run_span_rejects_non_integer_step_counts(n_steps, log_every):
     # neither the logged path nor the one-sample path truncates or trips
     # over a step count that is not an integer
     plant = SkinPlant(PlantParams())
-    duty = np.full(np.shape(n_steps), 0.5) if np.ndim(n_steps) else 0.5
+    led_on = np.full(np.shape(n_steps), True) if np.ndim(n_steps) else True
     with pytest.raises(ValidationError, match="non-negative integers"):
-        plant.run_span(duty_valve=duty, valve_on=True, n_steps=n_steps,
-                       log_every=log_every)
+        plant.run_span(duty_valve=0.5, duty_led=0.3, valve_on=True, led_on=led_on,
+                       n_steps=n_steps, log_every=log_every)
     assert plant.t_skin == 33.0
 
 
@@ -328,33 +338,47 @@ def test_property_trace_csvs_match_csv_writer(traces):
 
 
 @st.composite
-def piece_runs(draw):
-    """Per-piece inputs, step counts and a log interval for run_span."""
-    k = draw(st.integers(1, 5))
+def piece_runs(draw, max_pieces=5):
+    """run_span's inputs, as its callers give them: one valve duty, LED
+    duty and valve flag, and for each of 1 to max_pieces pieces a warm
+    flag and a step count.  Each of led_on and n_steps is passed as one
+    value when that says the same (led_on's flags all equal, n_steps of
+    one piece), or else as an array.  Returns the inputs and the
+    (led_on, count) of each piece."""
     duty = st.floats(0.0, 1.0)
-    pieces = [(draw(duty), draw(duty), draw(st.booleans()), draw(st.booleans()),
-               draw(st.integers(0, 300))) for _ in range(k)]
-    return pieces, draw(st.integers(1, 400))
+    inputs = dict(duty_valve=draw(duty), duty_led=draw(duty),
+                  valve_on=draw(st.booleans()))
+    pieces = draw(st.lists(st.tuples(st.booleans(), st.integers(0, 300)),
+                           min_size=1, max_size=max_pieces))
+    led_on, counts = (np.array(column) for column in zip(*pieces))
+    one_flag = led_on.all() or not led_on.any()
+    inputs["led_on"] = (bool(led_on[0]) if one_flag and draw(st.booleans())
+                        else led_on)
+    inputs["n_steps"] = (int(counts[0]) if len(pieces) == 1 and draw(st.booleans())
+                         else counts)
+    return inputs, pieces
+
+
+def stepped(params, inputs, pieces):
+    """A plant after a loop of step() calls over the pieces, and the
+    temperature after each step."""
+    plant = SkinPlant(params)
+    steps = [plant.step(inputs["duty_valve"], inputs["duty_led"],
+                        inputs["valve_on"], bool(led_on))
+             for led_on, count in pieces for _ in range(count)]
+    return plant, steps
 
 
 @settings(max_examples=60)
-@given(piece_runs(), st.sampled_from([0.0, 0.002, 50.0]))
-def test_property_run_span_matches_scalar_steps(case, relax):
+@given(piece_runs(), st.integers(1, 400), st.sampled_from([0.0, 0.002, 50.0]))
+def test_property_run_span_matches_scalar_steps(case, log_every, relax):
     # logged samples of any interval, over one piece or several, match a
     # loop of step() calls to rounding
-    pieces, log_every = case
+    inputs, pieces = case
     params = PlantParams(relax_coeff=relax, interaction_bias=0.013)
-    duty_valve, duty_led, valve_on, led_on, counts = map(np.array, zip(*pieces))
     fast = SkinPlant(params)
-    if len(pieces) == 1:
-        temps = fast.run_span(*(x[0] for x in (duty_valve, duty_led, valve_on, led_on)),
-                              n_steps=int(counts[0]), log_every=log_every)
-    else:
-        temps = fast.run_span(duty_valve, duty_led, valve_on, led_on,
-                              n_steps=counts, log_every=log_every)
-    slow = SkinPlant(params)
-    steps = [slow.step(dv, dl, bool(vo), bool(lo))
-             for dv, dl, vo, lo, count in pieces for _ in range(count)]
+    temps = fast.run_span(**inputs, log_every=log_every)
+    _, steps = stepped(params, inputs, pieces)
     expected = steps[log_every - 1::log_every]
     if len(steps) % log_every:
         expected.append(steps[-1])
@@ -365,25 +389,19 @@ def test_property_run_span_matches_scalar_steps(case, relax):
 
 
 @settings(max_examples=60)
-@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.booleans(),
-                          st.booleans(), st.integers(0, 300)), min_size=1, max_size=6),
-       st.integers(0, 50), st.sampled_from([0.0, 0.002, 50.0]))
-def test_property_run_span_end_matches_logged_and_steps(pieces, extra, relax):
+@given(piece_runs(max_pieces=6), st.integers(0, 50), st.sampled_from([0.0, 0.002, 50.0]))
+def test_property_run_span_end_matches_logged_and_steps(case, extra, relax):
     # a call that returns one sample computes only the end, one update per
     # piece; it matches the last sample of the same pieces logged every 10
     # steps and a loop of step() calls
+    inputs, pieces = case
     params = PlantParams(relax_coeff=relax, interaction_bias=0.013)
-    duty_valve, duty_led, valve_on, led_on, counts = map(np.array, zip(*pieces))
-    total = int(counts.sum())
+    total = sum(count for _, count in pieces)
     assume(total > 0)
-    inputs = dict(duty_valve=duty_valve, duty_led=duty_led, valve_on=valve_on,
-                  led_on=led_on, n_steps=counts)
-    end, logged, slow = SkinPlant(params), SkinPlant(params), SkinPlant(params)
+    end, logged = SkinPlant(params), SkinPlant(params)
     temps = end.run_span(**inputs, log_every=total + extra)
     samples = logged.run_span(**inputs, log_every=10)
-    for dv, dl, vo, lo, count in pieces:
-        for _ in range(count):
-            slow.step(dv, dl, vo, lo)
+    slow, _ = stepped(params, inputs, pieces)
     assert len(temps) == 1 and end.t_skin == temps[0]
     assert abs(temps[0] - samples[-1]) <= 1e-9
     assert abs(temps[0] - slow.t_skin) <= 1e-9
@@ -406,11 +424,11 @@ def test_run_span_noise_per_logged_sample(relax):
     noisy = replace(quiet, noise_sigma=sigma)
     decay = 1.0 - relax * DT
     cases = (
-        (dict(duty_valve=np.array([0.55, 0.5]), duty_led=0.3, valve_on=True,
+        (dict(duty_valve=0.55, duty_led=0.3, valve_on=True,
               led_on=np.array([False, True]), n_steps=np.array([400, 605]),
               log_every=10), [10] * 100 + [5]),
         (dict(duty_valve=0.5, valve_on=True, n_steps=6000, log_every=6000), [6000]),
-        (dict(duty_valve=np.array([0.55, 0.5, 0.52]), duty_led=0.3, valve_on=True,
+        (dict(duty_valve=0.55, duty_led=0.3, valve_on=True,
               led_on=np.array([False, True, True]), n_steps=np.array([400, 605, 995]),
               log_every=2000), [2000]),
     )
