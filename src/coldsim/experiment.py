@@ -26,14 +26,13 @@ from __future__ import annotations
 import collections
 import contextlib
 import csv
-import ctypes
 import json
 import math
 import os
 import signal
 import threading
 from dataclasses import dataclass, asdict, replace
-from operator import attrgetter
+from operator import attrgetter, index
 from time import sleep
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -167,21 +166,17 @@ def simulate_participant(trace: Trace, model: ParticipantModel,
     return SliderTrace(t, np.clip(lagged, 0.0, 1.0))
 
 
-def summarize_sliders(sliders: Sequence[SliderTrace], window=PERSISTENCE_WINDOW
-                      ) -> tuple[np.ndarray, np.ndarray]:
+def summarize_sliders(sliders: Sequence[SliderTrace]) -> tuple[np.ndarray, np.ndarray]:
     """Each slider's persistence flag (confidence above 50 % at every
-    sample in the window) and its mean confidence in percent.
+    sample of PERSISTENCE_WINDOW) and its mean confidence in percent.
 
     Sliders that share one time array object, as read_records gives each
     participant's, form one block: one coverage check, one window (a
-    slice when it is one run of the time grid), one 2-D array.  When the
-    block's sliders are, in order, the rows of one C-contiguous array, as
-    read_records gives them, that array is read in place; any other block
-    is stacked into a copy.  The row mean of a C-contiguous block takes
-    the same pairwise sum and division as np.mean of that row, bit for
-    bit.
+    slice when it is one run of the time grid), and one stacked 2-D
+    copy.  A stacked block is C-contiguous, so its row mean takes the
+    same pairwise sum and division as np.mean of that row, bit for bit.
     """
-    lo, hi = window
+    lo, hi = PERSISTENCE_WINDOW
     flags = np.empty(len(sliders), dtype=bool)
     confidence = np.empty(len(sliders))
     blocks: dict[int, list[int]] = {}
@@ -196,39 +191,10 @@ def summarize_sliders(sliders: Sequence[SliderTrace], window=PERSISTENCE_WINDOW
         inside = np.flatnonzero((time >= lo) & (time <= hi))
         if len(inside) and inside[-1] - inside[0] == len(inside) - 1:
             inside = slice(inside[0], inside[-1] + 1)
-        rows_values = [sliders[i].values for i in rows]
-        values = _rows_array(rows_values)
-        if values is None:
-            values = np.stack(rows_values)
+        values = np.stack([sliders[i].values for i in rows])
         flags[rows] = (values[:, inside] > 0.5).all(axis=1)
         confidence[rows] = values.mean(axis=1) * 100.0
     return flags, confidence
-
-
-def _rows_array(rows: list[np.ndarray]) -> Optional[np.ndarray]:
-    """The C-contiguous 2-D array whose rows, in order, are `rows`, or None.
-
-    The one candidate is the first row's base.  Each row must have its
-    dtype and row length and start at its next row address.  The
-    addresses come from ctypes.c_char.from_buffer, about 0.3 us a row on
-    a shared 2-vCPU host, where __array_interface__ costs about as much
-    as copying the row.  A read-only or non-contiguous row raises
-    TypeError there, and its block is copied.
-    """
-    block = rows[0].base
-    if not (isinstance(block, np.ndarray) and block.ndim == 2
-            and len(block) == len(rows) and block.flags.c_contiguous
-            and set(map(attrgetter("dtype", "shape"), rows))
-            == {(block.dtype, block.shape[1:])}):
-        return None
-    try:
-        starts = list(map(ctypes.addressof, map(ctypes.c_char.from_buffer, rows)))
-    except (TypeError, ValueError):  # read-only, non-contiguous or empty rows
-        return None
-    first, row_bytes = block.ctypes.data, block.itemsize * block.shape[1]
-    if starts != list(range(first, first + len(rows) * row_bytes, row_bytes)):
-        return None
-    return block
 
 
 def peak_cooling_rate(trace: Trace, model: ParticipantModel) -> float:
@@ -819,7 +785,9 @@ def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
     k / LOG_RATE, so analyze_exp2 summarizes them as one block.
 
     Each table must hold the manifest's trials 0, 1, ... in row order,
-    each showing a stimulus of the manifest with its kind, vc and lambda.
+    each showing a stimulus of the manifest with its kind, vc and lambda,
+    with the seed _trial_seed gives it from the manifest's seed, and with
+    a likert that is empty or an integer from 1 to 7.
 
     Each slider array is mapped copy-on-write from its file, not read
     into fresh memory: a run just written is already in the page cache,
@@ -835,6 +803,7 @@ def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
             manifest = json.load(fh)
         version = manifest["format_version"]
         participants = range(manifest["participants"])
+        plan_seed = index(manifest["seed"])
         trials = range(manifest["trials_per_participant"])
         stimuli = {s["stimulus_id"]: (s["kind"], s["cooling_rate"], s["cooling_ratio"])
                    for s in manifest["stimuli"]}  # id -> a row's kind, vc, lambda
@@ -880,6 +849,13 @@ def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
                     f"{path}: trial {rec.trial} shows {rec.stimulus_id!r} as kind "
                     f"{rec.kind!r}, vc {rec.cooling_rate!r} and lambda "
                     f"{rec.cooling_ratio!r}, not a stimulus of the manifest")
+            if rec.likert is not None and not 1 <= rec.likert <= 7:
+                raise ValidationError(f"{path}: trial {rec.trial} has likert "
+                                      f"{rec.likert}, not an integer from 1 to 7")
+            want = _trial_seed(plan_seed, pidx, rec.trial)
+            if rec.seed != want:
+                raise ValidationError(f"{path}: trial {rec.trial} has seed {rec.seed}, "
+                                      f"not the manifest's trial seed {want}")
         path = os.path.join(run_dir, "traces", f"p{pidx:02d}_slider.npy")
         if os.path.exists(path):
             try:

@@ -242,11 +242,13 @@ def test_experiment_run_and_analyze(tmp_path):
         lines[1] = "x" + lines[1][lines[1].index(","):]
         table.write_text("".join(lines))
 
-    def edit_s1_row(column, value):
+    def edit_row(column, value, kind=None):
+        """Set `column` of participant_00.csv's first row, or of its first
+        row of `kind`."""
         def edit(copy):
             table = copy / "participant_00.csv"
             rows = list(csv.DictReader(table.read_text().splitlines()))
-            next(row for row in rows if row["kind"] == "S1")[column] = value
+            next(row for row in rows if kind in (None, row["kind"]))[column] = value
             with table.open("w", newline="") as fh:
                 writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
                 writer.writeheader()
@@ -296,12 +298,13 @@ def test_experiment_run_and_analyze(tmp_path):
         "not_json": (lambda copy: (copy / "manifest.json").write_text("{oops"),
                      "manifest.json"),
         "no_participants": (edit_manifest(participants=None), "manifest.json"),
+        "no_seed": (edit_manifest(seed=None), "manifest.json"),
         "bad_trial": (edit_trial, "participant_00.csv"),
-        "s1_without_lambda": (edit_s1_row("lambda", ""), "participant_00.csv"),
-        "unknown_kind": (edit_s1_row("kind", "S9"), "participant_00.csv"),
+        "s1_without_lambda": (edit_row("lambda", "", "S1"), "participant_00.csv"),
+        "unknown_kind": (edit_row("kind", "S9", "S1"), "participant_00.csv"),
         "no_vc_column": (drop_vc_column, "participant_00.csv"),
         "short_row": (cut_row, "participant_00.csv"),
-        "huge_field": (edit_s1_row("stimulus_id", "x" * 200_000),
+        "huge_field": (edit_row("stimulus_id", "x" * 200_000, "S1"),
                        "participant_00.csv"),
         # Tables that parse but do not hold the trials the manifest plans.
         "missing_trials": (edit_lines("participant_00.csv",
@@ -313,9 +316,16 @@ def test_experiment_run_and_analyze(tmp_path):
         "swapped_trials": (edit_lines("participant_01.csv", lambda lines:
                                       lines[:2] + [lines[3], lines[2]] + lines[4:]),
                            "participant_01.csv: 15 rows, not the manifest's trials"),
-        "unknown_stimulus": (edit_s1_row("stimulus_id", "S1_vc-0.5_r0.5"),
+        "unknown_stimulus": (edit_row("stimulus_id", "S1_vc-0.5_r0.5", "S1"),
                              "participant_00.csv: trial"),
-        "stimulus_mismatch": (edit_s1_row("vc", "-0.05"), "participant_00.csv: trial"),
+        "stimulus_mismatch": (edit_row("vc", "-0.05", "S1"), "participant_00.csv: trial"),
+        # Ratings off the 7-point scale, and a seed the plan does not give.
+        "likert_high": (edit_row("likert", "99"),
+                        "participant_00.csv: trial 0 has likert 99"),
+        "likert_low": (edit_row("likert", "-5"),
+                       "participant_00.csv: trial 0 has likert -5"),
+        "seed_edited": (edit_row("seed", "12345"),
+                        "participant_00.csv: trial 0 has seed 12345"),
         "manifest_kind": (edit_manifest_stimulus(kind="S9"), "manifest.json: stimulus"),
         "manifest_lambda": (edit_manifest_stimulus(cooling_ratio=None),
                             "manifest.json: stimulus"),

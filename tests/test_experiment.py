@@ -291,10 +291,10 @@ def test_persistence_window():
             summarize_sliders([slider])
 
 
-def summarize_one_by_one(sliders, window):
+def summarize_one_by_one(sliders):
     """The per-slider summary that summarize_sliders batches: a window
     mask per slider, then np.all and np.mean on its own values."""
-    lo, hi = window
+    lo, hi = PERSISTENCE_WINDOW
     flags, confidence = [], []
     for slider in sliders:
         mask = (slider.time >= lo) & (slider.time <= hi)
@@ -305,21 +305,17 @@ def summarize_one_by_one(sliders, window):
 
 @settings(max_examples=60, deadline=None)
 @given(blocks=st.lists(
-           st.tuples(st.integers(1, 3001), st.integers(1, 6),
+           st.tuples(st.integers(1501, 3001), st.integers(1, 6),
                      st.sampled_from(("copies", "views", "read-only views"))),
            min_size=1, max_size=4),
-       solos=st.lists(st.integers(1, 3001), max_size=4),
-       edges=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+       solos=st.lists(st.integers(1501, 3001), max_size=4),
        seed=st.integers(0, 2**32 - 1))
-def test_property_summarize_sliders_matches_one_by_one(blocks, solos, edges, seed):
+def test_property_summarize_sliders_matches_one_by_one(blocks, solos, seed):
     # blocks: (samples, rows, layout) sharing one time array, whose rows
     # are copies or views of one 2-D array, writeable or not; solos:
-    # sliders with a time array of their own.  The window's edges are
-    # sample times every slider reaches.
+    # sliders with a time array of their own.  Every slider covers the
+    # 15 s end of the persistence window.
     rng = np.random.default_rng(seed)
-    shortest = min([n for n, _, _ in blocks] + solos)
-    a, b = sorted(int(e * (shortest - 1)) for e in edges)
-    window = (a / 100, b / 100)
 
     def rows(n, k):
         values = rng.random((k, n))
@@ -335,48 +331,35 @@ def test_property_summarize_sliders_matches_one_by_one(blocks, solos, edges, see
         values = rows(n, k)
         if layout == "read-only views":
             values.flags.writeable = False
-            # Not read in place: the rows' addresses cannot be taken, so
-            # the block is stacked into a copy.
-            assert coldsim.experiment._rows_array(list(values)) is None
         sliders += [SliderTrace(time, row.copy() if layout == "copies" else row)
                     for row in values]
     sliders += [SliderTrace(np.arange(n) / 100, rows(n, 1)[0]) for n in solos]
     sliders = [sliders[i] for i in rng.permutation(len(sliders))]
 
-    flags, confidence = coldsim.experiment.summarize_sliders(sliders, window)
-    want_flags, want_confidence = summarize_one_by_one(sliders, window)
+    flags, confidence = summarize_sliders(sliders)
+    want_flags, want_confidence = summarize_one_by_one(sliders)
     assert flags.tolist() == want_flags
     # Bit for bit: every value is finite and non-negative, so == is exact.
     assert confidence.tolist() == want_confidence
-    assert [bool(summarize_sliders([s], window)[0][0])
+    assert [bool(summarize_sliders([s])[0][0])
             for s in sliders[:3]] == want_flags[:3]
 
 
-def test_summarize_read_records_sliders_in_place(tmp_path, monkeypatch):
+def test_summarize_read_records_sliders(tmp_path):
     # read_records gives each participant's sliders as the rows, in order,
-    # of one array: they are summarized without a copy.  The same sliders
-    # in another order are stacked, and summarize the same.
+    # of one array.  Their summary matches the one-by-one summary, in
+    # that order and in three others.
     plan, result = small_pipeline(2)
     write_records(pairs(result), plan, tmp_path / "run")
     sliders = [rec.slider for rec in read_records(tmp_path / "run")[0]]
-    want = summarize_one_by_one(sliders, coldsim.experiment.PERSISTENCE_WINDOW)
-    stacks = Counter()
-
-    def counted(*args, _stack=np.stack, **kwargs):
-        stacks["calls"] += 1
-        return _stack(*args, **kwargs)
-
-    monkeypatch.setattr(np, "stack", counted)
-    flags, confidence = coldsim.experiment.summarize_sliders(sliders)
-    assert stacks["calls"] == 0
+    want = summarize_one_by_one(sliders)
+    flags, confidence = summarize_sliders(sliders)
     assert (flags.tolist(), confidence.tolist()) == want
     order = np.random.default_rng(7).permutation(len(sliders))
     for permuted in (order, order[::-1], np.arange(len(sliders))[::-1]):
-        flags, confidence = coldsim.experiment.summarize_sliders(
-            [sliders[i] for i in permuted])
+        flags, confidence = summarize_sliders([sliders[i] for i in permuted])
         assert (flags.tolist(), confidence.tolist()) == (
             [want[0][i] for i in permuted], [want[1][i] for i in permuted])
-    assert stacks["calls"] == 3 * plan.participants
 
 
 def small_pipeline(exp, participants=2, seed=3):
@@ -545,8 +528,7 @@ def test_analyze_exp2_shapes_and_recount(monkeypatch):
     # persistence percentages equal a brute-force recount
     for sid, pct in report.persistence_trial_pct.items():
         flags, _ = summarize_one_by_one(
-            [r.slider for r in result.records if r.stimulus_id == sid],
-            PERSISTENCE_WINDOW)
+            [r.slider for r in result.records if r.stimulus_id == sid])
         assert pct == pytest.approx(100.0 * sum(flags) / len(flags))
         assert 0.0 <= pct <= 100.0
 
@@ -862,7 +844,8 @@ def test_property_slider_round_trip_bit_identical(run):
                 participant=pidx, trial=tidx,
                 stimulus_id=stimulus_id(spec), kind=spec.kind,
                 cooling_rate=spec.cooling_rate, cooling_ratio=spec.cooling_ratio,
-                seed=tidx, slider=SliderTrace(time, vals)))
+                seed=_trial_seed(plan.seed, pidx, tidx),
+                slider=SliderTrace(time, vals)))
     records = [rec for group in groups for rec in group]
     with tempfile.TemporaryDirectory() as tmp:
         write_records([(exact_calibration(), group) for group in groups], plan, tmp)
