@@ -65,7 +65,7 @@ RATING_PEAK_SCALE = 0.3
 MAX_TRIALS = 1_000
 
 # Run directory layout that write_records writes and read_records reads.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -172,9 +172,9 @@ def summarize_sliders(sliders: Sequence[SliderTrace]) -> tuple[np.ndarray, np.nd
 
     Sliders that share one time array object, as read_records gives each
     participant's, form one block: one coverage check, one window (a
-    slice when it is one run of the time grid), and one stacked 2-D
-    copy.  A stacked block is C-contiguous, so its row mean takes the
-    same pairwise sum and division as np.mean of that row, bit for bit.
+    slice when it is one run of the time grid), and one 2-D np.array
+    copy.  That copy is C-contiguous, so its row mean takes the same
+    pairwise sum and division as np.mean of that row, bit for bit.
     """
     lo, hi = PERSISTENCE_WINDOW
     flags = np.empty(len(sliders), dtype=bool)
@@ -191,7 +191,7 @@ def summarize_sliders(sliders: Sequence[SliderTrace]) -> tuple[np.ndarray, np.nd
         inside = np.flatnonzero((time >= lo) & (time <= hi))
         if len(inside) and inside[-1] - inside[0] == len(inside) - 1:
             inside = slice(inside[0], inside[-1] + 1)
-        values = np.stack([sliders[i].values for i in rows])
+        values = np.array([sliders[i].values for i in rows])
         flags[rows] = (values[:, inside] > 0.5).all(axis=1)
         confidence[rows] = values.mean(axis=1) * 100.0
     return flags, confidence
@@ -232,6 +232,15 @@ class ExperimentPlan:
             raise ValidationError(
                 f"trials_per_participant must be at most {MAX_TRIALS}, got "
                 f"{self.trials_per_participant}")
+        ids = [stimulus_id(spec) for spec in self.stimuli]
+        counts = collections.Counter(ids)
+        for sid, spec in zip(ids, self.stimuli):
+            kind, ratio = spec.kind, spec.cooling_ratio
+            if counts[sid] > 1:
+                raise ValidationError(f"stimulus {sid!r} is planned {counts[sid]} times")
+            if kind not in KINDS or (kind == "S1") != (ratio is not None):
+                raise ValidationError(f"stimulus {sid!r} has kind {kind!r} and lambda "
+                                      f"{ratio!r}, not S1 with a lambda or S2/S3 without")
 
     @property
     def trials_per_participant(self) -> int:
@@ -605,41 +614,42 @@ def analyze_exp3(records: Sequence[TrialRecord], pooling: str = "trials") -> Exp
 
 
 def _write_participant(out_dir, pidx: int, recs: list[TrialRecord],
-                       write_traces) -> None:
-    """write_records' files for one participant's records; the
-    temperature traces go to write_traces(traces, paths), or nowhere
-    when it is None."""
+                       write_traces, plan: ExperimentPlan) -> None:
+    """write_records' files for one participant's records, once every
+    record is checked; the temperature traces go to
+    write_traces(traces, paths), or nowhere when it is None."""
     trace_dir = os.path.join(out_dir, "traces")
     recs = sorted(recs, key=attrgetter("trial"))
+    planned = {stimulus_id(s): (s.kind, s.cooling_rate, s.cooling_ratio)
+               for s in plan.stimuli}
+    grid = next((np.arange(len(rec.slider.time)) / LOG_RATE
+                 for rec in recs if rec.slider is not None), None)
+    for rec in recs:
+        where = f"participant {pidx} trial {rec.trial}"
+        want = _trial_seed(plan.seed, pidx, rec.trial)
+        got = rec.kind, rec.cooling_rate, rec.cooling_ratio
+        if planned.get(rec.stimulus_id) != got or rec.seed != want:
+            raise ValidationError(
+                f"{where}: {rec.stimulus_id!r} as kind, vc and lambda {got} with seed "
+                f"{rec.seed} is not a planned stimulus with the trial seed {want}")
+        if grid is not None and (rec.slider is None
+                                 or not np.array_equal(rec.slider.time, grid)):
+            raise ValidationError(
+                f"{where}: no slider on the grid k / {LOG_RATE:g} s, which "
+                f"read_records rebuilds for every trial of a participant with sliders")
     path = os.path.join(out_dir, f"participant_{pidx:02d}.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["trial", "stimulus_id", "kind", "vc", "lambda",
-                         "seed", "likert"])
-        for rec in recs:
-            writer.writerow([
-                rec.trial, rec.stimulus_id, rec.kind, rec.cooling_rate,
-                "" if rec.cooling_ratio is None else rec.cooling_ratio,
-                rec.seed, "" if rec.likert is None else rec.likert])
+        writer.writerow(["trial", "stimulus_id", "likert"])
+        writer.writerows([rec.trial, rec.stimulus_id,
+                          "" if rec.likert is None else rec.likert] for rec in recs)
     kept = [rec for rec in recs if rec.trace is not None] if write_traces else []
     if kept:
         os.makedirs(trace_dir, exist_ok=True)
         write_traces([rec.trace for rec in kept], [
             os.path.join(trace_dir, f"p{pidx:02d}_t{rec.trial:03d}_temp.csv")
             for rec in kept])
-    if any(rec.slider is not None for rec in recs):
-        bare = next((rec for rec in recs if rec.slider is None), None)
-        if bare is not None:
-            raise ValidationError(
-                f"participant {pidx} trial {bare.trial}: no slider while other "
-                f"trials of this participant have one, so p{pidx:02d}_slider.npy "
-                f"could not hold a row for it that read_records rebuilds")
-        grid = np.arange(len(recs[0].slider.time)) / LOG_RATE
-        for rec in recs:
-            if not np.array_equal(rec.slider.time, grid):
-                raise ValidationError(
-                    f"participant {pidx} trial {rec.trial}: slider time is "
-                    f"not the grid k / {LOG_RATE:g} s that read_records rebuilds")
+    if grid is not None:
         os.makedirs(trace_dir, exist_ok=True)
         np.save(os.path.join(trace_dir, f"p{pidx:02d}_slider.npy"),
                 np.stack([rec.slider.values for rec in recs], dtype=np.float64))
@@ -723,13 +733,16 @@ def write_records(participants: Iterable[tuple[CalibrationResult, list[TrialReco
     A number of pairs other than plan.participants raises
     ValidationError, and no manifest is written.
 
-    Row k of `pXX_slider.npy` (float64, shape (trials, samples)) holds the
-    slider values of row k of `participant_XX.csv`; their time is the
-    grid k / LOG_RATE, which is not stored; a slider sampled on any other
-    grid, or a participant with sliders on only some trials, raises
-    ValidationError.  `traces=False` skips only the temperature trace
-    files, which `write_trace_csvs` writes.  `traces/` is made only when
-    a file is written into it.
+    `participant_XX.csv` holds each record's `trial`, `stimulus_id` and
+    `likert`; the plan holds its stimulus and seed.  Row k of
+    `pXX_slider.npy` (float64, shape (trials, samples)) holds the slider
+    values of row k, on the grid k / LOG_RATE, which is not stored.  A
+    record whose stimulus or seed the plan does not give (see
+    read_records), or that has no slider on that grid while others have
+    one, raises ValidationError naming its participant and trial.
+    `traces=False` skips only the temperature trace files, which
+    `write_trace_csvs` writes.  `traces/` is made only when a file is
+    written into it.
 
     The models, participant tables and slider arrays are written here,
     in participant order.  The temperature traces are formatted in forked
@@ -751,7 +764,7 @@ def write_records(participants: Iterable[tuple[CalibrationResult, list[TrialReco
         for calibration, recs in participants:
             calibration.to_json(os.path.join(out_dir, f"models_{pidx:02d}.json"))
             _write_participant(out_dir, pidx, recs,
-                               write_traces if traces else None)
+                               write_traces if traces else None, plan)
             del calibration, recs
             pidx += 1
     if pidx != plan.participants:
@@ -765,7 +778,6 @@ def write_records(participants: Iterable[tuple[CalibrationResult, list[TrialReco
         "participants": plan.participants,
         "repetitions": plan.repetitions,
         "seed": plan.seed,
-        "trials_per_participant": plan.trials_per_participant,
         "stimuli": [{"stimulus_id": stimulus_id(s), **asdict(s)}
                     for s in plan.stimuli],
         "traces": traces,
@@ -778,16 +790,16 @@ def write_records(participants: Iterable[tuple[CalibrationResult, list[TrialReco
 def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
     """Load records written by write_records; sliders load when present.
 
-    A directory that is not a complete format-3 run raises
+    A directory that is not a complete format-4 run raises
     ValidationError naming the file at fault.  Each participant table is
     parsed in one csv.reader pass, its columns found once by header name.
     The sliders of one participant share one time array, the grid
     k / LOG_RATE, so analyze_exp2 summarizes them as one block.
 
-    Each table must hold the manifest's trials 0, 1, ... in row order,
-    each showing a stimulus of the manifest with its kind, vc and lambda,
-    with the seed _trial_seed gives it from the manifest's seed, and with
-    a likert that is empty or an integer from 1 to 7.
+    The manifest's plan must pass ExperimentPlan's checks.  Each table
+    holds its trials 0, 1, ... in row order, each with the id of a planned
+    spec, which gives its kind, rate and ratio, a seed from _trial_seed,
+    and a likert that is empty or an integer from 1 to 7.
 
     Each slider array is mapped copy-on-write from its file, not read
     into fresh memory: a run just written is already in the page cache,
@@ -802,60 +814,47 @@ def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
         version = manifest["format_version"]
-        participants = range(manifest["participants"])
-        plan_seed = index(manifest["seed"])
-        trials = range(manifest["trials_per_participant"])
-        stimuli = {s["stimulus_id"]: (s["kind"], s["cooling_rate"], s["cooling_ratio"])
-                   for s in manifest["stimuli"]}  # id -> a row's kind, vc, lambda
-    except (KeyError, OSError, TypeError, ValueError) as exc:
+        if version != FORMAT_VERSION:  # an older manifest need not parse as a plan
+            raise ValidationError(
+                f"format_version {version!r} is not read here; re-run "
+                f"experiment-run to write format_version {FORMAT_VERSION}")
+        plan = ExperimentPlan(manifest["experiment"], tuple(
+            StimulusSpec(**{k: v for k, v in s.items() if k != "stimulus_id"})
+            for s in manifest["stimuli"]),
+            *(index(manifest[k]) for k in ("repetitions", "participants", "seed")))
+    except ValidationError as exc:  # an older format, or a plan ExperimentPlan refuses
+        raise ValidationError(f"{manifest_path}: {exc}") from exc
+    except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
         raise ValidationError(
             f"cannot read {manifest_path} as a run manifest: {exc!r}") from exc
-    if version != FORMAT_VERSION:
-        raise ValidationError(
-            f"{manifest_path}: format_version {version!r} is not read here; "
-            f"re-run experiment-run to write format_version {FORMAT_VERSION}")
-    for sid, (kind, _, ratio) in stimuli.items():
-        if kind not in KINDS or (kind == "S1") != (ratio is not None):
-            raise ValidationError(
-                f"{manifest_path}: stimulus {sid!r} has kind {kind!r} and lambda "
-                f"{ratio!r}; the kind must be one of {KINDS}, with a lambda for "
-                f"S1 only")
+    stimuli = {stimulus_id(s): (s.kind, s.cooling_rate, s.cooling_ratio)
+               for s in plan.stimuli}  # id -> a record's kind, vc, lambda
     records = []
-    for pidx in participants:
+    for pidx in range(plan.participants):
         path = os.path.join(run_dir, f"participant_{pidx:02d}.csv")
         try:
             with open(path, newline="") as fh:
-                rows = csv.reader(fh)
-                header = next(rows, [])
-                trial, sid, kind, vc, ratio, seed, likert = map(header.index, (
-                    "trial", "stimulus_id", "kind", "vc", "lambda", "seed", "likert"))
-                table = [TrialRecord(
-                    participant=pidx, trial=int(row[trial]),
-                    stimulus_id=row[sid], kind=row[kind],
-                    cooling_rate=float(row[vc]),
-                    cooling_ratio=float(row[ratio]) if row[ratio] else None,
-                    seed=int(row[seed]),
-                    likert=int(row[likert]) if row[likert] else None)
-                    for row in rows if row]  # a blank line is not a trial
+                reader = csv.reader(fh)
+                header = next(reader, [])
+                trial, sid, likert = map(header.index, ("trial", "stimulus_id", "likert"))
+                rows = [(int(row[trial]), row[sid],
+                         int(row[likert]) if row[likert] else None)
+                        for row in reader if row]  # a blank line is not a trial
         except (IndexError, OSError, ValueError, csv.Error) as exc:
             raise ValidationError(f"cannot read {path}: {exc!r}") from exc
-        if [rec.trial for rec in table] != list(trials):
-            raise ValidationError(f"{path}: {len(table)} rows, not the manifest's "
-                                  f"trials 0 to {len(trials) - 1} in row order")
-        for rec in table:
-            if stimuli.get(rec.stimulus_id) != (rec.kind, rec.cooling_rate,
-                                                rec.cooling_ratio):
-                raise ValidationError(
-                    f"{path}: trial {rec.trial} shows {rec.stimulus_id!r} as kind "
-                    f"{rec.kind!r}, vc {rec.cooling_rate!r} and lambda "
-                    f"{rec.cooling_ratio!r}, not a stimulus of the manifest")
-            if rec.likert is not None and not 1 <= rec.likert <= 7:
-                raise ValidationError(f"{path}: trial {rec.trial} has likert "
-                                      f"{rec.likert}, not an integer from 1 to 7")
-            want = _trial_seed(plan_seed, pidx, rec.trial)
-            if rec.seed != want:
-                raise ValidationError(f"{path}: trial {rec.trial} has seed {rec.seed}, "
-                                      f"not the manifest's trial seed {want}")
+        if [tidx for tidx, _, _ in rows] != list(range(plan.trials_per_participant)):
+            raise ValidationError(f"{path}: {len(rows)} rows, not the manifest's trials "
+                                  f"0 to {plan.trials_per_participant - 1} in row order")
+        table = []
+        for tidx, sid, likert in rows:
+            if sid not in stimuli:
+                raise ValidationError(f"{path}: trial {tidx} shows {sid!r}, "
+                                      f"not a stimulus of the manifest")
+            if likert is not None and not 1 <= likert <= 7:
+                raise ValidationError(f"{path}: trial {tidx} has likert "
+                                      f"{likert}, not an integer from 1 to 7")
+            table.append(TrialRecord(pidx, tidx, sid, *stimuli[sid],
+                                     _trial_seed(plan.seed, pidx, tidx), likert=likert))
         path = os.path.join(run_dir, "traces", f"p{pidx:02d}_slider.npy")
         if os.path.exists(path):
             try:

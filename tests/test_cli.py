@@ -56,6 +56,16 @@ def test_design_worked_example(tmp_path):
             float(rows[1]["rate_c_per_s"])) == (0.6, 1.2, 0.1)
 
 
+def test_design_s2_ignores_ratio(tmp_path):
+    # An experiment plan refuses an S2 with a ratio, but design compiles
+    # one as it compiles the S2 without it.
+    for name, flags in (("with.csv", ["--ratio", "0.5"]), ("without.csv", [])):
+        proc = run_cli("design", "--kind", "S2", "--vc", "-0.16", *flags,
+                       "--out", str(tmp_path / name))
+        assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
+
+
 def test_design_validation_exit_code(tmp_path):
     for flags, out, named in ((["--vc", "0.1"], tmp_path / "x.csv", "negative"),
                               (["--vc", "-0.1"], tmp_path / "nodir" / "x.csv", "nodir"),
@@ -210,8 +220,9 @@ def test_experiment_run_and_analyze(tmp_path):
     assert sorted(p.name for p in run_dir.glob("models_*.json")) == [
         "models_00.json", "models_01.json"]
     rows = list(csv.DictReader((run_dir / "participant_00.csv").open()))
-    assert len(rows) == 15
+    assert len(rows) == 15 and list(rows[0]) == ["trial", "stimulus_id", "likert"]
     assert all(r["likert"] for r in rows)
+    assert json.loads((run_dir / "manifest.json").read_text())["format_version"] == 4
 
     report_path = tmp_path / "report.json"
     proc = run_cli("experiment-analyze", "--exp", "3", "--runs", str(run_dir),
@@ -242,13 +253,14 @@ def test_experiment_run_and_analyze(tmp_path):
         lines[1] = "x" + lines[1][lines[1].index(","):]
         table.write_text("".join(lines))
 
-    def edit_row(column, value, kind=None):
-        """Set `column` of participant_00.csv's first row, or of its first
-        row of `kind`."""
+    def edit_row(column, value, prefix=""):
+        """Set `column` of participant_00.csv's first row whose stimulus id
+        starts with `prefix`."""
         def edit(copy):
             table = copy / "participant_00.csv"
             rows = list(csv.DictReader(table.read_text().splitlines()))
-            next(row for row in rows if kind in (None, row["kind"]))[column] = value
+            next(row for row in rows
+                 if row["stimulus_id"].startswith(prefix))[column] = value
             with table.open("w", newline="") as fh:
                 writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
                 writer.writeheader()
@@ -269,17 +281,17 @@ def test_experiment_run_and_analyze(tmp_path):
             (copy / "manifest.json").write_text(json.dumps(manifest))
         return edit
 
-    def drop_vc_column(copy):
+    def drop_likert_column(copy):
         table = copy / "participant_00.csv"
         rows = list(csv.reader(table.read_text().splitlines()))
-        col = rows[0].index("vc")
+        col = rows[0].index("likert")
         with table.open("w", newline="") as fh:
             csv.writer(fh).writerows([row[:col] + row[col + 1:] for row in rows])
 
     def cut_row(copy):
         table = copy / "participant_00.csv"
         lines = table.read_text().splitlines(keepends=True)
-        lines[2] = ",".join(lines[2].split(",")[:3]) + "\r\n"
+        lines[2] = ",".join(lines[2].split(",")[:2]) + "\r\n"
         table.write_text("".join(lines))
 
     def write_sliders(shape, save=np.save, dtype=float):
@@ -293,16 +305,16 @@ def test_experiment_run_and_analyze(tmp_path):
         "future": (edit_manifest(format_version=7), "format_version"),
         "v1": (edit_manifest(format_version=1), "re-run experiment-run"),
         "v2": (edit_manifest(format_version=2), "re-run experiment-run"),
+        "v3": (edit_manifest(format_version=3), "re-run experiment-run"),
         "partial": (lambda copy: (copy / "participant_01.csv").unlink(),
                     "participant_01.csv"),
         "not_json": (lambda copy: (copy / "manifest.json").write_text("{oops"),
                      "manifest.json"),
         "no_participants": (edit_manifest(participants=None), "manifest.json"),
         "no_seed": (edit_manifest(seed=None), "manifest.json"),
+        "no_repetitions": (edit_manifest(repetitions=None), "manifest.json"),
         "bad_trial": (edit_trial, "participant_00.csv"),
-        "s1_without_lambda": (edit_row("lambda", "", "S1"), "participant_00.csv"),
-        "unknown_kind": (edit_row("kind", "S9", "S1"), "participant_00.csv"),
-        "no_vc_column": (drop_vc_column, "participant_00.csv"),
+        "no_likert_column": (drop_likert_column, "participant_00.csv"),
         "short_row": (cut_row, "participant_00.csv"),
         "huge_field": (edit_row("stimulus_id", "x" * 200_000, "S1"),
                        "participant_00.csv"),
@@ -318,17 +330,20 @@ def test_experiment_run_and_analyze(tmp_path):
                            "participant_01.csv: 15 rows, not the manifest's trials"),
         "unknown_stimulus": (edit_row("stimulus_id", "S1_vc-0.5_r0.5", "S1"),
                              "participant_00.csv: trial"),
-        "stimulus_mismatch": (edit_row("vc", "-0.05", "S1"), "participant_00.csv: trial"),
-        # Ratings off the 7-point scale, and a seed the plan does not give.
+        # Ratings off the 7-point scale.
         "likert_high": (edit_row("likert", "99"),
                         "participant_00.csv: trial 0 has likert 99"),
         "likert_low": (edit_row("likert", "-5"),
                        "participant_00.csv: trial 0 has likert -5"),
-        "seed_edited": (edit_row("seed", "12345"),
-                        "participant_00.csv: trial 0 has seed 12345"),
         "manifest_kind": (edit_manifest_stimulus(kind="S9"), "manifest.json: stimulus"),
         "manifest_lambda": (edit_manifest_stimulus(cooling_ratio=None),
                             "manifest.json: stimulus"),
+        # The manifest's specs, not its stimulus_id fields, name the
+        # stimuli: another rate renames stimulus 0, which no row shows.
+        "manifest_rate": (edit_manifest_stimulus(cooling_rate=-0.5),
+                          "participant_00.csv: trial"),
+        "manifest_twice": (edit_manifest_stimulus(cooling_rate=-0.16),
+                           "manifest.json: stimulus 'S1_vc-0.16_r0.5' is planned 2"),
         "slider_rows": (write_sliders((14, 1501)), "p01_slider.npy"),
         "slider_shape": (write_sliders((15, 2, 1501)), "p01_slider.npy"),
         "slider_npz": (write_sliders((15, 1501), save=np.savez),

@@ -6,10 +6,12 @@ import importlib.util
 import math
 import multiprocessing
 import pickle
+import re
 import tempfile
 import weakref
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +131,22 @@ def test_plan_ids_unique():
     plan = build_exp2_plan()
     ids = [stimulus_id(s) for s in plan.stimuli]
     assert len(set(ids)) == len(ids)
+
+
+@pytest.mark.parametrize("stimuli, named", [
+    # Two swings of one S1 share an id: read back, their trials would
+    # form one analysis group.
+    ((StimulusSpec("S1", -0.16, 0.5, 0.06), StimulusSpec("S1", -0.16, 0.5, 0.03)),
+     "stimulus 'S1_vc-0.16_r0.5' is planned 2 times"),
+    # A lambda on S2 or S3: read_records would refuse the manifest.
+    ((StimulusSpec("S3", -0.08), StimulusSpec("S2", -0.16, 0.5)),
+     "stimulus 'S2_vc-0.16' has kind 'S2' and lambda 0.5"),
+    ((StimulusSpec("S3", -0.16, 0.5),),
+     "stimulus 'S3_vc-0.16' has kind 'S3' and lambda 0.5"),
+], ids=["one_id_twice", "s2_lambda", "s3_lambda"])
+def test_plan_rejects_specs_it_cannot_read_back(stimuli, named):
+    with pytest.raises(ValidationError, match=re.escape(named)):
+        ExperimentPlan("exp2", stimuli, repetitions=2, participants=2, seed=0)
 
 
 def test_participant_settles_cold():
@@ -343,6 +361,15 @@ def test_property_summarize_sliders_matches_one_by_one(blocks, solos, seed):
     assert confidence.tolist() == want_confidence
     assert [bool(summarize_sliders([s])[0][0])
             for s in sliders[:3]] == want_flags[:3]
+
+
+def test_summarize_sliders_rejects_ragged_block():
+    # Sliders on one time array form one block, so values of another
+    # length cannot be a row of it.
+    time = np.arange(1501) / 100.0
+    with pytest.raises(ValueError):
+        summarize_sliders([SliderTrace(time, np.full(1501, 0.7)),
+                           SliderTrace(time, np.full(1500, 0.7))])
 
 
 def test_summarize_read_records_sliders(tmp_path):
@@ -589,30 +616,32 @@ def test_analyze_exp3_identical_ratings():
 
 
 def test_record_round_trip(tmp_path):
-    plan, result = small_pipeline(2)
-    out = tmp_path / "run"
-    write_records(pairs(result), plan, out)
-    loaded, manifest = read_records(out)
-    assert manifest["experiment"] == "exp2"
-    assert len(loaded) == len(result.records)
-    by_key = {(r.participant, r.trial): r for r in loaded}
-    for rec in result.records:
-        twin = by_key[(rec.participant, rec.trial)]
-        assert twin.stimulus_id == rec.stimulus_id
-        assert twin.cooling_rate == rec.cooling_rate
-        assert twin.seed == rec.seed
-        assert twin.kind == rec.kind
-        assert twin.cooling_ratio == rec.cooling_ratio
-        assert twin.likert == rec.likert
-        assert np.array_equal(twin.slider.time, rec.slider.time)
-        assert np.array_equal(twin.slider.values, rec.slider.values)
-    assert any(rec.cooling_ratio is None for rec in loaded)
-    # Analysis of the reloaded records, whose sliders share one time array
-    # per participant, matches the in-memory one, where each has its own.
-    assert len({id(r.slider.time) for r in loaded}) == 2
-    for pooling in ("trials", "participants"):
-        assert (asdict(analyze_exp2(loaded, pooling))
-                == asdict(analyze_exp2(result.records, pooling)))
+    # The tables hold each trial's id and likert; the plan in the manifest
+    # gives back every other field, and the slider arrays every bit.
+    fields = attrgetter("participant", "trial", "stimulus_id", "kind", "cooling_rate",
+                        "cooling_ratio", "seed", "likert")
+    for exp, analyze in ((2, analyze_exp2), (3, analyze_exp3)):
+        plan, result = small_pipeline(exp)
+        out = tmp_path / f"exp{exp}"
+        write_records(pairs(result), plan, out)
+        loaded, manifest = read_records(out)
+        assert (manifest["experiment"], manifest["format_version"]) == (f"exp{exp}", 4)
+        assert ([repr(fields(rec)) for rec in loaded]
+                == [repr(fields(rec)) for rec in result.records])
+        assert any(rec.cooling_ratio is None for rec in loaded)
+        for rec, twin in zip(result.records, loaded):
+            assert (rec.slider is None) == (twin.slider is None) == (exp == 3)
+            if exp == 2:
+                assert twin.slider.time.tobytes() == rec.slider.time.tobytes()
+                assert twin.slider.values.tobytes() == rec.slider.values.tobytes()
+        # Analysis of the reloaded records, whose sliders share one time
+        # array per participant, matches the in-memory one, where each has
+        # its own.
+        if exp == 2:
+            assert len({id(r.slider.time) for r in loaded}) == 2
+        for pooling in ("trials", "participants"):
+            assert (asdict(analyze(loaded, pooling))
+                    == asdict(analyze(result.records, pooling)))
 
 
 def test_read_records_sliders_copy_on_write(tmp_path):
@@ -731,6 +760,26 @@ def test_write_records_rejects_partial_sliders(tmp_path):
         write_records(pairs(result), plan, tmp_path / "run")
 
 
+def test_write_records_checks_each_record_against_the_plan(tmp_path):
+    # A table keeps only each trial's stimulus id and likert, so a record
+    # whose stimulus, kind, rate, ratio or seed the plan does not give
+    # would read back as another record: write_records refuses it, naming
+    # the participant and trial, and writes no manifest.
+    plan, result = small_pipeline(3)
+    for field, value in (("stimulus_id", "S1_vc-0.5_r0.5"), ("kind", "S3"),
+                         ("cooling_rate", -0.5), ("cooling_ratio", 0.3),
+                         ("seed", 12345)):
+        given = pairs(result)
+        records = given[1][1]
+        k = next(k for k, rec in enumerate(records) if rec.kind == "S1")
+        records[k] = replace(records[k], **{field: value})
+        out = tmp_path / field
+        named = rf"^participant 1 trial {records[k].trial}: "
+        with pytest.raises(ValidationError, match=named):
+            write_records(given, plan, out, traces=False)
+        assert not (out / "manifest.json").exists()
+
+
 def test_write_records_rejects_off_grid_slider(tmp_path):
     # A 2.005 s presentation ends off the 100 Hz grid; read_records could
     # not rebuild that slider's time, so write_records refuses it.
@@ -763,11 +812,13 @@ def test_write_records_trial_order_and_lazy_pairs(tmp_path):
 def test_write_records_rejects_wrong_participant_count(tmp_path, given):
     # A manifest over fewer participants than the plan names files that
     # are missing, and files past the plan are never read: either way no
-    # manifest is written.
-    plan, result = small_pipeline(3)
+    # manifest is written.  The pairs come from a 3-participant run with
+    # the plan's seed, so each one passes the per-record checks.
+    plan = build_exp3_plan(participants=2, seed=3)
+    _, result = small_pipeline(3, participants=3)
     with pytest.raises(ValidationError, match=rf"^{given} \(calibration, records\) "
                        rf"pairs given for a plan of {plan.participants} participants"):
-        write_records((pairs(result) * 2)[:given], plan, tmp_path / "run")
+        write_records(pairs(result)[:given], plan, tmp_path / "run")
     assert not (tmp_path / "run" / "manifest.json").exists()
 
 
