@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (CalibrationError, DegenerateDesignError,
-                     UnreachableRateError, ValidationError, check_numbers)
+                     UnreachableRateError, ValidationError, check_counts, check_numbers)
 from .pattern import RateSchedule, StimulusSpec, compile_schedule, stimulus_id
 from .plant import DEFAULT_SENSOR_RESOLUTION, DT, SkinPlant, Trace
 
@@ -78,8 +78,11 @@ class DutyModel:
 
 
 def exact_models(params) -> tuple[DutyModel, DutyModel]:
-    """Duty models copied from a plant's true coefficients (no fitting)."""
-    valve = DutyModel("valve", params.valve_gain, params.valve_bias,
+    """Duty models copied from a plant's true coefficients (no fitting); the
+    valve, which runs throughout a presentation, also carries the rest pull
+    at t_init."""
+    rest = params.relax_coeff * (params.t_neutral - params.t_init)
+    valve = DutyModel("valve", params.valve_gain, params.valve_bias + rest,
                       *VALVE_DUTY_RANGE, r_squared=1.0)
     led = DutyModel("led", params.led_gain, params.led_bias,
                     *LED_DUTY_RANGE, r_squared=1.0)
@@ -140,8 +143,7 @@ class CalibrationProtocol:
     noise_seed: int | Sequence[int] | None = None  # any numpy seed
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValidationError(f"max_iters must be at least 1, got {self.max_iters}")
+        check_counts(self, {"max_iters": 1})
         check_numbers(self, nonnegative=("sensor_resolution", "measurement_noise"))
 
 

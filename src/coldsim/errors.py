@@ -1,7 +1,8 @@
-"""Exception types and the input check shared across the package."""
+"""Exception types and the input checks shared across the package."""
 
 import math
 import numbers
+import operator
 
 
 class ValidationError(ValueError):
@@ -18,6 +19,19 @@ def check_numbers(obj, names=(), nonnegative=()) -> None:
             raise ValidationError(f"{name} must be a finite number, got {value!r}")
         if name in nonnegative and value < 0:
             raise ValidationError(f"{name} must be non-negative, got {value!r}")
+
+
+def check_counts(obj, least) -> None:
+    """Raise ValidationError unless each attribute of obj named in the dict
+    `least` is an integer, as operator.index takes it, of at least its value."""
+    for name, low in least.items():
+        value = getattr(obj, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+        if value < low:
+            raise ValidationError(f"{name} must be at least {low}, got {value}")
 
 
 class WrongKindError(ValidationError):

@@ -32,7 +32,7 @@ import os
 import signal
 import threading
 from dataclasses import dataclass, asdict, replace
-from operator import attrgetter, index
+from operator import attrgetter
 from time import sleep
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -42,7 +42,7 @@ from .control import (LED_DUTY_RANGE, LOG_RATE, VALVE_DUTY_RANGE,
                       CalibrationResult, DutyModel, calibrate, run_control,
                       schedule_to_timeline)
 from .errors import (CalibrationError, UnreachableRateError, ValidationError,
-                     check_numbers)
+                     check_counts, check_numbers)
 from .pattern import KINDS, StimulusSpec, compile_schedule, stimulus_id
 from .plant import PlantParams, SkinPlant, Trace, write_trace_csvs
 from .stats import (TestResult, benjamini_hochberg, kruskal_wallis,
@@ -224,10 +224,7 @@ class ExperimentPlan:
     seed: int
 
     def __post_init__(self):
-        for name, least in (("participants", 1), ("repetitions", 1), ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ValidationError(f"{name} must be at least {least}, "
-                                      f"got {getattr(self, name)}")
+        check_counts(self, {"participants": 1, "repetitions": 1, "seed": 0})
         if self.trials_per_participant > MAX_TRIALS:
             raise ValidationError(
                 f"trials_per_participant must be at most {MAX_TRIALS}, got "
@@ -821,7 +818,7 @@ def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
         plan = ExperimentPlan(manifest["experiment"], tuple(
             StimulusSpec(**{k: v for k, v in s.items() if k != "stimulus_id"})
             for s in manifest["stimuli"]),
-            *(index(manifest[k]) for k in ("repetitions", "participants", "seed")))
+            *(manifest[k] for k in ("repetitions", "participants", "seed")))
     except ValidationError as exc:  # an older format, or a plan ExperimentPlan refuses
         raise ValidationError(f"{manifest_path}: {exc}") from exc
     except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:

@@ -98,12 +98,6 @@ def _drive_rate(params: PlantParams, duty_valve, duty_led, valve_on, led_on):
             + (valve_on & led_on) * params.interaction_bias)
 
 
-def _check_duties(duty_valve, duty_led):
-    # NaN fails the comparisons; a multi-element array raises ValueError.
-    if not (0.0 <= duty_valve <= 1.0 and 0.0 <= duty_led <= 1.0):
-        raise ValidationError("duty fractions must lie in [0, 1]")
-
-
 def _step_counts(n_steps) -> tuple:
     """The per-piece step counts of run_span's n_steps and their total.
 
@@ -163,19 +157,6 @@ class SkinPlant:
         the noise stream is deliberately not rewound."""
         self.t_skin = self.params.t_init
 
-    def step(self, duty_valve=0.0, duty_led=0.0, valve_on=False,
-             led_on=False) -> float:
-        """Advance the skin node by one explicit first-order step of DT:
-        the per-step reference that run_span's block updates reorder."""
-        _check_duties(duty_valve, duty_led)
-        params = self.params
-        rate = _drive_rate(params, duty_valve, duty_led, valve_on, led_on)
-        rate += params.relax_coeff * (params.t_neutral - self.t_skin)
-        if params.noise_sigma > 0.0:
-            rate += self.rng.normal(0.0, params.noise_sigma)
-        self.t_skin += DT * rate
-        return self.t_skin
-
     def run_span(self, duty_valve=0.0, duty_led=0.0, valve_on=False,
                  led_on=False, n_steps=1, log_every=1) -> np.ndarray:
         """Run consecutive pieces of DT steps and return the temperature
@@ -185,13 +166,14 @@ class SkinPlant:
         As in a presentation, where only the warm channel switches, the
         duties and valve_on are one value per call; led_on is one flag or
         one per piece, and n_steps one step count or one per piece.  The
-        actuator rate is evaluated once per piece.  Over a block of L
-        steps between samples, step()'s recurrence T <- decay * T + d_j
-        is applied as one update, T <- decay**L * T + sum(decay**(L-1-j) * d_j)
-        by Horner's rule, and one linear filter runs over the blocks: the
-        dynamics are those of step(), only the order of the float
-        operations differs.  Process noise is one normal draw per sample,
-        with the exact law of the per-step noise summed over its block.
+        actuator rate is evaluated once per piece.  The dynamics are the
+        module equation's Euler recurrence T <- decay * T + d_j, with
+        decay = 1 - relax_coeff * DT and d_j = DT * (rate_j + relax_coeff
+        * t_neutral).  Over a block of L steps between samples it is
+        applied as one update, T <- decay**L * T + sum(decay**(L-1-j) * d_j)
+        by Horner's rule, and one linear filter runs over the blocks.
+        Process noise is one normal draw per sample, with the exact law of
+        the per-step noise summed over its block.
 
         A call that returns one sample (log_every at least the total
         step count, as every calibration reading and verification asks)
@@ -199,7 +181,9 @@ class SkinPlant:
         is one update S <- S * decay**c + d * sum(decay**i, i < c), and
         the end is decay**N * T + S plus one noise draw for all N steps.
         """
-        _check_duties(duty_valve, duty_led)
+        # NaN fails the comparisons; a multi-element array raises ValueError.
+        if not (0.0 <= duty_valve <= 1.0 and 0.0 <= duty_led <= 1.0):
+            raise ValidationError("duty fractions must lie in [0, 1]")
         counts, total = _step_counts(n_steps)
         if not (isinstance(log_every, (int, np.integer)) and log_every >= 1):
             raise ValidationError(

@@ -313,6 +313,8 @@ def test_experiment_run_and_analyze(tmp_path):
         "no_participants": (edit_manifest(participants=None), "manifest.json"),
         "no_seed": (edit_manifest(seed=None), "manifest.json"),
         "no_repetitions": (edit_manifest(repetitions=None), "manifest.json"),
+        "float_repetitions": (edit_manifest(repetitions=1.5),
+                              "manifest.json: repetitions must be an integer, got 1.5"),
         "bad_trial": (edit_trial, "participant_00.csv"),
         "no_likert_column": (drop_likert_column, "participant_00.csv"),
         "short_row": (cut_row, "participant_00.csv"),

@@ -19,6 +19,7 @@ from coldsim.control import DRIFT_THRESHOLD, LED_GRID, MEASURE_TIME, VALVE_GRID
 from coldsim.experiment import EXP2_RATES, EXP2_RATIOS, perturb_params
 from coldsim.plant import DT, Trace
 from test_pattern import segment_steps
+from test_plant import step
 
 
 def normal_equations_oracle(duties, rates):
@@ -294,6 +295,22 @@ def test_run_control_s1_whole_cycles_balance():
     assert abs(trace.net_delta_t) <= 0.02
 
 
+@pytest.mark.parametrize("swing", [0.06, 0.03])
+def test_exact_models_carry_rest_pull(swing):
+    # The valve model's intercept carries the rest pull at t_init, so on
+    # the default plant, relaxation on, every exp2 S1 cell ends within
+    # 0.01 degC of its start; the pull left uncompensated moves each by
+    # -0.265 degC.
+    params = PlantParams()
+    models = exact_models(params)
+    for vc in EXP2_RATES:
+        for ratio in EXP2_RATIOS:
+            timeline = schedule_to_timeline(
+                compile_schedule(StimulusSpec("S1", vc, ratio, swing)), *models)
+            trace = run_control(timeline, SkinPlant(params))
+            assert abs(trace.net_delta_t) <= 0.01, (vc, ratio)
+
+
 def test_run_control_snaps_off_grid_boundary():
     # an off-grid boundary lands on the nearest step without distortion:
     # the hold starts at step 1005, not at 1.0049 s
@@ -376,7 +393,7 @@ def test_property_run_control_matches_scalar_steps(case, relax, bias):
     temps = [plant.t_skin]
     valve_duty, duty, on = segment_steps(schedule, valve, led)
     for duty_led, led_on in zip(duty.tolist(), on.tolist()):
-        temps.append(plant.step(valve_duty, duty_led, True, led_on))
+        temps.append(step(plant, valve_duty, duty_led, True, led_on))
     expected = logged(temps)
     assert trace.time.tolist() == expected.time.tolist()
     assert np.max(np.abs(trace.temp - expected.temp)) <= 1e-9

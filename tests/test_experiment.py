@@ -77,6 +77,10 @@ def test_exp3_plan_shape():
     (lambda: build_exp2_plan(participants=0), "participants"),
     (lambda: build_exp3_plan(repetitions=-1), "repetitions"),
     (lambda: build_exp2_plan(seed=-1), "seed"),
+    (lambda: build_exp3_plan(repetitions=1.5), "repetitions must be an integer"),
+    (lambda: build_exp2_plan(participants=1.5), "participants must be an integer"),
+    (lambda: build_exp2_plan(seed=1.5), "seed must be an integer"),
+    (lambda: CalibrationProtocol(max_iters=2.5), "max_iters must be an integer"),
     (lambda: run_pipeline(build_exp3_plan(participants=1), jitter=-0.5), "jitter"),
     (lambda: run_pipeline(build_exp3_plan(participants=1), jitter=math.nan), "jitter"),
     (lambda: run_pipeline(build_exp3_plan(participants=1), jitter=1.0), "jitter"),

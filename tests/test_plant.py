@@ -24,9 +24,24 @@ def plant_at(temp):
     return plant
 
 
+def step(plant, duty_valve=0.0, duty_led=0.0, valve_on=False, led_on=False):
+    """One explicit Euler step of DT of the module equation in plant.py,
+    written out term by term and sharing no code with run_span: the
+    per-step reference that run_span's block updates reorder."""
+    p = plant.params
+    rate = (valve_on * (p.valve_gain * duty_valve + p.valve_bias)
+            + led_on * (p.led_gain * duty_led + p.led_bias)
+            + (valve_on and led_on) * p.interaction_bias)
+    rate += p.relax_coeff * (p.t_neutral - plant.t_skin)
+    if p.noise_sigma > 0.0:
+        rate += plant.rng.normal(0.0, p.noise_sigma)
+    plant.t_skin += DT * rate
+    return plant.t_skin
+
+
 def test_equilibrium_fixed_point():
     plant = SkinPlant(PlantParams(t_init=24.0))
-    assert plant.step() == 24.0
+    assert plant.run_span(n_steps=1).tolist() == [24.0]
 
 
 def test_valve_rate_and_six_second_drop():
@@ -42,13 +57,21 @@ def test_valve_rate_and_six_second_drop():
 
 def test_led_rate_affine_map():
     plant = SkinPlant(PlantParams(relax_coeff=0.0))
-    t_skin = plant.step(duty_led=0.902, led_on=True)
+    [t_skin] = plant.run_span(duty_led=0.902, led_on=True, n_steps=1)
     assert (t_skin - 33.0) / DT == pytest.approx(0.5000044, abs=1e-9)
 
 
-def test_step_validation():
-    with pytest.raises(ValidationError):
-        SkinPlant(PlantParams()).step(duty_valve=1.5, valve_on=True)
+@pytest.mark.parametrize("log_every", [1, 10**6])
+def test_run_span_rejects_out_of_range_duties(log_every):
+    # a duty outside [0, 1] or NaN raises before any step, on the logged
+    # path and the one-sample path
+    plant = SkinPlant(PlantParams())
+    for duty in (1.5, -0.1, math.nan):
+        for duties in (dict(duty_valve=duty), dict(duty_valve=0.5, duty_led=duty)):
+            with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+                plant.run_span(**duties, valve_on=True, led_on=True, n_steps=5,
+                               log_every=log_every)
+    assert plant.t_skin == 33.0
 
 
 @pytest.mark.parametrize("temp,expected", [
@@ -110,8 +133,9 @@ def test_property_sensor_matches_fraction_oracle(data, resolution):
 
 
 def test_step_noise_draws_from_plant_stream():
-    # step() adds one normal draw of the plant's stream to the rate, in
-    # this order of float operations, and the next step takes the next draw.
+    # the step oracle adds one normal draw of the plant's stream to the
+    # rate, in this order of float operations, and the next step takes the
+    # next draw.
     params = PlantParams(noise_sigma=0.05, interaction_bias=0.013)
     plant = SkinPlant(params, seed=7)
     twin = np.random.default_rng(7)
@@ -121,7 +145,7 @@ def test_step_noise_draws_from_plant_stream():
     for _ in range(2):
         temp = temp + DT * (drive + params.relax_coeff * (params.t_neutral - temp)
                             + twin.normal(0.0, params.noise_sigma))
-        assert plant.step(0.55, 0.3, True, True) == temp == plant.t_skin
+        assert step(plant, 0.55, 0.3, True, True) == temp == plant.t_skin
 
 
 def test_deterministic_with_equal_seeds():
@@ -139,13 +163,9 @@ def test_relaxation_monotone_convergence():
         t0 = float(rng.uniform(10, 45))
         params = PlantParams(relax_coeff=float(rng.uniform(0.001, 5.0)),
                              t_init=t0)
-        plant = SkinPlant(params)
-        last_gap = abs(plant.t_skin - 24.0)
-        for _ in range(2000):
-            plant.step()
-            gap = abs(plant.t_skin - 24.0)
-            assert gap <= last_gap + 1e-15
-            last_gap = gap
+        temps = SkinPlant(params).run_span(n_steps=2000, log_every=1)
+        gaps = np.abs(np.concatenate(([t0], temps)) - 24.0)
+        assert (np.diff(gaps) <= 1e-15).all()
 
 
 def test_step_refinement_endpoint():
@@ -168,8 +188,8 @@ def test_run_span_matches_scalar_loop():
     # samples after every log_every steps, plus the end off that grid
     params = PlantParams()  # relaxation on, noise off
     slow = SkinPlant(params)
-    steps = [slow.step(duty_valve=0.55, duty_led=0.3, valve_on=True,
-                       led_on=True) for _ in range(400)]
+    steps = [step(slow, duty_valve=0.55, duty_led=0.3, valve_on=True,
+                  led_on=True) for _ in range(400)]
     for log_every in (1, 7, 10, 400, 1000):
         fast = SkinPlant(params)
         temps = fast.run_span(duty_valve=0.55, duty_led=0.3, valve_on=True,
@@ -231,9 +251,9 @@ def test_run_span_rejects_non_integer_step_counts(n_steps, log_every):
 
 def test_interaction_bias_only_when_both_on():
     params = PlantParams(relax_coeff=0.0, interaction_bias=0.013)
-    single = SkinPlant(params).step(duty_led=0.5, led_on=True)
-    both = SkinPlant(params).step(duty_valve=0.55, duty_led=0.5,
-                                  valve_on=True, led_on=True)
+    [single] = SkinPlant(params).run_span(duty_led=0.5, led_on=True, n_steps=1)
+    [both] = SkinPlant(params).run_span(duty_valve=0.55, duty_led=0.5,
+                                        valve_on=True, led_on=True, n_steps=1)
     led_only_rate = (single - 33.0) / DT
     both_rate = (both - 33.0) / DT
     valve_rate = -2.252 * 0.55 + 1.0535
@@ -360,11 +380,11 @@ def piece_runs(draw, max_pieces=5):
 
 
 def stepped(params, inputs, pieces):
-    """A plant after a loop of step() calls over the pieces, and the
+    """A plant after a loop of step oracle calls over the pieces, and the
     temperature after each step."""
     plant = SkinPlant(params)
-    steps = [plant.step(inputs["duty_valve"], inputs["duty_led"],
-                        inputs["valve_on"], bool(led_on))
+    steps = [step(plant, inputs["duty_valve"], inputs["duty_led"],
+                  inputs["valve_on"], bool(led_on))
              for led_on, count in pieces for _ in range(count)]
     return plant, steps
 
@@ -373,7 +393,7 @@ def stepped(params, inputs, pieces):
 @given(piece_runs(), st.integers(1, 400), st.sampled_from([0.0, 0.002, 50.0]))
 def test_property_run_span_matches_scalar_steps(case, log_every, relax):
     # logged samples of any interval, over one piece or several, match a
-    # loop of step() calls to rounding
+    # loop of step oracle calls to rounding
     inputs, pieces = case
     params = PlantParams(relax_coeff=relax, interaction_bias=0.013)
     fast = SkinPlant(params)
@@ -393,7 +413,7 @@ def test_property_run_span_matches_scalar_steps(case, log_every, relax):
 def test_property_run_span_end_matches_logged_and_steps(case, extra, relax):
     # a call that returns one sample computes only the end, one update per
     # piece; it matches the last sample of the same pieces logged every 10
-    # steps and a loop of step() calls
+    # steps and a loop of step oracle calls
     inputs, pieces = case
     params = PlantParams(relax_coeff=relax, interaction_bias=0.013)
     total = sum(count for _, count in pieces)

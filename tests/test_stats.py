@@ -281,6 +281,15 @@ def test_chi2_against_scipy_grid():
             assert chi_square_sf(x, df) == pytest.approx(ref, abs=1e-10)
 
 
+def test_chi2_matches_scipy_stats_bit_for_bit():
+    # chdtrc is the same tail as scipy.stats.chi2.sf, bit for bit
+    xs = np.concatenate(([0.0, 5e-324, 1e-300, 1e-12, math.inf],
+                         np.linspace(0.0, 200.0, 81), np.geomspace(1e-6, 1e4, 81)))
+    for df in range(1, 60):
+        got = np.array([chi_square_sf(float(x), df) for x in xs])
+        assert got.tobytes() == scipy.stats.chi2.sf(xs, df).tobytes(), df
+
+
 def test_chi2_strictly_decreasing():
     for df in (1, 4, 9):
         values = [chi_square_sf(x, df) for x in np.linspace(0.01, 60, 120)]
