@@ -28,6 +28,7 @@ import contextlib
 import csv
 import json
 import math
+import operator
 import os
 import signal
 import threading
@@ -61,9 +62,6 @@ PERSISTENCE_WINDOW = (5.0, 15.0)
 # Perceived-peak normalization for ratings, degC/s.
 RATING_PEAK_SCALE = 0.3
 
-# A participant's trial index takes three decimal digits of its seed.
-MAX_TRIALS = 1_000
-
 # Run directory layout that write_records writes and read_records reads.
 FORMAT_VERSION = 4
 
@@ -75,7 +73,7 @@ class ParticipantModel:
     warm_attenuation scales perceived warming relative to cooling
     (people are far more sensitive to cold); hold_time is how slowly a
     reported percept releases back toward neutral when the stimulus
-    pauses between cycles.
+    pauses between cycles.  Nothing reads seed (see default_participants).
     """
 
     detect_threshold: float = 0.02   # degC/s dead zone on the perceived rate
@@ -128,15 +126,14 @@ def perceived_rate(trace: Trace, model: ParticipantModel) -> np.ndarray:
 
 
 def simulate_participant(trace: Trace, model: ParticipantModel,
-                         rng: Optional[np.random.Generator] = None) -> SliderTrace:
+                         rng: np.random.Generator) -> SliderTrace:
     """Produce the slider response to a temperature trace.
 
     Pipeline: low-pass the rate, attenuate warming, apply the detection
     dead zone, map through a saturating gain around the neutral point,
-    hold-and-release, delay by the motor lag, add clipped noise.
+    hold-and-release, delay by the motor lag, add clipped noise: one
+    rng.normal draw per sample, none when response_noise is 0.
     """
-    if rng is None:
-        rng = np.random.default_rng(model.seed)
     t = np.asarray(trace.time, dtype=float)
     sample_dt = _sample_dt(trace)
     p = perceived_rate(trace, model)
@@ -225,10 +222,8 @@ class ExperimentPlan:
 
     def __post_init__(self):
         check_counts(self, {"participants": 1, "repetitions": 1, "seed": 0})
-        if self.trials_per_participant > MAX_TRIALS:
-            raise ValidationError(
-                f"trials_per_participant must be at most {MAX_TRIALS}, got "
-                f"{self.trials_per_participant}")
+        for name in ("participants", "repetitions", "seed"):  # a plain int, for JSON
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         ids = [stimulus_id(spec) for spec in self.stimuli]
         counts = collections.Counter(ids)
         for sid, spec in zip(ids, self.stimuli):
@@ -272,15 +267,9 @@ class TrialRecord:
     kind: str
     cooling_rate: float
     cooling_ratio: Optional[float]
-    seed: int
     slider: Optional[SliderTrace] = None
     likert: Optional[int] = None
     trace: Optional[Trace] = None
-
-
-def _trial_seed(plan_seed: int, participant: int, trial: int) -> int:
-    """Distinct for trial < MAX_TRIALS, which ExperimentPlan enforces."""
-    return plan_seed * 1_000_000 + participant * 1_000 + trial
 
 
 def run_experiment(plan: ExperimentPlan,
@@ -310,8 +299,11 @@ def _participant_trials(plan: ExperimentPlan, pidx: int, plant: SkinPlant,
                         models: tuple[DutyModel, DutyModel]) -> list[TrialRecord]:
     """Participant pidx's trials of run_experiment, in run order: trial k
     presents plan.stimuli[order[k] // plan.repetitions], for one order per
-    participant drawn from (plan seed, pidx).  Each stimulus's id and
-    timeline are made once."""
+    participant drawn from (plan seed, pidx).  The response noise is one
+    stream per participant, also drawn from (plan seed, pidx), that the
+    trials draw from in turn: trial k's noise is row k of one
+    (trials, samples) normal draw.  Each stimulus's id and timeline are
+    made once."""
     valve_model, led_model = models
     planned = []  # (id, spec, timeline) per stimulus, in plan order
     for spec in plan.stimuli:
@@ -324,17 +316,16 @@ def _participant_trials(plan: ExperimentPlan, pidx: int, plant: SkinPlant,
     records = []
     order_rng = np.random.default_rng((plan.seed, pidx, 0xC01D))
     order = order_rng.permutation(plan.trials_per_participant)
+    noise_rng = np.random.default_rng((plan.seed, pidx, 0x511DE))
     for tidx, which in enumerate(order):
         sid, spec, timeline = planned[which // plan.repetitions]
-        seed = _trial_seed(plan.seed, pidx, tidx)
         plant.reset()
         trace = run_control(timeline, plant)
-        rng = np.random.default_rng(seed)
-        slider = simulate_participant(trace, person, rng)
+        slider = simulate_participant(trace, person, noise_rng)
         record = TrialRecord(
             participant=pidx, trial=tidx, stimulus_id=sid, kind=spec.kind,
             cooling_rate=spec.cooling_rate, cooling_ratio=spec.cooling_ratio,
-            seed=seed, trace=trace)
+            trace=trace)
         if plan.experiment == "exp2":
             record.slider = slider
         else:
@@ -390,12 +381,12 @@ def perturb_params(base: PlantParams, rng: np.random.Generator,
 
 
 def default_participants(n: int, seed: int = 0) -> list[ParticipantModel]:
-    """n copies of the default perceiver, distinguished only by noise seed.
+    """n copies of the default perceiver, distinguished only by seed.
 
-    Every study path (run_participants, run_experiment and coldbench's
-    present-stream) passes each trial's own generator to
-    simulate_participant, so these seeds reach no draw; only a call
-    without rng reads them."""
+    Nothing reads these seeds: simulate_participant draws from the
+    generator its caller passes, one stream per participant in a study
+    (run_participants, run_experiment).  The seed parameter stays because
+    coldbench's present-stream passes seed=."""
     return [ParticipantModel(seed=seed * 10_000 + i) for i in range(n)]
 
 
@@ -623,12 +614,10 @@ def _write_participant(out_dir, pidx: int, recs: list[TrialRecord],
                  for rec in recs if rec.slider is not None), None)
     for rec in recs:
         where = f"participant {pidx} trial {rec.trial}"
-        want = _trial_seed(plan.seed, pidx, rec.trial)
         got = rec.kind, rec.cooling_rate, rec.cooling_ratio
-        if planned.get(rec.stimulus_id) != got or rec.seed != want:
-            raise ValidationError(
-                f"{where}: {rec.stimulus_id!r} as kind, vc and lambda {got} with seed "
-                f"{rec.seed} is not a planned stimulus with the trial seed {want}")
+        if planned.get(rec.stimulus_id) != got:
+            raise ValidationError(f"{where}: {rec.stimulus_id!r} as kind, vc and "
+                                  f"lambda {got} is not a planned stimulus")
         if grid is not None and (rec.slider is None
                                  or not np.array_equal(rec.slider.time, grid)):
             raise ValidationError(
@@ -731,12 +720,12 @@ def write_records(participants: Iterable[tuple[CalibrationResult, list[TrialReco
     ValidationError, and no manifest is written.
 
     `participant_XX.csv` holds each record's `trial`, `stimulus_id` and
-    `likert`; the plan holds its stimulus and seed.  Row k of
+    `likert`; the plan gives its kind, rate and ratio.  Row k of
     `pXX_slider.npy` (float64, shape (trials, samples)) holds the slider
     values of row k, on the grid k / LOG_RATE, which is not stored.  A
-    record whose stimulus or seed the plan does not give (see
-    read_records), or that has no slider on that grid while others have
-    one, raises ValidationError naming its participant and trial.
+    record whose stimulus the plan does not give (see read_records), or
+    that has no slider on that grid while others have one, raises
+    ValidationError naming its participant and trial.
     `traces=False` skips only the temperature trace files, which
     `write_trace_csvs` writes.  `traces/` is made only when a file is
     written into it.
@@ -769,7 +758,7 @@ def write_records(participants: Iterable[tuple[CalibrationResult, list[TrialReco
             f"{pidx} (calibration, records) pairs given for a plan of "
             f"{plan.participants} participants; write_records needs one "
             f"pair per planned participant")
-    manifest = {
+    manifest = json.dumps({
         "format_version": FORMAT_VERSION,
         "experiment": plan.experiment,
         "participants": plan.participants,
@@ -778,10 +767,9 @@ def write_records(participants: Iterable[tuple[CalibrationResult, list[TrialReco
         "stimuli": [{"stimulus_id": stimulus_id(s), **asdict(s)}
                     for s in plan.stimuli],
         "traces": traces,
-    }
+    }, indent=2, sort_keys=True)
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(manifest + "\n")
 
 
 def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
@@ -795,8 +783,8 @@ def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
 
     The manifest's plan must pass ExperimentPlan's checks.  Each table
     holds its trials 0, 1, ... in row order, each with the id of a planned
-    spec, which gives its kind, rate and ratio, a seed from _trial_seed,
-    and a likert that is empty or an integer from 1 to 7.
+    spec, which gives its kind, rate and ratio, and a likert that is empty
+    or an integer from 1 to 7.
 
     Each slider array is mapped copy-on-write from its file, not read
     into fresh memory: a run just written is already in the page cache,
@@ -850,8 +838,7 @@ def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
             if likert is not None and not 1 <= likert <= 7:
                 raise ValidationError(f"{path}: trial {tidx} has likert "
                                       f"{likert}, not an integer from 1 to 7")
-            table.append(TrialRecord(pidx, tidx, sid, *stimuli[sid],
-                                     _trial_seed(plan.seed, pidx, tidx), likert=likert))
+            table.append(TrialRecord(pidx, tidx, sid, *stimuli[sid], likert=likert))
         path = os.path.join(run_dir, "traces", f"p{pidx:02d}_slider.npy")
         if os.path.exists(path):
             try:

@@ -31,7 +31,7 @@ from coldsim.experiment import (EXP2_RATIOS, EXP3_BASE_RATE, EXP3_RATES,
                                 PERSISTENCE_WINDOW, ExperimentPlan, TrialRecord,
                                 peak_cooling_rate, perceived_rate,
                                 perturb_params, read_records, run_participants,
-                                _trial_seed, run_pipeline, summarize_sliders,
+                                run_pipeline, summarize_sliders,
                                 write_records)
 from coldsim.pattern import StimulusSpec, stimulus_id
 from coldsim.plant import Trace
@@ -102,7 +102,7 @@ def test_exp3_plan_shape():
     (lambda: DutyModel("led", 0.5, 0.0, 0.6, 0.6), "duty range"),
     (lambda: invert_duty(DutyModel("led", 0.0, 0.1, 0.0, 1.0), 0.1), "zero-slope"),
     (lambda: analyze_exp2([]), "no records"),
-    (lambda: analyze_exp3([TrialRecord(0, 0, "S3_vc-0.16", "S3", -0.16, None, 0)]),
+    (lambda: analyze_exp3([TrialRecord(0, 0, "S3_vc-0.16", "S3", -0.16, None)]),
      "every record needs"),
     (lambda: run_experiment(build_exp3_plan(participants=2), lambda i: SkinPlant(),
                             default_participants(2), [exact_models(PlantParams())]),
@@ -111,24 +111,23 @@ def test_exp3_plan_shape():
     (lambda: compile_schedule(StimulusSpec("S2", -0.16, drop_duration=0)),
      "drop_duration must be positive"),
     (lambda: SkinPlant().run_span(log_every=0), "log_every"),
-    (lambda: build_exp2_plan(participants=2, repetitions=29, seed=1),
-     "trials_per_participant must be at most 1000, got 1015"),
 ])
 def test_out_of_range_settings_rejected(make, named):
     with pytest.raises(ValidationError, match=named):
         make()
 
 
-def test_plan_trial_seeds_distinct_up_to_max_trials():
-    # _trial_seed packs the trial index into three decimal digits: with
-    # 1,000 trials per participant every seed is distinct, one more trial
-    # is refused.
-    stimuli = (StimulusSpec("S3", -0.16),)
-    plan = ExperimentPlan("exp3", stimuli, repetitions=1000, participants=2, seed=1)
-    seeds = {_trial_seed(plan.seed, p, t) for p in range(2) for t in range(1000)}
-    assert len(seeds) == 2000
-    with pytest.raises(ValidationError, match="at most 1000, got 1001"):
-        ExperimentPlan("exp3", stimuli, repetitions=1001, participants=2, seed=1)
+def test_plan_of_more_than_1000_trials_runs_on_distinct_noise():
+    # No cap on a participant's trials: 2 x 1,015 presentations of one
+    # stimulus on one plant differ only by their response noise, and no
+    # two draw the same.
+    spec = StimulusSpec("S3", -0.16, duration=1.0)
+    plan = ExperimentPlan("exp2", (spec,), repetitions=1015, participants=2, seed=1)
+    records = run_experiment(plan, lambda i: SkinPlant(), default_participants(2),
+                             [exact_models(PlantParams())] * 2)
+    assert [(rec.participant, rec.trial) for rec in records] == [
+        (p, t) for p in range(2) for t in range(1015)]
+    assert len({rec.slider.values.tobytes() for rec in records}) == 2030
 
 
 def test_plan_ids_unique():
@@ -191,7 +190,7 @@ def test_participant_rejects_slow_sampling():
               np.zeros(1501)):             # time does not increase
         trace = Trace(t, np.full_like(t, 33.0))
         with pytest.raises(ValidationError):
-            simulate_participant(trace, ParticipantModel())
+            simulate_participant(trace, ParticipantModel(), np.random.default_rng(0))
 
 
 def loop_perceived_rate(trace, model):
@@ -279,7 +278,7 @@ def test_property_participant_matches_scalar_loops(segments, hold_time, time_con
     assert np.max(np.abs(perceived_rate(trace, model) - oracle_rate)) <= 1e-12
     assert peak_cooling_rate(trace, model) == pytest.approx(
         max(0.0, -np.min(oracle_rate)), rel=0, abs=1e-12)
-    slider = simulate_participant(trace, model)
+    slider = simulate_participant(trace, model, np.random.default_rng(0))
     assert np.array_equal(slider.time, t)
     assert np.max(np.abs(slider.values - loop_slider(trace, model))) <= 1e-12
 
@@ -292,7 +291,8 @@ def test_participant_zero_hold_time_holds_nothing():
     felt = np.where(p > 0.0, p * model.warm_attenuation, p)
     felt = np.where(np.abs(felt) >= model.detect_threshold, felt, 0.0)
     raw = 0.5 - 0.5 * np.tanh(model.gain * felt)
-    assert np.array_equal(simulate_participant(trace, model).values, raw)
+    assert np.array_equal(
+        simulate_participant(trace, model, np.random.default_rng(0)).values, raw)
     assert np.any(raw == 0.5)  # the dead zone while the rate turns over
 
 
@@ -429,9 +429,33 @@ def test_run_experiment_replay_bit_identical():
     _, first = small_pipeline(3)
     _, second = small_pipeline(3)
     for a, b in zip(first.records, second.records):
-        assert a.stimulus_id == b.stimulus_id and a.seed == b.seed
+        assert a.stimulus_id == b.stimulus_id
         assert a.likert == b.likert
         assert np.array_equal(a.trace.temp, b.trace.temp)
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_property_response_noise_is_one_block_per_participant(seed):
+    # Each participant's noise is one stream that the trials draw from
+    # in turn, so trial k's slider is the noiseless one plus row k of one
+    # (trials, samples) draw from (seed, participant, 0x511DE).
+    specs = (StimulusSpec("S1", -0.16, 0.5), StimulusSpec("S2", -0.24),
+             StimulusSpec("S3", -0.08))
+    plan = ExperimentPlan("exp2", specs, repetitions=2, participants=2, seed=seed)
+    persons = default_participants(2)
+    models = [exact_models(PlantParams())] * 2
+    noisy = run_experiment(plan, lambda i: SkinPlant(), persons, models)
+    noiseless = run_experiment(plan, lambda i: SkinPlant(),
+                               [replace(p, response_noise=0.0) for p in persons], models)
+    trials, samples = plan.trials_per_participant, len(noisy[0].slider.values)
+    blocks = [np.random.default_rng((seed, pidx, 0x511DE)).normal(
+        0.0, persons[pidx].response_noise, (trials, samples)) for pidx in range(2)]
+    for rec, quiet in zip(noisy, noiseless):
+        assert (rec.participant, rec.trial) == (quiet.participant, quiet.trial)
+        want = np.clip(quiet.slider.values + blocks[rec.participant][rec.trial], 0.0, 1.0)
+        assert rec.slider.values.tobytes() == want.tobytes()
+    assert not np.array_equal(blocks[0], blocks[1])
 
 
 def test_run_experiment_shuffle_deterministic_and_per_participant():
@@ -492,8 +516,8 @@ def test_pipeline_matches_calibrate_all_first_order(build, tmp_path):
     got = run_pipeline(plan)
     assert len(got.records) == len(want_records) == 2 * plan.trials_per_participant
     for rec, want in zip(got.records, want_records):
-        assert (rec.participant, rec.trial, rec.stimulus_id, rec.seed, rec.likert) == (
-            want.participant, want.trial, want.stimulus_id, want.seed, want.likert)
+        assert (rec.participant, rec.trial, rec.stimulus_id, rec.likert) == (
+            want.participant, want.trial, want.stimulus_id, want.likert)
         assert rec.trace.temp.tobytes() == want.trace.temp.tobytes()
         assert (rec.slider is None) == (want.slider is None) == (plan.experiment == "exp3")
         if rec.slider is not None:
@@ -623,7 +647,7 @@ def test_record_round_trip(tmp_path):
     # The tables hold each trial's id and likert; the plan in the manifest
     # gives back every other field, and the slider arrays every bit.
     fields = attrgetter("participant", "trial", "stimulus_id", "kind", "cooling_rate",
-                        "cooling_ratio", "seed", "likert")
+                        "cooling_ratio", "likert")
     for exp, analyze in ((2, analyze_exp2), (3, analyze_exp3)):
         plan, result = small_pipeline(exp)
         out = tmp_path / f"exp{exp}"
@@ -766,13 +790,12 @@ def test_write_records_rejects_partial_sliders(tmp_path):
 
 def test_write_records_checks_each_record_against_the_plan(tmp_path):
     # A table keeps only each trial's stimulus id and likert, so a record
-    # whose stimulus, kind, rate, ratio or seed the plan does not give
+    # whose stimulus, kind, rate or ratio the plan does not give
     # would read back as another record: write_records refuses it, naming
     # the participant and trial, and writes no manifest.
     plan, result = small_pipeline(3)
     for field, value in (("stimulus_id", "S1_vc-0.5_r0.5"), ("kind", "S3"),
-                         ("cooling_rate", -0.5), ("cooling_ratio", 0.3),
-                         ("seed", 12345)):
+                         ("cooling_rate", -0.5), ("cooling_ratio", 0.3)):
         given = pairs(result)
         records = given[1][1]
         k = next(k for k, rec in enumerate(records) if rec.kind == "S1")
@@ -782,6 +805,18 @@ def test_write_records_checks_each_record_against_the_plan(tmp_path):
         with pytest.raises(ValidationError, match=named):
             write_records(given, plan, out, traces=False)
         assert not (out / "manifest.json").exists()
+
+
+def test_write_records_takes_numpy_integer_counts(tmp_path):
+    # The plan keeps its counts and seed as plain ints, so the manifest
+    # of a plan built from numpy integers is JSON.
+    plan = build_exp3_plan(participants=1, repetitions=np.int64(1), seed=np.int64(1))
+    assert all(type(value) is int
+               for value in (plan.participants, plan.repetitions, plan.seed))
+    write_records(run_participants(plan), plan, tmp_path / "run", traces=False)
+    records, manifest = read_records(tmp_path / "run")
+    assert (manifest["participants"], manifest["repetitions"], manifest["seed"]) == (1, 1, 1)
+    assert len(records) == plan.trials_per_participant
 
 
 def test_write_records_rejects_off_grid_slider(tmp_path):
@@ -899,7 +934,6 @@ def test_property_slider_round_trip_bit_identical(run):
                 participant=pidx, trial=tidx,
                 stimulus_id=stimulus_id(spec), kind=spec.kind,
                 cooling_rate=spec.cooling_rate, cooling_ratio=spec.cooling_ratio,
-                seed=_trial_seed(plan.seed, pidx, tidx),
                 slider=SliderTrace(time, vals)))
     records = [rec for group in groups for rec in group]
     with tempfile.TemporaryDirectory() as tmp:
