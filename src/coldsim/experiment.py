@@ -16,9 +16,8 @@ onto the slider, a peak-hold with slow release (reported percepts decay,
 they do not vanish the instant stimulation pauses), motor lag, and
 clipped response noise.
 
-scipy is imported where it is first used, as in plant and stats:
-importing it takes about 0.6 s, which every CLI start would pay.  So
-is multiprocessing (about 10 ms), which only a trace-writing pool needs.
+multiprocessing is imported where it is first used (about 10 ms), since
+only a trace-writing pool needs it.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from .control import (LED_DUTY_RANGE, LOG_RATE, VALVE_DUTY_RANGE,
 from .errors import (CalibrationError, UnreachableRateError, ValidationError,
                      check_counts, check_numbers)
 from .pattern import KINDS, StimulusSpec, compile_schedule, stimulus_id
-from .plant import PlantParams, SkinPlant, Trace, write_trace_csvs
+from .plant import PlantParams, SkinPlant, Trace, first_order, write_trace_csvs
 from .stats import (TestResult, benjamini_hochberg, kruskal_wallis,
                     wilcoxon_rank_sum)
 
@@ -121,8 +120,7 @@ def perceived_rate(trace: Trace, model: ParticipantModel) -> np.ndarray:
     rate[1:] = np.diff(temp) / sample_dt
     rate[0] = rate[1]
     alpha = 1.0 - math.exp(-sample_dt / model.time_constant)
-    from scipy.signal import lfilter
-    return lfilter([alpha], [1.0, alpha - 1.0], rate)
+    return first_order(1.0 - alpha, alpha * rate)
 
 
 def simulate_participant(trace: Trace, model: ParticipantModel,

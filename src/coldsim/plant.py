@@ -17,8 +17,10 @@ device (valve duty 49.0-60.1 % spanning roughly -0.05 to -0.30 degC/s,
 LED duty 11.8-90.2 % spanning roughly +0.02 to +0.50 degC/s); they are
 not physiological constants.
 
-scipy is imported where it is first used, as in experiment and stats:
-importing it takes about 0.6 s, which every CLI start would pay.
+run_span's logged path filters its blocks with first_order, a
+first-order recurrence in numpy ufuncs that the perceiver in experiment
+shares, so simulating imports no scipy (scipy.signal takes about 1 s and
+70 MB to import).
 """
 
 from __future__ import annotations
@@ -73,6 +75,12 @@ class PlantParams:
     def __post_init__(self):
         check_numbers(self, self.__dataclass_fields__,
                       nonnegative=("relax_coeff", "noise_sigma"))
+        if self.relax_coeff > 1.0 / DT:
+            # the Euler step's decay 1 - relax_coeff * DT would be negative:
+            # the skin would oscillate about t_neutral or diverge
+            raise ValidationError(
+                f"relax_coeff must be at most 1/DT = {1.0 / DT:g} /s, "
+                f"got {self.relax_coeff!r}")
         if not self.valve_gain < 0:
             raise ValidationError("valve_gain must be negative")
         if not self.led_gain > 0:
@@ -143,6 +151,46 @@ def _block_sums(drive: np.ndarray, length: int, decay: float) -> np.ndarray:
     return sums
 
 
+# The smallest power of the pole that first_order divides by.  A pole
+# below it skips the division.
+_MIN_POWER = 2.0**-600
+
+
+def first_order(pole: float, x, y0: float = 0.0) -> np.ndarray:
+    """y[k] = pole * y[k-1] + x[k] with y[-1] = y0, for 0 <= pole <= 1.
+
+    Over a chunk of C samples entered at y_in, y[k] = q[k] * (y_in +
+    sum(x[j] / q[j], j <= k)) with q[k] = pole**(k+1): one
+    multiply.accumulate, one divide, one cumsum and one multiply, all
+    sequential IEEE operations with no libm call and no BLAS, so the bits
+    are the same on every CPU.  C is the largest power of two with
+    pole**C >= 2**-600, found by squaring, so x / q stays finite for
+    |x| < 2**400.  A pole below 2**-600, 0 included, drops its squared
+    terms, which are below 2**-1200 of the input: y[k] = x[k] + pole *
+    x[k-1].  At pole 1 the result is the running sum, bit for bit, so a
+    split into consecutive calls gives the same bits there.
+    """
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    if pole < _MIN_POWER:
+        return x + pole * np.concatenate(([y0], x))[:n]
+    size, power = 1, pole
+    while size < n and power * power >= _MIN_POWER:
+        size, power = 2 * size, power * power
+    q = np.multiply.accumulate(np.full(min(size, n), pole))
+    y = np.empty(n)
+    carry = y0
+    for start in range(0, n, size):
+        chunk = y[start:start + size]
+        powers = q[:len(chunk)]
+        np.divide(x[start:start + size], powers, out=chunk)
+        chunk[0] += carry
+        np.add.accumulate(chunk, out=chunk)
+        chunk *= powers
+        carry = chunk[-1]
+    return y
+
+
 class SkinPlant:
     """A single-owner plant instance stepped sequentially: t_skin is the
     skin temperature and rng the process-noise stream."""
@@ -171,7 +219,7 @@ class SkinPlant:
         decay = 1 - relax_coeff * DT and d_j = DT * (rate_j + relax_coeff
         * t_neutral).  Over a block of L steps between samples it is
         applied as one update, T <- decay**L * T + sum(decay**(L-1-j) * d_j)
-        by Horner's rule, and one linear filter runs over the blocks.
+        by Horner's rule, and first_order runs over the blocks.
         Process noise is one normal draw per sample, with the exact law of
         the per-step noise summed over its block.
 
@@ -217,8 +265,7 @@ class SkinPlant:
             sums = sums + draws[:blocks] * math.sqrt(_geometric(squared, log_every)[1])
             if rem:
                 tail += draws[-1] * math.sqrt(_geometric(squared, rem)[1])
-        from scipy.signal import lfilter
-        temps, _ = lfilter([1.0], [1.0, -power], sums, zi=[power * self.t_skin])
+        temps = first_order(power, sums, self.t_skin)
         self.t_skin = float(temps[-1])
         if rem:
             self.t_skin = float(tail_power * self.t_skin + tail)

@@ -15,8 +15,9 @@ call costs about 0.5 ms of wrapping whatever its size (on a shared
 rank-sum distribution, Benjamini-Hochberg and the chi-square tail stay
 scipy's.
 
-scipy is imported where it is first used, as in plant and experiment:
-importing it takes about 0.6 s, which every CLI start would pay.
+scipy is imported where it is first used, and only by this module:
+importing scipy.stats takes about 1 s and 70 MB, which every CLI start
+would pay.  Simulating needs none of it (see plant.first_order).
 """
 
 from __future__ import annotations

@@ -101,6 +101,44 @@ def test_calibrate_does_not_import_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_simulate_does_not_import_scipy(tmp_path):
+    # the logged plant span and the perceiver's low-pass are first_order,
+    # not lfilter, so neither the perceiver nor the command loads scipy
+    script = (
+        "import sys\n"
+        "from coldsim import cli, experiment, plant\n"
+        "experiment.perceived_rate(plant.Trace([0.0, 0.01], [33.0, 32.9]),"
+        " experiment.ParticipantModel())\n"
+        "assert cli.main(['simulate', '--kind', 'S1', '--vc', '-0.24', '--ratio', '0.3',"
+        " '--out', sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "trace.csv")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_simulate_relax_coeff_limit(tmp_path):
+    # Above 1/DT = 1000 /s the plant's Euler decay would be negative: the
+    # config is refused, with exit 1 as for any invalid config value.  At
+    # 1000 /s the decay is 0 and the skin is pinned near t_neutral.
+    models = tmp_path / "models.json"
+    assert run_cli("calibrate", "--quiet", "--out", str(models)).returncode == 0
+    config, out = tmp_path / "plant.json", tmp_path / "trace.csv"
+    config.write_text('{"relax_coeff": 1000.0000000000001}')
+    proc = run_cli("simulate", "--kind", "S1", "--vc", "-0.24", "--ratio", "0.3",
+                   "--config", str(config), "--models", str(models), "--out", str(out))
+    assert proc.returncode == 1
+    assert "plant.json" in proc.stderr and "relax_coeff" in proc.stderr
+    assert not out.exists()
+    config.write_text('{"relax_coeff": 1000}')
+    proc = run_cli("simulate", "--kind", "S1", "--vc", "-0.24", "--ratio", "0.3",
+                   "--config", str(config), "--models", str(models), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    temps = [float(row["temp_c"]) for row in csv.DictReader(out.open())]
+    assert len(temps) == 1501 and all(abs(t - 24.0) < 0.01 for t in temps[1:])
+
+
 def test_calibrate_streams_differ(tmp_path, monkeypatch):
     # calibrate draws process noise from the plant's stream and measurement
     # noise from the protocol's: the command seeds them apart, so a

@@ -184,6 +184,24 @@ def test_participant_sample_count_and_range():
     assert np.all((slider.values >= 0.0) & (slider.values <= 1.0))
 
 
+def test_zero_poles_give_finite_output():
+    # At relax_coeff = 1/DT the plant's Euler decay is 0, and at a 1 us
+    # time constant the perceiver's pole exp(-0.01 / 1e-6) is 0: both run
+    # first_order at pole 0.
+    plant = SkinPlant(PlantParams(relax_coeff=1000.0, noise_sigma=0.01), seed=0)
+    temps = plant.run_span(duty_valve=0.55, duty_led=0.3, valve_on=True,
+                           led_on=np.array([False, True]),
+                           n_steps=np.array([7500, 7500]), log_every=10)
+    assert len(temps) == 1500
+    assert np.all(np.abs(temps - 24.0) < 0.01)  # pinned at t_neutral
+    model = ParticipantModel(time_constant=1e-6)
+    trace = Trace(np.arange(1501) * 0.01, np.concatenate([[33.0], temps]))
+    rate = np.diff(trace.temp) / 0.01
+    assert perceived_rate(trace, model).tolist() == [rate[0], *rate]
+    slider = simulate_participant(trace, model, np.random.default_rng(0))
+    assert np.isfinite(slider.values).all()
+
+
 def test_participant_rejects_slow_sampling():
     for t in (np.arange(0.0, 15.1, 0.1),   # 10 Hz
               np.array([0.0]),             # one sample

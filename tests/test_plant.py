@@ -1,6 +1,7 @@
 """Skin-node plant: stepping, sensor quantization, configs."""
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -12,10 +13,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy.signal import lfilter
 from scipy.stats import chi2
 
 from coldsim import PlantParams, SkinPlant, ValidationError, load_plant_config
-from coldsim.plant import DESCRIPTIVE_CONSTANTS, DT, Trace, write_trace_csvs
+from coldsim.plant import (DESCRIPTIVE_CONSTANTS, DT, Trace, first_order,
+                           write_trace_csvs)
 
 
 def plant_at(temp):
@@ -203,24 +206,71 @@ def test_run_span_matches_scalar_loop():
 
 
 def test_run_span_pieces_match_consecutive_spans():
-    # one call over three pieces steps like three one-piece calls
-    params = PlantParams(interaction_bias=0.013)  # relaxation on, noise off
+    # One call over three pieces steps like three one-piece calls.  Without
+    # relaxation first_order is a running sum, so the bits match; with it, a
+    # split restarts first_order's powers of the pole, so they match to
+    # rounding.
     inputs = dict(duty_valve=0.55, duty_led=0.3, valve_on=True)
-    pieces = SkinPlant(params)
-    temps = pieces.run_span(**inputs, led_on=np.array([False, True, True]),
-                            n_steps=np.array([7, 0, 12]))
-    spans = SkinPlant(params)
-    expected = np.concatenate([
-        spans.run_span(**inputs, n_steps=7),
-        spans.run_span(**inputs, led_on=True, n_steps=0),
-        spans.run_span(**inputs, led_on=True, n_steps=12)])
-    assert temps.tobytes() == expected.tobytes()
-    assert pieces.t_skin == spans.t_skin
+    for relax_coeff in (0.0, 0.002, 50.0):
+        params = PlantParams(relax_coeff=relax_coeff, interaction_bias=0.013)  # noise off
+        pieces = SkinPlant(params)
+        temps = pieces.run_span(**inputs, led_on=np.array([False, True, True]),
+                                n_steps=np.array([7, 0, 12]))
+        spans = SkinPlant(params)
+        expected = np.concatenate([
+            spans.run_span(**inputs, n_steps=7),
+            spans.run_span(**inputs, led_on=True, n_steps=0),
+            spans.run_span(**inputs, led_on=True, n_steps=12)])
+        if relax_coeff == 0.0:
+            assert temps.tobytes() == expected.tobytes()
+            assert pieces.t_skin == spans.t_skin
+        else:
+            assert np.max(np.abs(temps - expected)) <= 1e-12, relax_coeff
+            assert abs(pieces.t_skin - spans.t_skin) <= 1e-12, relax_coeff
+    end = pieces.t_skin
     with pytest.raises(ValidationError, match="non-negative"):
         pieces.run_span(led_on=np.array([True, True]), n_steps=np.array([3, -1]))
     with pytest.raises(ValidationError, match="3 pieces but n_steps gives 1"):
         pieces.run_span(**inputs, led_on=np.array([True, False, True]), n_steps=3)
-    assert pieces.t_skin == spans.t_skin  # untouched
+    assert pieces.t_skin == end  # untouched
+
+
+def sequential_first_order(pole, x, y0):
+    """first_order's recurrence one sample at a time on Python floats: its
+    oracle, which does scipy.signal.lfilter's float operations."""
+    out, y = [], y0
+    for value in x:
+        y = pole * y + value
+        out.append(y)
+    return np.array(out)
+
+
+# The boundary of first_order's chunked path and its neighbours, the
+# plant's and the perceiver's poles at their defaults, and the ends.
+SMALLEST_CHUNKED = 2.0**-600
+POLES = [0.0, 1e-300, math.nextafter(SMALLEST_CHUNKED, 0.0), SMALLEST_CHUNKED,
+         math.nextafter(SMALLEST_CHUNKED, 1.0), 0.5, 0.95, 0.99005, 0.99998, 1.0]
+
+
+@pytest.mark.parametrize("pole", POLES)
+@settings(max_examples=30)
+@given(st.integers(1, 2000), st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e3]),
+       st.sampled_from([0.0, 1.0, -5.0]), st.floats(-100.0, 100.0))
+def test_property_first_order_matches_sequential(pole, n, seed, scale, offset, y0):
+    # Drives of one sign (an offset) and of both, at three scales.
+    x = np.random.default_rng(seed).normal(offset, 1.0, n) * scale
+    want = sequential_first_order(pole, x.tolist(), y0)
+    assert lfilter([1.0], [1.0, -pole], x, zi=[pole * y0])[0].tobytes() == want.tobytes()
+    got = first_order(pole, x, y0)
+    assert np.isfinite(got).all()
+    if pole == 1.0:  # the running sum, bit for bit
+        running = list(itertools.accumulate(x.tolist(), initial=y0))[1:]
+        assert got.tobytes() == np.array(running).tobytes()
+    # Within a chunk each output sums pole**(k-j) * x[j] through the powers
+    # q, whose relative error grows by one rounding per sample, so the error
+    # is at most (2 n + 4) roundings of the same sum of magnitudes.
+    envelope = sequential_first_order(pole, np.abs(x).tolist(), abs(y0))
+    assert (np.abs(got - want) <= (2 * n + 4) * 2.0**-53 * envelope).all()
 
 
 @pytest.mark.parametrize("log_every", [1, 10**6])
@@ -267,6 +317,11 @@ def test_params_validation():
         PlantParams(led_gain=-1.0)
     with pytest.raises(ValidationError):
         PlantParams(noise_sigma=-0.1)
+    # Above 1/DT the Euler decay 1 - relax_coeff * DT is negative; at 1/DT
+    # it is 0, and the skin follows the drive each step.
+    with pytest.raises(ValidationError, match="relax_coeff"):
+        PlantParams(relax_coeff=math.nextafter(1.0 / DT, math.inf))
+    assert PlantParams(relax_coeff=1.0 / DT).relax_coeff == 1000.0
     for t_init in ("33", float("nan")):
         with pytest.raises(ValidationError):
             PlantParams(t_init=t_init)
