@@ -2,7 +2,6 @@
 
 import math
 import numbers
-import operator
 
 
 class ValidationError(ValueError):
@@ -11,11 +10,12 @@ class ValidationError(ValueError):
 
 def check_numbers(obj, names=(), nonnegative=()) -> None:
     """Raise ValidationError unless each attribute of obj named in `names`
-    or `nonnegative` is a finite real number, and each named in
-    `nonnegative` is also at least 0."""
+    or `nonnegative` is a finite real number other than a bool, and each
+    named in `nonnegative` is also at least 0."""
     for name in (*names, *nonnegative):
         value = getattr(obj, name)
-        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                           and math.isfinite(value)):
             raise ValidationError(f"{name} must be a finite number, got {value!r}")
         if name in nonnegative and value < 0:
             raise ValidationError(f"{name} must be non-negative, got {value!r}")
@@ -23,13 +23,11 @@ def check_numbers(obj, names=(), nonnegative=()) -> None:
 
 def check_counts(obj, least) -> None:
     """Raise ValidationError unless each attribute of obj named in the dict
-    `least` is an integer, as operator.index takes it, of at least its value."""
+    `least` is an integer (numbers.Integral, not bool) of at least its value."""
     for name, low in least.items():
         value = getattr(obj, name)
-        try:
-            operator.index(value)
-        except TypeError:
-            raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
         if value < low:
             raise ValidationError(f"{name} must be at least {low}, got {value}")
 

@@ -27,7 +27,7 @@ import contextlib
 import csv
 import json
 import math
-import operator
+import numbers
 import os
 import signal
 import threading
@@ -221,7 +221,7 @@ class ExperimentPlan:
     def __post_init__(self):
         check_counts(self, {"participants": 1, "repetitions": 1, "seed": 0})
         for name in ("participants", "repetitions", "seed"):  # a plain int, for JSON
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+            object.__setattr__(self, name, int(getattr(self, name)))
         ids = [stimulus_id(spec) for spec in self.stimuli]
         counts = collections.Counter(ids)
         for sid, spec in zip(ids, self.stimuli):
@@ -483,13 +483,6 @@ def _group(records: Sequence[TrialRecord], values: Sequence, pooling: str,
     return out
 
 
-def _pairwise(groups: dict, pairs) -> tuple[list[float], list[float]]:
-    """Rank-sum p-value of each pair of group keys, and the same p-values
-    Benjamini-Hochberg adjusted as one family."""
-    raw = [wilcoxon_rank_sum(groups[a], groups[b]).p_value for a, b in pairs]
-    return raw, benjamini_hochberg(raw)
-
-
 def _kw_over(groups: dict, kind: str) -> TestResult:
     """Kruskal-Wallis across one pattern kind's (kind, level) groups, in
     level order."""
@@ -503,6 +496,14 @@ class PairwiseComparison:
     group_b: str
     p_value: float
     p_adjusted: float
+
+
+def _pairwise(groups: dict, pairs, label=str) -> list[PairwiseComparison]:
+    """Each pair's rank-sum p-value, the family Benjamini-Hochberg adjusted
+    in one call: a row per pair, in pair order, naming key k label(k)."""
+    raw = [wilcoxon_rank_sum(groups[a], groups[b]).p_value for a, b in pairs]
+    return [PairwiseComparison(label(a), label(b), p, padj)
+            for (a, b), p, padj in zip(pairs, raw, benjamini_hochberg(raw))]
 
 
 @dataclass
@@ -556,12 +557,9 @@ def analyze_exp2(records: Sequence[TrialRecord], pooling: str = "trials") -> Exp
              for rate in sorted({rate for _, rate in by_rate})
              for kind_a, kind_b in (("S1", "S2"), ("S1", "S3"), ("S2", "S3"))
              if (kind_a, rate) in by_rate and (kind_b, rate) in by_rate]
-    raw, adjusted = _pairwise(by_rate, pairs)
-    comparisons = [PairwiseComparison(f"{a[0]}@{a[1]}", f"{b[0]}@{b[1]}", p, padj)
-                   for (a, b), p, padj in zip(pairs, raw, adjusted)]
-
-    return Exp2Report(pooling, persistence_trial_pct,
-                      persistence_participant_pct, mean_conf, kw, comparisons)
+    return Exp2Report(pooling, persistence_trial_pct, persistence_participant_pct,
+                      mean_conf, kw,
+                      _pairwise(by_rate, pairs, lambda key: f"{key[0]}@{key[1]}"))
 
 
 @dataclass
@@ -571,32 +569,41 @@ class Exp3Report:
     pooling: str
     mean_rating: dict
     kruskal_wallis: TestResult
-    pairwise_raw: dict
-    pairwise_adjusted: dict
+    pairwise: list[PairwiseComparison]  # stimulus ids a < b, in sorted order
 
 
 def analyze_exp3(records: Sequence[TrialRecord], pooling: str = "trials") -> Exp3Report:
-    """Coldness-rating summary, the 5-group test, and the adjusted pairwise matrix."""
+    """Coldness-rating summary, the 5-group test, and the adjusted pairwise rows."""
     _check_input(records, pooling, "likert")
-    ratings = [float(rec.likert) for rec in records]
-
-    groups = _group(records, ratings, pooling, "stimulus_id")
+    groups = _group(records, [float(rec.likert) for rec in records], pooling,
+                    "stimulus_id")
     mean_rating = {sid: float(np.mean(vals)) for sid, vals in sorted(groups.items())}
     ids = sorted(groups)
     kw = kruskal_wallis([groups[sid] for sid in ids])
 
     pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
-    raw, adjusted = _pairwise(groups, pairs)
-    raw_matrix = {a: {} for a in ids}
-    adj_matrix = {a: {} for a in ids}
-    for (a, b), p, padj in zip(pairs, raw, adjusted):
-        raw_matrix[a][b] = raw_matrix[b][a] = p
-        adj_matrix[a][b] = adj_matrix[b][a] = padj
-    return Exp3Report(pooling, mean_rating, kw, raw_matrix, adj_matrix)
+    return Exp3Report(pooling, mean_rating, kw, _pairwise(groups, pairs))
 
 
 # ---------------------------------------------------------------------------
 # Record export / import
+
+
+def _check_table(where: str, rows: list, stimuli, count: int) -> None:
+    """Raise ValidationError starting with where unless the (trial, id,
+    likert) rows hold trials 0 to count - 1 in order, each id in stimuli
+    and each likert None or an integer from 1 to 7, as read_records needs."""
+    if [row[0] for row in rows] != list(range(count)):
+        raise ValidationError(f"{where}: {len(rows)} rows, not the manifest's trials "
+                              f"0 to {count - 1} in row order")
+    for tidx, sid, likert in rows:
+        if sid not in stimuli:
+            raise ValidationError(f"{where}: trial {tidx} shows {sid!r}, "
+                                  f"not a stimulus of the manifest")
+        if likert is not None and (isinstance(likert, bool) or not (
+                isinstance(likert, numbers.Integral) and 1 <= likert <= 7)):
+            raise ValidationError(f"{where}: trial {tidx} has likert "
+                                  f"{likert!r}, not an integer from 1 to 7")
 
 
 def _write_participant(out_dir, pidx: int, recs: list[TrialRecord],
@@ -621,6 +628,8 @@ def _write_participant(out_dir, pidx: int, recs: list[TrialRecord],
             raise ValidationError(
                 f"{where}: no slider on the grid k / {LOG_RATE:g} s, which "
                 f"read_records rebuilds for every trial of a participant with sliders")
+    rows = [(rec.trial, rec.stimulus_id, rec.likert) for rec in recs]
+    _check_table(f"participant {pidx}", rows, planned, plan.trials_per_participant)
     path = os.path.join(out_dir, f"participant_{pidx:02d}.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -721,9 +730,10 @@ def write_records(participants: Iterable[tuple[CalibrationResult, list[TrialReco
     `likert`; the plan gives its kind, rate and ratio.  Row k of
     `pXX_slider.npy` (float64, shape (trials, samples)) holds the slider
     values of row k, on the grid k / LOG_RATE, which is not stored.  A
-    record whose stimulus the plan does not give (see read_records), or
-    that has no slider on that grid while others have one, raises
-    ValidationError naming its participant and trial.
+    record whose stimulus the plan does not give, or that has no slider on
+    that grid while others have one, raises ValidationError naming its
+    participant and trial; trials other than 0, 1, ... or a likert that
+    read_records would refuse raise it naming the participant.
     `traces=False` skips only the temperature trace files, which
     `write_trace_csvs` writes.  `traces/` is made only when a file is
     written into it.
@@ -825,18 +835,9 @@ def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
                         for row in reader if row]  # a blank line is not a trial
         except (IndexError, OSError, ValueError, csv.Error) as exc:
             raise ValidationError(f"cannot read {path}: {exc!r}") from exc
-        if [tidx for tidx, _, _ in rows] != list(range(plan.trials_per_participant)):
-            raise ValidationError(f"{path}: {len(rows)} rows, not the manifest's trials "
-                                  f"0 to {plan.trials_per_participant - 1} in row order")
-        table = []
-        for tidx, sid, likert in rows:
-            if sid not in stimuli:
-                raise ValidationError(f"{path}: trial {tidx} shows {sid!r}, "
-                                      f"not a stimulus of the manifest")
-            if likert is not None and not 1 <= likert <= 7:
-                raise ValidationError(f"{path}: trial {tidx} has likert "
-                                      f"{likert}, not an integer from 1 to 7")
-            table.append(TrialRecord(pidx, tidx, sid, *stimuli[sid], likert=likert))
+        _check_table(path, rows, stimuli, plan.trials_per_participant)
+        table = [TrialRecord(pidx, tidx, sid, *stimuli[sid], likert=likert)
+                 for tidx, sid, likert in rows]
         path = os.path.join(run_dir, "traces", f"p{pidx:02d}_slider.npy")
         if os.path.exists(path):
             try:

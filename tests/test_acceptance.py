@@ -209,7 +209,7 @@ def test_criterion_5_pipeline_shape(exp2_result):
     assert all(np.isfinite(c.p_adjusted) and c.p_adjusted >= c.p_value - 1e-15
                for c in report_obj.pairwise_by_rate)
     assert elapsed < 60.0, f"pipeline took {elapsed:.1f}s"
-    report(5, f"1575 records, df=4 both factors, adjusted pairwise matrix, "
+    report(5, f"1575 records, df=4 both factors, 15 adjusted pairwise rows, "
               f"pipeline {elapsed:.1f}s")
 
 

@@ -139,6 +139,44 @@ def test_simulate_relax_coeff_limit(tmp_path):
     assert len(temps) == 1501 and all(abs(t - 24.0) < 0.01 for t in temps[1:])
 
 
+def test_simulate_bool_config_value_exit_1(tmp_path):
+    # JSON's true loads as a bool, which is an int: it must not run as
+    # relax_coeff 1, which would leave the valve unable to reach the rate.
+    config, out = tmp_path / "plant.json", tmp_path / "trace.csv"
+    config.write_text('{"relax_coeff": true}')
+    proc = run_cli("simulate", "--kind", "S3", "--vc", "-0.1",
+                   "--config", str(config), "--out", str(out))
+    assert proc.returncode == 1
+    assert "plant.json" in proc.stderr and "relax_coeff" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["calibrate", "--max-iters", "0"], 1),
+    (["calibrate", "--sensor-resolution", "nan"], 1),
+    (["experiment-run", "--exp", "3", "--participants", "1", "--jitter", "1.0"], 1),
+    # The default plant needs 3 rounds of drift correction.
+    (["calibrate", "--max-iters", "1"], 2),
+], ids=["max_iters_0", "sensor_resolution_nan", "jitter_1", "max_iters_1"])
+def test_protocol_flags_out_of_range(tmp_path, argv, code):
+    out = tmp_path / "artifact"
+    proc = run_cli(*argv, "--out", str(out))
+    assert proc.returncode == code
+    assert [line.startswith("error:") for line in proc.stderr.splitlines()] == [True]
+    assert os.listdir(tmp_path) == []
+
+
+def test_experiment_run_without_jitter_calibrates_equal_plants(tmp_path):
+    # --jitter 0 gives every participant the configured plant, which has
+    # no noise by default: each calibration writes the same models.
+    run = tmp_path / "run"
+    proc = run_cli("experiment-run", "--exp", "3", "--participants", "2",
+                   "--repetitions", "1", "--jitter", "0", "--no-traces",
+                   "--out", str(run))
+    assert proc.returncode == 0, proc.stderr
+    assert (run / "models_00.json").read_bytes() == (run / "models_01.json").read_bytes()
+
+
 def test_calibrate_streams_differ(tmp_path, monkeypatch):
     # calibrate draws process noise from the plant's stream and measurement
     # noise from the protocol's: the command seeds them apart, so a
@@ -268,7 +306,7 @@ def test_experiment_run_and_analyze(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(report_path.read_text())
     assert report["kruskal_wallis"]["df"] == 4
-    assert "pairwise_adjusted" in report
+    assert len(report["pairwise"]) == 10
 
     # Run directories read_records cannot interpret are rejected with exit 1.
     proc = run_cli("experiment-analyze", "--exp", "2", "--runs", str(run_dir),
@@ -353,6 +391,8 @@ def test_experiment_run_and_analyze(tmp_path):
         "no_repetitions": (edit_manifest(repetitions=None), "manifest.json"),
         "float_repetitions": (edit_manifest(repetitions=1.5),
                               "manifest.json: repetitions must be an integer, got 1.5"),
+        "bool_repetitions": (edit_manifest(repetitions=True),
+                             "manifest.json: repetitions must be an integer, got True"),
         "bad_trial": (edit_trial, "participant_00.csv"),
         "no_likert_column": (drop_likert_column, "participant_00.csv"),
         "short_row": (cut_row, "participant_00.csv"),

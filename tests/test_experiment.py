@@ -3,6 +3,7 @@
 import concurrent.futures
 import gc
 import importlib.util
+import itertools
 import math
 import multiprocessing
 import pickle
@@ -10,7 +11,7 @@ import re
 import tempfile
 import weakref
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -24,12 +25,13 @@ from coldsim import (CalibrationError, CalibrationProtocol, CalibrationResult,
                      PlantParams,
                      SkinPlant, SliderTrace, UnreachableRateError,
                      ValidationError, analyze_exp2, analyze_exp3,
-                     build_exp2_plan, build_exp3_plan, compile_schedule,
-                     default_participants, exact_models, invert_duty,
-                     run_experiment, simulate_participant)
-from coldsim.experiment import (EXP2_RATIOS, EXP3_BASE_RATE, EXP3_RATES,
-                                PERSISTENCE_WINDOW, ExperimentPlan, TrialRecord,
-                                peak_cooling_rate, perceived_rate,
+                     benjamini_hochberg, build_exp2_plan, build_exp3_plan,
+                     compile_schedule, default_participants, exact_models,
+                     invert_duty, run_experiment, simulate_participant,
+                     wilcoxon_rank_sum)
+from coldsim.experiment import (EXP2_RATES, EXP2_RATIOS, EXP3_BASE_RATE,
+                                EXP3_RATES, PERSISTENCE_WINDOW, ExperimentPlan,
+                                TrialRecord, peak_cooling_rate, perceived_rate,
                                 perturb_params, read_records, run_participants,
                                 run_pipeline, summarize_sliders,
                                 write_records)
@@ -81,6 +83,12 @@ def test_exp3_plan_shape():
     (lambda: build_exp2_plan(participants=1.5), "participants must be an integer"),
     (lambda: build_exp2_plan(seed=1.5), "seed must be an integer"),
     (lambda: CalibrationProtocol(max_iters=2.5), "max_iters must be an integer"),
+    # bool is an int subclass, and JSON's true and false load as bools.
+    (lambda: CalibrationProtocol(max_iters=True), "max_iters must be an integer, got True"),
+    (lambda: build_exp3_plan(repetitions=True), "repetitions must be an integer, got True"),
+    (lambda: build_exp2_plan(seed=False), "seed must be an integer, got False"),
+    (lambda: CalibrationProtocol(sensor_resolution=True), "sensor_resolution must be"),
+    (lambda: ParticipantModel(gain=True), "gain must be a finite number, got True"),
     (lambda: run_pipeline(build_exp3_plan(participants=1), jitter=-0.5), "jitter"),
     (lambda: run_pipeline(build_exp3_plan(participants=1), jitter=math.nan), "jitter"),
     (lambda: run_pipeline(build_exp3_plan(participants=1), jitter=1.0), "jitter"),
@@ -632,13 +640,50 @@ def test_analyze_exp3_shapes(monkeypatch):
     assert calls == {"kruskal_wallis": 1, "wilcoxon_rank_sum": 10,
                      "benjamini_hochberg": 1}
     assert report.kruskal_wallis.df == 4
-    ids = sorted(report.mean_rating)
-    for a in ids:
-        for b in ids:
-            if a == b:
-                continue
-            assert report.pairwise_adjusted[a][b] == report.pairwise_adjusted[b][a]
-            assert report.pairwise_adjusted[a][b] >= report.pairwise_raw[a][b] - 1e-15
+    assert len(report.pairwise) == 10
+    assert all(c.p_adjusted >= c.p_value - 1e-15 for c in report.pairwise)
+
+
+@pytest.mark.parametrize("pooling", ["trials", "participants"])
+def test_pairwise_rows_equal_direct_rank_sums(pooling):
+    # Each analysis reports one row per documented pair, in pair order:
+    # the rank-sum p-value of the two groups, and the family's p-values
+    # adjusted in one Benjamini-Hochberg call.  exp2 pairs the kinds at
+    # each rate, rates ascending, named kind@rate; exp3 pairs the sorted
+    # stimulus ids a < b, named by id.
+    def grouped(records, values, key):
+        by_participant = {}
+        for rec, value in zip(records, values):
+            by_participant.setdefault(key(rec), {}).setdefault(
+                rec.participant, []).append(value)
+        if pooling == "trials":
+            return {k: sum(by_p.values(), []) for k, by_p in by_participant.items()}
+        return {k: [sum(vs) / len(vs) for _, vs in sorted(by_p.items())]
+                for k, by_p in by_participant.items()}
+
+    def rows(groups, pairs, labels):
+        raw = [wilcoxon_rank_sum(groups[a], groups[b]).p_value for a, b in pairs]
+        return [(*names, p, q)
+                for names, p, q in zip(labels, raw, benjamini_hochberg(raw))]
+
+    _, result = small_pipeline(2)
+    _, confidence = summarize_one_by_one([rec.slider for rec in result.records])
+    by_rate = grouped(result.records, confidence, attrgetter("kind", "cooling_rate"))
+    pairs = [((a, rate), (b, rate)) for rate in sorted(EXP2_RATES)
+             for a, b in (("S1", "S2"), ("S1", "S3"), ("S2", "S3"))]
+    want = rows(by_rate, pairs,
+                [(f"{a}@{rate}", f"{b}@{rate}") for (a, rate), (b, _) in pairs])
+    assert want[0][:2] == ("S1@-0.24", "S2@-0.24") and len(want) == 15
+    report = analyze_exp2(result.records, pooling)
+    assert [astuple(c) for c in report.pairwise_by_rate] == want
+
+    _, result = small_pipeline(3)
+    groups = grouped(result.records, [float(rec.likert) for rec in result.records],
+                     attrgetter("stimulus_id"))
+    pairs = list(itertools.combinations(sorted(groups), 2))
+    want = rows(groups, pairs, pairs)
+    assert len(want) == 10
+    assert [astuple(c) for c in analyze_exp3(result.records, pooling).pairwise] == want
 
 
 def test_benchmark_patch_targets_exist():
@@ -657,8 +702,8 @@ def test_analyze_exp3_identical_ratings():
         rec.likert = 4
     report = analyze_exp3(result.records)
     assert report.kruskal_wallis.p_value == 1.0
-    for a, row in report.pairwise_raw.items():
-        assert all(p == 1.0 for p in row.values())
+    assert len(report.pairwise) == 10
+    assert all(c.p_value == 1.0 for c in report.pairwise)
 
 
 def test_record_round_trip(tmp_path):
@@ -810,18 +855,28 @@ def test_write_records_checks_each_record_against_the_plan(tmp_path):
     # A table keeps only each trial's stimulus id and likert, so a record
     # whose stimulus, kind, rate or ratio the plan does not give
     # would read back as another record: write_records refuses it, naming
-    # the participant and trial, and writes no manifest.
+    # the participant and trial, and writes neither its table nor the
+    # manifest.  It refuses in the same way, naming the participant, a table
+    # read_records would refuse: a trial twice and one missing, or a likert
+    # that is not an integer from 1 to 7.
     plan, result = small_pipeline(3)
     for field, value in (("stimulus_id", "S1_vc-0.5_r0.5"), ("kind", "S3"),
-                         ("cooling_rate", -0.5), ("cooling_ratio", 0.3)):
+                         ("cooling_rate", -0.5), ("cooling_ratio", 0.3),
+                         ("trial", 0), ("likert", 9), ("likert", 0),
+                         ("likert", 4.0), ("likert", True)):
         given = pairs(result)
         records = given[1][1]
-        k = next(k for k, rec in enumerate(records) if rec.kind == "S1")
+        k = next(k for k, rec in enumerate(records) if rec.kind == "S1" and rec.trial)
+        trial = records[k].trial
         records[k] = replace(records[k], **{field: value})
-        out = tmp_path / field
-        named = rf"^participant 1 trial {records[k].trial}: "
+        out = tmp_path / f"{field}_{value}"
+        named = {"trial": r"^participant 1: 15 rows, not the manifest's trials 0 to 14",
+                 "likert": rf"^participant 1: trial {trial} has likert {value!r}, "
+                           rf"not an integer from 1 to 7$"}.get(
+            field, rf"^participant 1 trial {trial}: ")
         with pytest.raises(ValidationError, match=named):
             write_records(given, plan, out, traces=False)
+        assert not (out / "participant_01.csv").exists()
         assert not (out / "manifest.json").exists()
 
 

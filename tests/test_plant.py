@@ -322,9 +322,12 @@ def test_params_validation():
     with pytest.raises(ValidationError, match="relax_coeff"):
         PlantParams(relax_coeff=math.nextafter(1.0 / DT, math.inf))
     assert PlantParams(relax_coeff=1.0 / DT).relax_coeff == 1000.0
-    for t_init in ("33", float("nan")):
+    for t_init in ("33", float("nan"), True):
         with pytest.raises(ValidationError):
             PlantParams(t_init=t_init)
+    # JSON's true loads as a bool, an int subclass: it is not 1.
+    with pytest.raises(ValidationError, match="relax_coeff must be a finite number"):
+        PlantParams(relax_coeff=True)
 
 
 def test_config_round_trip(tmp_path):
