@@ -6,18 +6,16 @@ the normal approximation with tie and continuity corrections),
 Benjamini-Hochberg FDR adjustment and the chi-square survival function.
 
 Both rank tests rank their pooled values once (_ranks) and compute the
-statistic and its normal or chi-square tail here, in the order of
-operations of scipy.stats.kruskal and mannwhitneyu, so that each result
-is bit for bit scipy's: ranks are half-integers and tie counts integers,
-so every rank sum and tie term is exact in float64.  A scipy.stats test
-call costs about 0.5 ms of wrapping whatever its size (on a shared
-2-vCPU host); an analysis makes up to 19 of them.  Ranking, the exact
-rank-sum distribution, Benjamini-Hochberg and the chi-square tail stay
-scipy's.
+statistic and its tail here, in the order of operations of
+scipy.stats.kruskal and mannwhitneyu, so that each result is bit for
+bit scipy's: ranks are half-integers and tie counts integers, so every
+rank sum and tie term is exact in float64, and the exact rank-sum tail
+sums the same integer counts over the same divisor.  Benjamini-Hochberg
+follows scipy.stats.false_discovery_control's operations.
 
-scipy is imported where it is first used, and only by this module:
-importing scipy.stats takes about 1 s and 70 MB, which every CLI start
-would pay.  Simulating needs none of it (see plant.first_order).
+Only scipy.special is imported (ndtr, chdtrc, binom), where it is first
+used: scipy.stats is the tests' oracle, not a run-time dependency.
+Simulating needs no scipy at all (see plant.first_order).
 """
 
 from __future__ import annotations
@@ -43,11 +41,19 @@ class TestResult:
 
 
 def _ranks(values) -> tuple[np.ndarray, np.ndarray]:
-    """scipy's average ranks of the values, and the size of each tie
-    group.  Any NaN makes every rank NaN, one tie group."""
-    from scipy.stats import rankdata
-    ranks = rankdata(values)
-    return ranks, np.unique(ranks, return_counts=True)[1]
+    """Average ranks of the values, as scipy.stats.rankdata gives them,
+    and the size of each tie group in ascending order.  Any NaN makes
+    every rank NaN, one tie group."""
+    x = np.asarray(values)
+    order = np.argsort(x, kind="stable")
+    y = x[order]
+    if np.isnan(y[-1]):  # NaN sorts last
+        return np.full(len(y), np.nan), np.array([len(y)])
+    starts = np.flatnonzero(np.concatenate(([True], y[:-1] != y[1:])))
+    ties = np.diff(starts, append=len(y))
+    ranks = np.empty(len(y))
+    ranks[order] = np.repeat(starts + 1.0 + (ties - 1) / 2, ties)
+    return ranks, ties
 
 
 def kruskal_wallis(groups: Sequence[Sequence[float]]) -> TestResult:
@@ -88,13 +94,22 @@ def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float]) -> TestResult:
     n1, n2 = len(a), len(b)
     n = n1 + n2
     ranks, ties = _ranks(np.concatenate((a, b)))
-    if len(ties) == n <= EXACT_RANKSUM_LIMIT:
-        from scipy.stats import mannwhitneyu
-        res = mannwhitneyu(a, b, alternative="two-sided", method="exact")
-        return TestResult(float(res.statistic), None, float(res.pvalue),
-                          "wilcoxon_exact")
     u1 = ranks[:n1].sum() - n1 * (n1 + 1) / 2
     u = max(u1, n1 * n2 - u1)
+    if len(ties) == n <= EXACT_RANKSUM_LIMIT:
+        # counts[k, s] is the number of k-subsets of the ranks 1..n that
+        # sum to s, exact in int64.  Row n1, from s = n1(n1+1)/2 on, counts
+        # the arrangements by U1.  By symmetry the tail of u is the low
+        # tail up to n1 n2 - u, a cumsum over binom as mannwhitneyu takes.
+        counts = np.zeros((n1 + 1, n * (n + 1) // 2 + 1), dtype=np.int64)
+        counts[0, 0] = 1
+        for r in range(1, n + 1):
+            counts[1:, r:] = counts[1:, r:] + counts[:-1, :-r]
+        low = n1 * (n1 + 1) // 2
+        from scipy.special import binom
+        tail = np.cumsum(counts[n1, low:low + n1 * n2 - int(u) + 1] / binom(n, n1))
+        return TestResult(float(u1), None, float(np.clip(2 * tail[-1], 0.0, 1.0)),
+                          "wilcoxon_exact")
     tie_term = (ties ** 3 - ties).sum()
     s = np.sqrt(n1 * n2 / 12 * ((n + 1) - tie_term / (n * (n - 1))))
     with np.errstate(divide="ignore"):  # s is 0 when every value is tied
@@ -114,8 +129,11 @@ def benjamini_hochberg(p_values: Sequence[float]) -> list[float]:
     for p in p_values:
         if not 0.0 <= p <= 1.0:
             raise ValidationError(f"p-values must lie in [0, 1], got {p}")
-    from scipy.stats import false_discovery_control
-    return [float(p) for p in false_discovery_control(p_values)]
+    ps = np.array(p_values, dtype=float)
+    order = np.argsort(ps)
+    adjusted = ps[order] * (len(ps) / np.arange(1, len(ps) + 1))
+    ps[order] = np.minimum.accumulate(adjusted[::-1])[::-1]
+    return [float(p) for p in np.clip(ps, 0.0, 1.0)]
 
 
 def chi_square_sf(x: float, df: int) -> float:

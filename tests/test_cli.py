@@ -118,6 +118,37 @@ def test_simulate_does_not_import_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_analyze_does_not_import_scipy_stats(tmp_path):
+    # ranks, the exact rank-sum tail and Benjamini-Hochberg are coldsim's,
+    # so analyzing needs only scipy.special.  The 2 x 1 exp2 run's rank-sum
+    # pairs are tie-free and small enough for the exact path.
+    for exp, participants in (("2", "2"), ("3", "2")):
+        proc = run_cli("experiment-run", "--exp", exp, "--participants", participants,
+                       "--repetitions", "1", "--seed", "1", "--no-traces", "--quiet",
+                       "--out", str(tmp_path / f"run{exp}"))
+        assert proc.returncode == 0, proc.stderr
+    script = (
+        "import sys\n"
+        "from coldsim import cli, experiment\n"
+        "methods = []\n"
+        "def traced(a, b, test=experiment.wilcoxon_rank_sum):\n"
+        "    res = test(a, b)\n"
+        "    methods.append(res.method)\n"
+        "    return res\n"
+        "experiment.wilcoxon_rank_sum = traced\n"
+        "for exp in ('2', '3'):\n"
+        "    assert cli.main(['experiment-analyze', '--exp', exp, '--runs',"
+        " f'{sys.argv[1]}/run{exp}', '--out', f'{sys.argv[1]}/r{exp}.json']) == 0\n"
+        "print(sorted(set(methods)))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    methods, modules = proc.stdout.splitlines()[-2:]
+    assert "'wilcoxon_exact'" in methods
+    assert modules == "[]"
+
+
 def test_simulate_relax_coeff_limit(tmp_path):
     # Above 1/DT = 1000 /s the plant's Euler decay would be negative: the
     # config is refused, with exit 1 as for any invalid config value.  At

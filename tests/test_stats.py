@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from coldsim import (ValidationError, benjamini_hochberg, chi_square_sf,
                      kruskal_wallis, wilcoxon_rank_sum)
-from coldsim.stats import EXACT_RANKSUM_LIMIT
+from coldsim.stats import EXACT_RANKSUM_LIMIT, _ranks
 
 
 # --- oracles -----------------------------------------------------------
@@ -155,20 +155,24 @@ def test_ranksum_empty_sample():
         wilcoxon_rank_sum([1.0, 2.0], [])
 
 
+SPECIAL_VALUES = (0.0, -0.0, math.inf, -math.inf, math.nan, 1.0)
+
+
 @st.composite
 def ranksum_pairs(draw):
-    """Pairs of samples: tied integer samples and all-identical samples,
-    whose sizes come from a small pool, small tie-free pairs that take
+    """Pairs of samples: tied integer samples, all-identical samples and
+    samples of signed zeros, infinities and NaN, whose sizes come from a
+    small pool, small tie-free pairs (infinities among them) that take
     the exact test, and pairs holding a NaN."""
     sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
     pairs = []
     for _ in range(draw(st.integers(1, 12))):
-        kind = draw(st.sampled_from(("tied", "identical", "exact", "nan")))
+        kind = draw(st.sampled_from(("tied", "identical", "special", "exact", "nan")))
         if kind in ("exact", "nan"):
             n1 = draw(st.integers(1, 19))
             n = n1 + draw(st.integers(1, 20 - n1))
-            pooled = draw(st.lists(st.floats(-100, 100), min_size=n, max_size=n,
-                                   unique=True))
+            values = st.floats(-100, 100) | st.sampled_from((-math.inf, math.inf))
+            pooled = draw(st.lists(values, min_size=n, max_size=n, unique=True))
             if kind == "nan":
                 pooled[draw(st.integers(0, n - 1))] = math.nan
             pairs.append((pooled[:n1], pooled[n1:]))
@@ -177,6 +181,10 @@ def ranksum_pairs(draw):
         if kind == "identical":
             value = draw(st.sampled_from((0, 2.5, -1.0)))
             pairs.append(([value] * n1, [value] * n2))
+        elif kind == "special":
+            pairs.append(tuple(draw(st.lists(st.sampled_from(SPECIAL_VALUES),
+                                             min_size=size, max_size=size))
+                               for size in (n1, n2)))
         else:
             top = draw(st.integers(1, 6))
             pairs.append((draw(st.lists(st.integers(0, top), min_size=n1, max_size=n1)),
@@ -196,11 +204,17 @@ def scipy_quiet(test, *args, **kwargs):
 @settings(max_examples=120)
 @given(pairs=ranksum_pairs())
 def test_property_rank_tests_match_scipy(pairs):
-    # Each pair against mannwhitneyu and all drawn samples as the groups
-    # of one Kruskal-Wallis test, bit for bit; repr tells -0.0 from 0.0
-    # and calls every NaN alike.  Our calls run under the suite's
-    # RuntimeWarning-as-error filter.
+    # Each pair's pooled ranks against rankdata and their tie counts
+    # against np.unique, each pair against mannwhitneyu and all drawn
+    # samples as the groups of one Kruskal-Wallis test, bit for bit; repr
+    # tells -0.0 from 0.0 and calls every NaN alike.  Our calls run under
+    # the suite's RuntimeWarning-as-error filter.
     for a, b in pairs:
+        values = np.concatenate((a, b))
+        ranks, ties = _ranks(values)
+        want = scipy.stats.rankdata(values)
+        assert ranks.tobytes() == want.tobytes()
+        assert ties.tolist() == np.unique(want, return_counts=True)[1].tolist()
         pooled = [float(v) for v in a + b]
         exact = len(set(pooled)) == len(pooled) <= EXACT_RANKSUM_LIMIT
         got = wilcoxon_rank_sum(a, b)
@@ -243,6 +257,20 @@ def test_bh_matches_stepwise_definition_random():
         m = int(rng.integers(1, 15))
         p = [float(v) for v in rng.uniform(0, 1, size=m)]
         assert benjamini_hochberg(p) == pytest.approx(stepwise_bh(p), abs=1e-12)
+
+
+@st.composite
+def p_value_lists(draw):
+    """0 to 40 p-values in [0, 1], repeats and exact 0 and 1 among them."""
+    pool = draw(st.lists(st.floats(0, 1), min_size=1, max_size=6)) + [0.0, 1.0]
+    return draw(st.lists(st.sampled_from(pool) | st.floats(0, 1), max_size=40))
+
+
+@settings(max_examples=300)
+@given(p_values=p_value_lists())
+def test_property_bh_matches_scipy(p_values):
+    want = scipy.stats.false_discovery_control(p_values)
+    assert repr(benjamini_hochberg(p_values)) == repr([float(p) for p in want])
 
 
 def test_bh_properties():
