@@ -32,6 +32,7 @@ import os
 import signal
 import threading
 from dataclasses import dataclass, asdict, replace
+from itertools import zip_longest
 from operator import attrgetter
 from time import sleep
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -62,7 +63,7 @@ PERSISTENCE_WINDOW = (5.0, 15.0)
 RATING_PEAK_SCALE = 0.3
 
 # Run directory layout that write_records writes and read_records reads.
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -72,14 +73,13 @@ class ParticipantModel:
     warm_attenuation scales perceived warming relative to cooling
     (people are far more sensitive to cold); hold_time is how slowly a
     reported percept releases back toward neutral when the stimulus
-    pauses between cycles.  Nothing reads seed (see default_participants).
+    pauses between cycles.
     """
 
     detect_threshold: float = 0.02   # degC/s dead zone on the perceived rate
     time_constant: float = 1.0       # s low-pass on the skin-temperature rate
     slider_lag: float = 0.5          # s motor delay
     response_noise: float = 0.02     # slider-units sigma
-    seed: int = 0
     warm_attenuation: float = 0.3    # gain on perceived warming rates
     gain: float = 60.0               # slider deflection per degC/s
     hold_time: float = 3.0           # s release time of a held percept
@@ -379,13 +379,13 @@ def perturb_params(base: PlantParams, rng: np.random.Generator,
 
 
 def default_participants(n: int, seed: int = 0) -> list[ParticipantModel]:
-    """n copies of the default perceiver, distinguished only by seed.
+    """n copies of the default perceiver.
 
-    Nothing reads these seeds: simulate_participant draws from the
-    generator its caller passes, one stream per participant in a study
-    (run_participants, run_experiment).  The seed parameter stays because
+    Nothing reads seed: simulate_participant draws from the generator its
+    caller passes, one stream per participant in a study
+    (run_participants, run_experiment).  The parameter stays because
     coldbench's present-stream passes seed=."""
-    return [ParticipantModel(seed=seed * 10_000 + i) for i in range(n)]
+    return [ParticipantModel() for _ in range(n)]
 
 
 @dataclass
@@ -417,7 +417,7 @@ def run_participants(plan: ExperimentPlan, base_params: Optional[PlantParams] = 
 
 
 def _participants(plan: ExperimentPlan, base: PlantParams, jitter: float):
-    persons = default_participants(plan.participants, seed=plan.seed)
+    persons = default_participants(plan.participants)
     for pidx in range(plan.participants):
         rng = np.random.default_rng((plan.seed, pidx, 0x71A))
         try:
@@ -589,63 +589,62 @@ def analyze_exp3(records: Sequence[TrialRecord], pooling: str = "trials") -> Exp
 # Record export / import
 
 
-def _check_table(where: str, rows: list, stimuli, count: int) -> None:
-    """Raise ValidationError starting with where unless the (trial, id,
-    likert) rows hold trials 0 to count - 1 in order, each id in stimuli
-    and each likert None or an integer from 1 to 7, as read_records needs."""
-    if [row[0] for row in rows] != list(range(count)):
-        raise ValidationError(f"{where}: {len(rows)} rows, not the manifest's trials "
-                              f"0 to {count - 1} in row order")
-    for tidx, sid, likert in rows:
+def _check_table(prefix: str, rows: list, stimuli, participants, trials: int) -> None:
+    """Raise ValidationError starting with prefix and the participant at
+    fault unless the (participant, trial, id, likert) rows hold trials 0
+    to trials - 1 of each of participants, in row order, each id in
+    stimuli and each likert None or an integer from 1 to 7, as
+    read_records needs."""
+    got = [row[:2] for row in rows]
+    planned = [(pidx, tidx) for pidx in participants for tidx in range(trials)]
+    if got != planned:  # the first row at fault, as planned or else as read
+        pidx, tidx = next(w or g for g, w in zip_longest(got, planned) if g != w)
+        raise ValidationError(
+            f"{prefix}participant {pidx}: {sum(p == pidx for p, _ in got)} rows, not the "
+            f"manifest's trials 0 to {trials - 1} in row order, from trial {tidx} on")
+    for pidx, tidx, sid, likert in rows:
         if sid not in stimuli:
-            raise ValidationError(f"{where}: trial {tidx} shows {sid!r}, "
-                                  f"not a stimulus of the manifest")
+            raise ValidationError(f"{prefix}participant {pidx}: trial {tidx} shows "
+                                  f"{sid!r}, not a stimulus of the manifest")
         if likert is not None and (isinstance(likert, bool) or not (
                 isinstance(likert, numbers.Integral) and 1 <= likert <= 7)):
-            raise ValidationError(f"{where}: trial {tidx} has likert "
+            raise ValidationError(f"{prefix}participant {pidx}: trial {tidx} has likert "
                                   f"{likert!r}, not an integer from 1 to 7")
 
 
-def _write_participant(out_dir, pidx: int, recs: list[TrialRecord],
-                       write_traces, plan: ExperimentPlan) -> None:
-    """write_records' files for one participant's records, once every
-    record is checked; the temperature traces go to
+def _write_participant(out_dir, pidx: int, recs: list[TrialRecord], write_traces,
+                       plan: ExperimentPlan, table, grid, sliders) -> None:
+    """write_records' rows and files for one participant's records, once
+    every record is checked: its table rows to the csv writer table, its
+    slider rows appended to the open file sliders (None, like grid, in a
+    run without sliders), and its temperature traces to
     write_traces(traces, paths), or nowhere when it is None."""
     trace_dir = os.path.join(out_dir, "traces")
     recs = sorted(recs, key=attrgetter("trial"))
     planned = {stimulus_id(s): (s.kind, s.cooling_rate, s.cooling_ratio)
                for s in plan.stimuli}
-    grid = next((np.arange(len(rec.slider.time)) / LOG_RATE
-                 for rec in recs if rec.slider is not None), None)
     for rec in recs:
         where = f"participant {pidx} trial {rec.trial}"
         got = rec.kind, rec.cooling_rate, rec.cooling_ratio
         if planned.get(rec.stimulus_id) != got:
             raise ValidationError(f"{where}: {rec.stimulus_id!r} as kind, vc and "
                                   f"lambda {got} is not a planned stimulus")
-        if grid is not None and (rec.slider is None
-                                 or not np.array_equal(rec.slider.time, grid)):
+        if (rec.slider is None) != (grid is None) or (
+                grid is not None and not np.array_equal(rec.slider.time, grid)):
             raise ValidationError(
-                f"{where}: no slider on the grid k / {LOG_RATE:g} s, which "
-                f"read_records rebuilds for every trial of a participant with sliders")
-    rows = [(rec.trial, rec.stimulus_id, rec.likert) for rec in recs]
-    _check_table(f"participant {pidx}", rows, planned, plan.trials_per_participant)
-    path = os.path.join(out_dir, f"participant_{pidx:02d}.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "stimulus_id", "likert"])
-        writer.writerows([rec.trial, rec.stimulus_id,
-                          "" if rec.likert is None else rec.likert] for rec in recs)
+                f"{where}: {'no' if rec.slider is None else 'a'} slider, but every "
+                f"record of a run has one on the grid k / {LOG_RATE:g} s, or none does")
+    rows = [(pidx, rec.trial, rec.stimulus_id, rec.likert) for rec in recs]
+    _check_table("", rows, planned, [pidx], plan.trials_per_participant)
+    table.writerows(rows)  # csv writes a likert of None as an empty field
     kept = [rec for rec in recs if rec.trace is not None] if write_traces else []
     if kept:
         os.makedirs(trace_dir, exist_ok=True)
         write_traces([rec.trace for rec in kept], [
             os.path.join(trace_dir, f"p{pidx:02d}_t{rec.trial:03d}_temp.csv")
             for rec in kept])
-    if grid is not None:
-        os.makedirs(trace_dir, exist_ok=True)
-        np.save(os.path.join(trace_dir, f"p{pidx:02d}_slider.npy"),
-                np.stack([rec.slider.values for rec in recs], dtype=np.float64))
+    if sliders is not None:
+        np.stack([rec.slider.values for rec in recs], dtype="<f8").tofile(sliders)
 
 
 def _usable_cpus() -> int:
@@ -715,31 +714,36 @@ def _trace_writer(participants: int):
 
 def write_records(participants: Iterable[tuple[CalibrationResult, list[TrialRecord]]],
                   plan: ExperimentPlan, out_dir, traces: bool = True) -> None:
-    """For each participant a models JSON, a CSV, a slider array and a
-    temperature trace CSV per trial; then a manifest.
+    """For each participant a models JSON and a temperature trace CSV per
+    trial; for the run one trial table, one slider array and a manifest.
 
     `participants` holds one (calibration, records) pair per planned
     participant, in participant order, as run_participants yields them.
-    The k-th pair's files are named for participant k, its records are
+    The k-th pair's files and rows are for participant k, its records are
     written in trial order, and the pair is dropped before the next one
     is asked for, so a lazy iterable is held one participant at a time.
     A number of pairs other than plan.participants raises
     ValidationError, and no manifest is written.
 
-    `participant_XX.csv` holds each record's `trial`, `stimulus_id` and
-    `likert`; the plan gives its kind, rate and ratio.  Row k of
-    `pXX_slider.npy` (float64, shape (trials, samples)) holds the slider
-    values of row k, on the grid k / LOG_RATE, which is not stored.  A
-    record whose stimulus the plan does not give, or that has no slider on
-    that grid while others have one, raises ValidationError naming its
-    participant and trial; trials other than 0, 1, ... or a likert that
-    read_records would refuse raise it naming the participant.
-    `traces=False` skips only the temperature trace files, which
-    `write_trace_csvs` writes.  `traces/` is made only when a file is
-    written into it.
+    `trials.csv` holds each record's `participant`, `trial`,
+    `stimulus_id` and `likert`, in participant and then trial order; the
+    plan gives its kind, rate and ratio.  Row k of `sliders.npy`
+    (float64, shape (participants x trials, samples)) holds the slider
+    values of table row k, on the grid k / LOG_RATE, which is not stored.
+    Its header is written once, from the plan's row count and the first
+    participant's sample count, and each participant's rows are appended
+    once its records pass their checks, so a refused participant leaves
+    no rows.  A record whose stimulus the plan does not give, or that
+    has no slider on that grid while a record of participant 0 has one
+    (or has a slider while participant 0 has none), raises
+    ValidationError naming its participant and trial; trials other than
+    0, 1, ... or a likert that read_records would refuse raise it naming
+    the participant.  `traces=False` skips only the temperature trace
+    files, which `write_trace_csvs` writes.  `traces/` is made only when
+    a file is written into it.
 
-    The models, participant tables and slider arrays are written here,
-    in participant order.  The temperature traces are formatted in forked
+    The models, table rows and slider rows are written here, in
+    participant order.  The temperature traces are formatted in forked
     worker processes, one per usable CPU and at most one per
     participant, while `participants` makes the next pair: each
     participant's traces are split into one chunk per worker.  With one
@@ -753,12 +757,25 @@ def write_records(participants: Iterable[tuple[CalibrationResult, list[TrialReco
     os.makedirs(out_dir, exist_ok=True)
     # A plain counter, not enumerate: enumerate's cached result tuple
     # would keep the previous pair alive while the next one is made.
-    pidx = 0
-    with _trace_writer(plan.participants) as write_traces:
+    pidx, grid, sliders = 0, None, None
+    with contextlib.ExitStack() as files:
+        write_traces = files.enter_context(_trace_writer(plan.participants))
+        table = csv.writer(files.enter_context(
+            open(os.path.join(out_dir, "trials.csv"), "w", newline="")))
+        table.writerow(["participant", "trial", "stimulus_id", "likert"])
         for calibration, recs in participants:
             calibration.to_json(os.path.join(out_dir, f"models_{pidx:02d}.json"))
-            _write_participant(out_dir, pidx, recs,
-                               write_traces if traces else None, plan)
+            if pidx == 0:  # participant 0 sets the run's slider grid, or none
+                grid = next((np.arange(len(rec.slider.time)) / LOG_RATE
+                             for rec in recs if rec.slider is not None), None)
+                if grid is not None:
+                    sliders = files.enter_context(
+                        open(os.path.join(out_dir, "sliders.npy"), "wb"))
+                    np.lib.format.write_array_header_1_0(sliders, {
+                        "descr": "<f8", "fortran_order": False, "shape": (
+                            plan.participants * plan.trials_per_participant, len(grid))})
+            _write_participant(out_dir, pidx, recs, write_traces if traces else None,
+                               plan, table, grid, sliders)
             del calibration, recs
             pidx += 1
     if pidx != plan.participants:
@@ -783,24 +800,27 @@ def write_records(participants: Iterable[tuple[CalibrationResult, list[TrialReco
 def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
     """Load records written by write_records; sliders load when present.
 
-    A directory that is not a complete format-4 run raises
-    ValidationError naming the file at fault.  Each participant table is
-    parsed in one csv.reader pass, its columns found once by header name.
-    The sliders of one participant share one time array, the grid
-    k / LOG_RATE, so analyze_exp2 summarizes them as one block.
+    A directory that is not a complete format-5 run raises
+    ValidationError naming the file at fault, and the first participant
+    (and trial) at fault where the fault is in a row.  The trial table is
+    parsed in one csv.reader pass, its columns found once by header name,
+    and checked once.  The sliders of one participant share one time
+    array, the grid k / LOG_RATE, so analyze_exp2 summarizes them as one
+    block, one participant at a time.
 
-    The manifest's plan must pass ExperimentPlan's checks.  Each table
-    holds its trials 0, 1, ... in row order, each with the id of a planned
-    spec, which gives its kind, rate and ratio, and a likert that is empty
-    or an integer from 1 to 7.
+    The manifest's plan must pass ExperimentPlan's checks.  The table
+    holds each participant's trials 0, 1, ... in row order, participants
+    0, 1, ... in turn, each with the id of a planned spec, which gives
+    its kind, rate and ratio, and a likert that is empty or an integer
+    from 1 to 7.
 
-    Each slider array is mapped copy-on-write from its file, not read
-    into fresh memory: a run just written is already in the page cache,
-    so reading maps those pages instead of faulting in and filling a
-    copy.  The slider values are views of the mapping; writing to them
-    leaves the file alone.  While any of a participant's records lives,
-    its mapping holds one open file, and truncating that file then is an
-    error the process cannot catch (SIGBUS).
+    The slider array is mapped copy-on-write from its file, not read into
+    fresh memory: a run just written is already in the page cache, so
+    reading maps those pages instead of faulting in and filling a copy.
+    The slider values are views of the mapping; writing to them leaves
+    the file alone.  While any record's slider lives, the mapping holds
+    one open file, whatever the participant count, and truncating that
+    file then is an error the process cannot catch (SIGBUS).
     """
     manifest_path = os.path.join(run_dir, "manifest.json")
     try:
@@ -822,44 +842,43 @@ def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
             f"cannot read {manifest_path} as a run manifest: {exc!r}") from exc
     stimuli = {stimulus_id(s): (s.kind, s.cooling_rate, s.cooling_ratio)
                for s in plan.stimuli}  # id -> a record's kind, vc, lambda
-    records = []
-    for pidx in range(plan.participants):
-        path = os.path.join(run_dir, f"participant_{pidx:02d}.csv")
+    path = os.path.join(run_dir, "trials.csv")
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            part, trial, sid, likert = map(
+                header.index, ("participant", "trial", "stimulus_id", "likert"))
+            rows = [(int(row[part]), int(row[trial]), row[sid],
+                     int(row[likert]) if row[likert] else None)
+                    for row in reader if row]  # a blank line is not a trial
+    except (IndexError, OSError, ValueError, csv.Error) as exc:
+        raise ValidationError(f"cannot read {path}: {exc!r}") from exc
+    _check_table(f"{path}: ", rows, stimuli, range(plan.participants),
+                 plan.trials_per_participant)
+    records = [TrialRecord(pidx, tidx, sid, *stimuli[sid], likert=likert)
+               for pidx, tidx, sid, likert in rows]
+    path = os.path.join(run_dir, "sliders.npy")
+    if os.path.exists(path):
         try:
-            with open(path, newline="") as fh:
-                reader = csv.reader(fh)
-                header = next(reader, [])
-                trial, sid, likert = map(header.index, ("trial", "stimulus_id", "likert"))
-                rows = [(int(row[trial]), row[sid],
-                         int(row[likert]) if row[likert] else None)
-                        for row in reader if row]  # a blank line is not a trial
-        except (IndexError, OSError, ValueError, csv.Error) as exc:
-            raise ValidationError(f"cannot read {path}: {exc!r}") from exc
-        _check_table(path, rows, stimuli, plan.trials_per_participant)
-        table = [TrialRecord(pidx, tidx, sid, *stimuli[sid], likert=likert)
-                 for tidx, sid, likert in rows]
-        path = os.path.join(run_dir, "traces", f"p{pidx:02d}_slider.npy")
-        if os.path.exists(path):
-            try:
-                sliders = np.load(path, allow_pickle=False, mmap_mode="c")
-            except (EOFError, OSError, ValueError) as exc:
-                raise ValidationError(
-                    f"{path} is not a readable .npy file: {exc}") from exc
-            if not isinstance(sliders, np.ndarray):  # np.load also opens .npz
-                sliders.close()
-                raise ValidationError(f"{path} is an .npz archive, not an .npy file")
-            sliders = np.asarray(sliders)  # plain ndarray rows of the mapping
-            if (sliders.dtype != np.float64 or sliders.ndim != 2
-                    or sliders.shape[0] != len(table) or sliders.shape[1] == 0):
-                raise ValidationError(
-                    f"{path} holds {sliders.dtype} of shape {sliders.shape}, not "
-                    f"float64 of shape ({len(table)}, samples) with samples > 0")
-            # NaN fails both comparisons, so it is rejected too.
-            if sliders.size and not (sliders.min() >= 0.0 and sliders.max() <= 1.0):
-                raise ValidationError(
-                    f"{path} holds slider values outside [0, 1] or NaN")
-            time = np.arange(sliders.shape[1]) / LOG_RATE
-            for rec, values in zip(table, sliders):
-                rec.slider = SliderTrace(time, values)
-        records.extend(table)
+            sliders = np.load(path, allow_pickle=False, mmap_mode="c")
+        except (EOFError, OSError, ValueError) as exc:
+            raise ValidationError(f"{path} is not a readable .npy file: {exc}") from exc
+        if not isinstance(sliders, np.ndarray):  # np.load also opens .npz
+            sliders.close()
+            raise ValidationError(f"{path} is an .npz archive, not an .npy file")
+        sliders = np.asarray(sliders)  # plain ndarray rows of the mapping
+        if (sliders.dtype != np.float64 or sliders.ndim != 2
+                or sliders.shape[0] != len(records) or sliders.shape[1] == 0):
+            raise ValidationError(
+                f"{path} holds {sliders.dtype} of shape {sliders.shape}, not "
+                f"float64 of shape ({len(records)}, samples) with samples > 0")
+        # NaN fails both comparisons, so it is rejected too.
+        if sliders.size and not (sliders.min() >= 0.0 and sliders.max() <= 1.0):
+            rec = records[np.flatnonzero(~((sliders >= 0) & (sliders <= 1)).all(1))[0]]
+            raise ValidationError(f"{path}: participant {rec.participant} trial "
+                                  f"{rec.trial} has slider values outside [0, 1] or NaN")
+        times = [np.arange(sliders.shape[1]) / LOG_RATE for _ in range(plan.participants)]
+        for rec, values in zip(records, sliders):  # one time array per participant
+            rec.slider = SliderTrace(times[rec.participant], values)
     return records, manifest

@@ -235,8 +235,8 @@ def test_criterion_7_cli_determinism(tmp_path):
     # Each command runs in a fresh interpreter, so nothing one run leaves
     # behind in a process can make the second run match.  The exp3 run's
     # two participants split its temperature traces between two trace
-    # workers on a host with two CPUs, and the exp2 run writes slider
-    # arrays.
+    # workers on a host with two CPUs, and the exp2 run writes a slider
+    # array.
     artifacts = {}
     for label in ("first", "second"):
         base = tmp_path / label
@@ -261,7 +261,7 @@ def test_criterion_7_cli_determinism(tmp_path):
             if path.is_file():
                 files[str(path.relative_to(base))] = path.read_bytes()
         artifacts[label] = files
-    assert "runs2/traces/p00_slider.npy" in artifacts["first"]
+    assert "runs2/sliders.npy" in artifacts["first"]
     assert len([name for name in artifacts["first"]
                 if name.startswith("runs/") and name.endswith("_temp.csv")]) == 2 * 15
     assert artifacts["first"].keys() == artifacts["second"].keys()

@@ -326,10 +326,13 @@ def test_experiment_run_and_analyze(tmp_path):
     assert (run_dir / "manifest.json").exists()
     assert sorted(p.name for p in run_dir.glob("models_*.json")) == [
         "models_00.json", "models_01.json"]
-    rows = list(csv.DictReader((run_dir / "participant_00.csv").open()))
-    assert len(rows) == 15 and list(rows[0]) == ["trial", "stimulus_id", "likert"]
+    rows = list(csv.DictReader((run_dir / "trials.csv").open()))
+    assert len(rows) == 2 * 15 and list(rows[0]) == [
+        "participant", "trial", "stimulus_id", "likert"]
+    assert [r["participant"] for r in rows] == ["0"] * 15 + ["1"] * 15
     assert all(r["likert"] for r in rows)
-    assert json.loads((run_dir / "manifest.json").read_text())["format_version"] == 4
+    assert not (run_dir / "sliders.npy").exists()
+    assert json.loads((run_dir / "manifest.json").read_text())["format_version"] == 5
 
     report_path = tmp_path / "report.json"
     proc = run_cli("experiment-analyze", "--exp", "3", "--runs", str(run_dir),
@@ -355,16 +358,17 @@ def test_experiment_run_and_analyze(tmp_path):
         return edit
 
     def edit_trial(copy):
-        table = copy / "participant_00.csv"
+        table = copy / "trials.csv"
         lines = table.read_text().splitlines(keepends=True)
-        lines[1] = "x" + lines[1][lines[1].index(","):]
+        fields = lines[1].split(",")
+        lines[1] = ",".join([fields[0], "x", *fields[2:]])
         table.write_text("".join(lines))
 
     def edit_row(column, value, prefix=""):
-        """Set `column` of participant_00.csv's first row whose stimulus id
-        starts with `prefix`."""
+        """Set `column` of trials.csv's first row whose stimulus id starts
+        with `prefix`."""
         def edit(copy):
-            table = copy / "participant_00.csv"
+            table = copy / "trials.csv"
             rows = list(csv.DictReader(table.read_text().splitlines()))
             next(row for row in rows
                  if row["stimulus_id"].startswith(prefix))[column] = value
@@ -374,9 +378,11 @@ def test_experiment_run_and_analyze(tmp_path):
                 writer.writerows(rows)
         return edit
 
-    def edit_lines(name, edit_rows):
+    def edit_lines(edit_rows):
+        """Replace trials.csv's lines (header first; participant 0's
+        rows are lines 1 to 15, participant 1's lines 16 to 30)."""
         def edit(copy):
-            table = copy / name
+            table = copy / "trials.csv"
             lines = table.read_text().splitlines(keepends=True)
             table.write_text("".join(edit_rows(lines)))
         return edit
@@ -389,22 +395,21 @@ def test_experiment_run_and_analyze(tmp_path):
         return edit
 
     def drop_likert_column(copy):
-        table = copy / "participant_00.csv"
+        table = copy / "trials.csv"
         rows = list(csv.reader(table.read_text().splitlines()))
         col = rows[0].index("likert")
         with table.open("w", newline="") as fh:
             csv.writer(fh).writerows([row[:col] + row[col + 1:] for row in rows])
 
     def cut_row(copy):
-        table = copy / "participant_00.csv"
+        table = copy / "trials.csv"
         lines = table.read_text().splitlines(keepends=True)
-        lines[2] = ",".join(lines[2].split(",")[:2]) + "\r\n"
+        lines[2] = ",".join(lines[2].split(",")[:3]) + "\r\n"
         table.write_text("".join(lines))
 
     def write_sliders(shape, save=np.save, dtype=float):
         def edit(copy):
-            (copy / "traces").mkdir(exist_ok=True)
-            with open(copy / "traces" / "p01_slider.npy", "wb") as fh:
+            with open(copy / "sliders.npy", "wb") as fh:
                 save(fh, np.zeros(shape, dtype=dtype))
         return edit
 
@@ -413,8 +418,10 @@ def test_experiment_run_and_analyze(tmp_path):
         "v1": (edit_manifest(format_version=1), "re-run experiment-run"),
         "v2": (edit_manifest(format_version=2), "re-run experiment-run"),
         "v3": (edit_manifest(format_version=3), "re-run experiment-run"),
-        "partial": (lambda copy: (copy / "participant_01.csv").unlink(),
-                    "participant_01.csv"),
+        "v4": (edit_manifest(format_version=4), "re-run experiment-run"),
+        "no_table": (lambda copy: (copy / "trials.csv").unlink(), "trials.csv"),
+        "partial": (edit_lines(lambda lines: lines[:16]),
+                    "trials.csv: participant 1: 0 rows"),
         "not_json": (lambda copy: (copy / "manifest.json").write_text("{oops"),
                      "manifest.json"),
         "no_participants": (edit_manifest(participants=None), "manifest.json"),
@@ -424,43 +431,44 @@ def test_experiment_run_and_analyze(tmp_path):
                               "manifest.json: repetitions must be an integer, got 1.5"),
         "bool_repetitions": (edit_manifest(repetitions=True),
                              "manifest.json: repetitions must be an integer, got True"),
-        "bad_trial": (edit_trial, "participant_00.csv"),
-        "no_likert_column": (drop_likert_column, "participant_00.csv"),
-        "short_row": (cut_row, "participant_00.csv"),
-        "huge_field": (edit_row("stimulus_id", "x" * 200_000, "S1"),
-                       "participant_00.csv"),
+        "bad_trial": (edit_trial, "trials.csv"),
+        "no_likert_column": (drop_likert_column, "trials.csv"),
+        "short_row": (cut_row, "trials.csv"),
+        "huge_field": (edit_row("stimulus_id", "x" * 200_000, "S1"), "trials.csv"),
         # Tables that parse but do not hold the trials the manifest plans.
-        "missing_trials": (edit_lines("participant_00.csv",
-                                      lambda lines: lines[:3] + lines[7:]),
-                           "participant_00.csv: 11 rows"),
-        "duplicate_trial": (edit_lines("participant_01.csv",
-                                       lambda lines: lines[:5] + lines[4:]),
-                            "participant_01.csv: 16 rows"),
-        "swapped_trials": (edit_lines("participant_01.csv", lambda lines:
-                                      lines[:2] + [lines[3], lines[2]] + lines[4:]),
-                           "participant_01.csv: 15 rows, not the manifest's trials"),
+        "missing_trials": (edit_lines(lambda lines: lines[:3] + lines[7:]),
+                           "trials.csv: participant 0: 11 rows, not the manifest's "
+                           "trials 0 to 14 in row order, from trial 2 on"),
+        "duplicate_trial": (edit_lines(lambda lines: lines[:20] + lines[19:]),
+                            "trials.csv: participant 1: 16 rows"),
+        "swapped_trials": (edit_lines(lambda lines:
+                                      lines[:17] + [lines[18], lines[17]] + lines[19:]),
+                           "trials.csv: participant 1: 15 rows, not the manifest's "
+                           "trials 0 to 14 in row order, from trial 1 on"),
+        "wrong_participant": (edit_row("participant", "2"),
+                              "trials.csv: participant 0: 14 rows"),
         "unknown_stimulus": (edit_row("stimulus_id", "S1_vc-0.5_r0.5", "S1"),
-                             "participant_00.csv: trial"),
+                             "trials.csv: participant 0: trial"),
         # Ratings off the 7-point scale.
         "likert_high": (edit_row("likert", "99"),
-                        "participant_00.csv: trial 0 has likert 99"),
+                        "trials.csv: participant 0: trial 0 has likert 99"),
         "likert_low": (edit_row("likert", "-5"),
-                       "participant_00.csv: trial 0 has likert -5"),
+                       "trials.csv: participant 0: trial 0 has likert -5"),
         "manifest_kind": (edit_manifest_stimulus(kind="S9"), "manifest.json: stimulus"),
         "manifest_lambda": (edit_manifest_stimulus(cooling_ratio=None),
                             "manifest.json: stimulus"),
         # The manifest's specs, not its stimulus_id fields, name the
         # stimuli: another rate renames stimulus 0, which no row shows.
         "manifest_rate": (edit_manifest_stimulus(cooling_rate=-0.5),
-                          "participant_00.csv: trial"),
+                          "trials.csv: participant 0: trial"),
         "manifest_twice": (edit_manifest_stimulus(cooling_rate=-0.16),
                            "manifest.json: stimulus 'S1_vc-0.16_r0.5' is planned 2"),
-        "slider_rows": (write_sliders((14, 1501)), "p01_slider.npy"),
-        "slider_shape": (write_sliders((15, 2, 1501)), "p01_slider.npy"),
-        "slider_npz": (write_sliders((15, 1501), save=np.savez),
-                       "p01_slider.npy is an .npz archive"),
-        "slider_objects": (write_sliders((15, 1501), dtype=object),  # pickled
-                           "p01_slider.npy is not a readable .npy file: "
+        "slider_rows": (write_sliders((29, 1501)), "sliders.npy"),
+        "slider_shape": (write_sliders((30, 2, 1501)), "sliders.npy"),
+        "slider_npz": (write_sliders((30, 1501), save=np.savez),
+                       "sliders.npy is an .npz archive"),
+        "slider_objects": (write_sliders((30, 1501), dtype=object),  # pickled
+                           "sliders.npy is not a readable .npy file: "
                            "Array can't be memory-mapped: Python objects in dtype"),
     }
     for name, (edit, named) in corruptions.items():
@@ -481,6 +489,33 @@ def assert_analyze_rejects(tmp_path, run_dir, exp, name, edit, named):
     assert not report.exists()
 
 
+def test_experiment_analyze_under_low_open_file_limit(tmp_path):
+    # A run's sliders are one mapped file, whatever its participant count,
+    # so a fresh process that may open only 6 more files analyzes an
+    # 8-participant run as an unlimited one does.
+    pytest.importorskip("resource")
+    run_dir = tmp_path / "run"
+    proc = run_cli("experiment-run", "--exp", "2", "--participants", "8",
+                   "--repetitions", "1", "--no-traces", "--quiet", "--out", str(run_dir))
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli("experiment-analyze", "--exp", "2", "--runs", str(run_dir),
+                   "--out", str(tmp_path / "unlimited.json"))
+    assert proc.returncode == 0, proc.stderr
+    script = (
+        "import os, resource, sys\n"
+        "from coldsim import cli\n"
+        "fds = len(os.listdir('/dev/fd')) - 1  # less the listing's own\n"
+        "hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_NOFILE, (fds + 6, hard))\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, "experiment-analyze", "--exp", "2",
+                           "--runs", str(run_dir), "--out", str(tmp_path / "limited.json")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert ((tmp_path / "limited.json").read_bytes()
+            == (tmp_path / "unlimited.json").read_bytes())
+
+
 def test_experiment_run_exp2_analyzable_without_temp_traces(tmp_path):
     run_dir = tmp_path / "runs2"
     proc = run_cli_process("experiment-run", "--exp", "2", "--participants", "2",
@@ -489,9 +524,10 @@ def test_experiment_run_exp2_analyzable_without_temp_traces(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["trials"] == 2 * 105
     assert run_dir.stat().st_mode & 0o777 == 0o755
-    assert not list((run_dir / "traces").glob("*_temp.csv"))
-    assert not list((run_dir / "traces").glob("*_slider.csv"))
-    assert len(list((run_dir / "traces").glob("p*_slider.npy"))) == 2
+    # The slider array is the run's one file of sliders, and traces/
+    # would hold only the temperature traces.
+    assert not (run_dir / "traces").exists()
+    assert np.load(run_dir / "sliders.npy", mmap_mode="r").shape == (2 * 105, 1501)
 
     report_path = tmp_path / "report2.json"
     proc = run_cli("experiment-analyze", "--exp", "2", "--runs", str(run_dir),
@@ -504,27 +540,28 @@ def test_experiment_run_exp2_analyzable_without_temp_traces(tmp_path):
     assert all(0 <= v <= 100 for v in report["persistence_trial_pct"].values())
 
     def truncate(copy):
-        sliders = copy / "traces" / "p01_slider.npy"
+        sliders = copy / "sliders.npy"
         sliders.write_bytes(sliders.read_bytes()[:-8])
 
-    def set_slider(value):
+    def set_slider(row, value):
         def edit(copy):
-            path = copy / "traces" / "p00_slider.npy"
+            path = copy / "sliders.npy"
             sliders = np.load(path)
-            sliders[3, 100] = value
+            sliders[row, 100] = value
             np.save(path, sliders)
         return edit
 
     assert_analyze_rejects(tmp_path, run_dir, "2", "truncated", truncate,
-                           "p01_slider.npy")
+                           "sliders.npy")
     for name, value in (("slider_above_1", 7.0), ("slider_below_0", -0.5),
                         ("slider_nan", np.nan)):
-        assert_analyze_rejects(tmp_path, run_dir, "2", name, set_slider(value),
-                               "p00_slider.npy")
+        assert_analyze_rejects(tmp_path, run_dir, "2", name, set_slider(3, value),
+                               "sliders.npy: participant 0 trial 3")
+    assert_analyze_rejects(tmp_path, run_dir, "2", "slider_participant_1",
+                           set_slider(105 + 7, 7.0), "sliders.npy: participant 1 trial 7")
     assert_analyze_rejects(
         tmp_path, run_dir, "2", "slider_no_samples",
-        lambda copy: np.save(copy / "traces" / "p00_slider.npy", np.zeros((105, 0))),
-        "p00_slider.npy")
+        lambda copy: np.save(copy / "sliders.npy", np.zeros((210, 0))), "sliders.npy")
 
 
 def test_experiment_run_refuses_nonempty_out(tmp_path):
@@ -563,7 +600,7 @@ def test_experiment_run_accepts_empty_out(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["out"] == str(out)
     assert sorted(p.name for p in out.iterdir()) == [
-        "manifest.json", "models_00.json", "participant_00.csv"]
+        "manifest.json", "models_00.json", "trials.csv"]
     assert [p.name for p in tmp_path.iterdir()] == ["run"]
 
 
@@ -665,10 +702,14 @@ def test_experiment_run_failure_names_participant(tmp_path, monkeypatch, failure
         calls.append(plant)
         if len(calls) < 2:
             return result
-        # Participant 0's files are already written when participant 1
-        # is calibrated.
+        # Participant 0's slider rows are already written when
+        # participant 1 is calibrated: they follow the header, which
+        # holds the plan's row count.
         staging, = tmp_path.glob(".tmp-run-*")
-        assert (staging / "participant_00.csv").exists()
+        with open(staging / "sliders.npy", "rb") as fh:
+            np.lib.format.read_magic(fh)
+            assert np.lib.format.read_array_header_1_0(fh)[0] == (3 * 35, 1501)
+            assert len(fh.read()) == 35 * 1501 * 8
         if failure is CalibrationError:
             raise CalibrationError("verification drift stays above the gate")
         # A warm band too narrow for the study's warm rates.

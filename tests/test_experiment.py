@@ -1,6 +1,7 @@
 """Plans, the synthetic participant, the runner, and the analyses."""
 
 import concurrent.futures
+import csv
 import gc
 import importlib.util
 import itertools
@@ -119,7 +120,22 @@ def test_exp3_plan_shape():
     (lambda: compile_schedule(StimulusSpec("S2", -0.16, drop_duration=0)),
      "drop_duration must be positive"),
     (lambda: SkinPlant().run_span(log_every=0), "log_every"),
-])
+    # Explicit ids, the ones these cases were first collected under: an id
+    # made from the match string would rename a case whenever a new case
+    # repeats its string.
+], ids=[f"<lambda>-{name}" for name in (
+    "participants", "repetitions", "seed", "repetitions must be an integer",
+    "participants must be an integer", "seed must be an integer",
+    "max_iters must be an integer", "max_iters must be an integer, got True",
+    "repetitions must be an integer, got True", "seed must be an integer, got False",
+    "sensor_resolution must be", "gain must be a finite number, got True", "jitter0",
+    "jitter1", "jitter2", "jitter3", "max_iters", "sensor_resolution0",
+    "sensor_resolution1", "measurement_noise0", "measurement_noise1", "gain0", "gain1",
+    "hold_time", "detect_threshold", "slider_lag", "time_constant0", "time_constant1",
+    "time_constant2", "duty range", "zero-slope", "no records", "every record needs",
+    "need one participant model", "kind must be one of",
+    "drop_duration must be positive", "log_every",
+    )])
 def test_out_of_range_settings_rejected(make, named):
     with pytest.raises(ValidationError, match=named):
         make()
@@ -716,7 +732,7 @@ def test_record_round_trip(tmp_path):
         out = tmp_path / f"exp{exp}"
         write_records(pairs(result), plan, out)
         loaded, manifest = read_records(out)
-        assert (manifest["experiment"], manifest["format_version"]) == (f"exp{exp}", 4)
+        assert (manifest["experiment"], manifest["format_version"]) == (f"exp{exp}", 5)
         assert ([repr(fields(rec)) for rec in loaded]
                 == [repr(fields(rec)) for rec in result.records])
         assert any(rec.cooling_ratio is None for rec in loaded)
@@ -736,11 +752,11 @@ def test_record_round_trip(tmp_path):
 
 
 def test_read_records_sliders_copy_on_write(tmp_path):
-    # read_records maps each slider array: its rows are views of the file's
-    # pages, and writing to one changes that record only, not the file.
+    # read_records maps the run's slider array: its rows are views of the
+    # file's pages, and writing to one changes that record only, not the file.
     plan, result = small_pipeline(2)
     write_records(pairs(result), plan, tmp_path / "run")
-    path = tmp_path / "run" / "traces" / "p00_slider.npy"
+    path = tmp_path / "run" / "sliders.npy"
     saved = path.read_bytes()
     loaded, _ = read_records(tmp_path / "run")
     assert loaded[0].slider.values.base is loaded[1].slider.values.base
@@ -839,16 +855,24 @@ def test_typed_errors_survive_pickle():
 
 
 def test_write_records_rejects_partial_sliders(tmp_path):
-    # read_records rebuilds a participant's sliders from one array with a
-    # row per trial, so a trial without a slider among ones with a slider
-    # cannot be stored.
+    # read_records rebuilds a run's sliders from one array with a row per
+    # trial, so a trial without a slider among ones with a slider cannot
+    # be stored, whichever participant holds it.
     specs = [StimulusSpec("S3", rate) for rate in (-0.08, -0.16)]
-    plan = ExperimentPlan("exp2", tuple(specs), repetitions=1, participants=1,
+    plan = ExperimentPlan("exp2", tuple(specs), repetitions=1, participants=2,
                           seed=0)
     result = run_pipeline(plan)
-    result.records[0].slider = None
-    with pytest.raises(ValidationError, match="participant 0 trial 0: no slider"):
-        write_records(pairs(result), plan, tmp_path / "run")
+    # (participant, its trials without a slider, the error)
+    cases = [(0, [0], "participant 0 trial 0: no slider"),
+             (1, [0, 1], "participant 1 trial 0: no slider"),  # participant 0 has sliders
+             (0, [0, 1], "participant 1 trial 0: a slider")]  # participant 0 has none
+    for k, (pidx, trials, named) in enumerate(cases):
+        given = pairs(result)
+        records = given[pidx][1]
+        for tidx in trials:
+            records[tidx] = replace(records[tidx], slider=None)
+        with pytest.raises(ValidationError, match=named):
+            write_records(given, plan, tmp_path / f"run{k}")
 
 
 def test_write_records_checks_each_record_against_the_plan(tmp_path):
@@ -876,7 +900,8 @@ def test_write_records_checks_each_record_against_the_plan(tmp_path):
             field, rf"^participant 1 trial {trial}: ")
         with pytest.raises(ValidationError, match=named):
             write_records(given, plan, out, traces=False)
-        assert not (out / "participant_01.csv").exists()
+        with open(out / "trials.csv", newline="") as fh:
+            assert [row[0] for row in csv.reader(fh)][1:] == ["0"] * 15
         assert not (out / "manifest.json").exists()
 
 
@@ -963,10 +988,15 @@ def test_write_records_makes_traces_dir_only_for_files(tmp_path):
     plan, result = small_pipeline(3)  # exp3: ratings, no sliders
     write_records(pairs(result), plan, tmp_path / "bare", traces=False)
     assert sorted(p.name for p in (tmp_path / "bare").iterdir()) == [
-        "manifest.json", "models_00.json", "models_01.json",
-        "participant_00.csv", "participant_01.csv"]
+        "manifest.json", "models_00.json", "models_01.json", "trials.csv"]
     write_records(pairs(result), plan, tmp_path / "traced")
     assert len(list((tmp_path / "traced" / "traces").iterdir())) == 2 * 15
+    # exp2's slider array lies at the run root, not in traces/.
+    plan, result = small_pipeline(2)
+    write_records(pairs(result), plan, tmp_path / "sliders", traces=False)
+    assert sorted(p.name for p in (tmp_path / "sliders").iterdir()) == [
+        "manifest.json", "models_00.json", "models_01.json", "sliders.npy",
+        "trials.csv"]
 
 
 # Slider samples at and next to the edges of [0, 1], including subnormals.
