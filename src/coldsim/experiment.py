@@ -102,13 +102,18 @@ class SliderTrace:
 
 def _sample_dt(trace: Trace) -> float:
     """The trace's sampling step, checked against what the perceiver needs."""
-    if len(trace.time) < 2:
+    n = len(trace.time)
+    if n < 2:
         raise ValidationError("trace too short to differentiate")
     sample_dt = float(trace.time[1] - trace.time[0])
     if not sample_dt > 0:
         raise ValidationError(f"trace time must increase, got a step of {sample_dt} s")
     if sample_dt > 0.01 + 1e-9:
         raise ValidationError("participant model needs a trace sampled at >= 100 Hz")
+    span = float(trace.time[-1] - trace.time[0])
+    if abs(span - (n - 1) * sample_dt) > 1e-9:
+        raise ValidationError(f"participant model needs evenly spaced samples: the trace "
+                              f"spans {span!r} s, not {n - 1} steps of {sample_dt!r} s")
     return sample_dt
 
 
@@ -798,7 +803,7 @@ def write_records(participants: Iterable[tuple[CalibrationResult, list[TrialReco
 
 
 def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
-    """Load records written by write_records; sliders load when present.
+    """Load records written by write_records, with sliders for an exp2 run.
 
     A directory that is not a complete format-5 run raises
     ValidationError naming the file at fault, and the first participant
@@ -859,7 +864,7 @@ def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
     records = [TrialRecord(pidx, tidx, sid, *stimuli[sid], likert=likert)
                for pidx, tidx, sid, likert in rows]
     path = os.path.join(run_dir, "sliders.npy")
-    if os.path.exists(path):
+    if plan.experiment == "exp2":  # an exp3 run's trials have no slider
         try:
             sliders = np.load(path, allow_pickle=False, mmap_mode="c")
         except (EOFError, OSError, ValueError) as exc:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -151,44 +152,32 @@ def _block_sums(drive: np.ndarray, length: int, decay: float) -> np.ndarray:
     return sums
 
 
-# The smallest power of the pole that first_order divides by.  A pole
-# below it skips the division.
+# The smallest last power of the pole for first_order's single pass;
+# below it, x / q could overflow.
 _MIN_POWER = 2.0**-600
 
 
 def first_order(pole: float, x, y0: float = 0.0) -> np.ndarray:
     """y[k] = pole * y[k-1] + x[k] with y[-1] = y0, for 0 <= pole <= 1.
 
-    Over a chunk of C samples entered at y_in, y[k] = q[k] * (y_in +
-    sum(x[j] / q[j], j <= k)) with q[k] = pole**(k+1): one
-    multiply.accumulate, one divide, one cumsum and one multiply, all
+    While the last power q[-1] = pole**n is at least 2**-600, in one pass:
+    y[k] = q[k] * (y0 + sum(x[j] / q[j], j <= k)) with q[k] = pole**(k+1),
+    by one multiply.accumulate, divide, add.accumulate and multiply, all
     sequential IEEE operations with no libm call and no BLAS, so the bits
-    are the same on every CPU.  C is the largest power of two with
-    pole**C >= 2**-600, found by squaring, so x / q stays finite for
-    |x| < 2**400.  A pole below 2**-600, 0 included, drops its squared
-    terms, which are below 2**-1200 of the input: y[k] = x[k] + pole *
-    x[k-1].  At pole 1 the result is the running sum, bit for bit, so a
-    split into consecutive calls gives the same bits there.
+    are the same on every CPU.  Below it, the recurrence is stepped on
+    Python floats.  At pole 1 the result is the running sum, bit for bit,
+    so a split into consecutive calls gives the same bits there.
     """
     x = np.asarray(x, dtype=float)
-    n = len(x)
-    if pole < _MIN_POWER:
-        return x + pole * np.concatenate(([y0], x))[:n]
-    size, power = 1, pole
-    while size < n and power * power >= _MIN_POWER:
-        size, power = 2 * size, power * power
-    q = np.multiply.accumulate(np.full(min(size, n), pole))
-    y = np.empty(n)
-    carry = y0
-    for start in range(0, n, size):
-        chunk = y[start:start + size]
-        powers = q[:len(chunk)]
-        np.divide(x[start:start + size], powers, out=chunk)
-        chunk[0] += carry
-        np.add.accumulate(chunk, out=chunk)
-        chunk *= powers
-        carry = chunk[-1]
-    return y
+    q = np.multiply.accumulate(np.full(len(x), pole))
+    if len(x) and q[-1] >= _MIN_POWER:
+        y = x / q
+        y[0] += y0
+        np.add.accumulate(y, out=y)
+        y *= q
+        return y
+    steps = accumulate(x.tolist(), lambda prev, value: pole * prev + value, initial=y0)
+    return np.array(list(steps)[1:], dtype=float)
 
 
 class SkinPlant:

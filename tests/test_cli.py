@@ -407,12 +407,6 @@ def test_experiment_run_and_analyze(tmp_path):
         lines[2] = ",".join(lines[2].split(",")[:3]) + "\r\n"
         table.write_text("".join(lines))
 
-    def write_sliders(shape, save=np.save, dtype=float):
-        def edit(copy):
-            with open(copy / "sliders.npy", "wb") as fh:
-                save(fh, np.zeros(shape, dtype=dtype))
-        return edit
-
     corruptions = {
         "future": (edit_manifest(format_version=7), "format_version"),
         "v1": (edit_manifest(format_version=1), "re-run experiment-run"),
@@ -463,13 +457,6 @@ def test_experiment_run_and_analyze(tmp_path):
                           "trials.csv: participant 0: trial"),
         "manifest_twice": (edit_manifest_stimulus(cooling_rate=-0.16),
                            "manifest.json: stimulus 'S1_vc-0.16_r0.5' is planned 2"),
-        "slider_rows": (write_sliders((29, 1501)), "sliders.npy"),
-        "slider_shape": (write_sliders((30, 2, 1501)), "sliders.npy"),
-        "slider_npz": (write_sliders((30, 1501), save=np.savez),
-                       "sliders.npy is an .npz archive"),
-        "slider_objects": (write_sliders((30, 1501), dtype=object),  # pickled
-                           "sliders.npy is not a readable .npy file: "
-                           "Array can't be memory-mapped: Python objects in dtype"),
     }
     for name, (edit, named) in corruptions.items():
         assert_analyze_rejects(tmp_path, run_dir, "3", name, edit, named)
@@ -551,8 +538,26 @@ def test_experiment_run_exp2_analyzable_without_temp_traces(tmp_path):
             np.save(path, sliders)
         return edit
 
-    assert_analyze_rejects(tmp_path, run_dir, "2", "truncated", truncate,
-                           "sliders.npy")
+    def write_sliders(shape, save=np.save, dtype=float):
+        def edit(copy):
+            with open(copy / "sliders.npy", "wb") as fh:
+                save(fh, np.zeros(shape, dtype=dtype))
+        return edit
+
+    # The manifest plans exp2, so the run must hold its slider array.
+    corruptions = {
+        "no_sliders": (lambda copy: (copy / "sliders.npy").unlink(), "sliders.npy"),
+        "truncated": (truncate, "sliders.npy"),
+        "slider_rows": (write_sliders((209, 1501)), "sliders.npy"),
+        "slider_shape": (write_sliders((210, 2, 1501)), "sliders.npy"),
+        "slider_npz": (write_sliders((210, 1501), save=np.savez),
+                       "sliders.npy is an .npz archive"),
+        "slider_objects": (write_sliders((210, 1501), dtype=object),  # pickled
+                           "sliders.npy is not a readable .npy file: "
+                           "Array can't be memory-mapped: Python objects in dtype"),
+    }
+    for name, (edit, named) in corruptions.items():
+        assert_analyze_rejects(tmp_path, run_dir, "2", name, edit, named)
     for name, value in (("slider_above_1", 7.0), ("slider_below_0", -0.5),
                         ("slider_nan", np.nan)):
         assert_analyze_rejects(tmp_path, run_dir, "2", name, set_slider(3, value),

@@ -30,6 +30,7 @@ from coldsim import (CalibrationError, CalibrationProtocol, CalibrationResult,
                      compile_schedule, default_participants, exact_models,
                      invert_duty, run_experiment, simulate_participant,
                      wilcoxon_rank_sum)
+from coldsim.control import run_control, schedule_to_timeline
 from coldsim.experiment import (EXP2_RATES, EXP2_RATIOS, EXP3_BASE_RATE,
                                 EXP3_RATES, PERSISTENCE_WINDOW, ExperimentPlan,
                                 TrialRecord, peak_cooling_rate, perceived_rate,
@@ -199,6 +200,25 @@ def test_participant_neutral_hovers_at_half():
     tail = slider.values[slider.time >= 1.0]
     assert abs(float(tail.mean()) - 0.5) < 0.01
     assert np.all(np.abs(tail - 0.5) < 5 * model.response_noise)
+
+
+def test_perceiver_refuses_uneven_trace():
+    # run_control ends a 15.004 s presentation with a 4 ms step after the
+    # 10 ms grid; the perceiver differentiates with one step, so it refuses
+    # that trace, and one with a gap inside, naming the span.
+    spec = StimulusSpec("S3", -0.2, duration=15.004)
+    plant = SkinPlant(PlantParams())
+    trace = run_control(schedule_to_timeline(
+        compile_schedule(spec), *exact_models(plant.params)), plant)
+    assert trace.time[-2:].tolist() == [15.0, 15.004]
+    gap = flat_trace(-0.1)
+    gap = Trace(np.delete(gap.time, 700), np.delete(gap.temp, 700))
+    for uneven, span in ((trace, "15.004 s, not 1501 steps"), (gap, "15.0 s, not 1499 steps")):
+        with pytest.raises(ValidationError, match=f"the trace spans {span} of 0.01 s"):
+            perceived_rate(uneven, ParticipantModel())
+        with pytest.raises(ValidationError, match="evenly spaced"):
+            simulate_participant(uneven, ParticipantModel(), np.random.default_rng(0))
+    assert len(perceived_rate(flat_trace(-0.1), ParticipantModel())) == 1501
 
 
 def test_participant_sample_count_and_range():
@@ -918,14 +938,18 @@ def test_write_records_takes_numpy_integer_counts(tmp_path):
 
 
 def test_write_records_rejects_off_grid_slider(tmp_path):
-    # A 2.005 s presentation ends off the 100 Hz grid; read_records could
-    # not rebuild that slider's time, so write_records refuses it.
+    # A slider that ends off the 100 Hz grid, 5 ms after its last grid
+    # sample: read_records could not rebuild its time, so write_records
+    # refuses it.
     spec = StimulusSpec("S3", -0.16, duration=2.005)
     plan = ExperimentPlan("exp2", (spec,), repetitions=1, participants=1, seed=0)
-    result = run_pipeline(plan)
-    assert result.records[0].slider.time[-1] == 2.005
+    time = np.append(np.arange(201) / 100.0, 2.005)
+    record = TrialRecord(participant=0, trial=0, stimulus_id=stimulus_id(spec),
+                         kind=spec.kind, cooling_rate=spec.cooling_rate,
+                         cooling_ratio=spec.cooling_ratio,
+                         slider=SliderTrace(time, np.full(len(time), 0.5)))
     with pytest.raises(ValidationError, match="participant 0 trial 0"):
-        write_records(pairs(result), plan, tmp_path / "run")
+        write_records([(exact_calibration(), [record])], plan, tmp_path / "run")
 
 
 def test_write_records_trial_order_and_lazy_pairs(tmp_path):

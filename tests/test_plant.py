@@ -245,16 +245,19 @@ def sequential_first_order(pole, x, y0):
     return np.array(out)
 
 
-# The boundary of first_order's chunked path and its neighbours, the
-# plant's and the perceiver's poles at their defaults, and the ends.
-SMALLEST_CHUNKED = 2.0**-600
-POLES = [0.0, 1e-300, math.nextafter(SMALLEST_CHUNKED, 0.0), SMALLEST_CHUNKED,
-         math.nextafter(SMALLEST_CHUNKED, 1.0), 0.5, 0.95, 0.99005, 0.99998, 1.0]
+# first_order takes one pass while the last power pole**n is at least
+# 2**-600 and steps the recurrence below it: poles at and around 2**-600
+# step from n = 2 on (from n = 1 below it), 0.3 from n = 346 on and 0.5
+# from n = 601 on.  With them, the plant's and the perceiver's poles at
+# their defaults, and the ends.
+SMALLEST_ONE_PASS = 2.0**-600
+POLES = [0.0, 1e-300, math.nextafter(SMALLEST_ONE_PASS, 0.0), SMALLEST_ONE_PASS,
+         math.nextafter(SMALLEST_ONE_PASS, 1.0), 0.3, 0.5, 0.95, 0.99005, 0.99998, 1.0]
 
 
 @pytest.mark.parametrize("pole", POLES)
 @settings(max_examples=30)
-@given(st.integers(1, 2000), st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e3]),
+@given(st.integers(0, 2000), st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e3]),
        st.sampled_from([0.0, 1.0, -5.0]), st.floats(-100.0, 100.0))
 def test_property_first_order_matches_sequential(pole, n, seed, scale, offset, y0):
     # Drives of one sign (an offset) and of both, at three scales.
@@ -262,13 +265,16 @@ def test_property_first_order_matches_sequential(pole, n, seed, scale, offset, y
     want = sequential_first_order(pole, x.tolist(), y0)
     assert lfilter([1.0], [1.0, -pole], x, zi=[pole * y0])[0].tobytes() == want.tobytes()
     got = first_order(pole, x, y0)
+    assert got.dtype == float and got.shape == (n,)
     assert np.isfinite(got).all()
+    if math.prod([pole] * n) < SMALLEST_ONE_PASS:  # the stepped recurrence
+        assert got.tobytes() == want.tobytes()
     if pole == 1.0:  # the running sum, bit for bit
         running = list(itertools.accumulate(x.tolist(), initial=y0))[1:]
         assert got.tobytes() == np.array(running).tobytes()
-    # Within a chunk each output sums pole**(k-j) * x[j] through the powers
-    # q, whose relative error grows by one rounding per sample, so the error
-    # is at most (2 n + 4) roundings of the same sum of magnitudes.
+    # Each output sums pole**(k-j) * x[j] through the powers q, whose
+    # relative error grows by one rounding per sample, so the error is at
+    # most (2 n + 4) roundings of the same sum of magnitudes.
     envelope = sequential_first_order(pole, np.abs(x).tolist(), abs(y0))
     assert (np.abs(got - want) <= (2 * n + 4) * 2.0**-53 * envelope).all()
 
