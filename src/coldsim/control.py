@@ -47,8 +47,9 @@ VERIFY_SPECS = (
     StimulusSpec("S1", cooling_rate=-0.20, cooling_ratio=0.3),
 )
 
-# Samples per second in the traces run_control returns.
+# Samples per second in the traces run_control returns, and DT steps per sample.
 LOG_RATE = 100.0
+LOG_EVERY = int(round(1.0 / (LOG_RATE * DT)))
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ class CalibrationProtocol:
     max_iters: int = 10
     sensor_resolution: float = DEFAULT_SENSOR_RESOLUTION  # degC; 0 = ideal
     measurement_noise: float = 0.0    # degC/s sigma added to measured rates
-    noise_seed: int | Sequence[int] | None = None  # any numpy seed
+    noise_seed: int | Sequence[int] | None = 0  # any numpy seed; None = OS entropy
 
     def __post_init__(self):
         check_counts(self, {"max_iters": 1})
@@ -384,12 +385,11 @@ def run_control(timeline: ActuatorTimeline, plant: SkinPlant) -> Trace:
     end of the timeline's steps inclusive: the grid k / LOG_RATE, plus
     the end itself when it is off that grid.
     """
-    log_every = int(round(1.0 / (LOG_RATE * DT)))  # steps per logged sample
     start = plant.t_skin
     temps = plant.run_span(timeline.valve_duty, timeline.led_duty, True,
-                           timeline.led_on, timeline.n_steps, log_every=log_every)
+                           timeline.led_on, timeline.n_steps, log_every=LOG_EVERY)
     n = int(timeline.n_steps.sum())
-    time = np.arange(n // log_every + 1) / LOG_RATE
-    if n % log_every:
+    time = np.arange(n // LOG_EVERY + 1) / LOG_RATE
+    if n % LOG_EVERY:
         time = np.append(time, n * DT)
     return Trace(time, np.concatenate(([start], temps)))

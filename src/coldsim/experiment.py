@@ -39,13 +39,13 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .control import (LED_DUTY_RANGE, LOG_RATE, VALVE_DUTY_RANGE,
+from .control import (LED_DUTY_RANGE, LOG_EVERY, LOG_RATE, VALVE_DUTY_RANGE,
                       CalibrationResult, DutyModel, calibrate, run_control,
                       schedule_to_timeline)
 from .errors import (CalibrationError, UnreachableRateError, ValidationError,
                      check_counts, check_numbers)
 from .pattern import KINDS, StimulusSpec, compile_schedule, stimulus_id
-from .plant import PlantParams, SkinPlant, Trace, first_order, write_trace_csvs
+from .plant import DT, PlantParams, SkinPlant, Trace, first_order, write_trace_csvs
 from .stats import (TestResult, benjamini_hochberg, kruskal_wallis,
                     wilcoxon_rank_sum)
 
@@ -62,8 +62,9 @@ PERSISTENCE_WINDOW = (5.0, 15.0)
 # Perceived-peak normalization for ratings, degC/s.
 RATING_PEAK_SCALE = 0.3
 
-# Run directory layout that write_records writes and read_records reads.
+# Run layout and trials.csv header that write_records writes and read_records reads.
 FORMAT_VERSION = 5
+TABLE_HEADER = ["participant", "trial", "stimulus_id", "likert"]
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ def _sample_dt(trace: Trace) -> float:
     sample_dt = float(trace.time[1] - trace.time[0])
     if not sample_dt > 0:
         raise ValidationError(f"trace time must increase, got a step of {sample_dt} s")
-    if sample_dt > 0.01 + 1e-9:
+    if sample_dt > 1.0 / LOG_RATE + 1e-9:
         raise ValidationError("participant model needs a trace sampled at >= 100 Hz")
     span = float(trace.time[-1] - trace.time[0])
     if abs(span - (n - 1) * sample_dt) > 1e-9:
@@ -215,7 +216,8 @@ def default_likert_rating(mean_confidence: float, peak_cool_rate: float) -> int:
 @dataclass(frozen=True)
 class ExperimentPlan:
     """Each of `stimuli` shown `repetitions` times, shuffled, to each of
-    `participants`; a stimulus's id is stimulus_id(spec), not stored."""
+    `participants`; a stimulus's id is stimulus_id(spec), not stored.
+    The stimuli share one duration, `samples` - 1 steps of 1 / LOG_RATE."""
 
     experiment: str  # "exp2" | "exp3"
     stimuli: tuple[StimulusSpec, ...]
@@ -227,19 +229,35 @@ class ExperimentPlan:
         check_counts(self, {"participants": 1, "repetitions": 1, "seed": 0})
         for name in ("participants", "repetitions", "seed"):  # a plain int, for JSON
             object.__setattr__(self, name, int(getattr(self, name)))
+        if self.experiment not in ("exp2", "exp3"):
+            raise ValidationError(f"experiment {self.experiment!r} is not exp2 or exp3")
+        if not self.stimuli:
+            raise ValidationError("a plan needs at least one stimulus")
         ids = [stimulus_id(spec) for spec in self.stimuli]
         counts = collections.Counter(ids)
         for sid, spec in zip(ids, self.stimuli):
-            kind, ratio = spec.kind, spec.cooling_ratio
+            kind, ratio, duration = spec.kind, spec.cooling_ratio, spec.duration
             if counts[sid] > 1:
                 raise ValidationError(f"stimulus {sid!r} is planned {counts[sid]} times")
             if kind not in KINDS or (kind == "S1") != (ratio is not None):
                 raise ValidationError(f"stimulus {sid!r} has kind {kind!r} and lambda "
                                       f"{ratio!r}, not S1 with a lambda or S2/S3 without")
+            if not (LOG_EVERY <= duration / DT < math.inf  # NaN and inf stop here
+                    and round(duration / DT) % LOG_EVERY == 0):
+                raise ValidationError(f"stimulus {sid!r} runs {duration!r} s, not a "
+                                      f"whole number of {1 / LOG_RATE:g} s samples")
+            if duration != self.stimuli[0].duration:
+                raise ValidationError(f"stimulus {sid!r} runs {duration!r} s, not the "
+                                      f"{self.stimuli[0].duration!r} s of the first")
 
     @property
     def trials_per_participant(self) -> int:
         return len(self.stimuli) * self.repetitions
+
+    @property
+    def samples(self) -> int:
+        """Samples per trial: run_control's grid k / LOG_RATE over the duration."""
+        return round(self.stimuli[0].duration / DT) // LOG_EVERY + 1
 
 
 def build_exp2_plan(repetitions=3, participants=15, seed=0) -> ExperimentPlan:
@@ -617,30 +635,45 @@ def _check_table(prefix: str, rows: list, stimuli, participants, trials: int) ->
                                   f"{likert!r}, not an integer from 1 to 7")
 
 
-def _write_participant(out_dir, pidx: int, recs: list[TrialRecord], write_traces,
-                       plan: ExperimentPlan, table, grid, sliders) -> None:
-    """write_records' rows and files for one participant's records, once
-    every record is checked: its table rows to the csv writer table, its
-    slider rows appended to the open file sliders (None, like grid, in a
-    run without sliders), and its temperature traces to
-    write_traces(traces, paths), or nowhere when it is None."""
+def _check_slider_values(prefix: str, values: np.ndarray, rows: list) -> None:
+    """Refuse values outside [0, 1], naming rows[k][:2] for the first row k at fault."""
+    if not (values.min() >= 0.0 and values.max() <= 1.0):  # NaN fails both
+        pidx, tidx = rows[np.flatnonzero(~((values >= 0) & (values <= 1)).all(1))[0]][:2]
+        raise ValidationError(f"{prefix}participant {pidx} trial {tidx} has slider "
+                              f"values outside [0, 1] or NaN")
+
+
+def _write_participant(out_dir, pidx: int, calibration, recs: list[TrialRecord],
+                       write_traces, plan: ExperimentPlan, table, sliders) -> None:
+    """write_records' files and rows for one participant, once every record
+    is checked: its models JSON, its rows to the csv writer table and to
+    the open file sliders (None in an exp3 run), and its temperature
+    traces to write_traces(traces, paths), or nowhere when it is None."""
     trace_dir = os.path.join(out_dir, "traces")
     recs = sorted(recs, key=attrgetter("trial"))
     planned = {stimulus_id(s): (s.kind, s.cooling_rate, s.cooling_ratio)
                for s in plan.stimuli}
+    grid = np.arange(plan.samples) / LOG_RATE
     for rec in recs:
         where = f"participant {pidx} trial {rec.trial}"
         got = rec.kind, rec.cooling_rate, rec.cooling_ratio
         if planned.get(rec.stimulus_id) != got:
             raise ValidationError(f"{where}: {rec.stimulus_id!r} as kind, vc and "
                                   f"lambda {got} is not a planned stimulus")
-        if (rec.slider is None) != (grid is None) or (
-                grid is not None and not np.array_equal(rec.slider.time, grid)):
+        slider = rec.slider
+        if (slider is None) == (plan.experiment == "exp2") or slider is not None and not (
+                np.array_equal(slider.time, grid)
+                and np.shape(slider.values) == grid.shape):
             raise ValidationError(
-                f"{where}: {'no' if rec.slider is None else 'a'} slider, but every "
-                f"record of a run has one on the grid k / {LOG_RATE:g} s, or none does")
+                f"{where}: {'no' if slider is None else 'a'} slider, but an exp2 record "
+                f"has one on the grid k / {LOG_RATE:g} s, k < {plan.samples}, exp3 none")
     rows = [(pidx, rec.trial, rec.stimulus_id, rec.likert) for rec in recs]
     _check_table("", rows, planned, [pidx], plan.trials_per_participant)
+    if sliders is not None:  # the last check, so nothing is written before it
+        values = np.stack([rec.slider.values for rec in recs], dtype="<f8")
+        _check_slider_values("", values, rows)
+        values.tofile(sliders)
+    calibration.to_json(os.path.join(out_dir, f"models_{pidx:02d}.json"))
     table.writerows(rows)  # csv writes a likert of None as an empty field
     kept = [rec for rec in recs if rec.trace is not None] if write_traces else []
     if kept:
@@ -648,8 +681,6 @@ def _write_participant(out_dir, pidx: int, recs: list[TrialRecord], write_traces
         write_traces([rec.trace for rec in kept], [
             os.path.join(trace_dir, f"p{pidx:02d}_t{rec.trial:03d}_temp.csv")
             for rec in kept])
-    if sliders is not None:
-        np.stack([rec.slider.values for rec in recs], dtype="<f8").tofile(sliders)
 
 
 def _usable_cpus() -> int:
@@ -732,55 +763,46 @@ def write_records(participants: Iterable[tuple[CalibrationResult, list[TrialReco
 
     `trials.csv` holds each record's `participant`, `trial`,
     `stimulus_id` and `likert`, in participant and then trial order; the
-    plan gives its kind, rate and ratio.  Row k of `sliders.npy`
-    (float64, shape (participants x trials, samples)) holds the slider
-    values of table row k, on the grid k / LOG_RATE, which is not stored.
-    Its header is written once, from the plan's row count and the first
-    participant's sample count, and each participant's rows are appended
-    once its records pass their checks, so a refused participant leaves
-    no rows.  A record whose stimulus the plan does not give, or that
-    has no slider on that grid while a record of participant 0 has one
-    (or has a slider while participant 0 has none), raises
+    plan gives its kind, rate and ratio.  For an exp2 plan, row k of
+    `sliders.npy` (float64, shape (participants x trials, plan.samples),
+    its header written before the first pair is asked for) holds the
+    slider of table row k, on the grid k / LOG_RATE, which is not stored.
+    A participant's models, rows and files are written only once its
+    records pass the checks read_records makes: a record whose stimulus
+    the plan does not give, with a slider in an exp3 plan, or without
+    one on that grid with values in [0, 1] in an exp2 plan raises
     ValidationError naming its participant and trial; trials other than
     0, 1, ... or a likert that read_records would refuse raise it naming
     the participant.  `traces=False` skips only the temperature trace
-    files, which `write_trace_csvs` writes.  `traces/` is made only when
-    a file is written into it.
+    files; `traces/` is made only when a file is written into it.
 
     The models, table rows and slider rows are written here, in
-    participant order.  The temperature traces are formatted in forked
-    worker processes, one per usable CPU and at most one per
-    participant, while `participants` makes the next pair: each
-    participant's traces are split into one chunk per worker.  With one
-    worker (one participant, one CPU, or no `fork` start method) they are
-    written here.  The pool starts at the first trace written, so a run
-    without traces starts no process.  Before the manifest is written,
-    and before this returns or raises, every chunk has finished and the
-    workers have exited; a worker's exception (an OSError naming the
-    file, say) is raised here as it was raised there.
+    participant order.  The temperature traces go to _trace_writer's
+    forked workers (one per usable CPU, at most one per participant,
+    started at the first trace), which write them while `participants`
+    makes the next pair.  Before the manifest is written, and before
+    this returns or raises, every chunk has finished and the workers
+    have exited; a worker's exception (an OSError naming the file, say)
+    is raised here as it was raised there.
     """
     os.makedirs(out_dir, exist_ok=True)
     # A plain counter, not enumerate: enumerate's cached result tuple
     # would keep the previous pair alive while the next one is made.
-    pidx, grid, sliders = 0, None, None
+    pidx, sliders = 0, None
     with contextlib.ExitStack() as files:
         write_traces = files.enter_context(_trace_writer(plan.participants))
         table = csv.writer(files.enter_context(
             open(os.path.join(out_dir, "trials.csv"), "w", newline="")))
-        table.writerow(["participant", "trial", "stimulus_id", "likert"])
+        table.writerow(TABLE_HEADER)
+        if plan.experiment == "exp2":
+            sliders = files.enter_context(
+                open(os.path.join(out_dir, "sliders.npy"), "wb"))
+            np.lib.format.write_array_header_1_0(sliders, {
+                "descr": "<f8", "fortran_order": False, "shape": (
+                    plan.participants * plan.trials_per_participant, plan.samples)})
         for calibration, recs in participants:
-            calibration.to_json(os.path.join(out_dir, f"models_{pidx:02d}.json"))
-            if pidx == 0:  # participant 0 sets the run's slider grid, or none
-                grid = next((np.arange(len(rec.slider.time)) / LOG_RATE
-                             for rec in recs if rec.slider is not None), None)
-                if grid is not None:
-                    sliders = files.enter_context(
-                        open(os.path.join(out_dir, "sliders.npy"), "wb"))
-                    np.lib.format.write_array_header_1_0(sliders, {
-                        "descr": "<f8", "fortran_order": False, "shape": (
-                            plan.participants * plan.trials_per_participant, len(grid))})
-            _write_participant(out_dir, pidx, recs, write_traces if traces else None,
-                               plan, table, grid, sliders)
+            _write_participant(out_dir, pidx, calibration, recs,
+                               write_traces if traces else None, plan, table, sliders)
             del calibration, recs
             pidx += 1
     if pidx != plan.participants:
@@ -807,25 +829,21 @@ def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
 
     A directory that is not a complete format-5 run raises
     ValidationError naming the file at fault, and the first participant
-    (and trial) at fault where the fault is in a row.  The trial table is
-    parsed in one csv.reader pass, its columns found once by header name,
-    and checked once.  The sliders of one participant share one time
-    array, the grid k / LOG_RATE, so analyze_exp2 summarizes them as one
-    block, one participant at a time.
+    (and trial) at fault where the fault is in a row.  The sliders of one
+    participant share one time array, the grid k / LOG_RATE, so
+    analyze_exp2 summarizes them as one block, one participant at a time.
 
     The manifest's plan must pass ExperimentPlan's checks.  The table
-    holds each participant's trials 0, 1, ... in row order, participants
-    0, 1, ... in turn, each with the id of a planned spec, which gives
-    its kind, rate and ratio, and a likert that is empty or an integer
-    from 1 to 7.
+    has write_records' header, then each participant's trials 0, 1, ...
+    in row order, participants 0, 1, ... in turn, each with the id of a
+    planned spec, which gives its kind, rate and ratio, and a likert
+    that is empty or an integer from 1 to 7.  An exp2 plan's slider
+    array is float64 of shape (rows, plan.samples) with values in [0, 1].
 
-    The slider array is mapped copy-on-write from its file, not read into
-    fresh memory: a run just written is already in the page cache, so
-    reading maps those pages instead of faulting in and filling a copy.
-    The slider values are views of the mapping; writing to them leaves
-    the file alone.  While any record's slider lives, the mapping holds
-    one open file, whatever the participant count, and truncating that
-    file then is an error the process cannot catch (SIGBUS).
+    The slider array is mapped copy-on-write: the slider values are views
+    of the mapping, which holds one open file while any of them lives,
+    and writing to them leaves the file alone; truncating the file then
+    is an error the process cannot catch (SIGBUS).
     """
     manifest_path = os.path.join(run_dir, "manifest.json")
     try:
@@ -851,13 +869,11 @@ def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, [])
-            part, trial, sid, likert = map(
-                header.index, ("participant", "trial", "stimulus_id", "likert"))
-            rows = [(int(row[part]), int(row[trial]), row[sid],
-                     int(row[likert]) if row[likert] else None)
-                    for row in reader if row]  # a blank line is not a trial
-    except (IndexError, OSError, ValueError, csv.Error) as exc:
+            if (header := next(reader, [])) != TABLE_HEADER:
+                raise ValueError(f"header {header}, not {TABLE_HEADER}")
+            rows = [(int(part), int(trial), sid, int(likert) if likert else None)
+                    for part, trial, sid, likert in filter(None, reader)]
+    except (OSError, ValueError, csv.Error) as exc:
         raise ValidationError(f"cannot read {path}: {exc!r}") from exc
     _check_table(f"{path}: ", rows, stimuli, range(plan.participants),
                  plan.trials_per_participant)
@@ -866,24 +882,15 @@ def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
     path = os.path.join(run_dir, "sliders.npy")
     if plan.experiment == "exp2":  # an exp3 run's trials have no slider
         try:
-            sliders = np.load(path, allow_pickle=False, mmap_mode="c")
+            sliders = np.lib.format.open_memmap(path, mode="c")
         except (EOFError, OSError, ValueError) as exc:
             raise ValidationError(f"{path} is not a readable .npy file: {exc}") from exc
-        if not isinstance(sliders, np.ndarray):  # np.load also opens .npz
-            sliders.close()
-            raise ValidationError(f"{path} is an .npz archive, not an .npy file")
+        if sliders.dtype != np.float64 or sliders.shape != (len(rows), plan.samples):
+            raise ValidationError(f"{path} holds {sliders.dtype} of shape {sliders.shape}"
+                                  f", not float64 of shape {(len(rows), plan.samples)}")
         sliders = np.asarray(sliders)  # plain ndarray rows of the mapping
-        if (sliders.dtype != np.float64 or sliders.ndim != 2
-                or sliders.shape[0] != len(records) or sliders.shape[1] == 0):
-            raise ValidationError(
-                f"{path} holds {sliders.dtype} of shape {sliders.shape}, not "
-                f"float64 of shape ({len(records)}, samples) with samples > 0")
-        # NaN fails both comparisons, so it is rejected too.
-        if sliders.size and not (sliders.min() >= 0.0 and sliders.max() <= 1.0):
-            rec = records[np.flatnonzero(~((sliders >= 0) & (sliders <= 1)).all(1))[0]]
-            raise ValidationError(f"{path}: participant {rec.participant} trial "
-                                  f"{rec.trial} has slider values outside [0, 1] or NaN")
-        times = [np.arange(sliders.shape[1]) / LOG_RATE for _ in range(plan.participants)]
+        _check_slider_values(f"{path}: ", sliders, rows)
+        times = [np.arange(plan.samples) / LOG_RATE for _ in range(plan.participants)]
         for rec, values in zip(records, sliders):  # one time array per participant
             rec.slider = SliderTrace(times[rec.participant], values)
     return records, manifest

@@ -24,7 +24,6 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Union
 
 from .errors import ValidationError, WrongKindError
@@ -39,12 +38,6 @@ MIN_CYCLE_TIME = 0.5
 DEFAULT_SWING = 0.06
 
 
-@lru_cache(maxsize=4096)
-def _decimal_fraction(x) -> Fraction:
-    num, q = _decimal(x)
-    return Fraction(num, 10**q)
-
-
 def _exact(x: Union[float, int, Fraction]) -> Fraction:
     """Exact rational from the decimal reading of a number.
 
@@ -54,7 +47,8 @@ def _exact(x: Union[float, int, Fraction]) -> Fraction:
     """
     if isinstance(x, Fraction):
         return x
-    return _decimal_fraction(x)
+    num, q = _decimal(x)
+    return Fraction(num, 10**q)
 
 
 @dataclass(frozen=True)
@@ -164,12 +158,11 @@ def _derive_exact(spec: StimulusSpec):
     #   cycle_time    = cooling_time / ratio                 = e*b*d / (f*a*c)
     #   recovery_rate = swing / (cycle_time - cooling_time)  = a*c / (b*(d-c))
     #   warm_rate     = recovery_rate - rate                 = a*d / (b*(d-c))
-    # Each is computed on the integers and made one Fraction.
-    rate, ratio, swing = (_exact(x) for x in
-                          (spec.cooling_rate, spec.cooling_ratio, spec.swing))
-    a, b = -rate.numerator, rate.denominator
-    c, d = ratio.numerator, ratio.denominator
-    e, f = swing.numerator, swing.denominator
+    # Each is computed on the integers of the decimal readings (b, d and f
+    # powers of ten) and made one Fraction.
+    (r, rq), (c, cq), (e, eq) = map(_decimal, (spec.cooling_rate, spec.cooling_ratio,
+                                               spec.swing))
+    a, b, d, f = -r, 10**rq, 10**cq, 10**eq
     return (Fraction(e * b, f * a), Fraction(e * b * d, f * a * c),
             Fraction(a * c, b * (d - c)), Fraction(a * d, b * (d - c)))
 

@@ -182,9 +182,9 @@ def first_order(pole: float, x, y0: float = 0.0) -> np.ndarray:
 
 class SkinPlant:
     """A single-owner plant instance stepped sequentially: t_skin is the
-    skin temperature and rng the process-noise stream."""
+    skin temperature and rng the process-noise stream (seed None: OS entropy)."""
 
-    def __init__(self, params: Optional[PlantParams] = None, seed=None):
+    def __init__(self, params: Optional[PlantParams] = None, seed=0):
         self.params = params if params is not None else PlantParams()
         self.t_skin = self.params.t_init
         self.rng = np.random.default_rng(seed)

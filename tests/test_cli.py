@@ -401,6 +401,12 @@ def test_experiment_run_and_analyze(tmp_path):
         with table.open("w", newline="") as fh:
             csv.writer(fh).writerows([row[:col] + row[col + 1:] for row in rows])
 
+    def swap_columns(copy):
+        table = copy / "trials.csv"
+        rows = list(csv.reader(table.read_text().splitlines()))
+        with table.open("w", newline="") as fh:
+            csv.writer(fh).writerows([[row[1], row[0], *row[2:]] for row in rows])
+
     def cut_row(copy):
         table = copy / "trials.csv"
         lines = table.read_text().splitlines(keepends=True)
@@ -427,6 +433,9 @@ def test_experiment_run_and_analyze(tmp_path):
                              "manifest.json: repetitions must be an integer, got True"),
         "bad_trial": (edit_trial, "trials.csv"),
         "no_likert_column": (drop_likert_column, "trials.csv"),
+        # The reader takes the writer's exact header, not columns by name.
+        "swapped_columns": (swap_columns, "trials.csv: ValueError(\"header ['trial', "
+                            "'participant', 'stimulus_id', 'likert'], not"),
         "short_row": (cut_row, "trials.csv"),
         "huge_field": (edit_row("stimulus_id", "x" * 200_000, "S1"), "trials.csv"),
         # Tables that parse but do not hold the trials the manifest plans.
@@ -550,8 +559,10 @@ def test_experiment_run_exp2_analyzable_without_temp_traces(tmp_path):
         "truncated": (truncate, "sliders.npy"),
         "slider_rows": (write_sliders((209, 1501)), "sliders.npy"),
         "slider_shape": (write_sliders((210, 2, 1501)), "sliders.npy"),
+        "slider_columns": (write_sliders((210, 1500)), "sliders.npy holds float64 of "
+                           "shape (210, 1500), not float64 of shape (210, 1501)"),
         "slider_npz": (write_sliders((210, 1501), save=np.savez),
-                       "sliders.npy is an .npz archive"),
+                       "sliders.npy is not a readable .npy file"),
         "slider_objects": (write_sliders((210, 1501), dtype=object),  # pickled
                            "sliders.npy is not a readable .npy file: "
                            "Array can't be memory-mapped: Python objects in dtype"),

@@ -205,6 +205,16 @@ def test_calibrate_golden_models():
         ["0x1.9999999999800p-6", "0x1.9999999999800p-6", "0x1.9999999999800p-5"]]
 
 
+def test_calibrate_default_seeds_reproduce():
+    # A plant's seed and a protocol's noise_seed default to 0, not to OS
+    # entropy: two calibrations with process and measurement noise on
+    # fresh, equal plants give equal models.
+    params = PlantParams(noise_sigma=0.01)
+    protocol = CalibrationProtocol(measurement_noise=0.01)
+    first, second = (calibrate(SkinPlant(params), protocol) for _ in range(2))
+    assert (first.valve, first.led) == (second.valve, second.led)
+
+
 def test_models_json_round_trip(tmp_path):
     plant = SkinPlant(PlantParams(relax_coeff=0.0))
     result = calibrate(plant, ideal_protocol())

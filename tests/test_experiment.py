@@ -121,6 +121,15 @@ def test_exp3_plan_shape():
     (lambda: compile_schedule(StimulusSpec("S2", -0.16, drop_duration=0)),
      "drop_duration must be positive"),
     (lambda: SkinPlant().run_span(log_every=0), "log_every"),
+    # A plan is refused before any participant is calibrated.
+    (lambda: ExperimentPlan("exp4", build_exp3_plan().stimuli, 1, 1, 0),
+     "experiment 'exp4' is not exp2 or exp3"),
+    (lambda: ExperimentPlan("exp2", (), 1, 1, 0), "at least one stimulus"),
+    (lambda: ExperimentPlan("exp2", (StimulusSpec("S3", -0.08),
+                                     StimulusSpec("S3", -0.16, duration=10.0)), 1, 1, 0),
+     "stimulus 'S3_vc-0.16' runs 10.0 s, not the 15.0 s of the first"),
+    (lambda: ExperimentPlan("exp2", (StimulusSpec("S3", -0.16, duration=2.005),), 1, 1, 0),
+     "stimulus 'S3_vc-0.16' runs 2.005 s, not a whole number of 0.01 s samples"),
     # Explicit ids, the ones these cases were first collected under: an id
     # made from the match string would rename a case whenever a new case
     # repeats its string.
@@ -135,7 +144,8 @@ def test_exp3_plan_shape():
     "hold_time", "detect_threshold", "slider_lag", "time_constant0", "time_constant1",
     "time_constant2", "duty range", "zero-slope", "no records", "every record needs",
     "need one participant model", "kind must be one of",
-    "drop_duration must be positive", "log_every",
+    "drop_duration must be positive", "log_every", "exp4", "no stimuli",
+    "two durations", "off-grid duration",
     )])
 def test_out_of_range_settings_rejected(make, named):
     with pytest.raises(ValidationError, match=named):
@@ -875,9 +885,9 @@ def test_typed_errors_survive_pickle():
 
 
 def test_write_records_rejects_partial_sliders(tmp_path):
-    # read_records rebuilds a run's sliders from one array with a row per
-    # trial, so a trial without a slider among ones with a slider cannot
-    # be stored, whichever participant holds it.
+    # read_records rebuilds an exp2 run's sliders from one array with a
+    # row per trial, so a trial without a slider cannot be stored,
+    # whichever participant holds it.
     specs = [StimulusSpec("S3", rate) for rate in (-0.08, -0.16)]
     plan = ExperimentPlan("exp2", tuple(specs), repetitions=1, participants=2,
                           seed=0)
@@ -885,7 +895,7 @@ def test_write_records_rejects_partial_sliders(tmp_path):
     # (participant, its trials without a slider, the error)
     cases = [(0, [0], "participant 0 trial 0: no slider"),
              (1, [0, 1], "participant 1 trial 0: no slider"),  # participant 0 has sliders
-             (0, [0, 1], "participant 1 trial 0: a slider")]  # participant 0 has none
+             (0, [0, 1], "participant 0 trial 0: no slider")]  # participant 0 has none
     for k, (pidx, trials, named) in enumerate(cases):
         given = pairs(result)
         records = given[pidx][1]
@@ -938,10 +948,10 @@ def test_write_records_takes_numpy_integer_counts(tmp_path):
 
 
 def test_write_records_rejects_off_grid_slider(tmp_path):
-    # A slider that ends off the 100 Hz grid, 5 ms after its last grid
-    # sample: read_records could not rebuild its time, so write_records
-    # refuses it.
-    spec = StimulusSpec("S3", -0.16, duration=2.005)
+    # A slider that ends off the plan's 100 Hz grid, 5 ms after its last
+    # grid sample: read_records could not rebuild its time, so
+    # write_records refuses it.
+    spec = StimulusSpec("S3", -0.16, duration=2.0)
     plan = ExperimentPlan("exp2", (spec,), repetitions=1, participants=1, seed=0)
     time = np.append(np.arange(201) / 100.0, 2.005)
     record = TrialRecord(participant=0, trial=0, stimulus_id=stimulus_id(spec),
@@ -950,6 +960,39 @@ def test_write_records_rejects_off_grid_slider(tmp_path):
                          slider=SliderTrace(time, np.full(len(time), 0.5)))
     with pytest.raises(ValidationError, match="participant 0 trial 0"):
         write_records([(exact_calibration(), [record])], plan, tmp_path / "run")
+
+
+@pytest.mark.parametrize("exp, pidx, tidx, change, named", [
+    (3, 1, 4, dict(slider=SliderTrace(np.arange(1501) / 100, np.full(1501, 0.5))),
+     "a slider, but an exp2 record has one on the grid k / 100 s, k < 1501, exp3 none"),
+    (2, 1, 4, dict(slider=None), "no slider, but an exp2 record has one"),
+    (2, 0, 7, dict(value=1.5), "has slider values outside [0, 1] or NaN"),
+    (2, 1, 9, dict(value=math.nan), "has slider values outside [0, 1] or NaN"),
+], ids=["exp3_slider", "exp2_no_slider", "above_1", "nan"])
+def test_write_records_refuses_what_read_records_refuses(tmp_path, exp, pidx, tidx,
+                                                         change, named):
+    # The plan alone decides whether a record has a slider: an exp2 record
+    # needs one on the plan's grid with values in [0, 1], an exp3 record
+    # has none.  A record at fault is named, and neither its participant's
+    # models nor the manifest are written.
+    specs = tuple(StimulusSpec("S3", rate) for rate in (-0.08, -0.16))
+    plan = ExperimentPlan(f"exp{exp}", specs, repetitions=5, participants=2, seed=0)
+    records = run_experiment(plan, lambda i: SkinPlant(), default_participants(2),
+                             [exact_models(PlantParams())] * 2)
+    given = [(exact_calibration(), [rec for rec in records if rec.participant == p])
+             for p in range(2)]
+    records = given[pidx][1]
+    k = next(k for k, rec in enumerate(records) if rec.trial == tidx)
+    if "value" in change:
+        values = records[k].slider.values.copy()
+        values[100] = change["value"]
+        change = dict(slider=replace(records[k].slider, values=values))
+    records[k] = replace(records[k], **change)
+    with pytest.raises(ValidationError, match=rf"^participant {pidx} trial {tidx}:? "
+                       + re.escape(named)):
+        write_records(given, plan, tmp_path / "run", traces=False)
+    assert not (tmp_path / "run" / f"models_{pidx:02d}.json").exists()
+    assert not (tmp_path / "run" / "manifest.json").exists()
 
 
 def test_write_records_trial_order_and_lazy_pairs(tmp_path):
@@ -1047,8 +1090,10 @@ def slider_runs(draw):
 def test_property_slider_round_trip_bit_identical(run):
     participants, samples, values = run
     # A plan of as many stimuli as each participant has trials, so each
-    # table holds every planned trial, as read_records requires.
-    stimuli = build_exp2_plan().stimuli[:len(values[0])]
+    # table holds every planned trial, as read_records requires, and of
+    # the duration that gives the samples.
+    stimuli = tuple(replace(spec, duration=(samples - 1) / 100)
+                    for spec in build_exp2_plan().stimuli[:len(values[0])])
     plan = ExperimentPlan("exp2", stimuli, repetitions=1, participants=participants,
                           seed=0)
     time = np.arange(samples) / 100.0
