@@ -10,9 +10,8 @@ and analyzes perception studies with synthetic participants.
 
 from .errors import (CalibrationError, DegenerateDesignError,
                      UnreachableRateError, ValidationError, WrongKindError)
-from .pattern import (DerivedPattern, RateSchedule, Segment, SpecIssue,
-                      StimulusSpec, compile_schedule, derive_pattern,
-                      validate_spec)
+from .pattern import (DerivedPattern, RateSchedule, Segment, StimulusSpec,
+                      compile_schedule, derive_pattern, validate_spec)
 from .plant import (PlantParams, SensorReading, SkinPlant, Trace,
                     load_plant_config)
 from .control import (ActuatorTimeline, CalibrationProtocol, CalibrationResult,

@@ -94,9 +94,8 @@ def _add_stimulus_flags(parser) -> None:
 
 def cmd_design(args) -> dict:
     spec = _spec_from_args(args)
-    for issue in pattern.validate_spec(spec):
-        if issue.severity != "error":  # compile_schedule raises the errors
-            print(f"{issue.severity}: {issue.message}", file=sys.stderr)
+    for warning in pattern.validate_spec(spec):
+        print(f"warning: {warning}", file=sys.stderr)
     schedule = pattern.compile_schedule(spec)
     _atomic_write(args.out, schedule.to_csv)
     return {"segments": len(schedule.ends),

@@ -44,7 +44,7 @@ from .control import (LED_DUTY_RANGE, LOG_EVERY, LOG_RATE, VALVE_DUTY_RANGE,
                       schedule_to_timeline)
 from .errors import (CalibrationError, UnreachableRateError, ValidationError,
                      check_counts, check_numbers)
-from .pattern import KINDS, StimulusSpec, compile_schedule, stimulus_id
+from .pattern import StimulusSpec, compile_schedule, stimulus_id
 from .plant import DT, PlantParams, SkinPlant, Trace, first_order, write_trace_csvs
 from .stats import (TestResult, benjamini_hochberg, kruskal_wallis,
                     wilcoxon_rank_sum)
@@ -239,10 +239,10 @@ class ExperimentPlan:
             kind, ratio, duration = spec.kind, spec.cooling_ratio, spec.duration
             if counts[sid] > 1:
                 raise ValidationError(f"stimulus {sid!r} is planned {counts[sid]} times")
-            if kind not in KINDS or (kind == "S1") != (ratio is not None):
+            if kind != "S1" and ratio is not None:
                 raise ValidationError(f"stimulus {sid!r} has kind {kind!r} and lambda "
                                       f"{ratio!r}, not S1 with a lambda or S2/S3 without")
-            if not (LOG_EVERY <= duration / DT < math.inf  # NaN and inf stop here
+            if not (LOG_EVERY <= duration / DT < math.inf  # 1e308 s overflows
                     and round(duration / DT) % LOG_EVERY == 0):
                 raise ValidationError(f"stimulus {sid!r} runs {duration!r} s, not a "
                                       f"whole number of {1 / LOG_RATE:g} s samples")
@@ -833,12 +833,13 @@ def read_records(run_dir) -> tuple[list[TrialRecord], dict]:
     participant share one time array, the grid k / LOG_RATE, so
     analyze_exp2 summarizes them as one block, one participant at a time.
 
-    The manifest's plan must pass ExperimentPlan's checks.  The table
-    has write_records' header, then each participant's trials 0, 1, ...
-    in row order, participants 0, 1, ... in turn, each with the id of a
-    planned spec, which gives its kind, rate and ratio, and a likert
-    that is empty or an integer from 1 to 7.  An exp2 plan's slider
-    array is float64 of shape (rows, plan.samples) with values in [0, 1].
+    The manifest's stimuli must pass StimulusSpec's checks, and its plan
+    ExperimentPlan's.  The table has write_records' header, then each
+    participant's trials 0, 1, ... in row order, participants 0, 1, ...
+    in turn, each with the id of a planned spec, which gives its kind,
+    rate and ratio, and a likert that is empty or an integer from 1 to
+    7.  An exp2 plan's slider array is float64 of shape
+    (rows, plan.samples) with values in [0, 1].
 
     The slider array is mapped copy-on-write: the slider values are views
     of the mapping, which holds one open file while any of them lives,

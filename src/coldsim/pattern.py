@@ -16,6 +16,10 @@ accumulate no floating-point drift and whole cycles balance exactly.
 A compiled schedule holds its segment ends as whole ticks of one
 denominator and its two rates; its Fractions and Segments are built only
 when asked for, and control reads the ticks directly.
+
+A StimulusSpec refuses a value that breaks its rules when it is built,
+so every spec that exists compiles; validate_spec reports the one
+warning a valid spec can carry, a cycle below the actuation floor.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import ValidationError, WrongKindError
+from .errors import ValidationError, WrongKindError, check_numbers
 from .plant import _decimal
 
 KINDS = ("S1", "S2", "S3")
@@ -34,7 +38,8 @@ KINDS = ("S1", "S2", "S3")
 # Shortest stimulation cycle the actuators can alternate cleanly, seconds.
 MIN_CYCLE_TIME = 0.5
 
-# Default per-cycle skin temperature swing, degC.
+# Default per-cycle skin temperature swing, degC.  Unsourced: the paper's
+# body, which would give the study's swing, is not at hand.
 DEFAULT_SWING = 0.06
 
 
@@ -53,11 +58,16 @@ def _exact(x: Union[float, int, Fraction]) -> Fraction:
 
 @dataclass(frozen=True)
 class StimulusSpec:
-    """One stimulus pattern request.
+    """One stimulus pattern request, valid by construction.
 
     cooling_rate is always negative (degC/s).  cooling_ratio (fraction of
     a cycle spent cooling) and swing (degC per half-cycle) apply to S1
     only; drop_duration (seconds of initial cooling) applies to S2 only.
+    Building a spec raises ValidationError, naming its stimulus id, on
+    the first rule it breaks: kind is one of KINDS; every field but a
+    None cooling_ratio is a finite real number, not a bool; duration is
+    positive and cooling_rate negative; an S1 has 0 < cooling_ratio < 1
+    and a positive swing; an S2 has 0 < drop_duration < duration.
     """
 
     kind: str
@@ -67,6 +77,31 @@ class StimulusSpec:
     duration: float = 15.0
     drop_duration: float = 5.0
 
+    def __post_init__(self):
+        try:
+            if self.kind not in KINDS:
+                raise ValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
+            given_ratio = () if self.cooling_ratio is None else ("cooling_ratio",)
+            check_numbers(self, ("cooling_rate", *given_ratio, "swing", "duration",
+                                 "drop_duration"))
+            if not self.duration > 0:
+                raise ValidationError("duration must be positive")
+            if not self.cooling_rate < 0:
+                raise ValidationError("cooling_rate must be negative")
+            if self.kind == "S1":
+                if self.cooling_ratio is None or not 0 < self.cooling_ratio < 1:
+                    raise ValidationError(
+                        "cooling_ratio must lie in the open interval (0, 1)")
+                if not self.swing > 0:
+                    raise ValidationError("swing must be positive")
+            elif self.kind == "S2":
+                if not self.drop_duration > 0:
+                    raise ValidationError("drop_duration must be positive")
+                if not self.drop_duration < self.duration:
+                    raise ValidationError("drop_duration must be shorter than duration")
+        except ValidationError as exc:
+            raise ValidationError(f"stimulus {stimulus_id(self)!r}: {exc}") from None
+
 
 def stimulus_id(spec: StimulusSpec) -> str:
     """Stable label for a spec, used in study plans and calibration reports."""
@@ -75,74 +110,15 @@ def stimulus_id(spec: StimulusSpec) -> str:
     return f"{spec.kind}_vc{spec.cooling_rate}"
 
 
-@dataclass(frozen=True)
-class SpecIssue:
-    severity: str  # "error" | "warning"
-    message: str
-
-
-def validate_spec(spec: StimulusSpec) -> list[SpecIssue]:
-    """Check a stimulus spec against its invariants.
-
-    Returns a list of issues; hard violations carry severity "error".
-    A cycle shorter than MIN_CYCLE_TIME is reported as a warning only,
-    since the actuators can still be driven, just less cleanly.
-    """
-    return _validate(spec)[0]
-
-
-def _validate(spec: StimulusSpec):
-    """validate_spec's issues, plus the exact S1 cycle quantities when
-    the spec is a valid S1 (None otherwise)."""
-    issues: list[SpecIssue] = []
-    exact = None
-
-    def err(msg):
-        issues.append(SpecIssue("error", msg))
-
-    if spec.kind not in KINDS:
-        err(f"kind must be one of {KINDS}, got {spec.kind!r}")
-        return issues, None
-    for name in ("cooling_rate", "cooling_ratio", "swing", "duration", "drop_duration"):
-        value = getattr(spec, name)
-        if value is not None and not math.isfinite(value):
-            err(f"{name} must be a finite number, got {value!r}")
-    if issues:  # the checks below compare numbers, which inf and NaN defeat
-        return issues, None
-    if not spec.duration > 0:
-        err("duration must be positive")
-    if not spec.cooling_rate < 0:
-        err("cooling_rate must be negative")
+def validate_spec(spec: StimulusSpec) -> list[str]:
+    """The warnings a spec carries: an S1 cycle shorter than MIN_CYCLE_TIME,
+    which the actuators can still drive, just less cleanly."""
     if spec.kind == "S1":
-        if spec.cooling_ratio is None or not 0 < spec.cooling_ratio < 1:
-            err("cooling_ratio must lie in the open interval (0, 1)")
-        if not spec.swing > 0:
-            err("swing must be positive")
-        if not issues:
-            exact = _derive_exact(spec)
-            cycle = exact[1]
-            if cycle < _exact(MIN_CYCLE_TIME):
-                issues.append(SpecIssue(
-                    "warning",
-                    f"cycle time {float(cycle):.3f} s is below the "
-                    f"{MIN_CYCLE_TIME} s actuation floor",
-                ))
-    elif spec.kind == "S2":
-        if not spec.drop_duration > 0:
-            err("drop_duration must be positive")
-        elif spec.duration > 0 and not spec.drop_duration < spec.duration:
-            err("drop_duration must be shorter than duration")
-    return issues, exact
-
-
-def _require_valid(spec: StimulusSpec):
-    """Raise ValidationError on a spec's errors; else return the exact S1
-    cycle quantities of _derive_exact (None for S2 and S3)."""
-    issues, exact = _validate(spec)
-    errors = [i.message for i in issues if i.severity == "error"]
-    if errors:
-        raise ValidationError("; ".join(errors))
-    return exact
+        cycle = _derive_exact(spec)[1]
+        if cycle < _exact(MIN_CYCLE_TIME):
+            return [f"cycle time {float(cycle):.3f} s is below the "
+                    f"{MIN_CYCLE_TIME} s actuation floor"]
+    return []
 
 
 def _derive_exact(spec: StimulusSpec):
@@ -180,12 +156,11 @@ class DerivedPattern:
 def derive_pattern(spec: StimulusSpec) -> DerivedPattern:
     """Derive the cycle quantities of an S1 stimulus.
 
-    Raises WrongKindError for S2/S3 specs and ValidationError when the
-    spec violates its invariants.
+    Raises WrongKindError for S2/S3 specs.
     """
     if spec.kind != "S1":
         raise WrongKindError(f"derive_pattern requires an S1 spec, got {spec.kind}")
-    cooling_time, cycle_time, recovery_rate, warm_rate = _require_valid(spec)
+    cooling_time, cycle_time, recovery_rate, warm_rate = _derive_exact(spec)
     return DerivedPattern(
         cooling_time=float(cooling_time),
         cycle_time=float(cycle_time),
@@ -270,14 +245,12 @@ def compile_schedule(spec: StimulusSpec) -> RateSchedule:
     S3 is a single cooling segment.  The cold channel is active on every
     segment; the warm channel is active exactly where the target rate
     sits above the cooling rate.  Every boundary is computed on integer
-    ticks of one denominator per schedule.  Raises ValidationError on the
-    spec's errors.
+    ticks of one denominator per schedule.
     """
-    exact = _require_valid(spec)
     duration = _exact(spec.duration)
     rate = _exact(spec.cooling_rate)
     if spec.kind == "S1":
-        cooling_time, cycle_time, warming_rate, _ = exact  # recovery rate
+        cooling_time, cycle_time, warming_rate, _ = _derive_exact(spec)  # recovery rate
         # Each boundary is computed on integers, from whole-cycle multiples.
         den, (cool, cycle, end) = _common_ticks(cooling_time, cycle_time, duration)
         ends = []

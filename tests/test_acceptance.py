@@ -78,7 +78,9 @@ def test_criterion_1_pattern_algebra():
         families.append(("ratio", [StimulusSpec("S1", vc, lam2, swing)
                                    for lam2 in ratios]))
 
-    start = time.perf_counter()
+    # CPU time of this process, so that neighbouring load on a shared
+    # host does not count against the bound.
+    start = time.process_time()
     checked = 0
     for direction, specs in families:
         previous = None
@@ -94,7 +96,7 @@ def test_criterion_1_pattern_algebra():
                     assert vh > previous[1]
             previous = (t, vh)
             checked += 1
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     assert checked >= 2 * 10_000
     assert elapsed < 1.0, f"property suite took {elapsed:.2f}s"
     report(1, f"worked example to 1e-9; {checked} random specs verified "

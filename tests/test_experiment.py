@@ -130,6 +130,13 @@ def test_exp3_plan_shape():
      "stimulus 'S3_vc-0.16' runs 10.0 s, not the 15.0 s of the first"),
     (lambda: ExperimentPlan("exp2", (StimulusSpec("S3", -0.16, duration=2.005),), 1, 1, 0),
      "stimulus 'S3_vc-0.16' runs 2.005 s, not a whole number of 0.01 s samples"),
+    # A spec refuses itself when built, so before any plan exists.
+    (lambda: ExperimentPlan("exp2", (StimulusSpec("S3", 0.16),), 1, 1, 0),
+     "stimulus 'S3_vc0.16': cooling_rate must be negative"),
+    (lambda: StimulusSpec("S1", -0.16, 0.5, swing=True),
+     "stimulus 'S1_vc-0.16_r0.5': swing must be a finite number, got True"),
+    (lambda: StimulusSpec("S3", "-0.1"),
+     "stimulus 'S3_vc-0.1': cooling_rate must be a finite number, got '-0.1'"),
     # Explicit ids, the ones these cases were first collected under: an id
     # made from the match string would rename a case whenever a new case
     # repeats its string.
@@ -145,7 +152,8 @@ def test_exp3_plan_shape():
     "time_constant2", "duty range", "zero-slope", "no records", "every record needs",
     "need one participant model", "kind must be one of",
     "drop_duration must be positive", "log_every", "exp4", "no stimuli",
-    "two durations", "off-grid duration",
+    "two durations", "off-grid duration", "positive cooling rate", "bool swing",
+    "string cooling rate",
     )])
 def test_out_of_range_settings_rejected(make, named):
     with pytest.raises(ValidationError, match=named):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -97,16 +98,20 @@ def test_cold_active_everywhere_warm_only_above_cooling_rate():
 
 
 def test_validate_messages():
-    issues = validate_spec(StimulusSpec("S1", -0.1, 0.5, -0.01))
-    assert any("swing" in i.message for i in issues if i.severity == "error")
-    issues = validate_spec(StimulusSpec("S1", -0.1, 0.0, 0.06))
-    assert any("cooling_ratio" in i.message for i in issues if i.severity == "error")
+    with pytest.raises(ValidationError, match=re.escape(
+            "stimulus 'S1_vc-0.1_r0.5': swing must be positive")):
+        StimulusSpec("S1", -0.1, 0.5, -0.01)
+    with pytest.raises(ValidationError, match=re.escape(
+            "stimulus 'S1_vc-0.1_r0.0': cooling_ratio must lie in the open interval")):
+        StimulusSpec("S1", -0.1, 0.0, 0.06)
     for name in ("cooling_rate", "cooling_ratio", "swing", "duration", "drop_duration"):
         for value in (math.inf, -math.inf, math.nan):
-            spec = replace(StimulusSpec("S1", -0.1, 0.5), **{name: value})
-            issues = validate_spec(spec)
-            assert [(i.severity, i.message) for i in issues] == [
-                ("error", f"{name} must be a finite number, got {value!r}")]
+            with pytest.raises(ValidationError, match=re.escape(
+                    f": {name} must be a finite number, got {value!r}")) as caught:
+                replace(StimulusSpec("S1", -0.1, 0.5), **{name: value})
+            # the first rule broken, alone, after the stimulus id
+            assert str(caught.value).startswith("stimulus 'S1_vc")
+            assert str(caught.value).count("must") == 1
     for duration in (0.0, -1.0):
         with pytest.raises(ValidationError, match="duration must be positive"):
             compile_schedule(StimulusSpec("S3", -0.1, duration=duration))
@@ -115,14 +120,17 @@ def test_validate_messages():
 def test_validate_cycle_floor_boundary():
     # t = 0.5 s exactly: clean, no warning
     assert validate_spec(StimulusSpec("S1", -0.24, 0.5, 0.06)) == []
-    # slightly faster cycle: warning, not error
-    issues = validate_spec(StimulusSpec("S1", -0.25, 0.5, 0.06))
-    assert [i.severity for i in issues] == ["warning"]
+    # slightly faster cycle: a warning, and the spec still compiles
+    spec = StimulusSpec("S1", -0.25, 0.5, 0.06)
+    assert validate_spec(spec) == [
+        "cycle time 0.480 s is below the 0.5 s actuation floor"]
+    assert compile_schedule(spec).ends
 
 
 def test_validate_s2_drop_length():
-    issues = validate_spec(StimulusSpec("S2", -0.1, duration=15.0, drop_duration=20.0))
-    assert any(i.severity == "error" for i in issues)
+    with pytest.raises(ValidationError, match=re.escape(
+            "stimulus 'S2_vc-0.1': drop_duration must be shorter than duration")):
+        StimulusSpec("S2", -0.1, duration=15.0, drop_duration=20.0)
 
 
 def random_spec(rng):
@@ -223,6 +231,27 @@ def test_property_segments_tile_and_alternate(spec):
         whole = int(schedule.duration / cycle)
         for k in {min(1, whole), whole} - {0}:
             assert schedule.rate_integral(0, k * cycle) == 0
+
+
+@given(specs(), st.sampled_from((None, "kind", "cooling_rate", "cooling_ratio",
+                                  "swing", "duration", "drop_duration")),
+       st.one_of(st.integers(-1000, 1000).map(lambda n: n / 1000),
+                 st.sampled_from((None, math.nan, -math.inf, True, "-0.1", "S2", "S4"))))
+def test_property_built_spec_compiles(spec, name, value):
+    """A spec refuses a bad value with ValidationError alone, and whatever
+    it accepts compiles: pattern raises no ValidationError on it."""
+    try:
+        if name is not None:
+            spec = replace(spec, **{name: value})
+    except ValidationError as exc:
+        assert str(exc).startswith("stimulus '")
+        return
+    schedule = compile_schedule(spec)
+    assert schedule.ends[-1] == schedule.den * schedule.duration
+    if spec.kind == "S1":
+        derive_pattern(spec)
+    warnings = validate_spec(spec)
+    assert isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)
 
 
 def fraction_loop_s1(spec):
